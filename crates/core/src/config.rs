@@ -88,9 +88,9 @@ pub struct RendererConfig {
     /// α-cutoff ellipse are visited instead of every pixel of the tile.
     /// Output is byte-identical either way — only
     /// [`neo_pipeline::FrameStats::pixel_visits`] changes. Disable via
-    /// [`RendererConfig::without_raster_fast_path`] to run the legacy
-    /// per-pixel loop (the baseline of the `fig_raster` ablation and
-    /// `tests/raster_parity.rs`).
+    /// [`RendererConfig::without_raster_fast_path`] to feed the blend
+    /// kernel full-row spans instead (the baseline of the `fig_raster`
+    /// ablation and `tests/raster_parity.rs`).
     pub raster_fast_path: bool,
     /// Dynamic Partial Sorting parameters (ReuseUpdate strategy).
     pub dps: DpsConfig,
@@ -192,8 +192,8 @@ impl RendererConfig {
         self
     }
 
-    /// Disables the exact-clipped rasterization fast path, running the
-    /// legacy every-pixel-per-splat blend loop instead. Output is
+    /// Disables the exact-clipped rasterization fast path, blending every
+    /// pixel of the tile for every splat (full-row spans) instead. Output is
     /// byte-identical; only `FrameStats::pixel_visits` (and wall-clock
     /// time) changes. This is the ablation baseline of `fig_raster`.
     #[must_use]

@@ -233,6 +233,8 @@ fn run_shard(
         tile_loads: Vec::with_capacity(occupied.len()),
         ..Default::default()
     };
+    // One gather buffer for the whole shard, refilled per tile.
+    let mut blend: Vec<&ProjectedGaussian> = Vec::new();
     for &(tile_index, entries) in occupied {
         let slot = sorters[tile_index - base]
             .as_mut()
@@ -290,18 +292,14 @@ fn run_shard(
         if ctx.render_image {
             // Blend in the strategy's order; IDs without current
             // features (stale entries) are skipped.
-            let blend: Vec<&ProjectedGaussian> = order
-                .order
-                .iter()
-                .filter(|e| e.valid)
-                .filter_map(|e| {
-                    ctx.by_id
-                        .get(neo_math::num::usize_from_u32(e.id))
-                        .copied()
-                        .flatten()
-                        .map(|i| &ctx.projected[i])
-                })
-                .collect();
+            blend.clear();
+            blend.extend(order.order.iter().filter(|e| e.valid).filter_map(|e| {
+                ctx.by_id
+                    .get(neo_math::num::usize_from_u32(e.id))
+                    .copied()
+                    .flatten()
+                    .map(|i| &ctx.projected[i])
+            }));
             let ts = rasterize(tile_index, &blend);
             out.blend_ops += ts.blend_ops;
             out.saturated_pixels += ts.saturated_pixels;

@@ -7,11 +7,11 @@
 use crate::binning::bin_to_tiles;
 use crate::framebuffer::Image;
 use crate::projection::{project_storage, ProjectedGaussian};
-use crate::scratch::RasterScratch;
+use crate::scratch::{Lanes, RasterScratch, TilePlanes, LANES};
 use crate::stats::{FrameStats, Stage};
 use crate::tiles::{subtile_bitmap, TileGrid, SUBTILE_SIZE};
 use neo_math::num::{u64_from_usize, usize_from_u32};
-use neo_math::{Vec2, Vec3};
+use neo_math::Vec3;
 use neo_scene::{Camera, CloudStorage};
 
 /// Default transmittance threshold below which a pixel is considered
@@ -19,9 +19,9 @@ use neo_scene::{Camera, CloudStorage};
 pub const DEFAULT_TRANSMITTANCE_EPS: f32 = 1.0 / 255.0;
 
 /// Minimum α a splat must contribute for a pixel to be blended (the
-/// reference rasterizer's 1/255 cutoff). Shared by the legacy per-pixel
-/// loop, the exact-clipped fast path, and the cutoff-radius solver —
-/// they must agree bit-for-bit on this constant.
+/// reference rasterizer's 1/255 cutoff). Shared by the blend kernel and
+/// the cutoff-ellipse solver — they must agree bit-for-bit on this
+/// constant.
 const BLEND_ALPHA_CUTOFF: f32 = 1.0 / 255.0;
 
 /// Configuration for the functional renderer.
@@ -42,10 +42,10 @@ pub struct RenderConfig {
     /// each splat's true α-cutoff ellipse (the region where
     /// `alpha_at ≥ 1/255`) is solved per row and only those pixels are
     /// visited, instead of walking every pixel of the tile per splat.
-    /// Output is **byte-identical** to the legacy per-pixel loop — only
-    /// [`TileRasterStats::pixel_visits`] changes. Disable to run the
-    /// legacy loop (the byte-identity baseline used by
-    /// `tests/raster_parity.rs` and the `fig_raster` ablation).
+    /// Output is **byte-identical** to walking full rows — only
+    /// [`TileRasterStats::pixel_visits`] changes. Disable to feed the
+    /// same blend kernel full-row spans (the byte-identity baseline used
+    /// by `tests/raster_parity.rs` and the `fig_raster` ablation).
     pub raster_fast_path: bool,
 }
 
@@ -119,184 +119,311 @@ pub fn rasterize_tile_with_scratch(
     // neo-lint: allow(r1, "tile_index ranges over grid.tile_count(), a product of u32 tile coordinates; a valid index always fits u32")
     let ty = (tile_index as u32) / grid.tiles_x();
     let (x0, y0, x1, y1) = grid.tile_rect(tx, ty);
-    let mut stats = TileRasterStats::default();
-
-    // Per-pixel transmittance and accumulated color for this tile, in
-    // buffers reused across tiles and frames.
     let (tile_w, tile_h) = (x1 - x0, y1 - y0);
     let w = usize_from_u32(tile_w);
     let h = usize_from_u32(tile_h);
-    let eps = config.transmittance_eps;
     scratch.width = w;
     scratch.height = h;
-    scratch.transmittance.clear();
-    scratch.transmittance.resize(w * h, 1.0);
-    scratch.color.clear();
-    scratch.color.resize(w * h, config.background);
+    scratch.planes.reset(w, h, config.background);
     scratch.row_live.clear();
     scratch.row_live.resize(h, tile_w);
-    let transmittance = &mut scratch.transmittance;
-    let color = &mut scratch.color;
-    let row_live = &mut scratch.row_live;
-    let mut live_pixels = i64::from(tile_w) * i64::from(tile_h);
+    let mut tile = TileBlend {
+        origin: (x0, y0),
+        eps: config.transmittance_eps,
+        planes: &mut scratch.planes,
+        row_live: &mut scratch.row_live,
+        stats: TileRasterStats::default(),
+        live_pixels: i64::from(tile_w) * i64::from(tile_h),
+    };
     let per_edge = grid.subtiles_per_edge();
+    // Without 8×8-or-smaller subtile bitmaps every chunk of a row is a
+    // candidate (a wide tile's bitmap is all-or-nothing, see
+    // `subtile_bitmap`).
+    let use_bitmap = config.subtiling && per_edge <= 8;
 
     for p in ordered {
-        if live_pixels <= 0 {
+        if tile.live_pixels <= 0 {
             break;
         }
-        // Degenerate-splat guard: a non-finite opacity, conic, or center
-        // makes `alpha_at` meaningless (a NaN intermediate is masked to
-        // 0.99 by the `min` clamp), which would blend a garbage splat
-        // over the whole tile. Skip it in both raster paths.
+        // Degenerate-splat guard: a non-finite opacity, conic, center or
+        // color makes the blend meaningless (a NaN falloff is masked to
+        // α = 0.99 by the clamp, a NaN color poisons every pixel it
+        // blends). Skip it in both raster paths.
         if !p.opacity.is_finite()
             || !p.conic.0.is_finite()
             || !p.conic.1.is_finite()
             || !p.conic.2.is_finite()
             || !p.mean2d.is_finite()
+            || !p.color.is_finite()
         {
             continue;
         }
-        // Precompute the bitmap when subtiling is on.
         let bitmap = if config.subtiling {
             let bm = subtile_bitmap(grid, tx, ty, p.mean2d, p.radius);
             if bm == 0 {
-                stats.zero_coverage += 1;
+                tile.stats.zero_coverage += 1;
                 continue;
             }
             bm
         } else {
             u64::MAX
         };
+        let run = |row: u32| {
+            if use_bitmap {
+                subtile_run(bitmap, per_edge, row)
+            } else {
+                0..u32::MAX
+            }
+        };
 
         if config.raster_fast_path {
-            // Exact-clipped fast path: visit only the pixels inside the
-            // splat's (conservatively widened) α-cutoff ellipse, row by
-            // row, skipping rows whose pixels have all saturated.
+            // Exact-clipped spans: only the pixels inside the splat's
+            // (conservatively widened) α-cutoff ellipse, row by row,
+            // skipping rows whose pixels have all saturated.
             let Some(ellipse) = CutoffEllipse::new(p, (x0, y0, x1, y1)) else {
                 continue;
             };
             for py in ellipse.y_lo..ellipse.y_hi {
-                if row_live[usize_from_u32(py - y0)] == 0 {
+                let row = py - y0;
+                if tile.row_live[usize_from_u32(row)] == 0 {
                     continue;
                 }
                 if let Some((lo, hi)) = ellipse.row_span(py, x0, x1) {
-                    blend_row_span(
-                        p,
-                        py,
-                        lo..hi,
-                        (x0, y0),
-                        w,
-                        config.subtiling,
-                        per_edge,
-                        bitmap,
-                        eps,
-                        transmittance,
-                        color,
-                        row_live,
-                        &mut stats,
-                        &mut live_pixels,
-                    );
+                    tile.blend_row_span(p, row, lo - x0..hi - x0, run(row));
                 }
             }
         } else {
-            // Legacy loop: every pixel of the tile, every splat. Kept as
-            // the byte-identity baseline for the fast path.
-            for py in y0..y1 {
-                blend_row_span(
-                    p,
-                    py,
-                    x0..x1,
-                    (x0, y0),
-                    w,
-                    config.subtiling,
-                    per_edge,
-                    bitmap,
-                    eps,
-                    transmittance,
-                    color,
-                    row_live,
-                    &mut stats,
-                    &mut live_pixels,
-                );
+            // Full rows through the same kernel: every pixel of the tile,
+            // every splat (the byte-identity baseline).
+            for row in 0..tile_h {
+                tile.blend_row_span(p, row, 0..tile_w, run(row));
             }
         }
     }
+    let stats = tile.stats;
 
-    // Composite over the background using remaining transmittance. The
-    // accumulation above already starts from background-colored pixels, so
-    // we just need to scale the background by the transmittance actually
-    // left: rewrite pixels as accumulated + T * background. To avoid double
-    // counting we initialize color to ZERO-equivalent: fix up here.
-    for py in y0..y1 {
-        for px in x0..x1 {
-            let li = usize_from_u32(py - y0) * w + usize_from_u32(px - x0);
-            let t = transmittance[li];
-            color[li] = color[li] - config.background + config.background * t;
+    // Interleave the planes into the pixel block, compositing over the
+    // background with the transmittance left. The planes started at the
+    // background color, so subtract it once and add back its
+    // transmitted share.
+    let bg = config.background;
+    let planes = &scratch.planes;
+    scratch.color.clear();
+    scratch.color.resize(w * h, Vec3::ZERO);
+    let chunks = planes.t.iter().zip(&planes.r).zip(&planes.g).zip(&planes.b);
+    let out_chunks = scratch
+        .color
+        .chunks_exact_mut(w)
+        .flat_map(|row| row.chunks_mut(LANES));
+    for (out, (((t, r), g), b)) in out_chunks.zip(chunks) {
+        for (j, pixel) in out.iter_mut().enumerate() {
+            *pixel = Vec3::new(
+                r[j] - bg.x + bg.x * t[j],
+                g[j] - bg.y + bg.y * t[j],
+                b[j] - bg.z + bg.z * t[j],
+            );
         }
     }
     stats
 }
 
-/// Blends one splat over a contiguous pixel span of one tile row.
-///
-/// This is the *single* per-pixel blend body both raster paths execute:
-/// the legacy loop calls it with the full row (`x0..x1`) and the fast
-/// path with the clipped α-cutoff interval. Because every visited pixel
-/// runs the exact same float operations in the same order, byte-identity
-/// between the paths reduces to the fast path's interval being a superset
-/// of the pixels that pass the α cutoff — which [`CutoffEllipse`]
-/// guarantees.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn blend_row_span(
-    p: &ProjectedGaussian,
-    py: u32,
-    px_range: std::ops::Range<u32>,
+/// The chunk-index run (`[first, last + 1)` of 8-pixel columns) of
+/// `bitmap`'s bits in tile row `row`. A splat's disk meets a contiguous
+/// run of each subtile row (the circle–rectangle distance is monotone
+/// in the column's distance from the center; pinned by
+/// `tests/property_pipeline.rs`), so the run is the row's whole bitmap.
+fn subtile_run(bitmap: u64, per_edge: u32, row: u32) -> std::ops::Range<u32> {
+    let bits = (bitmap >> ((row / SUBTILE_SIZE) * per_edge)) & ((1u64 << per_edge) - 1);
+    bits.trailing_zeros()..u64::BITS - bits.leading_zeros()
+}
+
+/// One tile's blend state: the planar buffers borrowed from the scratch
+/// plus the counters the kernel maintains.
+struct TileBlend<'a> {
     origin: (u32, u32),
-    w: usize,
-    subtiling: bool,
-    per_edge: u32,
-    bitmap: u64,
     eps: f32,
-    transmittance: &mut [f32],
-    color: &mut [Vec3],
-    row_live: &mut [u32],
-    stats: &mut TileRasterStats,
-    live_pixels: &mut i64,
-) {
-    let (x0, y0) = origin;
-    let row = usize_from_u32(py - y0);
-    for px in px_range {
-        stats.pixel_visits += 1;
-        let li = row * w + usize_from_u32(px - x0);
-        let t = transmittance[li];
-        if t < eps {
-            continue;
+    planes: &'a mut TilePlanes,
+    /// Per-row count of not-yet-saturated pixels.
+    row_live: &'a mut [u32],
+    stats: TileRasterStats,
+    live_pixels: i64,
+}
+
+impl TileBlend<'_> {
+    /// Blends splat `p` over the pixels `span` (tile-relative columns) of
+    /// tile row `row`, restricted to the chunks in `run` (the row's
+    /// subtile-bitmap run, in chunk indices).
+    ///
+    /// This is the single blend path of both raster modes: the full-row
+    /// loop calls it with `0..width`, the fast path with the clipped
+    /// α-cutoff interval. The span is walked in tile-aligned 8-pixel
+    /// chunks and every lane computes its pixel from `(p, px, py)` alone,
+    /// so a pixel's value never depends on where its span starts.
+    #[inline(always)]
+    fn blend_row_span(
+        &mut self,
+        p: &ProjectedGaussian,
+        row: u32,
+        span: std::ops::Range<u32>,
+        run: std::ops::Range<u32>,
+    ) {
+        self.stats.pixel_visits += u64::from(span.end - span.start);
+        let first = (span.start / LANES_U32).max(run.start);
+        let last = span.end.div_ceil(LANES_U32).min(run.end);
+        if first >= last {
+            return;
         }
-        if subtiling {
-            let sx = (px - x0) / SUBTILE_SIZE;
-            let sy = (py - y0) / SUBTILE_SIZE;
-            let bit = sy * per_edge + sx;
-            if bit < 64 && bitmap & (1u64 << bit) == 0 {
-                continue;
-            }
+        let (x0, y0) = self.origin;
+        let dy = (y0 + row) as f32 + 0.5 - p.mean2d.y;
+        let terms = RowTerms {
+            dy,
+            c_dy2: p.conic.2 * dy * dy,
+        };
+        let row = usize_from_u32(row);
+        let base = row * self.planes.row_chunks;
+        let chunks = base + usize_from_u32(first)..base + usize_from_u32(last);
+        let planes = &mut *self.planes;
+        let chunk_refs = planes.t[chunks.clone()]
+            .iter_mut()
+            .zip(&mut planes.r[chunks.clone()])
+            .zip(&mut planes.g[chunks.clone()])
+            .zip(&mut planes.b[chunks]);
+        // Per-lane counters, summed once per row.
+        let mut counts = [[0u32; LANES]; 2];
+        for (k, (((t, r), g), b)) in (first..last).zip(chunk_refs) {
+            let chunk_x = k * LANES_U32;
+            let lanes = (
+                span.start.saturating_sub(chunk_x) as f32,
+                (span.end - chunk_x).min(LANES_U32) as f32,
+            );
+            let x_first = (x0 + chunk_x) as f32 + 0.5;
+            // Blend a local copy: writing through the `&mut` chunk
+            // references instead keeps rustc from vectorizing the body.
+            let mut px = [*t, *r, *g, *b];
+            blend_chunk(p, &terms, x_first, lanes, self.eps, &mut px, &mut counts);
+            [*t, *r, *g, *b] = px;
         }
-        let pc = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-        let alpha = p.alpha_at(pc);
-        if alpha < BLEND_ALPHA_CUTOFF {
-            continue;
-        }
-        stats.blend_ops += 1;
-        color[li] += p.color * (alpha * t);
-        let nt = t * (1.0 - alpha);
-        transmittance[li] = nt;
-        if nt < eps {
-            stats.saturated_pixels += 1;
-            row_live[row] -= 1;
-            *live_pixels -= 1;
-        }
+        let [blends, sats] = counts.map(|lane| lane.iter().sum::<u32>());
+        self.stats.blend_ops += u64::from(blends);
+        self.stats.saturated_pixels += u64::from(sats);
+        self.row_live[row] -= sats;
+        self.live_pixels -= i64::from(sats);
     }
+}
+
+/// [`LANES`] as a pixel-coordinate stride.
+const LANES_U32: u32 = 8;
+// neo-lint: allow(r2, "compile-time check: a chunk must lie in exactly one subtile column")
+const _: () = assert!(LANES_U32 == SUBTILE_SIZE && usize_from_u32(LANES_U32) == LANES);
+
+/// Lane `j`'s pixel offset within its chunk.
+const LANE_OFFSETS: Lanes = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+
+/// The clamp the reference rasterizer applies to α.
+const ALPHA_MAX: f32 = 0.99;
+
+/// Per-row terms of the falloff exponent, hoisted out of the chunk loop.
+struct RowTerms {
+    /// Pixel-center `y` minus the splat center `y`.
+    dy: f32,
+    /// `C·dy·dy`, the row-constant part of the quadratic form.
+    c_dy2: f32,
+}
+
+/// All-ones when `b` holds, else zero: a lane mask for [`select`].
+#[inline(always)]
+fn mask(b: bool) -> u32 {
+    if b {
+        u32::MAX
+    } else {
+        0
+    }
+}
+
+/// `if mask { a } else { b }` per bit. A select, never a multiply by a
+/// 0/1 mask: `NaN · 0` is `NaN`, so a multiply would leak a dead lane's
+/// garbage into its pixel.
+#[inline(always)]
+fn select(mask: u32, a: f32, b: f32) -> f32 {
+    f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// Blends splat `p` over one tile-aligned chunk `px = [T, r, g, b]` of a
+/// row; lanes in `[lanes.0, lanes.1)` are inside the span. Branch-free so
+/// rustc vectorizes it on baseline x86-64. Adds each lane's blend and
+/// saturation to `counts = [blend_ops, saturated_pixels]`.
+#[inline(always)]
+fn blend_chunk(
+    p: &ProjectedGaussian,
+    row: &RowTerms,
+    x_first: f32,
+    lanes: (f32, f32),
+    eps: f32,
+    px: &mut [Lanes; 4],
+    counts: &mut [[u32; LANES]; 2],
+) {
+    let [t, r, g, b] = px;
+    let [blends, sats] = counts;
+    for j in 0..LANES {
+        // The falloff exponent, in `ProjectedGaussian::falloff`'s
+        // operation order.
+        let dx = (x_first + LANE_OFFSETS[j]) - p.mean2d.x;
+        let power = -0.5 * (p.conic.0 * dx * dx + row.c_dy2) - p.conic.1 * dx * row.dy;
+        let a = p.opacity * exp_nonpositive(power);
+        let alpha = if a < ALPHA_MAX { a } else { ALPHA_MAX };
+        let tj = t[j];
+        let in_span = (LANE_OFFSETS[j] >= lanes.0) & (LANE_OFFSETS[j] < lanes.1);
+        let live = mask(in_span & (tj >= eps) & (alpha >= BLEND_ALPHA_CUTOFF));
+        let weight = alpha * tj;
+        let nt = tj * (1.0 - alpha);
+        r[j] = select(live, r[j] + p.color.x * weight, r[j]);
+        g[j] = select(live, g[j] + p.color.y * weight, g[j]);
+        b[j] = select(live, b[j] + p.color.z * weight, b[j]);
+        t[j] = select(live, nt, tj);
+        blends[j] += live & 1;
+        sats[j] += live & mask(nt < eps) & 1;
+    }
+}
+
+/// Lower clamp on [`exp_nonpositive`]'s argument: `exp(−87) ≈ 1.6e-38`
+/// is still a normal `f32`, and `2ⁿ` with `n = round(−87·log₂e) = −126`
+/// is the smallest normal power of two.
+const EXP_MIN_ARG: f32 = -87.0;
+
+/// `1.5·2²³ + 127`: adding it rounds `x·log₂e` to the nearest integer `n`
+/// (the float's ulp is 1 there) and leaves `n + 127` — the biased
+/// exponent of `2ⁿ` — in the low mantissa bits.
+const EXP_ROUND_MAGIC: f32 = 12_583_039.0;
+
+/// `ln 2` split so `n·LN2_HI` is exact for `|n| ≤ 126` (Cody–Waite).
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+
+/// `exp(min(power, 0))` without libm, for the blend kernel.
+///
+/// Range reduction `x = n·ln 2 + r`, `|r| ≤ ½ln 2`, with magic-number
+/// rounding (`f32::round` is a libm call on baseline x86-64), then
+/// `exp(r) ≈ 1 + r + r²·q(r)` with `q` a cubic fitted for minimax
+/// relative error (1.05e-7 in exact arithmetic), scaled by `2ⁿ` built
+/// from the exponent bits. Over every `f32` in `[−30, 0]` the result is
+/// within 2 ulp of libm `expf` and within 1.9e-7 relative of the exact
+/// value. `power > 0` (a tiny PSD violation) and `NaN` yield exactly
+/// `1.0`; the argument is clamped to [`EXP_MIN_ARG`], so the result is
+/// never subnormal.
+#[inline(always)]
+fn exp_nonpositive(power: f32) -> f32 {
+    let x = if power < 0.0 { power } else { 0.0 };
+    let x = if x > EXP_MIN_ARG { x } else { EXP_MIN_ARG };
+    let k = x * std::f32::consts::LOG2_E + EXP_ROUND_MAGIC;
+    let n = k - EXP_ROUND_MAGIC;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut q = 8.312_525e-3;
+    q = q * r + 4.189_011_5e-2;
+    q = q * r + 1.666_711_4e-1;
+    q = q * r + 4.999_923e-1;
+    let e = q * r * r + r + 1.0;
+    // The exponent field of `k` shifts out; `n + 127` lands in bits 23..31.
+    e * f32::from_bits(k.to_bits() << 23)
 }
 
 /// Relative deflation of the conic used when widening the cutoff ellipse.
@@ -312,8 +439,9 @@ fn blend_row_span(
 const CUTOFF_KAPPA: f64 = 4e-6;
 
 /// Absolute slack added to the log-opacity budget `τ = ln(255·opacity)`,
-/// covering the `exp`/multiply rounding on the blend side (≲ 1e-6 in the
-/// log domain) with two orders of magnitude to spare.
+/// covering the polynomial `exp` error and multiply rounding on the blend
+/// side (≲ 3e-7 relative, so ≲ 1e-6 in the log domain) with two orders
+/// of magnitude to spare.
 const CUTOFF_TAU_SLACK: f64 = 1e-4;
 
 /// Extra pixels added on every side of the solved interval. The interval
@@ -330,9 +458,9 @@ const CUTOFF_PX_SLACK: f64 = 1.0;
 /// 3σ `radius` used for binning is *not* a valid clip for this: at 3σ the
 /// falloff is `exp(−4.5) ≈ 2.8/255`, so a high-opacity splat still blends
 /// well outside it. This solver instead widens the *exact* ellipse by
-/// margins dominating the `f32` evaluation error of the blend loop
+/// margins dominating the `f32` evaluation error of the blend kernel
 /// (see [`CUTOFF_KAPPA`]), so the row spans it yields are a strict
-/// superset of the pixels the legacy loop would blend — that superset
+/// superset of the pixels a full-row walk would blend — that superset
 /// property is what makes the fast path byte-identical.
 struct CutoffEllipse {
     cx: f64,
@@ -348,7 +476,7 @@ struct CutoffEllipse {
     y_lo: u32,
     /// One past the last candidate row.
     y_hi: u32,
-    /// Degenerate conic: fall back to full rows (legacy-equivalent).
+    /// No bounded ellipse: fall back to full rows.
     full_span: bool,
 }
 
@@ -370,12 +498,14 @@ impl CutoffEllipse {
         let cy = p.mean2d.y as f64;
         let tau = (p.opacity as f64 * 255.0).ln() + CUTOFF_TAU_SLACK;
         let det = a * c - b * b;
-        let bounded = det > 0.0 && a > 0.0 && c > 0.0 && tau.is_finite();
+        // Beyond `τ = −EXP_MIN_ARG` the kernel's clamped `exp` floor
+        // alone could pass the cutoff, so no ellipse bounds the blend.
+        let bounded = det > 0.0 && a > 0.0 && c > 0.0 && tau < -f64::from(EXP_MIN_ARG);
         if !bounded {
             // Indefinite or near-degenerate conic (hand-built splats,
-            // |B|² ≈ A·C within the deflation margin): no bounded
-            // ellipse exists, so degrade to the legacy full-tile walk
-            // for this splat. Conservative by construction.
+            // |B|² ≈ A·C within the deflation margin) or an absurd
+            // opacity: no bounded ellipse exists, so degrade to full
+            // rows for this splat. Conservative by construction.
             return Some(Self {
                 cx,
                 cy,
@@ -390,10 +520,8 @@ impl CutoffEllipse {
         }
         // Extremal dy on the ellipse boundary: dy² ≤ 2τ·a / (a·c − b²).
         let dy_max = (2.0 * tau * a / det).sqrt() + CUTOFF_PX_SLACK;
-        // neo-lint: allow(r1, "f64->u32 after clamp into [y0, y1], both u32 tile bounds; in range by construction and floats have no try_from")
-        let y_lo = (cy - 0.5 - dy_max).floor().clamp(y0 as f64, y1 as f64) as u32;
-        // neo-lint: allow(r1, "f64->u32 after clamp into [y_lo, y1], both u32 tile bounds; in range by construction and floats have no try_from")
-        let y_hi = ((cy - 0.5 + dy_max).ceil() + 1.0).clamp(y_lo as f64, y1 as f64) as u32;
+        let y_lo = floor_clamped(cy - 0.5 - dy_max, y0, y1);
+        let y_hi = ceil_plus_one_clamped(cy - 0.5 + dy_max, y_lo, y1);
         Some(Self {
             cx,
             cy,
@@ -430,15 +558,33 @@ impl CutoffEllipse {
         let mid = -self.b * dy;
         let dx_lo = (mid - half) / self.a;
         let dx_hi = (mid + half) / self.a;
-        let lo = (self.cx + dx_lo - 0.5 - CUTOFF_PX_SLACK)
-            .floor()
-            // neo-lint: allow(r1, "f64->u32 after clamp into [x0, x1], both u32 tile bounds; in range by construction and floats have no try_from")
-            .clamp(x0 as f64, x1 as f64) as u32;
-        let hi = ((self.cx + dx_hi - 0.5 + CUTOFF_PX_SLACK).ceil() + 1.0)
-            // neo-lint: allow(r1, "f64->u32 after clamp into [lo, x1], both u32 tile bounds; in range by construction and floats have no try_from")
-            .clamp(lo as f64, x1 as f64) as u32;
+        let lo = floor_clamped(self.cx + dx_lo - 0.5 - CUTOFF_PX_SLACK, x0, x1);
+        let hi = ceil_plus_one_clamped(self.cx + dx_hi - 0.5 + CUTOFF_PX_SLACK, lo, x1);
         (lo < hi).then_some((lo, hi))
     }
+}
+
+/// `v.floor()` clamped into `[lo, hi]`, without the libm `floor` call
+/// (baseline x86-64 has no SSE4.1 `roundsd`). Clamping first is exact:
+/// the bounds are integers, and a clamped value is non-negative, where
+/// truncation is floor.
+#[inline]
+fn floor_clamped(v: f64, lo: u32, hi: u32) -> u32 {
+    // neo-lint: allow(r1, "f64->u32 of a value clamped into [lo, hi], both u32 bounds; truncating a non-negative value is floor and floats have no try_from")
+    v.clamp(f64::from(lo), f64::from(hi)) as u32
+}
+
+/// `(v.ceil() + 1)` clamped into `[lo, hi]`, without the libm `ceil`
+/// call. Clamping `v` into `[lo − 1, hi]` first cannot change the result
+/// (the bounds are integers), and on that range `ceil` is truncation
+/// plus one when truncation lost a fraction.
+#[inline]
+fn ceil_plus_one_clamped(v: f64, lo: u32, hi: u32) -> u32 {
+    let v = v.clamp(f64::from(lo) - 1.0, f64::from(hi));
+    // neo-lint: allow(r1, "f64->i64 of a value clamped into [lo - 1, hi] with u32 bounds: exact and in range, and floats have no try_from")
+    let t = v as i64;
+    let ceil = if (t as f64) < v { t + 1 } else { t };
+    u32::try_from((ceil + 1).clamp(i64::from(lo), i64::from(hi))).unwrap_or(hi)
 }
 
 /// Renders one frame with the reference pipeline: cull+project, bin, sort
@@ -530,6 +676,7 @@ pub fn render_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neo_math::Vec2;
     use neo_scene::{Gaussian, GaussianCloud, Resolution};
 
     fn cam(w: u32, h: u32) -> Camera {
@@ -649,7 +796,7 @@ mod tests {
         assert!(stats.traffic.stage_total(Stage::Rasterization) > 0);
     }
 
-    // Whole-scene fast-vs-legacy parity lives in `tests/raster_parity.rs`
+    // Whole-scene fast-vs-full-row parity lives in `tests/raster_parity.rs`
     // (run in debug and release by CI); the unit tests below pin the
     // solver's edge cases close to the code.
 
@@ -687,7 +834,8 @@ mod tests {
     fn non_finite_splats_are_skipped_in_both_paths() {
         // A NaN opacity used to be masked to α = 0.99 by the `min` clamp
         // (Rust's `min` returns the non-NaN operand), blending a garbage
-        // splat over the whole tile; non-finite conics likewise. Both
+        // splat over the whole tile; non-finite conics likewise, and a
+        // non-finite color writes NaN into every pixel it blends. Both
         // raster paths must skip such splats entirely.
         let grid = TileGrid::new(64, 64, 64);
         let good = ProjectedGaussian {
@@ -720,6 +868,14 @@ mod tests {
                 mean2d: Vec2::new(f32::NAN, 30.0),
                 ..good
             },
+            ProjectedGaussian {
+                color: Vec3::new(0.9, f32::NAN, 0.1),
+                ..good
+            },
+            ProjectedGaussian {
+                color: Vec3::new(f32::INFINITY, 0.2, f32::NEG_INFINITY),
+                ..good
+            },
         ];
         for fast in [true, false] {
             let cfg = RenderConfig {
@@ -739,6 +895,117 @@ mod tests {
                 );
                 assert!(img.pixels().iter().all(|p| p.is_finite()));
             }
+        }
+    }
+
+    #[test]
+    fn nan_color_never_leaks_outside_its_span() {
+        // The guard keeps non-finite colors out of the kernel, so drive
+        // the kernel directly: dead lanes must be selected, never
+        // multiplied by a 0/1 mask (`NaN · 0` is `NaN`). A NaN-colored
+        // splat blended over part of one row, on top of a good splat,
+        // must leave every lane outside that span bit-identical.
+        let grid = TileGrid::new(32, 32, 32);
+        let good = ProjectedGaussian {
+            id: 0,
+            mean2d: Vec2::new(16.0, 16.0),
+            depth: 1.0,
+            conic: (0.02, 0.0, 0.02),
+            radius: 30.0,
+            color: Vec3::new(0.9, 0.2, 0.1),
+            opacity: 0.9,
+        };
+        let poisoned = ProjectedGaussian {
+            color: Vec3::new(f32::NAN, f32::NAN, f32::NAN),
+            ..good
+        };
+        let mut scratch = RasterScratch::new();
+        rasterize_tile_with_scratch(&mut scratch, &grid, 0, &[&good], &RenderConfig::default());
+        let before = scratch.planes.clone();
+        let (row, span) = (16u32, 3u32..13);
+        let mut tile = TileBlend {
+            origin: (0, 0),
+            eps: DEFAULT_TRANSMITTANCE_EPS,
+            planes: &mut scratch.planes,
+            row_live: &mut scratch.row_live,
+            stats: TileRasterStats::default(),
+            live_pixels: 32 * 32,
+        };
+        tile.blend_row_span(&poisoned, row, span.clone(), 0..u32::MAX);
+        assert_eq!(tile.stats.blend_ops, 10, "the span itself blends");
+
+        let after = &scratch.planes;
+        let row_chunks = after.row_chunks;
+        let planes = [
+            (&before.t, &after.t),
+            (&before.r, &after.r),
+            (&before.g, &after.g),
+            (&before.b, &after.b),
+        ];
+        for (plane, (old, new)) in planes.iter().enumerate() {
+            for (i, (old, new)) in old.iter().zip(new.iter()).enumerate() {
+                for (j, (o, n)) in old.iter().zip(new).enumerate() {
+                    let y = i / row_chunks;
+                    let x = (i % row_chunks) * LANES + j;
+                    let inside = y == usize_from_u32(row)
+                        && (usize_from_u32(span.start)..usize_from_u32(span.end)).contains(&x);
+                    if inside {
+                        assert!(plane == 0 || n.is_nan(), "({x}, {y}) was not blended");
+                    } else {
+                        assert_eq!(o.to_bits(), n.to_bits(), "plane {plane} lane ({x}, {y})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polynomial_exp_tracks_f64_exp() {
+        // Relative error against the exact exponential on [-30, 0],
+        // sampled every 1e-4.
+        let steps = 300_000u32;
+        for i in 0..=steps {
+            let x = -30.0 * (f64::from(i) / f64::from(steps));
+            let x = x as f32;
+            let exact = f64::from(x).exp();
+            let got = f64::from(exp_nonpositive(x));
+            let rel = ((got - exact) / exact).abs();
+            assert!(rel <= 1e-6, "exp({x}) = {got}, exact {exact}, rel {rel:e}");
+        }
+    }
+
+    #[test]
+    fn polynomial_exp_is_one_above_zero_and_never_subnormal() {
+        for power in [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1e-7,
+            0.5,
+            3.0,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            assert_eq!(
+                exp_nonpositive(power).to_bits(),
+                1.0f32.to_bits(),
+                "power={power}"
+            );
+        }
+        let extremes = [
+            -86.9,
+            -87.0,
+            -87.5,
+            -88.0,
+            -100.0,
+            -1e10,
+            f32::MIN,
+            f32::NEG_INFINITY,
+        ];
+        let sweep = (0..=20_000u16).map(|i| -0.01 * f32::from(i));
+        for x in sweep.chain(extremes) {
+            let e = exp_nonpositive(x);
+            assert!(e.is_normal(), "exp({x}) = {e:e} is not a normal float");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Reusable rasterization scratch buffers.
 //!
 //! Rasterizing a tile needs per-pixel transmittance and color working
-//! buffers, and the intra-frame parallel renderer in `neo-core`
-//! additionally buffers each tile's finished pixel block so framebuffer
+//! buffers (planar: one f32 plane per channel), and the intra-frame
+//! parallel renderer in `neo-core` additionally buffers each tile's
+//! finished pixel block so framebuffer
 //! writes can be replayed deterministically *after* the workers join.
 //! Allocating those buffers per tile (as the seed rasterizer did)
 //! dominates small-tile render times, so both live in scratch types a
@@ -67,20 +68,58 @@ use neo_math::Vec3;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RasterScratch {
-    /// Per-pixel remaining transmittance for the tile being rasterized.
-    pub(crate) transmittance: Vec<f32>,
-    /// Per-pixel accumulated color; holds the finished pixel block after
-    /// rasterization.
+    /// Planar blend buffers for the tile being rasterized.
+    pub(crate) planes: TilePlanes,
+    /// The finished pixel block, interleaved from [`RasterScratch::planes`]
+    /// by the final composite.
     pub(crate) color: Vec<Vec3>,
     /// Per-row count of not-yet-saturated pixels, maintained by the blend
     /// loop. The exact-clipped fast path skips whole rows once this hits
     /// zero (the per-row analogue of the tile-level `live_pixels`
-    /// early-out); the legacy loop maintains but never consults it.
+    /// early-out); full-row spans maintain but never consult it.
     pub(crate) row_live: Vec<u32>,
     /// Width in pixels of the last rasterized tile rect.
     pub(crate) width: usize,
     /// Height in pixels of the last rasterized tile rect.
     pub(crate) height: usize,
+}
+
+/// Pixels per blend chunk. Equal to the subtile edge, so a tile-aligned
+/// chunk lies in exactly one subtile column.
+pub(crate) const LANES: usize = 8;
+
+/// One tile-aligned 8-pixel run of a tile row.
+pub(crate) type Lanes = [f32; LANES];
+
+/// Planar per-pixel blend state of one tile: transmittance and r/g/b in
+/// separate planes, each `height` rows of `row_chunks` [`Lanes`] (the row
+/// stride is the tile width rounded up to a multiple of [`LANES`]).
+/// Padding lanes are never inside a span, so they are never blended.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TilePlanes {
+    pub(crate) t: Vec<Lanes>,
+    pub(crate) r: Vec<Lanes>,
+    pub(crate) g: Vec<Lanes>,
+    pub(crate) b: Vec<Lanes>,
+    pub(crate) row_chunks: usize,
+}
+
+impl TilePlanes {
+    /// Resets the planes for a `width`×`height` tile: full transmittance
+    /// over a `background`-colored block. Keeps capacity.
+    pub(crate) fn reset(&mut self, width: usize, height: usize, background: Vec3) {
+        self.row_chunks = width.div_ceil(LANES);
+        let len = self.row_chunks * height;
+        for (plane, value) in [
+            (&mut self.t, 1.0),
+            (&mut self.r, background.x),
+            (&mut self.g, background.y),
+            (&mut self.b, background.z),
+        ] {
+            plane.clear();
+            plane.resize(len, [value; LANES]);
+        }
+    }
 }
 
 impl RasterScratch {

@@ -146,8 +146,8 @@ pub struct FrameStats {
     /// (splat, pixel) pairs visited by the rasterizer's blend loop — the
     /// work metric the exact-clipped row-interval fast path reduces
     /// (see [`crate::RenderConfig::raster_fast_path`]). The only frame
-    /// statistic allowed to differ between the fast path and the legacy
-    /// per-pixel loop.
+    /// statistic allowed to differ between the fast path and full-row
+    /// spans.
     pub pixel_visits: u64,
     /// DRAM traffic attributed to this frame.
     pub traffic: TrafficLedger,

@@ -161,6 +161,28 @@ proptest! {
     }
 
     #[test]
+    fn subtile_bitmap_rows_are_contiguous_runs(
+        x in -40.0f32..300.0,
+        y in -40.0f32..300.0,
+        r in 0.1f32..80.0,
+        tile_size in 8u32..=64,
+    ) {
+        // The blend kernel reduces each subtile row of the bitmap to one
+        // [first, last] run of 8-pixel chunks; that is exact only because
+        // a disk meets a contiguous run of every subtile row.
+        let grid = TileGrid::new(256, 256, tile_size);
+        let per_edge = grid.subtiles_per_edge();
+        let bm = subtile_bitmap(&grid, 1, 1, Vec2::new(x, y), r);
+        for sy in 0..per_edge {
+            let bits = (bm >> (sy * per_edge)) & ((1u64 << per_edge) - 1);
+            if bits != 0 {
+                let run = bits >> bits.trailing_zeros();
+                prop_assert_eq!(run & (run + 1), 0, "row {} bits {:#b}", sy, bits);
+            }
+        }
+    }
+
+    #[test]
     fn projection_depth_matches_camera_distance_along_axis(
         gx in -3.0f32..3.0,
         gy in -2.0f32..2.0,
