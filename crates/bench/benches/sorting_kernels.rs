@@ -1,11 +1,12 @@
 //! Criterion benches for the sorting kernels: the BSU bitonic network,
-//! chunk sorting, MSU+ merging, Dynamic Partial Sorting vs full re-sort.
+//! chunk sorting, MSU+ merging, Dynamic Partial Sorting vs full re-sort,
+//! and whole strategies in steady state.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use neo_sort::bitonic::{bitonic_sort, bsu_sort16};
 use neo_sort::dps::{dynamic_partial_sort, DpsConfig};
 use neo_sort::merge::{chunk_sort, merge_filtering};
-use neo_sort::strategies::{StrategyKind, TileSorter};
+use neo_sort::strategies::{SorterConfig, StrategyKind};
 use neo_sort::{GaussianTable, TableEntry};
 
 fn entries(n: usize, seed: u64) -> Vec<TableEntry> {
@@ -96,11 +97,53 @@ fn bench_strategies(c: &mut Criterion) {
         ("hierarchical", StrategyKind::Hierarchical),
     ] {
         group.bench_function(label, |b| {
-            let mut sorter = TileSorter::new(kind);
-            sorter.process_frame(&frame); // warm the table
-            b.iter(|| sorter.process_frame(black_box(&frame)))
+            let mut sorter = kind.build(SorterConfig::default());
+            sorter.begin_frame(0);
+            sorter.order(&frame); // warm the table
+            let mut next = 1;
+            b.iter(|| {
+                sorter.begin_frame(next);
+                next += 1;
+                sorter.order(black_box(&frame))
+            })
         });
     }
+
+    // A tile the size of the city capture's mean table (~360 entries)
+    // whose depths drift and occasionally cross, with one ID swapped in
+    // and out every few frames: the reuse-and-update kernel's steady
+    // state, timed without the full benchmark.
+    let frames: Vec<Vec<(u32, f32)>> = (0..64u32)
+        .map(|f| {
+            let t = f as f32 * 0.02;
+            (0..360u32)
+                .filter(|&id| id != f % 7 * 50)
+                .map(|id| {
+                    (
+                        id,
+                        10.0 + id as f32 * 0.1 + (id as f32 * 0.37 + t).sin() * 0.3,
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    group.bench_function("reuse_update_drifting_360", |b| {
+        let mut sorter = StrategyKind::ReuseUpdate.build(SorterConfig::default());
+        let mut next = 0u64;
+        for frame in &frames {
+            sorter.begin_frame(next);
+            next += 1;
+            sorter.order(frame);
+        }
+        b.iter(|| {
+            sorter.begin_frame(next);
+            // Ping-pong over the sequence so the drift stays coherent.
+            let i = (next % 126) as usize;
+            let frame = &frames[if i < 64 { i } else { 126 - i }];
+            next += 1;
+            sorter.order(black_box(frame))
+        })
+    });
     group.finish();
 }
 

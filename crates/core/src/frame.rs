@@ -116,7 +116,7 @@ pub struct FrameResult {
     pub sort_cost: SortCost,
     /// Total incoming Gaussians across tiles.
     pub incoming: usize,
-    /// Total outgoing Gaussians across tiles.
+    /// Total table entries flagged outgoing this frame across tiles.
     pub outgoing: usize,
     /// Per-tile loads for occupied tiles.
     pub tile_loads: Vec<TileLoad>,

@@ -21,12 +21,97 @@ pub const BSU_WIDTH: usize = 16;
 /// leaked in its place). The fix pads with the largest quiet-NaN bit
 /// pattern (`0x7FFF_FFFF`) and ID `u32::MAX`, the reserved maximum key
 /// documented on [`TableEntry::key`].
-fn pad_entry() -> TableEntry {
+pub(crate) fn pad_entry() -> TableEntry {
     TableEntry {
         id: u32::MAX,
         depth: f32::from_bits(0x7FFF_FFFF),
         valid: false,
     }
+}
+
+/// [`TableEntry::packed_key`] of [`pad_entry`]: the maximum of the key
+/// space.
+pub(crate) const PAD_KEY: u64 = u64::MAX;
+
+/// Swaps the BSU network makes on a block of each length `0..=16` whose
+/// keys are strictly ascending and below [`PAD_KEY`]. Every compare
+/// outcome then depends only on position (pad slots included), so the
+/// count is a function of the length alone. Computed at compile time by
+/// the same network the kernel runs.
+pub(crate) const SORTED_BLOCK_SWAPS: [u64; BSU_WIDTH + 1] = sorted_block_swaps();
+
+const fn sorted_block_swaps() -> [u64; BSU_WIDTH + 1] {
+    let mut out = [0; BSU_WIDTH + 1];
+    let mut n = 2;
+    while n <= BSU_WIDTH {
+        let mut keys = [PAD_KEY; BSU_WIDTH];
+        let mut slots = [0; BSU_WIDTH];
+        let mut i = 0;
+        while i < n {
+            keys[i] = neo_math::num::u64_from_usize(i);
+            i += 1;
+        }
+        let p = n.next_power_of_two();
+        out[n] = network(keys.split_at_mut(p).0, slots.split_at_mut(p).0);
+        n += 1;
+    }
+    out
+}
+
+/// Runs the bitonic network over `keys` (length a power of two), moving
+/// `slots` along with them, and returns the number of swaps.
+///
+/// Compare-exchanges are branch-free: a swap XORs both words with a mask
+/// derived from the compare outcome. Equal keys never swap.
+const fn network(keys: &mut [u64], slots: &mut [usize]) -> u64 {
+    let p = keys.len();
+    let mut swaps = 0;
+    let mut k = 2;
+    while k <= p {
+        let mut j = k / 2;
+        while j > 0 {
+            let mut i = 0;
+            while i < p {
+                let l = i ^ j;
+                if l > i {
+                    let (a, b) = (keys[i], keys[l]);
+                    let swap = if i & k == 0 { a > b } else { a < b };
+                    let key_mask = if swap { u64::MAX } else { 0 };
+                    let slot_mask = if swap { usize::MAX } else { 0 };
+                    let dk = (a ^ b) & key_mask;
+                    keys[i] = a ^ dk;
+                    keys[l] = b ^ dk;
+                    let ds = (slots[i] ^ slots[l]) & slot_mask;
+                    slots[i] ^= ds;
+                    slots[l] ^= ds;
+                    swaps += key_mask & 1;
+                }
+                i += 1;
+            }
+            j /= 2;
+        }
+        k *= 2;
+    }
+    swaps
+}
+
+/// Compare-exchanges a bitonic network of `n` entries executes: `n`
+/// padded to a power of two `p`, `p / 2` per stage.
+pub(crate) fn network_compares(n: usize) -> u64 {
+    if n <= 1 {
+        return 0;
+    }
+    neo_math::num::u64_from_usize(n.next_power_of_two() / 2) * u64::from(network_stages(n))
+}
+
+/// True when the entries' keys are strictly ascending and below
+/// [`PAD_KEY`]: no ties and no collision with the padding, so the
+/// network and the merge tree leave them in place.
+pub(crate) fn strictly_ascending(entries: &[TableEntry]) -> bool {
+    entries
+        .windows(2)
+        .all(|w| w[0].packed_key() < w[1].packed_key())
+        && entries.last().is_none_or(|e| e.packed_key() < PAD_KEY)
 }
 
 /// Sorts `entries` in place with a bitonic network, padding physically to
@@ -44,41 +129,56 @@ fn pad_entry() -> TableEntry {
 /// assert!(v.windows(2).all(|w| w[0].depth <= w[1].depth));
 /// ```
 pub fn bitonic_sort(entries: &mut [TableEntry]) -> SortCost {
-    let mut cost = SortCost::new();
     let n = entries.len();
+    if n <= 1 {
+        return SortCost::new();
+    }
+    let p = n.next_power_of_two();
+    let mut keys: Vec<u64> = entries.iter().map(TableEntry::packed_key).collect();
+    keys.resize(p, PAD_KEY);
+    let mut slots: Vec<usize> = (0..p).collect();
+    let swaps = network(&mut keys, &mut slots);
+    let original = entries.to_vec();
+    for (e, &slot) in entries.iter_mut().zip(&slots) {
+        *e = original.get(slot).copied().unwrap_or_else(pad_entry);
+    }
+    SortCost {
+        compares: network_compares(n),
+        moves: 2 * swaps,
+        ..SortCost::new()
+    }
+}
+
+/// The BSU kernel: sorts a block of at most [`BSU_WIDTH`] entries in
+/// place on stack arrays with precomputed packed keys. A block that is
+/// already strictly ascending is left as is and charged
+/// [`SORTED_BLOCK_SWAPS`]; the result and cost equal [`bitonic_sort`]'s.
+pub(crate) fn bsu_block(block: &mut [TableEntry]) -> SortCost {
+    let n = block.len();
+    debug_assert!(n <= BSU_WIDTH);
+    let mut cost = SortCost {
+        compares: network_compares(n),
+        ..SortCost::new()
+    };
     if n <= 1 {
         return cost;
     }
-    let padded = n.next_power_of_two();
-    let mut buf: Vec<TableEntry> = Vec::with_capacity(padded);
-    buf.extend_from_slice(entries);
-    buf.resize(padded, pad_entry());
-
-    let mut k = 2;
-    while k <= padded {
-        let mut j = k / 2;
-        while j > 0 {
-            for i in 0..padded {
-                let l = i ^ j;
-                if l > i {
-                    cost.compares += 1;
-                    let ascending = (i & k) == 0;
-                    let out_of_order = if ascending {
-                        buf[i].key() > buf[l].key()
-                    } else {
-                        buf[i].key() < buf[l].key()
-                    };
-                    if out_of_order {
-                        buf.swap(i, l);
-                        cost.moves += 2;
-                    }
-                }
-            }
-            j /= 2;
-        }
-        k *= 2;
+    if strictly_ascending(block) {
+        cost.moves = 2 * SORTED_BLOCK_SWAPS[n];
+        return cost;
     }
-    entries.copy_from_slice(&buf[..n]);
+    let mut original = [pad_entry(); BSU_WIDTH];
+    let mut keys = [PAD_KEY; BSU_WIDTH];
+    let mut slots: [usize; BSU_WIDTH] = std::array::from_fn(|i| i);
+    for (i, e) in block.iter().enumerate() {
+        original[i] = *e;
+        keys[i] = e.packed_key();
+    }
+    let p = n.next_power_of_two();
+    cost.moves = 2 * network(&mut keys[..p], &mut slots[..p]);
+    for (e, &slot) in block.iter_mut().zip(&slots) {
+        *e = original[slot];
+    }
     cost
 }
 
@@ -95,7 +195,7 @@ pub fn bsu_sort16(entries: &mut [TableEntry]) -> SortCost {
         "BSU sorts at most {BSU_WIDTH} entries, got {}",
         entries.len()
     );
-    bitonic_sort(entries)
+    bsu_block(entries)
 }
 
 /// Number of pipeline stages a bitonic network of width `n` (rounded up to

@@ -16,7 +16,8 @@
 //! contiguous-coverage interpretation that Figure 9 depicts (chunks
 //! `[0, C/2), [C/2, C/2 + C), …` on even frames).
 
-use crate::merge::chunk_sort_keeping;
+use crate::bitonic::strictly_ascending;
+use crate::merge::{sort_chunk, sorted_chunk_cost, ChunkScratch};
 use crate::{GaussianTable, SortCost, ENTRY_BYTES};
 
 /// Configuration for Dynamic Partial Sorting.
@@ -64,26 +65,36 @@ impl DpsConfig {
 /// so it is clamped to 2; reject such configurations up front with
 /// [`DpsConfig::validate`].
 pub fn chunk_ranges(len: usize, frame_index: u64, chunk_size: usize) -> Vec<(usize, usize)> {
+    chunk_bounds(len, frame_index, chunk_size).collect()
+}
+
+/// [`chunk_ranges`] without the allocation.
+fn chunk_bounds(
+    len: usize,
+    frame_index: u64,
+    chunk_size: usize,
+) -> impl Iterator<Item = (usize, usize)> {
     let chunk_size = chunk_size.max(2);
-    if len == 0 {
-        return Vec::new();
-    }
-    let mut ranges = Vec::with_capacity(len / chunk_size + 2);
-    let mut start = 0usize;
-    let mut end = if frame_index % 2 == 1 {
-        chunk_size.min(len)
+    let first = if frame_index % 2 == 1 {
+        chunk_size
     } else {
-        (chunk_size / 2).min(len)
+        chunk_size / 2
     };
-    loop {
-        ranges.push((start, end));
-        if end >= len {
-            break;
+    let mut start = 0usize;
+    std::iter::from_fn(move || {
+        if start >= len {
+            return None;
         }
+        let end = if start == 0 {
+            first
+        } else {
+            start + chunk_size
+        }
+        .min(len);
+        let range = (start, end);
         start = end;
-        end = (end + chunk_size).min(len);
-    }
-    ranges
+        Some(range)
+    })
 }
 
 /// Applies one frame of Dynamic Partial Sorting to `table` in place.
@@ -97,17 +108,32 @@ pub fn dynamic_partial_sort(
     frame_index: u64,
     config: &DpsConfig,
 ) -> SortCost {
+    dps_with_scratch(table, frame_index, config, &mut ChunkScratch::default())
+}
+
+/// [`dynamic_partial_sort`] with caller-owned kernel buffers.
+///
+/// A chunk whose keys are already strictly ascending (the common case on
+/// temporally coherent tables) is left in place and charged
+/// [`sorted_chunk_cost`], exactly what the kernel would count for it.
+pub(crate) fn dps_with_scratch(
+    table: &mut GaussianTable,
+    frame_index: u64,
+    config: &DpsConfig,
+    scratch: &mut ChunkScratch,
+) -> SortCost {
     let mut cost = SortCost::new();
     for pass in 0..config.passes {
         // Alternate boundary phase across *passes* too, so multi-pass
         // configurations converge faster.
         let phase = frame_index + u64::from(pass);
-        let ranges = chunk_ranges(table.len(), phase, config.chunk_size);
-        for (start, end) in ranges {
-            let (sorted, c) = chunk_sort_keeping(&table.entries()[start..end]);
-            debug_assert_eq!(sorted.len(), end - start);
-            table.entries_mut()[start..end].copy_from_slice(&sorted);
-            cost += c;
+        for (start, end) in chunk_bounds(table.len(), phase, config.chunk_size) {
+            let chunk = &mut table.entries_mut()[start..end];
+            cost += if strictly_ascending(chunk) {
+                sorted_chunk_cost(chunk.len())
+            } else {
+                sort_chunk(chunk, false, scratch).1
+            };
             let bytes = neo_math::num::u64_from_usize((end - start) * ENTRY_BYTES);
             cost.bytes_read += bytes;
             cost.bytes_written += bytes;

@@ -9,7 +9,7 @@
 //! tables — at the cost of a second full off-chip pass, which is exactly
 //! the traffic Dynamic Partial Sorting avoids.
 
-use crate::merge::chunk_sort_keeping;
+use crate::merge::{sort_chunk, ChunkScratch};
 use crate::{SortCost, TableEntry, ENTRY_BYTES};
 
 /// Configuration for hierarchical sorting.
@@ -77,7 +77,8 @@ pub fn hierarchical_sort(
     // overflow factor), mirroring how a fixed-capacity sorter spills.
     let mut out = Vec::with_capacity(entries.len());
     let mut extra_pass_bytes = 0u64;
-    for bucket in buckets {
+    let mut scratch = ChunkScratch::default();
+    for mut bucket in buckets {
         if bucket.is_empty() {
             continue;
         }
@@ -90,9 +91,8 @@ pub fn hierarchical_sort(
             extra_pass_bytes +=
                 neo_math::num::u64_from_usize(bucket.len() * ENTRY_BYTES) * extra_passes;
         }
-        let (sorted, c) = chunk_sort_keeping(&bucket);
-        cost += c;
-        out.extend(sorted);
+        cost += sort_chunk(&mut bucket, false, &mut scratch).1;
+        out.extend(bucket);
     }
     cost.bytes_read += table_bytes + extra_pass_bytes;
     cost.bytes_written += table_bytes + extra_pass_bytes;

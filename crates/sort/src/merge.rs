@@ -7,6 +7,7 @@
 //! merge simultaneously inserts the freshly sorted incoming-Gaussian
 //! table.
 
+use crate::bitonic::{bsu_block, network_compares, pad_entry, BSU_WIDTH, SORTED_BLOCK_SWAPS};
 use crate::{SortCost, TableEntry};
 
 /// Merges two key-sorted entry slices into a sorted output, dropping
@@ -25,24 +26,40 @@ use crate::{SortCost, TableEntry};
 /// assert_eq!(ids, vec![0, 1, 3]);
 /// ```
 pub fn merge_filtering(a: &[TableEntry], b: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
-    merge_impl(a, b, true)
+    merge_to_vec(a, b, true)
 }
 
 /// Merges two key-sorted entry slices *without* the invalid filter —
 /// the mode the MSU+ uses while reordering (valid bits pass through and
 /// deletion is deferred to the insertion merge).
 pub fn merge_keeping(a: &[TableEntry], b: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
-    merge_impl(a, b, false)
+    merge_to_vec(a, b, false)
 }
 
-// Inputs are *expected* to be key-sorted; like the hardware MSU+, the
-// merge tolerates approximately sorted streams (e.g. a table after a
-// single Dynamic Partial Sorting pass) — output order quality then
-// follows input order quality.
-fn merge_impl(a: &[TableEntry], b: &[TableEntry], filter: bool) -> (Vec<TableEntry>, SortCost) {
+fn merge_to_vec(a: &[TableEntry], b: &[TableEntry], filter: bool) -> (Vec<TableEntry>, SortCost) {
+    let mut out = vec![pad_entry(); a.len() + b.len()];
+    let (len, cost) = merge_into(a, b, filter, &mut out);
+    out.truncate(len);
+    (out, cost)
+}
+
+/// The MSU+ merge: writes the merge of `a` and `b` to the front of `out`
+/// (at least `a.len() + b.len()` long) and returns the number written.
+///
+/// Inputs are *expected* to be key-sorted; like the hardware MSU+, the
+/// merge tolerates approximately sorted streams (e.g. a table after a
+/// single Dynamic Partial Sorting pass) — output order quality then
+/// follows input order quality. With `filter`, invalid entries are
+/// skipped ahead of the comparator and cost nothing. Every emitted entry
+/// is one move; every emission before one input runs out is one compare.
+pub(crate) fn merge_into(
+    a: &[TableEntry],
+    b: &[TableEntry],
+    filter: bool,
+    out: &mut [TableEntry],
+) -> (usize, SortCost) {
     let mut cost = SortCost::new();
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
+    let (mut i, mut j, mut w) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         // Invalid-bit filters sit ahead of the comparator.
         if filter && !a[i].valid {
@@ -54,28 +71,23 @@ fn merge_impl(a: &[TableEntry], b: &[TableEntry], filter: bool) -> (Vec<TableEnt
             continue;
         }
         cost.compares += 1;
-        if a[i].key() <= b[j].key() {
-            out.push(a[i]);
+        if a[i].packed_key() <= b[j].packed_key() {
+            out[w] = a[i];
             i += 1;
         } else {
-            out.push(b[j]);
+            out[w] = b[j];
             j += 1;
         }
-        cost.moves += 1;
+        w += 1;
     }
-    for e in &a[i..] {
+    for e in a[i..].iter().chain(&b[j..]) {
         if !filter || e.valid {
-            out.push(*e);
-            cost.moves += 1;
+            out[w] = *e;
+            w += 1;
         }
     }
-    for e in &b[j..] {
-        if !filter || e.valid {
-            out.push(*e);
-            cost.moves += 1;
-        }
-    }
-    (out, cost)
+    cost.moves = neo_math::num::u64_from_usize(w);
+    (w, cost)
 }
 
 /// Merges `k` key-sorted runs into one sorted vector by iterated pairwise
@@ -116,57 +128,149 @@ pub fn merge_runs(runs: &[&[TableEntry]]) -> (Vec<TableEntry>, SortCost) {
 /// Functionally equivalent to a full sort + filter, but the returned
 /// [`SortCost`] reflects the hardware's operation counts.
 pub fn chunk_sort(entries: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
-    chunk_sort_impl(entries, true)
+    chunk_sort_to_vec(entries, true)
 }
 
 /// [`chunk_sort`] without invalid filtering — used by Dynamic Partial
 /// Sorting's reorder pass, where deletion is deferred to the insertion
 /// merge.
 pub fn chunk_sort_keeping(entries: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
-    chunk_sort_impl(entries, false)
+    chunk_sort_to_vec(entries, false)
 }
 
-fn chunk_sort_impl(entries: &[TableEntry], filter: bool) -> (Vec<TableEntry>, SortCost) {
-    use crate::bitonic::{bsu_sort16, BSU_WIDTH};
+fn chunk_sort_to_vec(entries: &[TableEntry], filter: bool) -> (Vec<TableEntry>, SortCost) {
+    let mut out = entries.to_vec();
+    let (len, cost) = sort_chunk(&mut out, filter, &mut ChunkScratch::default());
+    out.truncate(len);
+    (out, cost)
+}
+
+/// Buffers the chunk-sort kernel reuses across calls: the merge
+/// ping-pong buffer and the run lengths of the current merge level.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkScratch {
+    buf: Vec<TableEntry>,
+    runs: Vec<usize>,
+}
+
+/// The chunk-sort kernel: sorts `entries` in place and returns how many
+/// it kept at the front (all of them unless `filter` drops invalid ones)
+/// plus the hardware cost.
+///
+/// BSU-sorts each 16-entry block on the stack, then merges the runs
+/// bottom up, ping-ponging between `entries` and the scratch buffer.
+/// Runs pair as `(0, 1), (2, 3), …` at every level and an odd last run
+/// is carried up at no cost. With `filter`, merges drop invalid entries
+/// (a carried run keeps them) and the survivors are compacted at the
+/// end. Allocates only to grow `scratch`.
+pub(crate) fn sort_chunk(
+    entries: &mut [TableEntry],
+    filter: bool,
+    scratch: &mut ChunkScratch,
+) -> (usize, SortCost) {
     let mut cost = SortCost::new();
-    if entries.is_empty() {
-        return (Vec::new(), cost);
+    let ChunkScratch { buf, runs } = scratch;
+    runs.clear();
+    for block in entries.chunks_mut(BSU_WIDTH) {
+        cost += bsu_block(block);
+        runs.push(block.len());
     }
-    let mut runs: Vec<Vec<TableEntry>> = Vec::with_capacity(entries.len().div_ceil(BSU_WIDTH));
-    for sub in entries.chunks(BSU_WIDTH) {
-        let mut run = sub.to_vec();
-        cost += bsu_sort16(&mut run);
-        runs.push(run);
-    }
-    let mut current = runs;
-    while current.len() > 1 {
-        let mut next = Vec::with_capacity(current.len().div_ceil(2));
-        for pair in current.chunks(2) {
-            if pair.len() == 2 {
-                let (merged, c) = merge_impl(&pair[0], &pair[1], filter);
-                cost += c;
-                next.push(merged);
-            } else {
-                next.push(pair[0].clone());
-            }
+    if runs.len() > 1 {
+        let n = entries.len();
+        if buf.len() < n {
+            buf.resize(n, pad_entry());
         }
-        current = next;
+        let mut src: &mut [TableEntry] = &mut *entries;
+        let mut dst: &mut [TableEntry] = &mut buf[..n];
+        let mut in_scratch = false;
+        while runs.len() > 1 {
+            let (mut r, mut w) = (0, 0);
+            let merged_runs = runs.len().div_ceil(2);
+            for k in 0..merged_runs {
+                let la = runs[2 * k];
+                let len = match runs.get(2 * k + 1) {
+                    Some(&lb) => {
+                        let (a, rest) = src[r..r + la + lb].split_at(la);
+                        let (len, c) = merge_into(a, rest, filter, &mut dst[w..]);
+                        cost += c;
+                        r += la + lb;
+                        len
+                    }
+                    None => {
+                        dst[w..w + la].copy_from_slice(&src[r..r + la]);
+                        r += la;
+                        la
+                    }
+                };
+                runs[k] = len;
+                w += len;
+            }
+            runs.truncate(merged_runs);
+            std::mem::swap(&mut src, &mut dst);
+            in_scratch = !in_scratch;
+        }
+        if in_scratch {
+            dst[..runs[0]].copy_from_slice(&src[..runs[0]]);
+        }
     }
-    let mut sorted = current.pop().unwrap_or_default();
-    if filter {
-        sorted.retain(|e| e.valid);
+    let len = runs.first().copied().unwrap_or(0);
+    if !filter {
+        return (len, cost);
     }
-    (sorted, cost)
+    let mut kept = 0;
+    for i in 0..len {
+        if entries[i].valid {
+            entries[kept] = entries[i];
+            kept += 1;
+        }
+    }
+    (kept, cost)
 }
 
-#[allow(dead_code)]
-fn is_key_sorted(v: &[TableEntry]) -> bool {
-    v.windows(2).all(|w| w[0].key() <= w[1].key())
+/// The cost [`chunk_sort_keeping`] charges for a chunk of `len` entries
+/// whose keys are strictly ascending and below the pad key — the
+/// closed form behind Dynamic Partial Sorting's sorted-chunk fast path.
+///
+/// Every compare outcome then depends only on position. Each BSU block
+/// makes its fixed network compares and a number of swaps (two moves
+/// each) set by its length alone. Each merge of runs `a`, `b` compares
+/// every entry of `a` against `b`'s head and moves both runs once:
+/// `len(a)` compares and `len(a) + len(b)` moves.
+pub fn sorted_chunk_cost(len: usize) -> SortCost {
+    let u = neo_math::num::u64_from_usize;
+    let (blocks, rest) = (len / BSU_WIDTH, len % BSU_WIDTH);
+    let mut cost = SortCost {
+        compares: u(blocks) * network_compares(BSU_WIDTH) + network_compares(rest),
+        moves: 2 * (u(blocks) * SORTED_BLOCK_SWAPS[BSU_WIDTH] + SORTED_BLOCK_SWAPS[rest]),
+        ..SortCost::new()
+    };
+    // Level by level: `count` runs, all of length `run` but the last.
+    let mut run = BSU_WIDTH;
+    let mut count = len.div_ceil(BSU_WIDTH);
+    let mut last = len.saturating_sub(count.saturating_sub(1) * BSU_WIDTH);
+    while count > 1 {
+        let pairs = count / 2;
+        // The left run of every pair is a full one.
+        cost.compares += u(pairs * run);
+        if count.is_multiple_of(2) {
+            cost.moves += u((pairs - 1) * 2 * run + run + last);
+            last += run;
+        } else {
+            cost.moves += u(pairs * 2 * run);
+        }
+        count = count.div_ceil(2);
+        run *= 2;
+    }
+    cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn is_key_sorted(v: &[TableEntry]) -> bool {
+        v.windows(2).all(|w| w[0].key() <= w[1].key())
+    }
 
     fn run(depths: &[f32]) -> Vec<TableEntry> {
         let mut v: Vec<_> = depths

@@ -20,14 +20,14 @@
 //! | [`StrategyKind::Background`] | lagged by `K` frames | sustained full sort |
 //! | [`StrategyKind::ReuseUpdate`] | approx. (≤1-frame depth lag) | single pass over table |
 
-use crate::dps::{dynamic_partial_sort, DpsConfig};
+use crate::bitonic::pad_entry;
+use crate::dps::{dps_with_scratch, DpsConfig};
 use crate::hierarchical::{hierarchical_sort, HierarchicalConfig};
-use crate::merge::{chunk_sort, merge_filtering};
+use crate::merge::{merge_into, sort_chunk, ChunkScratch};
 use crate::radix::radix_sort;
 use crate::{GaussianTable, SortCost, TableEntry, ENTRY_BYTES};
-// BTree collections keep membership/lookup structures deterministic
-// (architecture contract §4); hash maps are seeded per process.
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 /// Number of read+write passes a GPU radix sort makes over the key array
 /// (64-bit composite keys, 8-bit digits — the CUB configuration 3DGS
@@ -104,7 +104,7 @@ pub trait SortingStrategy: std::fmt::Debug + Send {
     fn invalidate_cache(&mut self) {}
 }
 
-/// Which built-in sorting strategy a [`TileSorter`] runs.
+/// Which built-in sorting strategy to build.
 ///
 /// This enum is a *convenience constructor* over the open
 /// [`SortingStrategy`] trait — see [`StrategyKind::build`]. New
@@ -224,7 +224,8 @@ pub struct FrameOrder {
     pub cost: SortCost,
     /// Newly visible Gaussians inserted this frame (ReuseUpdate only).
     pub incoming: usize,
-    /// Gaussians flagged outgoing this frame (ReuseUpdate only).
+    /// Table entries flagged outgoing this frame: their valid bit was
+    /// cleared and the next frame's merge drops them (ReuseUpdate only).
     pub outgoing: usize,
     /// Temporal-cache diagnostics (`None` for cache-less strategies).
     pub reuse: Option<TileReuse>,
@@ -479,6 +480,15 @@ impl SortingStrategy for BackgroundStrategy {
 /// during the same merge, then ❹ defer depth updates to rasterization
 /// (modelled by refreshing stored depths *after* the order is taken).
 ///
+/// Membership needs no search structure. After ❸ the table holds every
+/// input ID and ❹ clears the valid bit of every other entry, so the valid
+/// IDs at the start of a frame are exactly the previous frame's input
+/// IDs (short of a pad-key collision in ❶, handled separately). The
+/// strategy keeps them sorted and deduplicated; incoming
+/// detection is one merge pass against this frame's input and the depth
+/// refresh is a lookup by ID into it. Binning emits tile inputs strictly
+/// ascending by ID; any other input is first sorted into a copy.
+///
 /// # Examples
 ///
 /// ```
@@ -498,6 +508,9 @@ pub struct ReuseUpdateStrategy {
     config: SorterConfig,
     frame: u64,
     table: GaussianTable,
+    /// IDs of the table's valid entries: the previous frame's input IDs,
+    /// sorted and deduplicated.
+    valid_ids: Vec<u32>,
     total_cost: SortCost,
 }
 
@@ -508,6 +521,7 @@ impl ReuseUpdateStrategy {
             config,
             frame: 0,
             table: GaussianTable::new(),
+            valid_ids: Vec::new(),
             total_cost: SortCost::new(),
         }
     }
@@ -516,6 +530,21 @@ impl ReuseUpdateStrategy {
     pub fn config(&self) -> &SorterConfig {
         &self.config
     }
+}
+
+/// `current` sorted by ID with one entry per ID, the last one given
+/// winning (what collecting into a map does).
+fn by_id_last_wins(current: &[(u32, f32)]) -> Vec<(u32, f32)> {
+    let mut by_id = current.to_vec();
+    by_id.sort_by_key(|&(id, _)| id);
+    by_id.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+    by_id
 }
 
 impl SortingStrategy for ReuseUpdateStrategy {
@@ -529,26 +558,58 @@ impl SortingStrategy for ReuseUpdateStrategy {
 
     fn order(&mut self, current: &[(u32, f32)]) -> FrameOrder {
         let mut cost = SortCost::new();
+        // Kernel buffers for ❶ and ❷. They allocate only if a chunk is out
+        // of order or more than 16 Gaussians arrive, and no per-tile memory
+        // stays pinned between frames.
+        let mut scratch = ChunkScratch::default();
 
         // ❶ Reordering: single-pass DPS over the inherited table, keyed by
         // the (one-frame-stale) stored depths.
-        cost += dynamic_partial_sort(&mut self.table, self.frame, &self.config.dps);
+        cost += dps_with_scratch(&mut self.table, self.frame, &self.config.dps, &mut scratch);
+        // The one way ❶ changes membership: an entry carrying the reserved
+        // maximum key (ID `u32::MAX`, see `TableEntry::key`) can lose its
+        // valid bit to a pad slot of the BSU network.
+        if self.valid_ids.last() == Some(&u32::MAX)
+            && !self
+                .table
+                .entries()
+                .iter()
+                .any(|e| e.valid && e.id == u32::MAX)
+        {
+            self.valid_ids.pop();
+        }
 
-        // ❷ Insertion: collect newly visible Gaussians and chunk-sort them.
-        let valid_ids: BTreeSet<u32> = self
-            .table
-            .entries()
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| e.id)
-            .collect();
-        let incoming_entries: Vec<TableEntry> = current
-            .iter()
-            .filter(|(id, _)| !valid_ids.contains(id))
-            .map(|&(id, d)| TableEntry::new(id, d))
-            .collect();
+        // ❷ Insertion: newly visible Gaussians, in input order, are the
+        // input IDs that were not valid — one merge pass when the input
+        // is ascending by ID, a binary search per entry otherwise.
+        let ascending = current.windows(2).all(|w| w[0].0 < w[1].0);
+        let by_id: Cow<'_, [(u32, f32)]> = if ascending {
+            Cow::Borrowed(current)
+        } else {
+            Cow::Owned(by_id_last_wins(current))
+        };
+        let mut incoming_entries: Vec<TableEntry> = if ascending {
+            let mut valid = self.valid_ids.iter().peekable();
+            current
+                .iter()
+                .filter(|&&(id, _)| {
+                    while valid.next_if(|&&v| v < id).is_some() {}
+                    valid.peek() != Some(&&id)
+                })
+                .map(|&(id, d)| TableEntry::new(id, d))
+                .collect()
+        } else {
+            current
+                .iter()
+                .filter(|(id, _)| self.valid_ids.binary_search(id).is_err())
+                .map(|&(id, d)| TableEntry::new(id, d))
+                .collect()
+        };
         let incoming = incoming_entries.len();
-        let (incoming_sorted, c_in) = chunk_sort(&incoming_entries);
+        let (sorted_len, c_in) = sort_chunk(&mut incoming_entries, true, &mut scratch);
+        // Freed before the merge allocates the order, which can then reuse
+        // the block: on a cold frame both are the size of the whole tile.
+        drop(scratch);
         cost += c_in;
         let incoming_bytes = neo_math::num::u64_from_usize(incoming * ENTRY_BYTES);
         cost.bytes_read += incoming_bytes;
@@ -556,24 +617,26 @@ impl SortingStrategy for ReuseUpdateStrategy {
 
         // ❸ Deletion happens inside the same MSU+ merge that inserts the
         // incoming table: invalid entries are dropped with no extra pass.
-        let before = self.table.len();
-        let (merged, c_merge) = merge_filtering(self.table.entries(), &incoming_sorted);
+        // The merged table is this frame's blend order as-is.
+        let mut order = vec![pad_entry(); self.table.len() + sorted_len];
+        let (merged_len, c_merge) = merge_into(
+            self.table.entries(),
+            &incoming_entries[..sorted_len],
+            true,
+            &mut order,
+        );
         cost += c_merge;
-        let dropped = before + incoming_sorted.len() - merged.len();
-        self.table.set_entries(merged);
-
-        // The blend order for this frame is the merged table as-is.
-        let order = self.table.entries().to_vec();
+        order.truncate(merged_len);
+        self.table.assign(&order);
 
         // ❹ Deferred depth update + outgoing detection, performed "during
         // rasterization": stored depths become this frame's depths, and
         // entries that no longer intersect the tile lose their valid bit.
-        let current_map: BTreeMap<u32, f32> = current.iter().copied().collect();
         let mut outgoing = 0;
         for e in self.table.entries_mut() {
-            match current_map.get(&e.id) {
-                Some(&d) => e.depth = d,
-                None => {
+            match by_id.binary_search_by_key(&e.id, |&(id, _)| id) {
+                Ok(i) => e.depth = by_id[i].1,
+                Err(_) => {
                     if e.valid {
                         outgoing += 1;
                     }
@@ -581,6 +644,8 @@ impl SortingStrategy for ReuseUpdateStrategy {
                 }
             }
         }
+        self.valid_ids.clear();
+        self.valid_ids.extend(by_id.iter().map(|&(id, _)| id));
         if !self.config.deferred_depth_update {
             // Ablation: a separate depth-refresh pass re-reads and
             // re-writes the whole table.
@@ -595,7 +660,7 @@ impl SortingStrategy for ReuseUpdateStrategy {
             order,
             cost,
             incoming,
-            outgoing: outgoing + dropped,
+            outgoing,
             reuse: None,
         }
     }
@@ -609,126 +674,34 @@ impl SortingStrategy for ReuseUpdateStrategy {
     }
 }
 
-/// Closed enum-dispatch over the five built-in strategies, kept so
-/// [`TileSorter`] stays `Clone` (boxed trait objects are not).
-#[derive(Debug, Clone)]
-enum BuiltinStrategy {
-    FullResort(FullResortStrategy),
-    Hierarchical(HierarchicalStrategy),
-    Periodic(PeriodicStrategy),
-    Background(BackgroundStrategy),
-    ReuseUpdate(ReuseUpdateStrategy),
-}
-
-impl BuiltinStrategy {
-    fn as_dyn(&self) -> &dyn SortingStrategy {
-        match self {
-            BuiltinStrategy::FullResort(s) => s,
-            BuiltinStrategy::Hierarchical(s) => s,
-            BuiltinStrategy::Periodic(s) => s,
-            BuiltinStrategy::Background(s) => s,
-            BuiltinStrategy::ReuseUpdate(s) => s,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn SortingStrategy {
-        match self {
-            BuiltinStrategy::FullResort(s) => s,
-            BuiltinStrategy::Hierarchical(s) => s,
-            BuiltinStrategy::Periodic(s) => s,
-            BuiltinStrategy::Background(s) => s,
-            BuiltinStrategy::ReuseUpdate(s) => s,
-        }
-    }
-}
-
-/// Per-tile sorting state machine over the built-in strategies.
-///
-/// A thin convenience wrapper that owns one [`SortingStrategy`]
-/// implementor and drives it with an auto-incrementing frame counter;
-/// kept `Clone` for embedding in snapshot-style experiment state. New
-/// code that needs an open strategy set should hold
-/// `Box<dyn SortingStrategy>` (see [`StrategyKind::build`]) instead.
-///
-/// # Examples
-///
-/// ```
-/// use neo_sort::strategies::{StrategyKind, TileSorter};
-///
-/// let mut sorter = TileSorter::new(StrategyKind::ReuseUpdate);
-/// let frame0: Vec<(u32, f32)> = (0..100).map(|i| (i, i as f32)).collect();
-/// let out = sorter.process_frame(&frame0);
-/// assert_eq!(out.order.len(), 100);
-/// assert_eq!(out.incoming, 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TileSorter {
-    kind: StrategyKind,
-    inner: BuiltinStrategy,
-    next_frame: u64,
-    /// Returned by [`TileSorter::table`] for table-less strategies.
-    empty: GaussianTable,
-}
-
-impl TileSorter {
-    /// Creates a sorter with default configuration.
-    pub fn new(kind: StrategyKind) -> Self {
-        Self::with_config(kind, SorterConfig::default())
-    }
-
-    /// Creates a sorter with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`StrategyKind::validate`] rejects `kind` (e.g. a zero
-    /// periodic interval, enforced by [`PeriodicStrategy::new`]).
-    #[must_use]
-    pub fn with_config(kind: StrategyKind, config: SorterConfig) -> Self {
-        let inner = match kind {
-            StrategyKind::FullResort => BuiltinStrategy::FullResort(FullResortStrategy::new()),
-            StrategyKind::Hierarchical => {
-                BuiltinStrategy::Hierarchical(HierarchicalStrategy::new())
-            }
-            StrategyKind::Periodic(n) => BuiltinStrategy::Periodic(PeriodicStrategy::new(n)),
-            StrategyKind::Background(lag) => {
-                BuiltinStrategy::Background(BackgroundStrategy::new(lag))
-            }
-            StrategyKind::ReuseUpdate => {
-                BuiltinStrategy::ReuseUpdate(ReuseUpdateStrategy::new(config))
-            }
-        };
-        Self {
-            kind,
-            inner,
-            next_frame: 0,
-            empty: GaussianTable::new(),
-        }
-    }
-
-    /// The strategy this sorter runs.
-    pub fn kind(&self) -> StrategyKind {
-        self.kind
-    }
-
-    /// The table carried across frames (empty for stateless strategies).
-    pub fn table(&self) -> &GaussianTable {
-        self.inner.as_dyn().table().unwrap_or(&self.empty)
-    }
-
-    /// Feeds one frame of true `(id, depth)` entries; returns the blend
-    /// order and its cost.
-    pub fn process_frame(&mut self, current: &[(u32, f32)]) -> FrameOrder {
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        let strategy = self.inner.as_dyn_mut();
-        strategy.begin_frame(frame);
-        strategy.order(current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drives a built strategy one frame at a time, numbering frames from 0.
+    struct Frames {
+        strategy: Box<dyn SortingStrategy>,
+        next: u64,
+    }
+
+    impl Frames {
+        fn new(kind: StrategyKind) -> Self {
+            Self::with_config(kind, SorterConfig::default())
+        }
+
+        fn with_config(kind: StrategyKind, config: SorterConfig) -> Self {
+            Self {
+                strategy: kind.build(config),
+                next: 0,
+            }
+        }
+
+        fn process_frame(&mut self, current: &[(u32, f32)]) -> FrameOrder {
+            self.strategy.begin_frame(self.next);
+            self.next += 1;
+            self.strategy.order(current)
+        }
+    }
 
     fn frame(ids: &[u32], depth_of: impl Fn(u32) -> f32) -> Vec<(u32, f32)> {
         ids.iter().map(|&id| (id, depth_of(id))).collect()
@@ -740,7 +713,7 @@ mod tests {
 
     #[test]
     fn full_resort_is_exact_every_frame() {
-        let mut s = TileSorter::new(StrategyKind::FullResort);
+        let mut s = Frames::new(StrategyKind::FullResort);
         let f = frame(&[3, 1, 2], |id| (10 - id) as f32);
         let out = s.process_frame(&f);
         assert_eq!(ids_of(&out.order), vec![3, 2, 1]);
@@ -750,7 +723,7 @@ mod tests {
 
     #[test]
     fn hierarchical_is_exact_with_fewer_passes() {
-        let mut s = TileSorter::new(StrategyKind::Hierarchical);
+        let mut s = Frames::new(StrategyKind::Hierarchical);
         let f = frame(&[5, 6, 7], |id| id as f32);
         let out = s.process_frame(&f);
         assert_eq!(ids_of(&out.order), vec![5, 6, 7]);
@@ -759,7 +732,7 @@ mod tests {
 
     #[test]
     fn periodic_skips_between_refreshes() {
-        let mut s = TileSorter::new(StrategyKind::Periodic(3));
+        let mut s = Frames::new(StrategyKind::Periodic(3));
         let f0 = frame(&[1, 2], |id| id as f32);
         let out0 = s.process_frame(&f0);
         assert!(out0.cost.bytes_total() > 0);
@@ -780,7 +753,7 @@ mod tests {
 
     #[test]
     fn background_lags_by_k_frames() {
-        let mut s = TileSorter::new(StrategyKind::Background(2));
+        let mut s = Frames::new(StrategyKind::Background(2));
         let f0 = frame(&[1], |_| 0.0);
         let f1 = frame(&[2], |_| 0.0);
         let f2 = frame(&[3], |_| 0.0);
@@ -796,7 +769,7 @@ mod tests {
 
     #[test]
     fn reuse_update_first_frame_inserts_everything() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = Frames::new(StrategyKind::ReuseUpdate);
         let f = frame(&[4, 5, 6], |id| (10 - id) as f32);
         let out = s.process_frame(&f);
         assert_eq!(out.incoming, 3);
@@ -805,7 +778,7 @@ mod tests {
 
     #[test]
     fn reuse_update_tracks_membership() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = Frames::new(StrategyKind::ReuseUpdate);
         let f0 = frame(&[1, 2, 3], |id| id as f32);
         s.process_frame(&f0);
         // ID 2 leaves, ID 9 arrives.
@@ -830,7 +803,7 @@ mod tests {
         // order with at most transient error.
         let ids: Vec<u32> = (0..400).collect();
         let n = ids.len() as u64;
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = Frames::new(StrategyKind::ReuseUpdate);
         let mut last_ratio = 1.0f64;
         for f in 0..30 {
             let t = f as f32 * 0.1;
@@ -862,8 +835,8 @@ mod tests {
     fn reuse_update_single_pass_traffic_beats_full_resort() {
         let ids: Vec<u32> = (0..1000).collect();
         let fr = frame(&ids, |id| id as f32);
-        let mut reuse = TileSorter::new(StrategyKind::ReuseUpdate);
-        let mut full = TileSorter::new(StrategyKind::FullResort);
+        let mut reuse = Frames::new(StrategyKind::ReuseUpdate);
+        let mut full = Frames::new(StrategyKind::FullResort);
         reuse.process_frame(&fr);
         full.process_frame(&fr);
         // Steady state (no churn): reuse touches the table once; full
@@ -882,8 +855,8 @@ mod tests {
     fn non_deferred_depth_update_costs_extra_pass() {
         let ids: Vec<u32> = (0..500).collect();
         let fr = frame(&ids, |id| id as f32);
-        let mut deferred = TileSorter::new(StrategyKind::ReuseUpdate);
-        let mut eager = TileSorter::with_config(
+        let mut deferred = Frames::new(StrategyKind::ReuseUpdate);
+        let mut eager = Frames::with_config(
             StrategyKind::ReuseUpdate,
             SorterConfig {
                 deferred_depth_update: false,
@@ -902,7 +875,7 @@ mod tests {
 
     #[test]
     fn reuse_update_depths_lag_one_frame() {
-        let mut s = TileSorter::new(StrategyKind::ReuseUpdate);
+        let mut s = Frames::new(StrategyKind::ReuseUpdate);
         s.process_frame(&frame(&[1, 2], |id| id as f32));
         // Depths change radically; the *order* this frame still reflects
         // last frame's depths (deferred update), then catches up.
@@ -924,7 +897,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "periodic interval")]
     fn zero_periodic_interval_rejected() {
-        let _ = TileSorter::new(StrategyKind::Periodic(0));
+        let _ = PeriodicStrategy::new(0);
     }
 
     #[test]
@@ -936,9 +909,7 @@ mod tests {
     }
 
     #[test]
-    fn boxed_strategies_match_tile_sorter() {
-        // StrategyKind::build must construct the same state machines the
-        // TileSorter wrapper drives.
+    fn built_strategies_are_named_after_their_kind() {
         for kind in [
             StrategyKind::FullResort,
             StrategyKind::Hierarchical,
@@ -946,18 +917,25 @@ mod tests {
             StrategyKind::Background(1),
             StrategyKind::ReuseUpdate,
         ] {
-            let mut boxed = kind.build(SorterConfig::default());
-            let mut legacy = TileSorter::new(kind);
-            for f in 0..4u64 {
-                let ids: Vec<u32> = (0..50 + (f as u32 * 7) % 13).collect();
-                let input = frame(&ids, |id| ((id * 37) % 101) as f32 + f as f32);
-                boxed.begin_frame(f);
-                let a = boxed.order(&input);
-                let b = legacy.process_frame(&input);
-                assert_eq!(a, b, "{kind:?} frame {f}");
-            }
-            assert_eq!(boxed.name(), kind.name());
+            assert_eq!(kind.build(SorterConfig::default()).name(), kind.name());
         }
+    }
+
+    #[test]
+    fn reuse_update_reports_each_departure_once() {
+        // ID 10 departs at frame 1: flagged there, merged out silently at
+        // frame 2 (it used to be counted again as it was dropped).
+        let mut s = Frames::new(StrategyKind::ReuseUpdate);
+        let outgoing: Vec<usize> = [
+            vec![(10, 3.0), (11, 1.0)],
+            vec![(11, 1.0), (12, 2.0)],
+            vec![(11, 1.0), (12, 2.0)],
+            vec![(11, 1.0), (12, 2.0)],
+        ]
+        .iter()
+        .map(|f| s.process_frame(f).outgoing)
+        .collect();
+        assert_eq!(outgoing, vec![0, 1, 0, 0]);
     }
 
     #[test]
@@ -988,6 +966,5 @@ mod tests {
         assert_send::<PeriodicStrategy>();
         assert_send::<BackgroundStrategy>();
         assert_send::<ReuseUpdateStrategy>();
-        assert_send::<TileSorter>();
     }
 }

@@ -60,6 +60,15 @@ impl TableEntry {
         };
         (ordered, self.id)
     }
+
+    /// [`TableEntry::key`] packed into one `u64` (depth word high, ID
+    /// low), so one integer compare orders exactly like the tuple. The
+    /// kernels precompute it once per entry.
+    #[inline]
+    pub(crate) fn packed_key(&self) -> u64 {
+        let (depth, id) = self.key();
+        (u64::from(depth) << 32) | u64::from(id)
+    }
 }
 
 /// A per-tile Gaussian table: the sorted list of `(id, depth, valid)` rows
@@ -105,6 +114,14 @@ impl GaussianTable {
     /// Replaces the backing entries.
     pub fn set_entries(&mut self, entries: Vec<TableEntry>) {
         self.entries = entries;
+    }
+
+    /// Replaces the entries with a copy of `entries`, keeping the
+    /// backing allocation.
+    pub(crate) fn assign(&mut self, entries: &[TableEntry]) {
+        self.entries.clear();
+        self.entries.reserve_exact(entries.len());
+        self.entries.extend_from_slice(entries);
     }
 
     /// Consumes the table, returning its entries.
@@ -231,6 +248,21 @@ mod tests {
         let c = TableEntry::new(2, 1.5);
         assert!(a.key() < b.key());
         assert!(b.key() < c.key());
+    }
+
+    #[test]
+    fn packed_key_orders_like_the_tuple_key() {
+        let depths = [f32::NAN, -f32::NAN, f32::INFINITY, -0.0, 0.0, -2.5, 1.0];
+        let entries: Vec<TableEntry> = depths
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &d)| [TableEntry::new(i as u32, d), TableEntry::new(u32::MAX, d)])
+            .collect();
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(a.key().cmp(&b.key()), a.packed_key().cmp(&b.packed_key()));
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use neo_core::{NeoError, RenderEngine, RendererConfig, StrategyKind};
 use neo_metrics::psnr;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use neo_sort::dps::{chunk_ranges, dynamic_partial_sort, DpsConfig};
-use neo_sort::strategies::{FrameOrder, TileSorter};
+use neo_sort::strategies::FrameOrder;
 use neo_sort::{GaussianTable, SortCost, SortingStrategy, TableEntry, ENTRY_BYTES};
 
 fn perturbed_table(n: usize, max_shift: usize) -> GaussianTable {
@@ -142,17 +142,19 @@ fn main() -> Result<(), NeoError> {
     // Part 3: full reuse-and-update strategy vs full resort, cost-wise.
     println!("\nper-frame sorting cost on a drifting 4096-entry tile:");
     let ids: Vec<u32> = (0..4096).collect();
-    let mut neo = TileSorter::new(StrategyKind::ReuseUpdate);
-    let mut full = TileSorter::new(StrategyKind::FullResort);
+    let mut neo = StrategyKind::ReuseUpdate.build(Default::default());
+    let mut full = StrategyKind::FullResort.build(Default::default());
     println!("frame | neo bytes | full-resort bytes");
-    for f in 0..5 {
+    for f in 0..5u64 {
         let t = f as f32 * 0.05;
         let frame: Vec<(u32, f32)> = ids
             .iter()
             .map(|&id| (id, (id as f32 * 0.11 + t).sin() * 100.0 + id as f32 * 0.01))
             .collect();
-        let a = neo.process_frame(&frame);
-        let b = full.process_frame(&frame);
+        neo.begin_frame(f);
+        full.begin_frame(f);
+        let a = neo.order(&frame);
+        let b = full.order(&frame);
         println!(
             "  {f:>3} | {:>9} | {:>17}",
             a.cost.bytes_total(),

@@ -4,11 +4,28 @@
 use neo_sort::bitonic::bitonic_sort;
 use neo_sort::dps::{chunk_ranges, dynamic_partial_sort, DpsConfig};
 use neo_sort::hierarchical::{hierarchical_sort, HierarchicalConfig};
-use neo_sort::merge::{chunk_sort, merge_filtering, merge_keeping};
+use neo_sort::merge::{chunk_sort, chunk_sort_keeping, merge_filtering, merge_keeping};
 use neo_sort::radix::radix_sort;
-use neo_sort::strategies::{StrategyKind, TileSorter};
+use neo_sort::strategies::{FrameOrder, StrategyKind};
 use neo_sort::{GaussianTable, TableEntry};
 use proptest::prelude::*;
+
+/// The kernels as they were before the allocation-free rewrite: the
+/// oracle the library's kernels must match in output and cost.
+#[path = "../crates/sort/tests/reference/mod.rs"]
+mod reference;
+
+/// Builds `kind` and orders `frames` through it, numbering frames from 0.
+fn run_frames(kind: StrategyKind, frames: &[&[(u32, f32)]]) -> Vec<FrameOrder> {
+    let mut strategy = kind.build(Default::default());
+    (0u64..)
+        .zip(frames)
+        .map(|(f, input)| {
+            strategy.begin_frame(f);
+            strategy.order(input)
+        })
+        .collect()
+}
 
 fn arb_entries(max_len: usize) -> impl Strategy<Value = Vec<TableEntry>> {
     prop::collection::vec(
@@ -70,6 +87,55 @@ proptest! {
         expect.sort_unstable();
         got.sort_unstable();
         prop_assert_eq!(expect, got);
+    }
+
+    #[test]
+    fn bitonic_matches_the_reference_network(entries in arb_entries(300)) {
+        let mut got = entries.clone();
+        let mut want = entries;
+        let got_cost = bitonic_sort(&mut got);
+        let want_cost = reference::bitonic_sort(&mut want);
+        prop_assert_eq!(reference::bits(&got), reference::bits(&want));
+        prop_assert_eq!(got_cost, want_cost);
+    }
+
+    #[test]
+    fn chunk_sorts_match_the_reference_kernel(
+        entries in arb_entries(300),
+        pathological in arb_pathological_entries(200),
+    ) {
+        for input in [&entries, &pathological] {
+            let (got, got_cost) = chunk_sort(input);
+            let (want, want_cost) = reference::chunk_sort_impl(input, true);
+            prop_assert_eq!(reference::bits(&got), reference::bits(&want));
+            prop_assert_eq!(got_cost, want_cost);
+            let (got, got_cost) = chunk_sort_keeping(input);
+            let (want, want_cost) = reference::chunk_sort_impl(input, false);
+            prop_assert_eq!(reference::bits(&got), reference::bits(&want));
+            prop_assert_eq!(got_cost, want_cost);
+        }
+    }
+
+    #[test]
+    fn merges_match_the_reference_merge(
+        mut a in arb_entries(120),
+        mut b in arb_entries(120),
+        presort in any::<bool>(),
+    ) {
+        // Sorted streams and, like an approximately sorted table after one
+        // DPS pass, unsorted ones.
+        if presort {
+            a.sort_by_key(TableEntry::key);
+            b.sort_by_key(TableEntry::key);
+        }
+        let (got, got_cost) = merge_filtering(&a, &b);
+        let (want, want_cost) = reference::merge_impl(&a, &b, true);
+        prop_assert_eq!(reference::bits(&got), reference::bits(&want));
+        prop_assert_eq!(got_cost, want_cost);
+        let (got, got_cost) = merge_keeping(&a, &b);
+        let (want, want_cost) = reference::merge_impl(&a, &b, false);
+        prop_assert_eq!(reference::bits(&got), reference::bits(&want));
+        prop_assert_eq!(got_cost, want_cost);
     }
 
     #[test]
@@ -197,11 +263,9 @@ proptest! {
         // blend orders even for NaN/infinite depths.
         let input: Vec<(u32, f32)> =
             entries.iter().map(|e| (e.id, e.depth)).collect();
-        let mut full = TileSorter::new(StrategyKind::FullResort);
-        let mut hier = TileSorter::new(StrategyKind::Hierarchical);
-        let a = full.process_frame(&input);
-        let b = hier.process_frame(&input);
-        prop_assert_eq!(key_bits(&a.order), key_bits(&b.order));
+        let a = run_frames(StrategyKind::FullResort, &[&input]);
+        let b = run_frames(StrategyKind::Hierarchical, &[&input]);
+        prop_assert_eq!(key_bits(&a[0].order), key_bits(&b[0].order));
     }
 
     #[test]
@@ -212,11 +276,9 @@ proptest! {
         // exactly the input IDs (duplicates removed, stale pruned).
         let frame: Vec<(u32, f32)> =
             ids.iter().map(|&id| (id, id as f32 * 0.5)).collect();
-        let mut sorter = TileSorter::new(StrategyKind::ReuseUpdate);
-        sorter.process_frame(&frame);
-        let out = sorter.process_frame(&frame);
+        let out = run_frames(StrategyKind::ReuseUpdate, &[&frame, &frame]);
         let mut got: Vec<u32> =
-            out.order.iter().filter(|e| e.valid).map(|e| e.id).collect();
+            out[1].order.iter().filter(|e| e.valid).map(|e| e.id).collect();
         got.sort_unstable();
         got.dedup();
         let want: Vec<u32> = ids.into_iter().collect();
