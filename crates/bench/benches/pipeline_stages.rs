@@ -1,10 +1,8 @@
-//! Criterion benches for the functional pipeline stages: culling,
-//! projection, binning and tile rasterization.
+//! Criterion benches for the functional pipeline stages: projection
+//! (with culling), binning and tile rasterization.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use neo_pipeline::{
-    bin_to_tiles, cull_cloud, project_cloud, rasterize_tile, Image, RenderConfig, TileGrid,
-};
+use neo_pipeline::{bin_to_tiles, project_storage, rasterize_tile, Image, RenderConfig, TileGrid};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
 fn bench_stages(c: &mut Criterion) {
@@ -13,15 +11,11 @@ fn bench_stages(c: &mut Criterion) {
     let cam = sampler.frame(0);
     let mut group = c.benchmark_group("pipeline");
 
-    group.bench_function("cull_cloud_14k", |b| {
-        b.iter(|| cull_cloud(black_box(&cam), black_box(&cloud)))
+    group.bench_function("project_storage_14k", |b| {
+        b.iter(|| project_storage(black_box(&cam), black_box(&cloud)))
     });
 
-    group.bench_function("project_cloud_14k", |b| {
-        b.iter(|| project_cloud(black_box(&cam), black_box(&cloud)))
-    });
-
-    let projected = project_cloud(&cam, &cloud);
+    let projected = project_storage(&cam, &cloud);
     let grid = TileGrid::new(cam.width, cam.height, 64);
     group.bench_function("bin_to_tiles_14k", |b| {
         b.iter(|| bin_to_tiles(black_box(&grid), black_box(&projected)))

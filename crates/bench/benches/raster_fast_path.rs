@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use neo_pipeline::{
-    bin_to_tiles, project_cloud, rasterize_tile_with_scratch, render_reference, RasterScratch,
+    bin_to_tiles, project_storage, rasterize_tile_with_scratch, render_reference, RasterScratch,
     RenderConfig, TileGrid,
 };
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
@@ -28,7 +28,7 @@ fn bench_fast_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("raster_fast_path");
 
     // Densest tile of the frame, the SCU-style microbenchmark.
-    let projected = project_cloud(&cam, &cloud);
+    let projected = project_storage(&cam, &cloud);
     let grid = TileGrid::new(cam.width, cam.height, fast_cfg.tile_size);
     let binned = bin_to_tiles(&grid, &projected);
     let (tile_index, entries) = binned

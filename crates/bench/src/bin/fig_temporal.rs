@@ -16,7 +16,7 @@
 
 use neo_bench::{ExperimentRecord, TextTable};
 use neo_core::{FrameResult, RenderEngine, RendererConfig, StrategyKind, WarmStartConfig};
-use neo_pipeline::{bin_to_tiles, diff_tile_population, project_cloud, TileGrid};
+use neo_pipeline::{bin_to_tiles, diff_tile_population, project_storage, TileGrid};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,7 +49,7 @@ fn main() {
     let mut retentions = Vec::new();
     let mut prev: Option<Vec<Vec<(u32, f32)>>> = None;
     for i in 0..8 {
-        let projected = project_cloud(&sampler.frame(i), &cloud);
+        let projected = project_storage(&sampler.frame(i), cloud.as_ref());
         let assignments = bin_to_tiles(&grid, &projected);
         let tiles: Vec<Vec<(u32, f32)>> = (0..grid.tile_count())
             .map(|t| assignments.tile(t).to_vec())

@@ -62,7 +62,7 @@ impl Parallelism {
     }
 }
 
-/// Configuration for a [`crate::SplatRenderer`].
+/// Configuration for a [`crate::RenderEngine`] and the sessions it mints.
 ///
 /// Builder-style setters allow one-liner construction:
 ///
@@ -213,11 +213,10 @@ impl RendererConfig {
     /// Shards each frame's tiles across up to `threads` worker threads
     /// (shorthand for [`Parallelism::Threads`]).
     ///
-    /// The knob is clamped rather than rejected, mirroring the legacy
-    /// tile-size clamping: `0` renders serially, and values above the
-    /// machine's available parallelism are capped to it (see
-    /// [`RendererConfig::effective_threads`]). Output is byte-identical
-    /// at any thread count.
+    /// The knob is clamped rather than rejected: `0` renders serially,
+    /// and values above the machine's available parallelism are capped
+    /// to it (see [`RendererConfig::effective_threads`]). Output is
+    /// byte-identical at any thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.parallelism = Parallelism::Threads(threads);
@@ -477,8 +476,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        // Mirrors the legacy tile-size clamp: degenerate values are
-        // normalized, never rejected.
+        // Thread counts are normalized, never rejected.
         let cfg = RendererConfig::default().with_threads(0);
         assert_eq!(cfg.parallelism, Parallelism::Threads(0));
         assert_eq!(cfg.effective_threads(), 1);

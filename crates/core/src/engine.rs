@@ -42,8 +42,8 @@
 //! ```
 
 use crate::{
-    FrameResult, NeoError, NeoResult, RendererConfig, SequenceStats, SessionId, ShardPlan,
-    TemporalCacheStats, TileLoad,
+    FrameResult, NeoError, NeoResult, RendererConfig, SessionId, ShardPlan, TemporalCacheStats,
+    TileLoad,
 };
 use neo_pipeline::{
     bin_to_tiles, bin_to_tiles_with_clusters, project_clusters, project_storage, ClusterProjection,
@@ -64,13 +64,13 @@ use std::sync::Arc;
 /// Every tile of every session gets its own strategy instance; the
 /// factory is the one piece of strategy knowledge the engine keeps.
 #[derive(Clone)]
-pub(crate) struct StrategyFactory {
+struct StrategyFactory {
     name: Arc<str>,
     make: Arc<dyn Fn() -> Box<dyn SortingStrategy> + Send + Sync>,
 }
 
 impl StrategyFactory {
-    pub(crate) fn new(
+    fn new(
         name: impl Into<Arc<str>>,
         make: impl Fn() -> Box<dyn SortingStrategy> + Send + Sync + 'static,
     ) -> Self {
@@ -80,21 +80,21 @@ impl StrategyFactory {
         }
     }
 
-    pub(crate) fn from_kind(kind: StrategyKind, config: SorterConfig) -> Self {
+    fn from_kind(kind: StrategyKind, config: SorterConfig) -> Self {
         Self::new(kind.name(), move || kind.build(config))
     }
 
-    pub(crate) fn name(&self) -> &str {
+    fn name(&self) -> &str {
         &self.name
     }
 
-    pub(crate) fn create(&self) -> Box<dyn SortingStrategy> {
+    fn create(&self) -> Box<dyn SortingStrategy> {
         (self.make)()
     }
 
     /// Wraps this factory so every created strategy carries a warm-start
     /// temporal cache ([`WarmStartSorter`]) with the given configuration.
-    pub(crate) fn warmed(self, config: WarmStartConfig) -> Self {
+    fn warmed(self, config: WarmStartConfig) -> Self {
         let name = format!("warm-start({})", self.name);
         Self::new(name, move || {
             Box::new(WarmStartSorter::new(self.create(), config))
@@ -124,44 +124,6 @@ struct TileStrategy {
     /// path is off — the flat path never touches it, preserving the
     /// byte-exact legacy behaviour.
     prev_tags: Vec<u32>,
-}
-
-/// Per-session mutable rendering state: the tile grid, one strategy per
-/// occupied tile, and per-shard scratch buffers reused across frames.
-/// Shared by [`RenderSession`] and the deprecated `SplatRenderer` wrapper
-/// so both drive the exact same code path.
-#[derive(Debug, Default)]
-pub(crate) struct TileState {
-    grid: Option<TileGrid>,
-    sorters: Vec<Option<TileStrategy>>,
-    scratch: Vec<ShardScratch>,
-    frames_rendered: u64,
-}
-
-impl TileState {
-    pub(crate) fn reset(&mut self) {
-        self.grid = None;
-        self.sorters.clear();
-        self.scratch.clear();
-        self.frames_rendered = 0;
-    }
-
-    pub(crate) fn frames_rendered(&self) -> u64 {
-        self.frames_rendered
-    }
-
-    fn ensure_grid(&mut self, cam: &Camera, tile_size: u32) -> TileGrid {
-        let want = TileGrid::new(cam.width, cam.height, tile_size);
-        match self.grid {
-            Some(g) if g == want => g,
-            _ => {
-                self.sorters.clear();
-                self.sorters.resize_with(want.tile_count(), || None);
-                self.grid = Some(want);
-                want
-            }
-        }
-    }
 }
 
 /// Read-only per-frame inputs shared by every render worker.
@@ -238,7 +200,7 @@ fn run_shard(
     for &(tile_index, entries) in occupied {
         let slot = sorters[tile_index - base]
             .as_mut()
-            // neo-lint: allow(r2, "invariant: render_frame_core_with_plan creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on")
+            // neo-lint: allow(r2, "invariant: render_validated creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on")
             .expect("strategies are pre-created in tile order before sharding");
         if let Some(all_tags) = ctx.tile_tags {
             // Cluster-granular invalidation: a cluster that flipped
@@ -309,277 +271,274 @@ fn run_shard(
     out
 }
 
-/// Renders one frame with the session's configured parallelism. The
-/// single rendering implementation behind both
-/// `RenderSession::render_frame` and the deprecated `SplatRenderer` —
-/// input validation happens in the callers, never here.
-pub(crate) fn render_frame_core(
-    state: &mut TileState,
-    factory: &StrategyFactory,
-    config: &RendererConfig,
-    storage: &dyn CloudStorage,
-    lod_index: Option<&ClusteredCloud>,
-    cam: &Camera,
-) -> FrameResult {
-    let plan = ShardPlan::balanced(config.effective_threads());
-    render_frame_core_with_plan(state, factory, config, storage, lod_index, cam, &plan)
-}
+impl RenderSession {
+    /// Renders one frame of an already validated camera with an explicit
+    /// shard plan.
+    ///
+    /// The frame pipeline: project and bin on the calling thread, resolve the
+    /// plan into contiguous shards of the occupied-tile list, run one worker
+    /// per shard on a `std::thread::scope` pool (each owning a disjoint slice
+    /// of the per-tile sorting state and a shard-local scratch), then merge
+    /// shard outputs *in shard order* — integer accumulations plus disjoint
+    /// tile blits, so the result is byte-identical to serial rendering for
+    /// any plan.
+    fn render_validated(&mut self, cam: &Camera, plan: &ShardPlan) -> FrameResult {
+        let grid = self.ensure_grid(cam);
+        let config = &self.config;
+        let storage = self.storage.as_ref();
+        let lod_index = self.lod_index.as_deref();
 
-/// Renders one frame with an explicit shard plan.
-///
-/// The frame pipeline: project and bin on the calling thread, resolve the
-/// plan into contiguous shards of the occupied-tile list, run one worker
-/// per shard on a `std::thread::scope` pool (each owning a disjoint slice
-/// of the per-tile sorting state and a shard-local scratch), then merge
-/// shard outputs *in shard order* — integer accumulations plus disjoint
-/// tile blits, so the result is byte-identical to serial rendering for
-/// any plan.
-pub(crate) fn render_frame_core_with_plan(
-    state: &mut TileState,
-    factory: &StrategyFactory,
-    config: &RendererConfig,
-    storage: &dyn CloudStorage,
-    lod_index: Option<&ClusteredCloud>,
-    cam: &Camera,
-    plan: &ShardPlan,
-) -> FrameResult {
-    let grid = state.ensure_grid(cam, config.tile_size);
-
-    // Projection: through the cluster index when the LOD path is on
-    // (whole-cluster culling, proxy substitution, member streaming), the
-    // flat storage walk otherwise — the latter byte-exactly preserves
-    // the pre-index renderer, which `tests/lod_parity.rs` pins.
-    let lod = config.lod.as_ref().zip(lod_index);
-    let (projected, assignments, tile_tags, cluster_stats) = match lod {
-        Some((lod_cfg, index)) => {
-            let ClusterProjection {
-                projected,
-                tags,
-                clusters_total,
-                clusters_culled,
-                clusters_proxied,
-                splats_saved,
-                splats_visited,
-            } = project_clusters(cam, storage, index, lod_cfg);
-            let (assignments, tile_tags) = bin_to_tiles_with_clusters(&grid, &projected, &tags);
-            (
-                projected,
-                assignments,
-                Some(tile_tags),
-                Some((
+        // Projection: through the cluster index when the LOD path is on
+        // (whole-cluster culling, proxy substitution, member streaming), the
+        // flat storage walk otherwise — the latter byte-exactly preserves
+        // the pre-index renderer, which `tests/lod_parity.rs` pins.
+        let lod = config.lod.as_ref().zip(lod_index);
+        let (projected, assignments, tile_tags, cluster_stats) = match lod {
+            Some((lod_cfg, index)) => {
+                let ClusterProjection {
+                    projected,
+                    tags,
                     clusters_total,
                     clusters_culled,
                     clusters_proxied,
                     splats_saved,
                     splats_visited,
-                )),
-            )
-        }
-        None => {
-            let projected = project_storage(cam, storage);
-            let assignments = bin_to_tiles(&grid, &projected);
-            (projected, assignments, None, None)
-        }
-    };
-
-    // ID → projected-splat lookup for rasterization. Proxy splats live
-    // in the ID range above the storage (`source_len + proxy_index`).
-    let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
-    let mut by_id: Vec<Option<usize>> = vec![None; id_space];
-    for (i, p) in projected.iter().enumerate() {
-        by_id[neo_math::num::usize_from_u32(p.id)] = Some(i);
-    }
-
-    // Occupied tiles in ascending tile-index order.
-    let occupied: Vec<(usize, &[(u32, f32)])> = assignments.iter_occupied().collect();
-    let ranges = match plan {
-        // The default serial config resolves to one shard no matter the
-        // loads; skip materializing the per-tile entry counts.
-        ShardPlan::Balanced { shards: 0 | 1 } if !occupied.is_empty() => {
-            std::iter::once(0..occupied.len()).collect()
-        }
-        _ => {
-            // Per-tile entry counts cost-balance the shards.
-            let loads: Vec<usize> = occupied.iter().map(|(_, e)| e.len()).collect();
-            plan.resolve(&loads)
-        }
-    };
-
-    let mut stats = FrameStats {
-        input: storage.len(),
-        projected: projected.len(),
-        duplicates: assignments.total_assignments(),
-        occupied_tiles: occupied.len(),
-        ..Default::default()
-    };
-    // Charge the *actual* per-record size of the configured storage
-    // backend: compact records are less than half the f32 size, and the
-    // ledger is how that saving reaches the DRAM traffic model. On the
-    // LOD path only the records actually decoded (surviving members +
-    // proxies) are charged — that is the traffic the index exists to
-    // cut; the flat walk touches every record, exactly as before.
-    let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
-    let records_read = match cluster_stats {
-        Some((total, culled, proxied, saved, visited)) => {
-            stats.clusters_total = total;
-            stats.clusters_culled = culled;
-            stats.clusters_lod = proxied;
-            stats.lod_splats_saved = saved;
-            visited
-        }
-        None => neo_math::num::u64_from_usize(storage.len()),
-    };
-    stats
-        .traffic
-        .read(Stage::FeatureExtraction, records_read * feature_bytes);
-
-    let raster_cfg = RenderConfig {
-        tile_size: config.tile_size,
-        background: config.background,
-        subtiling: config.subtiling,
-        raster_fast_path: config.raster_fast_path,
-        ..RenderConfig::default()
-    };
-    let ctx = ShardContext {
-        projected: &projected,
-        by_id: &by_id,
-        grid: &grid,
-        raster_cfg: &raster_cfg,
-        render_image: config.render_image,
-        feature_bytes,
-        tile_tags: tile_tags.as_deref(),
-    };
-
-    // Strategy creation happens here, on the calling thread, in tile
-    // order — never lazily inside a worker. User factories may be impure
-    // (e.g. handing out a different seed per creation), so a racy
-    // creation order would make the tile→strategy assignment depend on
-    // scheduling and break the byte-identical contract.
-    for &(tile_index, _) in &occupied {
-        state.sorters[tile_index].get_or_insert_with(|| TileStrategy {
-            strategy: factory.create(),
-            next_frame: 0,
-            prev_tags: Vec::new(),
-        });
-    }
-
-    // Shard-local scratch buffers persist in the session and are only
-    // grown, never reallocated per frame.
-    if state.scratch.len() < ranges.len() {
-        state.scratch.resize_with(ranges.len(), ShardScratch::new);
-    }
-    let sorters = state.sorters.as_mut_slice();
-    let scratches = &mut state.scratch[..ranges.len()];
-
-    let mut image = config
-        .render_image
-        .then(|| Image::new(cam.width, cam.height, config.background));
-
-    let outputs: Vec<ShardOutput> = if ranges.len() <= 1 {
-        // Serial fast path: no threads, same per-tile body, and each
-        // tile blits straight into the framebuffer — no deferred-merge
-        // arena, no extra frame copy.
-        match ranges.first() {
-            None => Vec::new(),
-            Some(r) => {
-                let scratch = &mut scratches[0];
-                let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
-                    let img = image
-                        .as_mut()
-                        // neo-lint: allow(r2, "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`")
-                        .expect("rasterize sink is only called when an image is rendered");
-                    scratch.rasterize_direct(img, &grid, tile_index, blend, &raster_cfg)
-                };
-                vec![run_shard(
-                    &ctx,
-                    &occupied[r.clone()],
-                    sorters,
-                    0,
-                    &mut rasterize,
-                )]
+                } = project_clusters(cam, storage, index, lod_cfg);
+                let (assignments, tile_tags) = bin_to_tiles_with_clusters(&grid, &projected, &tags);
+                (
+                    projected,
+                    assignments,
+                    Some(tile_tags),
+                    Some((
+                        clusters_total,
+                        clusters_culled,
+                        clusters_proxied,
+                        splats_saved,
+                        splats_visited,
+                    )),
+                )
             }
+            None => {
+                let projected = project_storage(cam, storage);
+                let assignments = bin_to_tiles(&grid, &projected);
+                (projected, assignments, None, None)
+            }
+        };
+
+        // ID → projected-splat lookup for rasterization. Proxy splats live
+        // in the ID range above the storage (`source_len + proxy_index`).
+        let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
+        let mut by_id: Vec<Option<usize>> = vec![None; id_space];
+        for (i, p) in projected.iter().enumerate() {
+            by_id[neo_math::num::usize_from_u32(p.id)] = Some(i);
         }
-    } else {
-        // One scoped worker per shard. Each worker gets the contiguous
-        // slice of `sorters` spanning its shard's tile indices (shards
-        // are in ascending tile order, so repeated split_at_mut hands
-        // out disjoint windows), plus its own scratch to rasterize into.
-        // Workers are joined in shard order; panics propagate.
-        let outputs: Vec<ShardOutput> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ranges.len());
-            let mut rest = sorters;
-            let mut base = 0usize;
-            let mut scratch_iter = scratches.iter_mut();
-            for (k, range) in ranges.iter().enumerate() {
-                let next_base = match ranges.get(k + 1) {
-                    Some(next) => occupied[next.start].0,
-                    None => base + rest.len(),
-                };
-                let (window, tail) = rest.split_at_mut(next_base - base);
-                rest = tail;
-                let occ = &occupied[range.clone()];
-                // neo-lint: allow(r2, "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction")
-                let scratch = scratch_iter.next().expect("scratch sized to shard count");
-                let ctx = &ctx;
-                let window_base = base;
-                base = next_base;
-                handles.push(scope.spawn(move || {
-                    scratch.begin_frame();
+
+        // Occupied tiles in ascending tile-index order.
+        let occupied: Vec<(usize, &[(u32, f32)])> = assignments.iter_occupied().collect();
+        let ranges = match plan {
+            // The default serial config resolves to one shard no matter the
+            // loads; skip materializing the per-tile entry counts.
+            ShardPlan::Balanced { shards: 0 | 1 } if !occupied.is_empty() => {
+                std::iter::once(0..occupied.len()).collect()
+            }
+            _ => {
+                // Per-tile entry counts cost-balance the shards.
+                let loads: Vec<usize> = occupied.iter().map(|(_, e)| e.len()).collect();
+                plan.resolve(&loads)
+            }
+        };
+
+        let mut stats = FrameStats {
+            input: storage.len(),
+            projected: projected.len(),
+            duplicates: assignments.total_assignments(),
+            occupied_tiles: occupied.len(),
+            ..Default::default()
+        };
+        // Charge the *actual* per-record size of the configured storage
+        // backend: compact records are less than half the f32 size, and the
+        // ledger is how that saving reaches the DRAM traffic model. On the
+        // LOD path only the records actually decoded (surviving members +
+        // proxies) are charged — that is the traffic the index exists to
+        // cut; the flat walk touches every record, exactly as before.
+        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
+        let records_read = match cluster_stats {
+            Some((total, culled, proxied, saved, visited)) => {
+                stats.clusters_total = total;
+                stats.clusters_culled = culled;
+                stats.clusters_lod = proxied;
+                stats.lod_splats_saved = saved;
+                visited
+            }
+            None => neo_math::num::u64_from_usize(storage.len()),
+        };
+        stats
+            .traffic
+            .read(Stage::FeatureExtraction, records_read * feature_bytes);
+
+        let raster_cfg = RenderConfig {
+            tile_size: config.tile_size,
+            background: config.background,
+            subtiling: config.subtiling,
+            raster_fast_path: config.raster_fast_path,
+            ..RenderConfig::default()
+        };
+        let ctx = ShardContext {
+            projected: &projected,
+            by_id: &by_id,
+            grid: &grid,
+            raster_cfg: &raster_cfg,
+            render_image: config.render_image,
+            feature_bytes,
+            tile_tags: tile_tags.as_deref(),
+        };
+
+        // Strategy creation happens here, on the calling thread, in tile
+        // order — never lazily inside a worker. User factories may be impure
+        // (e.g. handing out a different seed per creation), so a racy
+        // creation order would make the tile→strategy assignment depend on
+        // scheduling and break the byte-identical contract.
+        for &(tile_index, _) in &occupied {
+            self.sorters[tile_index].get_or_insert_with(|| TileStrategy {
+                strategy: self.factory.create(),
+                next_frame: 0,
+                prev_tags: Vec::new(),
+            });
+        }
+
+        // Shard-local scratch buffers persist in the session and are only
+        // grown, never reallocated per frame.
+        if self.scratch.len() < ranges.len() {
+            self.scratch.resize_with(ranges.len(), ShardScratch::new);
+        }
+        let sorters = self.sorters.as_mut_slice();
+        let scratches = &mut self.scratch[..ranges.len()];
+
+        let mut image = config
+            .render_image
+            .then(|| Image::new(cam.width, cam.height, config.background));
+
+        let outputs: Vec<ShardOutput> = if ranges.len() <= 1 {
+            // Serial fast path: no threads, same per-tile body, and each
+            // tile blits straight into the framebuffer — no deferred-merge
+            // arena, no extra frame copy.
+            match ranges.first() {
+                None => Vec::new(),
+                Some(r) => {
+                    let scratch = &mut scratches[0];
                     let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
-                        scratch.rasterize(ctx.grid, tile_index, blend, ctx.raster_cfg)
+                        let img = image
+                            .as_mut()
+                            // neo-lint: allow(r2, "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`")
+                            .expect("rasterize sink is only called when an image is rendered");
+                        scratch.rasterize_direct(img, &grid, tile_index, blend, &raster_cfg)
                     };
-                    run_shard(ctx, occ, window, window_base, &mut rasterize)
-                }));
+                    vec![run_shard(
+                        &ctx,
+                        &occupied[r.clone()],
+                        sorters,
+                        0,
+                        &mut rasterize,
+                    )]
+                }
             }
-            handles
-                .into_iter()
-                // neo-lint: allow(r2, "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image")
-                .map(|h| h.join().expect("render worker panicked"))
-                .collect()
-        });
-        if let Some(img) = image.as_mut() {
-            // Tiles own disjoint pixel rects, so replaying each shard's
-            // buffered blocks yields the serial image exactly.
-            for scratch in scratches.iter() {
-                scratch.blit_to(img, &grid);
+        } else {
+            // One scoped worker per shard. Each worker gets the contiguous
+            // slice of `sorters` spanning its shard's tile indices (shards
+            // are in ascending tile order, so repeated split_at_mut hands
+            // out disjoint windows), plus its own scratch to rasterize into.
+            // Workers are joined in shard order; panics propagate.
+            let outputs: Vec<ShardOutput> = std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(ranges.len());
+                let mut rest = sorters;
+                let mut base = 0usize;
+                let mut scratch_iter = scratches.iter_mut();
+                for (k, range) in ranges.iter().enumerate() {
+                    let next_base = match ranges.get(k + 1) {
+                        Some(next) => occupied[next.start].0,
+                        None => base + rest.len(),
+                    };
+                    let (window, tail) = rest.split_at_mut(next_base - base);
+                    rest = tail;
+                    let occ = &occupied[range.clone()];
+                    // neo-lint: allow(r2, "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction")
+                    let scratch = scratch_iter.next().expect("scratch sized to shard count");
+                    let ctx = &ctx;
+                    let window_base = base;
+                    base = next_base;
+                    handles.push(scope.spawn(move || {
+                        scratch.begin_frame();
+                        let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
+                            scratch.rasterize(ctx.grid, tile_index, blend, ctx.raster_cfg)
+                        };
+                        run_shard(ctx, occ, window, window_base, &mut rasterize)
+                    }));
+                }
+                handles
+                    .into_iter()
+                    // neo-lint: allow(r2, "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image")
+                    .map(|h| h.join().expect("render worker panicked"))
+                    .collect()
+            });
+            if let Some(img) = image.as_mut() {
+                // Tiles own disjoint pixel rects, so replaying each shard's
+                // buffered blocks yields the serial image exactly.
+                for scratch in scratches.iter() {
+                    scratch.blit_to(img, &grid);
+                }
             }
-        }
-        outputs
-    };
+            outputs
+        };
 
-    // Deterministic merge: shard order is tile order, and every counter
-    // is an order-independent integer sum.
-    let mut sort_cost = SortCost::new();
-    let mut incoming_total = 0usize;
-    let mut outgoing_total = 0usize;
-    let mut tile_loads = Vec::with_capacity(stats.occupied_tiles);
-    let mut temporal = TemporalCacheStats::default();
-    for out in outputs {
-        stats.traffic += out.traffic;
-        sort_cost += out.sort_cost;
-        incoming_total += out.incoming;
-        outgoing_total += out.outgoing;
-        stats.blend_ops += out.blend_ops;
-        stats.saturated_pixels += out.saturated_pixels;
-        stats.pixel_visits += out.pixel_visits;
-        tile_loads.extend(out.tile_loads);
-        temporal += out.temporal;
+        // Deterministic merge: shard order is tile order, and every counter
+        // is an order-independent integer sum.
+        let mut sort_cost = SortCost::new();
+        let mut incoming_total = 0usize;
+        let mut outgoing_total = 0usize;
+        let mut tile_loads = Vec::with_capacity(stats.occupied_tiles);
+        let mut temporal = TemporalCacheStats::default();
+        for out in outputs {
+            stats.traffic += out.traffic;
+            sort_cost += out.sort_cost;
+            incoming_total += out.incoming;
+            outgoing_total += out.outgoing;
+            stats.blend_ops += out.blend_ops;
+            stats.saturated_pixels += out.saturated_pixels;
+            stats.pixel_visits += out.pixel_visits;
+            tile_loads.extend(out.tile_loads);
+            temporal += out.temporal;
+        }
+
+        stats.traffic.write(
+            Stage::Rasterization,
+            u64::from(cam.width) * u64::from(cam.height) * 4,
+        );
+
+        self.frames_rendered += 1;
+        FrameResult {
+            image,
+            stats,
+            sort_cost,
+            incoming: incoming_total,
+            outgoing: outgoing_total,
+            tile_loads,
+            temporal,
+        }
     }
 
-    stats.traffic.write(
-        Stage::Rasterization,
-        u64::from(cam.width) * u64::from(cam.height) * 4,
-    );
-
-    state.frames_rendered += 1;
-    FrameResult {
-        image,
-        stats,
-        sort_cost,
-        incoming: incoming_total,
-        outgoing: outgoing_total,
-        tile_loads,
-        temporal,
+    /// The tile grid for `cam`; a new resolution or tile size drops every
+    /// tile's strategy, because tables are layout-specific.
+    fn ensure_grid(&mut self, cam: &Camera) -> TileGrid {
+        let want = TileGrid::new(cam.width, cam.height, self.config.tile_size);
+        match self.grid {
+            Some(g) if g == want => g,
+            _ => {
+                self.sorters.clear();
+                self.sorters.resize_with(want.tile_count(), || None);
+                self.grid = Some(want);
+                want
+            }
+        }
     }
 }
 
@@ -602,9 +561,11 @@ fn validate_camera(cam: &Camera) -> NeoResult<()> {
             "rotation must be finite".to_string(),
         ));
     }
-    if !cam.fov_y.is_finite() || cam.fov_y <= 0.0 {
+    // At π and beyond the frustum half-angle reaches 90°, where `tan`
+    // blows up and then wraps around to a plausible-looking narrow view.
+    if !(cam.fov_y > 0.0 && cam.fov_y < std::f32::consts::PI) {
         return Err(NeoError::DegenerateCamera(format!(
-            "vertical field of view must be positive and finite, got {}",
+            "vertical field of view must lie in (0, π) radians, got {}",
             cam.fov_y
         )));
     }
@@ -787,7 +748,10 @@ impl RenderEngine {
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
             factory: self.factory.clone(),
-            state: TileState::default(),
+            grid: None,
+            sorters: Vec::new(),
+            scratch: Vec::new(),
+            frames_rendered: 0,
         }
     }
 
@@ -839,7 +803,14 @@ pub struct RenderSession {
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
-    state: TileState,
+    grid: Option<TileGrid>,
+    /// One strategy per tile of `grid`, created when the tile is first
+    /// occupied.
+    sorters: Vec<Option<TileStrategy>>,
+    /// Per-shard raster buffers, grown to the largest shard count seen
+    /// and reused across frames.
+    scratch: Vec<ShardScratch>,
+    frames_rendered: u64,
 }
 
 impl RenderSession {
@@ -855,18 +826,12 @@ impl RenderSession {
     /// # Errors
     ///
     /// [`NeoError::DegenerateCamera`] when the camera has zero
-    /// resolution, a non-finite pose, a non-positive field of view, or
-    /// inverted clip planes. Valid cameras never fail.
+    /// resolution, a non-finite pose, a vertical field of view outside
+    /// (0, π), or inverted clip planes. Valid cameras never fail.
     pub fn render_frame(&mut self, cam: &Camera) -> NeoResult<FrameResult> {
         validate_camera(cam)?;
-        Ok(render_frame_core(
-            &mut self.state,
-            &self.factory,
-            &self.config,
-            self.storage.as_ref(),
-            self.lod_index.as_deref(),
-            cam,
-        ))
+        let plan = ShardPlan::balanced(self.config.effective_threads());
+        Ok(self.render_validated(cam, &plan))
     }
 
     /// Renders one frame with an explicit [`ShardPlan`] instead of the
@@ -910,31 +875,7 @@ impl RenderSession {
         plan: &ShardPlan,
     ) -> NeoResult<FrameResult> {
         validate_camera(cam)?;
-        Ok(render_frame_core_with_plan(
-            &mut self.state,
-            &self.factory,
-            &self.config,
-            self.storage.as_ref(),
-            self.lod_index.as_deref(),
-            cam,
-            plan,
-        ))
-    }
-
-    /// Renders every camera in `cameras`, returning the per-frame results
-    /// and the aggregate statistics. Stops at the first camera error.
-    pub fn render_sequence(
-        &mut self,
-        cameras: &[Camera],
-    ) -> NeoResult<(Vec<FrameResult>, SequenceStats)> {
-        let mut stats = SequenceStats::default();
-        let mut frames = Vec::with_capacity(cameras.len());
-        for cam in cameras {
-            let fr = self.render_frame(cam)?;
-            stats.push(&fr);
-            frames.push(fr);
-        }
-        Ok((frames, stats))
+        Ok(self.render_validated(cam, plan))
     }
 
     /// Iterates rendered frames along a [`FrameSampler`] trajectory:
@@ -966,12 +907,15 @@ impl RenderSession {
 
     /// Drops all per-tile state (tables, strategy queues).
     pub fn reset(&mut self) {
-        self.state.reset();
+        self.grid = None;
+        self.sorters.clear();
+        self.scratch.clear();
+        self.frames_rendered = 0;
     }
 
     /// Frames rendered since construction (or the last reset).
     pub fn frames_rendered(&self) -> u64 {
-        self.state.frames_rendered()
+        self.frames_rendered
     }
 
     /// The shared scene this session renders.
@@ -1102,7 +1046,12 @@ mod tests {
         let f0 = session.render_frame(&sampler.frame(0)).unwrap();
         let f1 = session.render_frame(&sampler.frame(1)).unwrap();
         // Frame 1 reuses frame 0's tables: most Gaussians are retained.
-        assert!(f1.incoming < f0.incoming);
+        assert!(f0.incoming > 0);
+        let churn = f1.incoming as f64 / f0.incoming as f64;
+        assert!(
+            churn < 0.25,
+            "frame-1 churn should be small, got {churn:.3}"
+        );
         assert_eq!(session.frames_rendered(), 2);
         session.reset();
         assert_eq!(session.frames_rendered(), 0);
@@ -1127,12 +1076,18 @@ mod tests {
             Err(NeoError::DegenerateCamera(_))
         ));
 
-        let mut bad_fov = good;
-        bad_fov.fov_y = 0.0;
-        assert!(matches!(
-            session.render_frame(&bad_fov),
-            Err(NeoError::DegenerateCamera(_))
-        ));
+        // 7.0 would otherwise render as a ≈0.72 rad view: tan wraps.
+        for fov in [0.0, std::f32::consts::PI, 4.0, 7.0, f32::NAN] {
+            let mut bad_fov = good;
+            bad_fov.fov_y = fov;
+            assert!(
+                matches!(
+                    session.render_frame(&bad_fov),
+                    Err(NeoError::DegenerateCamera(_))
+                ),
+                "fov_y {fov} accepted"
+            );
+        }
 
         let mut nan_pos = good;
         nan_pos.position = Vec3::new(f32::NAN, 0.0, 0.0);
@@ -1477,6 +1432,104 @@ mod tests {
             .render_frame_with_plan(&cam, &ShardPlan::balanced(3))
             .unwrap();
         assert!(a.image.is_none());
+        assert_eq!(a.stats.blend_ops, 0);
+        assert!(!a.tile_loads.is_empty());
+        assert!(a.mean_table_len() > 0.0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resolution_change_resets_the_tables() {
+        let engine = small_engine();
+        let sampler = small_sampler();
+        let mut session = engine.session();
+        session.render_frame(&sampler.frame(0)).unwrap();
+        let big = sampler
+            .frame(1)
+            .with_resolution(Resolution::Custom(320, 192));
+        let f = session.render_frame(&big).unwrap();
+        // Every binned Gaussian is incoming again on the new grid.
+        assert_eq!(f.incoming, f.stats.duplicates);
+    }
+
+    #[test]
+    fn periodic_skip_frame_charges_no_sorting_but_renders() {
+        let engine = RenderEngine::builder()
+            .scene(ScenePreset::Family.build_scaled(0.002))
+            .config(RendererConfig::default().with_tile_size(32))
+            .strategy(StrategyKind::Periodic(4))
+            .build()
+            .unwrap();
+        let sampler = small_sampler();
+        let mut session = engine.session();
+        let f0 = session.render_frame(&sampler.frame(0)).unwrap();
+        let f1 = session.render_frame(&sampler.frame(1)).unwrap();
+        assert!(f0.stats.traffic.stage_total(Stage::Sorting) > 0);
+        assert_eq!(
+            f1.stats.traffic.stage_total(Stage::Sorting),
+            0,
+            "skip frame"
+        );
+        assert!(f1.image.is_some());
+    }
+
+    #[test]
+    fn reuse_cuts_sorting_traffic_against_full_resort() {
+        let scene = Arc::new(ScenePreset::Family.build_scaled(0.002));
+        let sampler = small_sampler();
+        let session = |kind: StrategyKind| {
+            RenderEngine::builder()
+                .scene(Arc::clone(&scene))
+                .config(RendererConfig::default().with_tile_size(32))
+                .strategy(kind)
+                .build()
+                .unwrap()
+                .session()
+        };
+        let mut neo = session(StrategyKind::ReuseUpdate);
+        let mut base = session(StrategyKind::FullResort);
+        let (mut neo_bytes, mut base_bytes) = (0u64, 0u64);
+        for i in 0..6 {
+            let cam = sampler.frame(i);
+            let a = neo.render_frame(&cam).unwrap();
+            let b = base.render_frame(&cam).unwrap();
+            if i > 0 {
+                neo_bytes += a.stats.traffic.stage_total(Stage::Sorting);
+                base_bytes += b.stats.traffic.stage_total(Stage::Sorting);
+            }
+        }
+        assert!(
+            (neo_bytes as f64) < base_bytes as f64 * 0.55,
+            "neo {neo_bytes} vs full resort {base_bytes}"
+        );
+    }
+
+    #[test]
+    fn background_fills_a_frame_that_sees_no_splat() {
+        let mut cloud = GaussianCloud::new();
+        // Behind a camera at z = -5 looking toward +z.
+        cloud.push(neo_scene::Gaussian::isotropic(
+            Vec3::new(0.0, 0.0, -50.0),
+            0.1,
+            0.9,
+            Vec3::ONE,
+        ));
+        let background = Vec3::new(1.0, 0.0, 0.0);
+        let engine = RenderEngine::builder()
+            .scene(cloud)
+            .config(RendererConfig::default().with_background(background))
+            .build()
+            .unwrap();
+        let cam = Camera::look_at(
+            Vec3::new(0.0, 0.0, -5.0),
+            Vec3::ZERO,
+            Vec3::Y,
+            1.0,
+            Resolution::Custom(64, 64),
+        );
+        let f = engine.session().render_frame(&cam).unwrap();
+        assert_eq!(f.stats.projected, 0);
+        let image = f.image.unwrap();
+        assert!(image.pixels().iter().all(|&p| p == background));
     }
 }

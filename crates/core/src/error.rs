@@ -1,10 +1,10 @@
 //! Fallible construction and rendering: the error type of the
 //! [`crate::RenderEngine`] API.
 //!
-//! The legacy `SplatRenderer` surface enforced its invariants with
-//! asserts; the redesigned front door reports them as values so callers
-//! (servers, batch drivers) can degrade gracefully instead of crashing a
-//! process that may be serving other sessions.
+//! Invalid configurations and cameras are reported as values, never
+//! asserts or silent clamps, so callers (servers, batch drivers) can
+//! degrade gracefully instead of crashing a process that may be serving
+//! other sessions.
 
 use std::fmt;
 

@@ -58,9 +58,6 @@
 //! // Frame 1 reuses frame 0's tables: most Gaussians are retained.
 //! assert!(f1.incoming < f0.incoming);
 //! ```
-//!
-//! The deprecated [`SplatRenderer`] remains as a thin wrapper over the
-//! same render core for older call sites.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -69,8 +66,6 @@ mod config;
 mod engine;
 mod error;
 mod frame;
-mod renderer;
-mod sequence;
 mod shard;
 
 pub use config::{Parallelism, RendererConfig};
@@ -82,7 +77,4 @@ pub use neo_scene::{CloudStorage, ClusterParams, ClusteredCloud, StorageFormat};
 pub use neo_sort::strategies::StrategyKind;
 pub use neo_sort::warm::{WarmStartConfig, WarmStartMode, WarmStartStats};
 pub use neo_sort::SortingStrategy;
-#[allow(deprecated)]
-pub use renderer::SplatRenderer;
-pub use sequence::SequenceStats;
 pub use shard::ShardPlan;

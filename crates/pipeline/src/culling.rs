@@ -1,7 +1,7 @@
 //! Stage ❶: frustum culling.
 
 use neo_math::Vec3;
-use neo_scene::{Camera, GaussianCloud};
+use neo_scene::Camera;
 
 /// Conservative frustum test for a bounding sphere in *camera space*.
 ///
@@ -22,45 +22,10 @@ pub fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
     t.x.abs() <= z * tan_x + radius && t.y.abs() <= z * tan_y + radius
 }
 
-/// Outcome of culling a cloud against a camera.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CullResult {
-    /// IDs of Gaussians that survive culling, ascending.
-    pub visible: Vec<u32>,
-    /// Number of Gaussians culled.
-    pub culled: usize,
-}
-
-impl CullResult {
-    /// Fraction of the cloud that survived.
-    pub fn survival_rate(&self) -> f64 {
-        let total = self.visible.len() + self.culled;
-        if total == 0 {
-            0.0
-        } else {
-            self.visible.len() as f64 / total as f64
-        }
-    }
-}
-
-/// Culls an entire cloud, returning surviving IDs.
-pub fn cull_cloud(cam: &Camera, cloud: &GaussianCloud) -> CullResult {
-    let view = cam.view_matrix();
-    let mut visible = Vec::with_capacity(cloud.len());
-    for (id, g) in cloud.iter() {
-        let t = view.transform_point(g.mean);
-        if in_frustum(cam, t, g.bounding_radius()) {
-            visible.push(id);
-        }
-    }
-    let culled = cloud.len() - visible.len();
-    CullResult { visible, culled }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_scene::{Gaussian, Resolution};
+    use neo_scene::Resolution;
 
     fn cam() -> Camera {
         Camera::look_at(
@@ -100,28 +65,5 @@ mod tests {
         let limit = z * (c.fov_x() * 0.5).tan();
         assert!(!in_frustum(&c, Vec3::new(limit + 1.0, 0.0, z), 0.5));
         assert!(in_frustum(&c, Vec3::new(limit + 1.0, 0.0, z), 2.0));
-    }
-
-    #[test]
-    fn cull_cloud_counts() {
-        let c = cam();
-        let mut cloud = GaussianCloud::new();
-        cloud.push(Gaussian::isotropic(Vec3::ZERO, 0.1, 0.9, Vec3::ONE)); // visible
-        cloud.push(Gaussian::isotropic(
-            Vec3::new(0.0, 0.0, -30.0),
-            0.1,
-            0.9,
-            Vec3::ONE,
-        )); // behind
-        cloud.push(Gaussian::isotropic(
-            Vec3::new(50.0, 0.0, 0.0),
-            0.1,
-            0.9,
-            Vec3::ONE,
-        )); // side
-        let r = cull_cloud(&c, &cloud);
-        assert_eq!(r.visible, vec![0]);
-        assert_eq!(r.culled, 2);
-        assert!((r.survival_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -42,11 +42,10 @@ pub use binning::{
     bin_to_tiles, bin_to_tiles_with_clusters, diff_tile_population, TileAssignments,
     TilePopulationDiff,
 };
-pub use culling::{cull_cloud, CullResult};
 pub use framebuffer::Image;
 pub use lod::{cluster_visible, project_clusters, ClusterProjection, LodConfig};
 pub use pipeline::{render_reference, RenderConfig, TileRasterStats};
-pub use projection::{project_cloud, project_gaussian, project_storage, ProjectedGaussian};
+pub use projection::{project_gaussian, project_storage, ProjectedGaussian};
 pub use scratch::{RasterScratch, ShardScratch};
 pub use stats::{FrameStats, Stage, TrafficLedger};
 pub use tiles::{subtile_bitmap, TileGrid, SUBTILES_PER_TILE, SUBTILE_SIZE};

@@ -8,7 +8,7 @@
 
 use crate::culling::in_frustum;
 use neo_math::{Mat3, Vec2, Vec3};
-use neo_scene::{Camera, CloudStorage, Gaussian, GaussianCloud};
+use neo_scene::{Camera, CloudStorage, Gaussian};
 
 /// Low-pass dilation added to the 2D covariance diagonal (antialiasing),
 /// matching the reference implementation's 0.3 px².
@@ -134,25 +134,13 @@ pub fn project_gaussian_with_view(
     })
 }
 
-/// Projects every Gaussian of a cloud, skipping culled ones.
+/// Projects every Gaussian of any [`CloudStorage`] backend, skipping
+/// culled ones. Packed records are decoded on the fly.
 ///
-/// Output order matches cloud order (IDs ascending), which downstream
-/// stages rely on for deterministic binning.
-pub fn project_cloud(cam: &Camera, cloud: &GaussianCloud) -> Vec<ProjectedGaussian> {
-    let view = cam.view_matrix();
-    cloud
-        .iter()
-        .filter_map(|(id, g)| project_gaussian_with_view(cam, &view, id, g))
-        .collect()
-}
-
-/// [`project_cloud`] over any [`CloudStorage`] backend: packed records
-/// are decoded on the fly, and the output order still matches storage
-/// order (IDs ascending).
-///
-/// For the AoS backend this performs exactly the same arithmetic on
-/// exactly the same f32 values as [`project_cloud`], so results are
-/// bit-identical.
+/// Output order matches storage order (IDs ascending), which downstream
+/// stages rely on for deterministic binning. A plain `&GaussianCloud`
+/// coerces; the planar backend stores the same f32 bits, so it projects
+/// bit-identically to it.
 pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
     let view = cam.view_matrix();
     let mut out = Vec::new();
@@ -247,9 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn project_cloud_filters_and_preserves_order() {
+    fn project_storage_filters_and_preserves_order() {
         let cam = test_camera();
-        let mut cloud = GaussianCloud::new();
+        let mut cloud = neo_scene::GaussianCloud::new();
         cloud.push(Gaussian::isotropic(Vec3::ZERO, 0.1, 0.9, Vec3::ONE));
         cloud.push(Gaussian::isotropic(
             Vec3::new(0.0, 0.0, -20.0),
@@ -263,21 +251,24 @@ mod tests {
             0.9,
             Vec3::ONE,
         ));
-        let out = project_cloud(&cam, &cloud);
+        let out = project_storage(&cam, &cloud);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id, 0);
         assert_eq!(out[1].id, 2);
     }
 
     #[test]
-    fn project_storage_matches_project_cloud_exactly() {
+    fn project_storage_matches_per_gaussian_projection_exactly() {
         let cam = test_camera();
         let cloud = neo_scene::synth::SynthParams {
             gaussian_count: 300,
             ..Default::default()
         }
         .build();
-        let aos = project_cloud(&cam, &cloud);
+        let aos: Vec<_> = cloud
+            .iter()
+            .filter_map(|(id, g)| project_gaussian(&cam, id, g))
+            .collect();
         assert_eq!(project_storage(&cam, &cloud), aos);
         // The planar backend stores identical f32 bits → identical output.
         let soa = neo_scene::SoaCloud::from_cloud(&cloud);

@@ -264,19 +264,6 @@ impl WarmStartConfig {
         }
         Ok(())
     }
-
-    /// Clamps every parameter to the nearest valid value (the no-panic
-    /// companion to [`WarmStartConfig::validate`], used by the deprecated
-    /// infallible renderer API).
-    #[must_use]
-    pub fn sanitized(mut self) -> Self {
-        if !self.retention_threshold.is_finite() {
-            self.retention_threshold = Self::default().retention_threshold;
-        }
-        self.retention_threshold = self.retention_threshold.clamp(0.0, 1.0);
-        self.repair_budget_factor = self.repair_budget_factor.max(1);
-        self
-    }
 }
 
 /// Cumulative warm-start statistics across every frame a
@@ -800,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_and_sanitize() {
+    fn validate_rejects_out_of_range_parameters() {
         assert!(WarmStartConfig::default().validate().is_ok());
         assert!(WarmStartConfig::default()
             .with_retention_threshold(1.5)
@@ -814,17 +801,6 @@ mod tests {
             .with_repair_budget_factor(0)
             .validate()
             .is_err());
-        let s = WarmStartConfig::default()
-            .with_retention_threshold(f64::NAN)
-            .with_repair_budget_factor(0)
-            .sanitized();
-        assert!(s.validate().is_ok());
-        assert_eq!(s.retention_threshold, 0.5);
-        assert_eq!(s.repair_budget_factor, 1);
-        let c = WarmStartConfig::default()
-            .with_retention_threshold(7.0)
-            .sanitized();
-        assert_eq!(c.retention_threshold, 1.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Temporal-similarity measurement (the data behind Figures 6 and 7).
 
-use neo_pipeline::{bin_to_tiles, diff_tile_population, project_cloud, TileGrid};
+use neo_pipeline::{bin_to_tiles, diff_tile_population, project_storage, TileGrid};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use neo_sort::stats::{order_differences, percentile};
 
@@ -82,7 +82,7 @@ pub fn measure_temporal(
 
     for i in 0..frames {
         let cam = sampler.frame(i);
-        let projected = project_cloud(&cam, &cloud);
+        let projected = project_storage(&cam, &cloud);
         let assignments = bin_to_tiles(&grid, &projected);
         let mut raw: Vec<Vec<(u32, f32)>> = vec![Vec::new(); grid.tile_count()];
         let mut tiles: Vec<Vec<u32>> = vec![Vec::new(); grid.tile_count()];

@@ -28,8 +28,6 @@ pub use neo_workloads;
 
 /// The most common imports for writing an experiment.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use neo_core::SplatRenderer;
     pub use neo_core::{
         FrameResult, FrameStream, NeoError, NeoResult, Parallelism, RenderEngine, RenderSession,
         RendererConfig, ShardPlan, SortingStrategy, StrategyKind, TemporalCacheStats,
