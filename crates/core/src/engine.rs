@@ -198,9 +198,12 @@ fn run_shard(
     // One gather buffer for the whole shard, refilled per tile.
     let mut blend: Vec<&ProjectedGaussian> = Vec::new();
     for &(tile_index, entries) in occupied {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: render_validated creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on"
+        )]
         let slot = sorters[tile_index - base]
             .as_mut()
-            // neo-lint: allow(r2, "invariant: render_validated creates every occupied tile's strategy before sharding; a miss is a caller bug worth halting on")
             .expect("strategies are pre-created in tile order before sharding");
         if let Some(all_tags) = ctx.tile_tags {
             // Cluster-granular invalidation: a cluster that flipped
@@ -427,9 +430,12 @@ impl RenderSession {
                 Some(r) => {
                     let scratch = &mut scratches[0];
                     let mut rasterize = |tile_index: usize, blend: &[&ProjectedGaussian]| {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`"
+                        )]
                         let img = image
                             .as_mut()
-                            // neo-lint: allow(r2, "invariant: run_shard only calls the rasterize sink when ctx.render_image is set, and render_image is what populated `image`")
                             .expect("rasterize sink is only called when an image is rendered");
                         scratch.rasterize_direct(img, &grid, tile_index, blend, &raster_cfg)
                     };
@@ -448,6 +454,10 @@ impl RenderSession {
             // are in ascending tile order, so repeated split_at_mut hands
             // out disjoint windows), plus its own scratch to rasterize into.
             // Workers are joined in shard order; panics propagate.
+            #[expect(
+                clippy::expect_used,
+                reason = "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image"
+            )]
             let outputs: Vec<ShardOutput> = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(ranges.len());
                 let mut rest = sorters;
@@ -461,7 +471,10 @@ impl RenderSession {
                     let (window, tail) = rest.split_at_mut(next_base - base);
                     rest = tail;
                     let occ = &occupied[range.clone()];
-                    // neo-lint: allow(r2, "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: `scratches` is resized to ranges.len() a few lines above; one scratch per shard by construction"
+                    )]
                     let scratch = scratch_iter.next().expect("scratch sized to shard count");
                     let ctx = &ctx;
                     let window_base = base;
@@ -476,7 +489,6 @@ impl RenderSession {
                 }
                 handles
                     .into_iter()
-                    // neo-lint: allow(r2, "deliberate panic propagation: a worker panic must abort the frame, not yield a partial image")
                     .map(|h| h.join().expect("render worker panicked"))
                     .collect()
             });
@@ -1291,6 +1303,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the factory's creation counter is shared across threads on purpose: \
+                  the test proves strategies are created in tile order anyway"
+    )]
     fn impure_strategy_factories_are_seeded_in_tile_order() {
         use std::sync::atomic::{AtomicU32, Ordering};
 

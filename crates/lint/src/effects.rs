@@ -11,15 +11,12 @@
 //! | bit | effect | source pattern |
 //! |-----|--------|----------------|
 //! | [`NONDET`] | nondeterminism source | `Instant`, `SystemTime`, `thread_rng`, `from_entropy` |
-//! | [`PANIC`] | panic site | `.unwrap()`/`.expect()`, `panic!`-family macros |
-//! | [`NAN_ORD`] | NaN-unsafe ordering | unwrapped `partial_cmp`, float-literal `==`/`!=` |
 //! | [`FLOAT_FOLD`] | reduction-order hazard | `.sum()`/`.product()`/`.fold()` with float evidence, float `+=` in an iterator-chain loop |
 //! | [`UNORDERED_ITER`] | unordered iteration | `iter`/`keys`/`values`/`drain`/… on a `HashMap`/`HashSet` binding, or a `for` over one |
 //!
 //! `NONDET` feeds rule r9, `FLOAT_FOLD` r10, `UNORDERED_ITER` r11
-//! (see [`transitive_findings`]); `PANIC` and `NAN_ORD` are carried in
-//! the model (and its tests) so future rules and tooling can consume
-//! them, but stay local-only as r2/r3 today.
+//! (see [`transitive_findings`]). Panic sites and NaN-unsafe ordering
+//! are body-local and left to clippy.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{Token, TokenKind};
@@ -28,17 +25,13 @@ use crate::scope::CrateClass;
 
 /// Nondeterminism source (clock or unseeded RNG) — feeds r9.
 pub const NONDET: u8 = 1 << 0;
-/// Panic site — modeled, no transitive rule yet (r2 stays local).
-pub const PANIC: u8 = 1 << 1;
-/// NaN-unsafe ordering — modeled, no transitive rule yet (r3 local).
-pub const NAN_ORD: u8 = 1 << 2;
 /// Float reduction-order hazard — feeds r10.
-pub const FLOAT_FOLD: u8 = 1 << 3;
+pub const FLOAT_FOLD: u8 = 1 << 1;
 /// Unordered-container iteration — feeds r11.
-pub const UNORDERED_ITER: u8 = 1 << 4;
+pub const UNORDERED_ITER: u8 = 1 << 2;
 
-/// Idents that carry [`NONDET`] (the clock/RNG subset of the r4 list;
-/// unordered containers are [`UNORDERED_ITER`]'s domain).
+/// Idents that carry [`NONDET`] (unordered containers are
+/// [`UNORDERED_ITER`]'s domain).
 const NONDET_IDENTS: [&str; 4] = ["Instant", "SystemTime", "thread_rng", "from_entropy"];
 
 /// Implicit-reduction method names checked for float evidence.
@@ -84,44 +77,9 @@ pub fn intrinsic_effects(tokens: &[Token], body: (usize, usize)) -> (u8, Vec<Eff
     for k in 0..sig.len() {
         let t = &tokens[sig[k]];
         let prev = k.checked_sub(1).map(|p| &tokens[sig[p]]);
-        let next = sig.get(k + 1).map(|&n| &tokens[n]);
         match t.kind {
             TokenKind::Ident if NONDET_IDENTS.contains(&t.text.as_str()) => {
                 sites.push(site(NONDET, t, t.text.clone()));
-            }
-            TokenKind::Ident
-                if (t.text == "unwrap" || t.text == "expect")
-                    && prev.is_some_and(|p| p.text == ".")
-                    && next.is_some_and(|n| n.text == "(") =>
-            {
-                sites.push(site(PANIC, t, format!(".{}()", t.text)));
-            }
-            TokenKind::Ident
-                if matches!(
-                    t.text.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) && next.is_some_and(|n| n.text == "!")
-                    && !prev.is_some_and(|p| p.text == "." || p.text == "::") =>
-            {
-                sites.push(site(PANIC, t, format!("{}!", t.text)));
-            }
-            TokenKind::Ident if t.text == "partial_cmp" => {
-                let unwrapped = sig[k + 1..]
-                    .iter()
-                    .take(14)
-                    .map(|&n| &tokens[n])
-                    .take_while(|t| !(t.text == ";" || t.text == "{"))
-                    .any(|t| t.text == "unwrap" || t.text == "expect");
-                if unwrapped {
-                    sites.push(site(NAN_ORD, t, "unwrapped partial_cmp".to_string()));
-                }
-            }
-            TokenKind::Punct
-                if (t.text == "==" || t.text == "!=")
-                    && (prev.is_some_and(|p| p.kind == TokenKind::FloatLit)
-                        || next.is_some_and(|n| n.kind == TokenKind::FloatLit)) =>
-            {
-                sites.push(site(NAN_ORD, t, format!("float-literal `{}`", t.text)));
             }
             TokenKind::Ident
                 if FOLD_METHODS.contains(&t.text.as_str())
@@ -502,94 +460,66 @@ pub fn transitive_findings(
         let render = matches!(scope.class, CrateClass::Contract { render_path: true });
         for s in &sites[idx] {
             let chain = || graph.chain_text(idx, &parents);
-            match s.effect {
-                FLOAT_FOLD => {
-                    if contract {
-                        out.push((
-                            node.file,
-                            RawFinding {
-                                rule: RuleId::R10,
-                                line: s.line,
-                                col: s.col,
-                                message: format!(
-                                    "{} in contract fn `{}`: reduction order is implicit and can \
-                                 drift under iterator/shard changes; rewrite as an indexed loop \
-                                 or justify order-independence with a pragma",
-                                    s.what,
-                                    graph.qualified(idx)
-                                ),
-                            },
-                        ));
-                    } else if reach[idx] {
-                        out.push((
-                            node.file,
-                            RawFinding {
-                                rule: RuleId::R10,
-                                line: s.line,
-                                col: s.col,
-                                message: format!(
-                                "{} reachable from the render path (call chain: {}); reduction \
-                                 order must be explicit or justified",
-                                s.what,
-                                chain()
-                            ),
-                            },
-                        ));
-                    }
-                }
-                NONDET if !render && reach[idx] => {
-                    out.push((
-                        node.file,
-                        RawFinding {
-                            rule: RuleId::R9,
-                            line: s.line,
-                            col: s.col,
-                            message: format!(
-                                "`{}` in `{}` is reachable from render-path code (call chain: \
-                                 {}); nondeterminism sources are banned anywhere the render \
-                                 path can reach (transitive r4)",
-                                s.what,
-                                graph.qualified(idx),
-                                chain()
-                            ),
-                        },
-                    ));
-                }
-                UNORDERED_ITER => {
-                    if contract && !render {
-                        out.push((
-                            node.file,
-                            RawFinding {
-                                rule: RuleId::R11,
-                                line: s.line,
-                                col: s.col,
-                                message: format!(
-                                    "{} in contract fn `{}`; seeded iteration order can leak into \
-                                 ordered output — iterate a sorted view (BTreeMap, sorted Vec) \
-                                 instead",
-                                    s.what,
-                                    graph.qualified(idx)
-                                ),
-                            },
-                        ));
-                    } else if !render && reach[idx] {
-                        out.push((
-                            node.file,
-                            RawFinding {
-                                rule: RuleId::R11,
-                                line: s.line,
-                                col: s.col,
-                                message: format!(
-                                "{} reachable from the render path (call chain: {}); iterate a \
-                                 sorted view instead",
-                                s.what,
-                                chain()
-                            ),
-                            },
-                        ));
-                    }
-                }
-                _ => {}
+            let finding = match s.effect {
+                FLOAT_FOLD if contract => Some((
+                    RuleId::R10,
+                    format!(
+                        "{} in contract fn `{}`: reduction order is implicit and can drift under \
+                         iterator/shard changes; rewrite as an indexed loop or justify \
+                         order-independence with a pragma",
+                        s.what,
+                        graph.qualified(idx)
+                    ),
+                )),
+                FLOAT_FOLD if reach[idx] => Some((
+                    RuleId::R10,
+                    format!(
+                        "{} reachable from the render path (call chain: {}); reduction order \
+                         must be explicit or justified",
+                        s.what,
+                        chain()
+                    ),
+                )),
+                NONDET if !render && reach[idx] => Some((
+                    RuleId::R9,
+                    format!(
+                        "`{}` in `{}` is reachable from render-path code (call chain: {}); \
+                         nondeterminism sources are banned anywhere the render path can reach",
+                        s.what,
+                        graph.qualified(idx),
+                        chain()
+                    ),
+                )),
+                UNORDERED_ITER if contract && !render => Some((
+                    RuleId::R11,
+                    format!(
+                        "{} in contract fn `{}`; seeded iteration order can leak into ordered \
+                         output — iterate a sorted view (BTreeMap, sorted Vec) instead",
+                        s.what,
+                        graph.qualified(idx)
+                    ),
+                )),
+                UNORDERED_ITER if !render && reach[idx] => Some((
+                    RuleId::R11,
+                    format!(
+                        "{} reachable from the render path (call chain: {}); iterate a sorted \
+                         view instead",
+                        s.what,
+                        chain()
+                    ),
+                )),
+                _ => None,
+            };
+            if let Some((rule, message)) = finding {
+                out.push((
+                    node.file,
+                    RawFinding {
+                        rule,
+                        line: s.line,
+                        col: s.col,
+                        message,
+                    },
+                ));
             }
         }
     }
@@ -607,11 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn nondet_and_panic_sites() {
+    fn nondet_sites() {
         let (mask, sites) = effects_of("{ let t = Instant::now(); x.unwrap(); panic!(\"b\") }");
-        assert_eq!(mask & NONDET, NONDET);
-        assert_eq!(mask & PANIC, PANIC);
-        assert_eq!(sites.iter().filter(|s| s.effect == PANIC).count(), 2);
+        assert_eq!(mask, NONDET);
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].what, "Instant");
     }
 
     #[test]
@@ -666,16 +596,10 @@ mod tests {
 
     #[test]
     fn propagate_reaches_fixpoint_over_cycles() {
-        // 0 -> 1 -> 2 -> 1 (cycle), 2 has NONDET; 3 isolated with PANIC.
-        let direct = vec![0, 0, NONDET, PANIC];
+        // 0 -> 1 -> 2 -> 1 (cycle), 2 has NONDET; 3 isolated with FLOAT_FOLD.
+        let direct = vec![0, 0, NONDET, FLOAT_FOLD];
         let callees = vec![vec![1], vec![2], vec![1], vec![]];
         let out = propagate(&direct, &callees);
-        assert_eq!(out, vec![NONDET, NONDET, NONDET, PANIC]);
-    }
-
-    #[test]
-    fn nan_ord_sites_modeled() {
-        let (m, _) = effects_of("{ a.partial_cmp(b).unwrap(); x == 1.5 }");
-        assert_eq!(m & NAN_ORD, NAN_ORD);
+        assert_eq!(out, vec![NONDET, NONDET, NONDET, FLOAT_FOLD]);
     }
 }

@@ -1,14 +1,13 @@
-//! Lint driver: lex → scope → local rules → whole-program effect pass
-//! → pragma matching.
+//! Lint driver: lex → scope → whole-program effect pass → pragma
+//! matching.
 //!
-//! [`lint_sources`] is the real entry point: it runs the local
-//! (per-line) rules r1–r8 on every file, then builds the item model and
-//! call graph over *all* the files at once and adds the transitive
-//! findings r9–r11 from [`crate::effects`]. A transitive finding is
-//! anchored at the effect site's file/line, so the ordinary pragma
-//! machinery — including unused-pragma accounting — applies to it
-//! unchanged. [`lint_source`] is the single-file convenience wrapper
-//! (cross-file chains obviously need [`lint_sources`]).
+//! [`lint_sources`] is the real entry point: it builds the item model
+//! and call graph over *all* the files at once and collects the
+//! transitive findings r9–r11 from [`crate::effects`]. A finding is
+//! anchored at the effect site's file/line, so the pragma machinery —
+//! including unused-pragma accounting — applies per file.
+//! [`lint_source`] is the single-file convenience wrapper (cross-file
+//! chains obviously need [`lint_sources`]).
 
 use crate::callgraph::CallGraph;
 use crate::effects;
@@ -16,7 +15,7 @@ use crate::items::parse_items;
 use crate::lexer::{tokenize, Token};
 use crate::pragma::{self, Pragma, PragmaScope};
 use crate::report::{FileReport, Finding};
-use crate::rules::{run_rules, RawFinding, RuleId};
+use crate::rules::{RawFinding, RuleId};
 use crate::scope::{classify, test_regions};
 
 /// Lint one file's source text under its workspace-relative path (the
@@ -27,38 +26,35 @@ pub fn lint_source(rel_path: &str, src: &str) -> FileReport {
 }
 
 /// Lint a set of files as one program. Returns one report per input,
-/// in input order. Local rules see each file alone; the effect pass
-/// sees the whole set, so a nondeterministic helper in one file is
-/// charged to the render path that reaches it from another.
+/// in input order. The effect pass sees the whole set, so a
+/// nondeterministic helper in one file is charged to the render path
+/// that reaches it from another.
 #[must_use]
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<FileReport> {
-    // Per-file local pass.
-    let mut tokens: Vec<Vec<Token>> = Vec::with_capacity(files.len());
-    let mut raw: Vec<Vec<RawFinding>> = Vec::with_capacity(files.len());
-    let mut graph_input = Vec::with_capacity(files.len());
-    for (rel, src) in files {
-        let toks = tokenize(src);
-        let in_test = test_regions(&toks);
-        let scope = classify(rel);
-        raw.push(run_rules(scope, &toks, &in_test));
-        graph_input.push(((*rel).to_string(), scope, parse_items(&toks, &in_test)));
-        tokens.push(toks);
-    }
-
-    // Whole-program effect pass.
-    let graph = CallGraph::build(graph_input);
+    let tokens: Vec<Vec<Token>> = files.iter().map(|(_, src)| tokenize(src)).collect();
+    let graph = CallGraph::build(
+        files
+            .iter()
+            .zip(&tokens)
+            .map(|((rel, _), toks)| {
+                let items = parse_items(toks, &test_regions(toks));
+                ((*rel).to_string(), classify(rel), items)
+            })
+            .collect(),
+    );
     let sites: Vec<_> = graph
         .nodes
         .iter()
         .map(|n| effects::intrinsic_effects(&tokens[n.file], n.item.body).1)
         .collect();
+    let mut raw: Vec<Vec<RawFinding>> = vec![Vec::new(); files.len()];
     for (file_idx, finding) in effects::transitive_findings(&graph, &sites) {
         raw[file_idx].push(finding);
     }
 
     files
         .iter()
-        .zip(tokens.iter())
+        .zip(&tokens)
         .zip(raw)
         .map(|(((rel, src), toks), mut raw)| {
             raw.sort_by_key(|f| (f.line, f.col));
@@ -149,53 +145,64 @@ mod tests {
     use super::*;
 
     const LIB: &str = "crates/sort/src/x.rs";
+    /// A contract-crate float reduction: one direct r10 finding.
+    const FOLD: &str = "fn f(v: &[f32]) -> f32 { let s: f32 = v.iter().sum(); s }";
 
     #[test]
     fn pragma_suppresses_same_line() {
-        let src = "fn f(n: u64) -> usize { n as usize } // neo-lint: allow(r1, \"n <= tile count, bounded at construction\")\n";
-        let rep = lint_source(LIB, src);
+        let src = format!("{FOLD} // neo-lint: allow(r10, \"two-element sum, order-free\")\n");
+        let rep = lint_source(LIB, &src);
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
         assert_eq!(rep.suppressed.len(), 1);
     }
 
     #[test]
     fn pragma_above_suppresses_next_line() {
-        let src = "// neo-lint: allow(r2, \"join propagates worker panic\")\nfn f() { h.join().unwrap(); }\n";
-        let rep = lint_source(LIB, src);
+        let src = format!("// neo-lint: allow(r10, \"two-element sum, order-free\")\n{FOLD}\n");
+        let rep = lint_source(LIB, &src);
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
     }
 
     #[test]
     fn wrong_rule_pragma_does_not_suppress_and_reports_unused() {
-        let src = "fn f(n: u64) -> usize { n as usize } // neo-lint: allow(r2, \"mismatched\")\n";
-        let rep = lint_source(LIB, src);
-        // The r1 finding stays, and the r2 pragma is reported unused.
-        assert!(rep.findings.iter().any(|f| f.rule == RuleId::R1));
+        let src = format!("{FOLD} // neo-lint: allow(r11, \"mismatched\")\n");
+        let rep = lint_source(LIB, &src);
+        // The r10 finding stays, and the r11 pragma is reported unused.
+        assert!(rep.findings.iter().any(|f| f.rule == RuleId::R10));
         assert!(rep.findings.iter().any(|f| f.rule == RuleId::Pragma));
     }
 
     #[test]
     fn unused_pragma_is_a_finding() {
-        let rep = lint_source(LIB, "// neo-lint: allow(r1, \"nothing here\")\nfn f() {}\n");
+        let rep = lint_source(
+            LIB,
+            "// neo-lint: allow(r10, \"nothing here\")\nfn f() {}\n",
+        );
         assert_eq!(rep.findings.len(), 1);
         assert_eq!(rep.findings[0].rule, RuleId::Pragma);
     }
 
     #[test]
-    fn file_scope_pragma_covers_file_level_findings() {
-        let src = "// neo-lint: allow-file(r7, \"crate intentionally exempt\")\npub mod x;\n";
-        let rep = lint_source("crates/sort/src/lib.rs", src);
+    fn file_scope_pragma_covers_every_line() {
+        let src = format!(
+            "// neo-lint: allow-file(r10, \"figure-only sums\")\n\n{FOLD}\n\n{}\n",
+            FOLD.replace("fn f", "fn g")
+        );
+        let rep = lint_source(LIB, &src);
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
-        assert_eq!(rep.suppressed.len(), 1);
+        assert_eq!(rep.suppressed.len(), 2);
     }
 
     #[test]
     fn findings_carry_snippets_and_positions() {
-        let rep = lint_source(LIB, "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n");
+        let rep = lint_source(
+            LIB,
+            "fn f(v: &[f32]) -> f32 {\n    let s: f32 = v.iter().sum();\n    s\n}\n",
+        );
         assert_eq!(rep.findings.len(), 1);
         let f = &rep.findings[0];
-        assert_eq!((f.line, f.rule), (2, RuleId::R2));
-        assert_eq!(f.snippet, "x.unwrap()");
+        assert_eq!((f.line, f.rule), (2, RuleId::R10));
+        assert_eq!(f.snippet, "let s: f32 = v.iter().sum();");
     }
 
     #[test]

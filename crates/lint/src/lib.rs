@@ -1,43 +1,38 @@
-//! `neo-lint` — the determinism & robustness static-analysis pass.
+//! `neo-lint` — the call-graph half of the determinism & robustness
+//! contract.
 //!
 //! The workspace's determinism contract (ARCHITECTURE.md
-//! §"Determinism contract") used to be enforced only dynamically: the
-//! parity suites catch a violation after the fact, on the inputs they
-//! happen to exercise. This crate turns the prose contract into a
-//! machine-checkable artifact that runs on every commit: a hand-rolled
-//! lexer (no `syn` — the build environment is offline and the linter
-//! must stay dependency-free) feeds a small rule engine encoding the
-//! contract plus the bug classes this project has actually shipped:
+//! §"Determinism contract") is enforced statically in two layers. The
+//! per-line rules — lossy casts, panic paths, NaN-unsafe float
+//! comparison, hash containers, clocks, atomics, `unsafe` — are rustc
+//! and clippy lints, configured once in the workspace `Cargo.toml`
+//! (`[workspace.lints]`) and `clippy.toml`, and opted into by each
+//! contract crate with `[lints] workspace = true`. This crate is the
+//! other layer: the hazards clippy cannot see because they only become
+//! hazards through the workspace call graph.
 //!
 //! | rule | slug | catches |
 //! |------|------|---------|
-//! | `r1` | `bare-int-cast` | silently-truncating `as` casts in size/index math |
-//! | `r2` | `panic-path` | `unwrap`/`expect`/`panic!`/`assert!` in library code |
-//! | `r3` | `nan-unsafe-order` | unwrapped `partial_cmp`, float-literal `==` |
-//! | `r4` | `nondeterminism-source` | HashMap/HashSet, clocks, unseeded RNG on the render path |
-//! | `r5` | `shared-mut-accum` | `static mut`, atomics in contract crates |
-//! | `r6` | `masked-arithmetic` | `wrapping_*`/`overflowing_*`/`unchecked_*` |
-//! | `r7` | `missing-forbid-unsafe` | contract crate roots without `#![forbid(unsafe_code)]` |
-//! | `r8` | `untracked-todo` | TODO/FIXME with no issue reference |
 //! | `r9` | `transitive-nondeterminism` | clock/RNG helper reachable from the render path |
 //! | `r10` | `float-fold-order` | `.sum()`/`.product()`/`.fold()` float reductions with implicit order |
 //! | `r11` | `unordered-iteration` | `HashMap`/`HashSet` iteration feeding ordered output |
 //!
-//! Rules r1–r8 are token-local. Rules r9–r11 come from a two-phase
+//! A hand-rolled lexer (no `syn` — the build environment is offline and
+//! the linter must stay dependency-free) feeds a two-phase
 //! whole-workspace pass: [`items`] builds a brace-matched item model
-//! (every `fn` with its body extent and call sites) from the same
-//! token stream, [`callgraph`] links the models into a workspace call
-//! graph, and [`effects`] computes per-function effect sets and
-//! propagates them over the graph to a fixpoint, so a hazard buried in
-//! a hygiene-scoped helper is charged the moment render-path code can
-//! reach it. Transitive findings name the full call chain and are
-//! anchored at the effect site, where a normal pragma suppresses them.
+//! (every `fn` with its body extent and call sites), [`callgraph`] links
+//! the models into a workspace call graph, and [`effects`] computes
+//! per-function effect sets and propagates them over the graph to a
+//! fixpoint, so a hazard buried in a hygiene-scoped helper is charged
+//! the moment render-path code can reach it. Transitive findings name
+//! the full call chain and are anchored at the effect site, where a
+//! normal pragma suppresses them.
 //!
 //! Findings are suppressed — one code line or one file at a time — by
 //! an inline pragma carrying a mandatory reason:
 //!
 //! ```text
-//! // neo-lint: allow(r6, "Fibonacci-hash mixing: wraparound is the algorithm")
+//! // neo-lint: allow(r10, "three weights, summed once per run: order cannot drift")
 //! ```
 //!
 //! Malformed and *unused* pragmas are findings themselves, so the
@@ -48,13 +43,12 @@
 //! ```
 //! let report = neo_lint::lint_source(
 //!     "crates/pipeline/src/x.rs",
-//!     "fn f(n: u64) -> usize { n as usize }",
+//!     "fn f(v: &[f32]) -> f32 { let s: f32 = v.iter().sum(); s }",
 //! );
 //! assert_eq!(report.findings.len(), 1);
-//! assert_eq!(report.findings[0].rule.id(), "r1");
+//! assert_eq!(report.findings[0].rule.id(), "r10");
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod callgraph;

@@ -12,8 +12,6 @@
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
-#![forbid(unsafe_code)]
-
 use neo_lint::rules::RuleId;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -4,16 +4,15 @@
 //! reason string**:
 //!
 //! ```text
-//! let n = count as usize; // neo-lint: allow(r1, "count is <= u16::MAX by construction")
-//! // neo-lint: allow(r2, "worker panic must propagate to the caller")
-//! let out = handle.join().expect("render worker panicked");
+//! let total: f32 = w.iter().sum(); // neo-lint: allow(r10, "three weights, summed once per run")
+//! // neo-lint: allow(r9, "startup-only timestamp, never read inside the frame loop")
+//! let started = Instant::now();
 //! ```
 //!
 //! A trailing pragma covers its own line; a pragma on its own line
 //! covers the next code line (consecutive pragma/comment-only lines
 //! stack onto the first code line below). `allow-file(<rule>, "…")`
-//! covers the whole file — reserved for file-level findings such as a
-//! missing crate attribute (R7).
+//! covers the whole file.
 //!
 //! Malformed pragmas (unknown rule, missing reason) and pragmas that
 //! suppress nothing are themselves findings: a suppression that has
@@ -180,8 +179,8 @@ fn parse_allow(s: &str) -> Result<(RuleId, PragmaScope, String, usize), String> 
 }
 
 /// Closest valid rule name (id or slug) to a misspelling, by edit
-/// distance — `r12` suggests `r1`, `panic-paths` suggests
-/// `panic-path`. None when nothing is close enough to be a plausible
+/// distance — `r111` suggests `r11`, `float-fold-ordr` suggests
+/// `float-fold-order`. None when nothing is close enough to be a plausible
 /// typo (distance > 1/3 of the input length, minimum 2).
 fn nearest_rule(name: &str) -> Option<&'static str> {
     let name = name.to_ascii_lowercase();
@@ -219,24 +218,24 @@ mod tests {
 
     #[test]
     fn trailing_pragma_targets_own_line() {
-        let src = "let x = a as usize; // neo-lint: allow(r1, \"bounded by grid size\")\n";
+        let src = "let s: f32 = v.iter().sum(); // neo-lint: allow(r10, \"two terms\")\n";
         let (p, bad) = collect(&tokenize(src));
         assert!(bad.is_empty());
         assert_eq!(p.len(), 1);
-        assert_eq!(p[0].rule, RuleId::R1);
+        assert_eq!(p[0].rule, RuleId::R10);
         assert_eq!(p[0].target_line, 1);
     }
 
     #[test]
     fn standalone_pragma_targets_next_code_line() {
-        let src = "// neo-lint: allow(r2, \"invariant: pool is non-empty\")\n// more prose\nlet x = q.pop().unwrap();\n";
+        let src = "// neo-lint: allow(r9, \"startup-only stamp\")\n// more prose\nlet t = Instant::now();\n";
         let (p, _) = collect(&tokenize(src));
         assert_eq!(p[0].target_line, 3);
     }
 
     #[test]
     fn file_scope_and_two_clauses() {
-        let src = "// neo-lint: allow-file(r7, \"shim crate\") allow(r8, \"tracked\")\ncode();\n";
+        let src = "// neo-lint: allow-file(r11, \"report-only crate\") allow(r10, \"two terms\")\ncode();\n";
         let (p, bad) = collect(&tokenize(src));
         assert!(bad.is_empty(), "{bad:?}");
         assert_eq!(p.len(), 2);
@@ -246,14 +245,14 @@ mod tests {
 
     #[test]
     fn missing_reason_is_reported() {
-        let (p, bad) = collect(&tokenize("// neo-lint: allow(r1)\ncode();\n"));
+        let (p, bad) = collect(&tokenize("// neo-lint: allow(r10)\ncode();\n"));
         assert!(p.is_empty());
         assert_eq!(bad.len(), 1);
     }
 
     #[test]
     fn empty_reason_is_reported() {
-        let (_, bad) = collect(&tokenize("// neo-lint: allow(r1, \"  \")\ncode();\n"));
+        let (_, bad) = collect(&tokenize("// neo-lint: allow(r10, \"  \")\ncode();\n"));
         assert_eq!(bad.len(), 1);
     }
 
@@ -266,15 +265,15 @@ mod tests {
 
     #[test]
     fn unknown_rule_suggests_the_nearest_valid_name() {
-        let (_, bad) = collect(&tokenize("// neo-lint: allow(r12, \"typo\")\n"));
+        let (_, bad) = collect(&tokenize("// neo-lint: allow(r111, \"typo\")\n"));
         assert!(
-            bad[0].message.contains("did you mean `r1`"),
+            bad[0].message.contains("did you mean `r11`"),
             "{}",
             bad[0].message
         );
-        let (_, bad) = collect(&tokenize("// neo-lint: allow(panic-paths, \"typo\")\n"));
+        let (_, bad) = collect(&tokenize("// neo-lint: allow(float-fold-ordr, \"typo\")\n"));
         assert!(
-            bad[0].message.contains("did you mean `panic-path`"),
+            bad[0].message.contains("did you mean `float-fold-order`"),
             "{}",
             bad[0].message
         );
@@ -290,9 +289,9 @@ mod tests {
     #[test]
     fn rule_slugs_parse_too() {
         let (p, bad) = collect(&tokenize(
-            "// neo-lint: allow(bare-int-cast, \"why\")\ncode();\n",
+            "// neo-lint: allow(unordered-iteration, \"why\")\ncode();\n",
         ));
         assert!(bad.is_empty());
-        assert_eq!(p[0].rule, RuleId::R1);
+        assert_eq!(p[0].rule, RuleId::R11);
     }
 }

@@ -4,10 +4,10 @@
 //! [`validate_sarif`] — are hand-rolled: the linter is dependency-free
 //! by design so it can never be blocked on the crates it polices.
 //!
-//! The SARIF 2.1.0 document ([`WorkspaceReport::to_sarif`]) carries
-//! **two runs**, one per rule set: the token-local rules (r1–r8 +
-//! pragma hygiene) and the call-graph rules (r9–r11). CI uploads it as
-//! an artifact and shape-checks it with [`validate_sarif`].
+//! The SARIF 2.1.0 document ([`WorkspaceReport::to_sarif`]) carries one
+//! run, `neo-lint/transitive`, declaring the call-graph rules r9–r11
+//! and the pragma meta-rule. CI uploads it as an artifact and
+//! shape-checks it with [`validate_sarif`].
 
 use crate::rules::RuleId;
 use std::fmt::Write as _;
@@ -119,40 +119,18 @@ impl WorkspaceReport {
         s
     }
 
-    /// Render the report as a SARIF 2.1.0 document with one run per
-    /// rule set: run 0 carries the token-local rules (r1–r8 + pragma),
-    /// run 1 the call-graph rules (r9–r11). Suppressed findings are
-    /// included in their run with an `inSource` suppression object, so
-    /// the allow-inventory is visible to SARIF viewers too.
+    /// Render the report as a SARIF 2.1.0 document with one run
+    /// (`neo-lint/transitive`). Suppressed findings are included with an
+    /// `inSource` suppression object, so the allow-inventory is visible
+    /// to SARIF viewers too.
     #[must_use]
     pub fn to_sarif(&self) -> String {
-        let local: Vec<RuleId> = RuleId::ALL
-            .into_iter()
-            .filter(|r| !r.is_transitive())
-            .chain([RuleId::Pragma])
-            .collect();
-        let transitive: Vec<RuleId> = RuleId::ALL
-            .into_iter()
-            .filter(|r| r.is_transitive())
-            .collect();
         let mut s = String::new();
         s.push_str("{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-        s.push_str("  \"version\": \"2.1.0\",\n  \"runs\": [\n");
-        self.sarif_run(&mut s, "local", &local);
-        s.push_str(",\n");
-        self.sarif_run(&mut s, "transitive", &transitive);
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-
-    fn sarif_run(&self, s: &mut String, set: &str, rules: &[RuleId]) {
-        s.push_str("    {\n");
-        let _ = writeln!(
-            s,
-            "      \"automationDetails\": {{\"id\": \"neo-lint/{set}\"}},"
-        );
+        s.push_str("  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n");
+        s.push_str("      \"automationDetails\": {\"id\": \"neo-lint/transitive\"},\n");
         s.push_str("      \"tool\": {\"driver\": {\"name\": \"neo-lint\", \"rules\": [");
-        for (i, r) in rules.iter().enumerate() {
+        for (i, r) in RuleId::ALL.into_iter().chain([RuleId::Pragma]).enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
@@ -167,13 +145,11 @@ impl WorkspaceReport {
         s.push_str("]}},\n");
         s.push_str("      \"results\": [");
         let mut first = true;
-        let in_set = |f: &&Finding| rules.contains(&f.rule);
         for (f, suppressed) in self
             .findings
             .iter()
-            .filter(in_set)
             .map(|f| (f, false))
-            .chain(self.suppressed.iter().filter(in_set).map(|f| (f, true)))
+            .chain(self.suppressed.iter().map(|f| (f, true)))
         {
             s.push_str(if first { "\n" } else { ",\n" });
             first = false;
@@ -195,11 +171,9 @@ impl WorkspaceReport {
                 f.col
             );
         }
-        s.push_str(if first {
-            "]\n    }"
-        } else {
-            "\n      ]\n    }"
-        });
+        s.push_str(if first { "]\n" } else { "\n      ]\n" });
+        s.push_str("    }\n  ]\n}\n");
+        s
     }
 }
 
@@ -396,10 +370,9 @@ fn parse_string(c: &[char], pos: &mut usize) -> Result<String, String> {
 
 /// Shape-check a SARIF document produced by
 /// [`WorkspaceReport::to_sarif`]: valid JSON, version 2.1.0, exactly
-/// one run per rule set (`neo-lint/local` then `neo-lint/transitive`),
-/// each run declaring its rules and every result referencing a rule
-/// declared by its own run. Returns the per-run result counts.
-pub fn validate_sarif(doc: &str) -> Result<Vec<usize>, String> {
+/// one run (`neo-lint/transitive`) declaring its rules, and every result
+/// referencing a declared rule. Returns the run's result count.
+pub fn validate_sarif(doc: &str) -> Result<usize, String> {
     let v = parse_json(doc)?;
     if v.get("version").and_then(Json::as_str) != Some("2.1.0") {
         return Err("version is not \"2.1.0\"".to_string());
@@ -408,60 +381,51 @@ pub fn validate_sarif(doc: &str) -> Result<Vec<usize>, String> {
         .get("runs")
         .and_then(Json::as_arr)
         .ok_or("`runs` is not an array")?;
-    let expected_ids = ["neo-lint/local", "neo-lint/transitive"];
-    if runs.len() != expected_ids.len() {
-        return Err(format!(
-            "expected {} runs, got {}",
-            expected_ids.len(),
-            runs.len()
-        ));
+    let [run] = runs else {
+        return Err(format!("expected 1 run, got {}", runs.len()));
+    };
+    let auto = run
+        .get("automationDetails")
+        .and_then(|a| a.get("id"))
+        .and_then(Json::as_str);
+    if auto != Some("neo-lint/transitive") {
+        return Err(format!("run id {auto:?}, expected \"neo-lint/transitive\""));
     }
-    let mut counts = Vec::new();
-    for (run, expected_id) in runs.iter().zip(expected_ids) {
-        let auto = run
-            .get("automationDetails")
-            .and_then(|a| a.get("id"))
-            .and_then(Json::as_str);
-        if auto != Some(expected_id) {
-            return Err(format!("run id {auto:?}, expected {expected_id:?}"));
-        }
-        let driver = run
-            .get("tool")
-            .and_then(|t| t.get("driver"))
-            .ok_or("run missing tool.driver")?;
-        if driver.get("name").and_then(Json::as_str) != Some("neo-lint") {
-            return Err("driver name is not neo-lint".to_string());
-        }
-        let rules = driver
-            .get("rules")
-            .and_then(Json::as_arr)
-            .ok_or("driver.rules is not an array")?;
-        let rule_ids: Vec<&str> = rules
-            .iter()
-            .filter_map(|r| r.get("id").and_then(Json::as_str))
-            .collect();
-        if rule_ids.is_empty() {
-            return Err("run declares no rules".to_string());
-        }
-        let results = run
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or("run.results is not an array")?;
-        for r in results {
-            let rid = r
-                .get("ruleId")
-                .and_then(Json::as_str)
-                .ok_or("result missing ruleId")?;
-            if !rule_ids.contains(&rid) {
-                return Err(format!("result rule `{rid}` not declared by its run"));
-            }
-            if r.get("locations").and_then(Json::as_arr).is_none() {
-                return Err(format!("`{rid}` result has no locations array"));
-            }
-        }
-        counts.push(results.len());
+    let driver = run
+        .get("tool")
+        .and_then(|t| t.get("driver"))
+        .ok_or("run missing tool.driver")?;
+    if driver.get("name").and_then(Json::as_str) != Some("neo-lint") {
+        return Err("driver name is not neo-lint".to_string());
     }
-    Ok(counts)
+    let rules = driver
+        .get("rules")
+        .and_then(Json::as_arr)
+        .ok_or("driver.rules is not an array")?;
+    let rule_ids: Vec<&str> = rules
+        .iter()
+        .filter_map(|r| r.get("id").and_then(Json::as_str))
+        .collect();
+    if rule_ids.is_empty() {
+        return Err("run declares no rules".to_string());
+    }
+    let results = run
+        .get("results")
+        .and_then(Json::as_arr)
+        .ok_or("run.results is not an array")?;
+    for r in results {
+        let rid = r
+            .get("ruleId")
+            .and_then(Json::as_str)
+            .ok_or("result missing ruleId")?;
+        if !rule_ids.contains(&rid) {
+            return Err(format!("result rule `{rid}` not declared by its run"));
+        }
+        if r.get("locations").and_then(Json::as_arr).is_none() {
+            return Err(format!("`{rid}` result has no locations array"));
+        }
+    }
+    Ok(results.len())
 }
 
 /// Minimal JSON string escaping.
@@ -489,19 +453,19 @@ mod tests {
 
     fn finding() -> Finding {
         Finding {
-            rule: RuleId::R1,
+            rule: RuleId::R10,
             file: "crates/scene/src/io.rs".to_string(),
             line: 404,
             col: 17,
-            snippet: "let count = buf.get_u32_le() as usize;".to_string(),
-            message: "bare `as usize` cast".to_string(),
+            snippet: "let total: f32 = weights.iter().sum();".to_string(),
+            message: "`.sum()` over floats".to_string(),
         }
     }
 
     #[test]
     fn render_is_clickable() {
         let r = finding().render();
-        assert!(r.starts_with("crates/scene/src/io.rs:404:17 [r1 bare-int-cast]"));
+        assert!(r.starts_with("crates/scene/src/io.rs:404:17 [r10 float-fold-order]"));
     }
 
     #[test]
@@ -526,23 +490,24 @@ mod tests {
     }
 
     #[test]
-    fn sarif_has_a_run_per_rule_set_and_validates() {
+    fn sarif_carries_live_and_suppressed_findings_and_validates() {
         let mut rep = WorkspaceReport::default();
-        rep.findings.push(finding()); // r1 → local run
+        rep.findings.push(finding());
         let mut t = finding();
         t.rule = RuleId::R9;
         t.message = "chain: `a` -> `b`".to_string();
-        rep.suppressed.push(t); // r9 suppressed → transitive run
+        rep.suppressed.push(t);
         let sarif = rep.to_sarif();
-        let counts = validate_sarif(&sarif).expect("emitted SARIF must validate");
-        assert_eq!(counts, vec![1, 1]);
+        assert_eq!(validate_sarif(&sarif), Ok(2));
         assert!(sarif.contains("\"suppressions\": [{\"kind\": \"inSource\"}]"));
     }
 
     #[test]
     fn empty_sarif_still_validates() {
-        let counts = validate_sarif(&WorkspaceReport::default().to_sarif()).unwrap();
-        assert_eq!(counts, vec![0, 0]);
+        assert_eq!(
+            validate_sarif(&WorkspaceReport::default().to_sarif()),
+            Ok(0)
+        );
     }
 
     #[test]
@@ -554,7 +519,7 @@ mod tests {
         );
         assert!(
             validate_sarif("{\"version\": \"2.1.0\", \"runs\": []}").is_err(),
-            "needs one run per rule set"
+            "needs the transitive run"
         );
         // A result citing a rule its run never declared is a shape error.
         let bad = WorkspaceReport::default()

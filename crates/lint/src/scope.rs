@@ -4,37 +4,39 @@
 //!
 //! * **by crate** — the determinism contract binds the library crates
 //!   (`neo-math`, `neo-scene`, `neo-pipeline`, `neo-sort`, `neo-core`,
-//!   `neo-serve`, `neo-metrics`) plus this linter itself; the
-//!   render-path subset additionally bans nondeterminism sources.
-//!   Bench/sim/workload and umbrella code only get the hygiene rules.
+//!   `neo-serve`, `neo-metrics`) plus this linter itself; functions in
+//!   the render-path subset are the roots the call-graph rules
+//!   propagate from. Bench/sim/workload and umbrella code is checked
+//!   only where the render path reaches it.
 //! * **by region** — `#[cfg(test)]` modules, `#[test]` functions, and
-//!   files under `tests/`/`benches/`/`examples/` are free to unwrap,
-//!   assert, and cast; only hygiene rules apply there.
+//!   files under `tests/`/`benches/`/`examples/` contribute no call-graph
+//!   nodes, so no rule fires there.
 
 use crate::lexer::{Token, TokenKind};
 
 /// Crate-level strictness derived from a file's workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrateClass {
-    /// Determinism-contract crate: all rules apply.
+    /// Determinism-contract crate: r10 and r11 apply directly.
     Contract {
         /// True for crates on the render path (`math`, `scene`,
-        /// `pipeline`, `sort`, `core`, `serve`), where nondeterminism
-        /// sources (R4) are additionally banned. `metrics` and the
-        /// linter are contract crates off the render path.
+        /// `pipeline`, `sort`, `core`, `serve`), whose functions are the
+        /// call-graph entry points. `metrics` and the linter are
+        /// contract crates off the render path.
         render_path: bool,
     },
     /// Workspace code outside the contract (bench, sim, workloads,
-    /// umbrella `src/`): hygiene rules only.
+    /// umbrella `src/`): checked only where the render path reaches it.
     Other,
 }
 
 /// Role of the file within its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileRole {
-    /// Library / binary source: full rule set for its crate class.
+    /// Library source: contributes call-graph nodes.
     Source,
-    /// Test, bench, example, or fixture code: hygiene rules only.
+    /// Test, bench, example, fixture, or `src/bin` code: excluded from
+    /// the call graph.
     Test,
 }
 
@@ -45,9 +47,6 @@ pub struct FileScope {
     pub class: CrateClass,
     /// Source vs test role.
     pub role: FileRole,
-    /// True when the file is a crate root (`lib.rs`) of a contract
-    /// crate, i.e. where R7 expects `#![forbid(unsafe_code)]`.
-    pub contract_lib_root: bool,
 }
 
 /// Contract crate directory names under `crates/`.
@@ -79,21 +78,13 @@ pub fn classify(rel_path: &str) -> FileScope {
         .iter()
         .any(|p| matches!(*p, "tests" | "benches" | "examples" | "fixtures" | "bin"));
     // `src/bin/*` figure binaries are application code, not library
-    // code: treat them like tests for the panic-path rules but keep
-    // them scanned for hygiene.
+    // code: the render path never calls into them.
     let role = if test_dir {
         FileRole::Test
     } else {
         FileRole::Source
     };
-    let contract_lib_root = matches!(class, CrateClass::Contract { .. })
-        && role == FileRole::Source
-        && rel_path.ends_with("src/lib.rs");
-    FileScope {
-        class,
-        role,
-        contract_lib_root,
-    }
+    FileScope { class, role }
 }
 
 /// Mark, per token index, whether the token sits inside test-only code:
@@ -271,9 +262,6 @@ mod tests {
             classify("crates/serve/src/server.rs").class,
             CrateClass::Contract { render_path: true }
         ));
-        assert!(classify("crates/serve/src/lib.rs").contract_lib_root);
-        assert!(classify("crates/metrics/src/lib.rs").contract_lib_root);
-        assert!(!classify("crates/sim/src/lib.rs").contract_lib_root);
         assert_eq!(
             classify("crates/bench/src/bin/fig_raster.rs").role,
             FileRole::Test

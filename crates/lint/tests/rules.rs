@@ -1,5 +1,6 @@
 //! Fixture-driven integration tests: every rule has a violating, a
-//! clean, and a suppressed fixture under `tests/fixtures/<rule>/`.
+//! clean, and a suppressed fixture under `tests/fixtures/<rule>/` (r9,
+//! being cross-module, adds a render-path caller).
 //!
 //! The fixture files are loaded as text (`include_str!`) and linted
 //! under synthetic workspace paths, so the corpus never has to compile
@@ -10,8 +11,6 @@ use neo_lint::{lint_source, lint_sources, RuleId};
 
 /// Synthetic path that puts a fixture in a render-path contract crate.
 const CONTRACT_PATH: &str = "crates/pipeline/src/fixture.rs";
-/// Synthetic path that makes a fixture a contract crate root (for R7).
-const CRATE_ROOT_PATH: &str = "crates/scene/src/lib.rs";
 /// Synthetic path for an off-render-path contract crate (r11 direct).
 const METRICS_PATH: &str = "crates/metrics/src/fixture.rs";
 /// Synthetic hygiene-crate path for the r9 cross-module helper.
@@ -26,62 +25,6 @@ fn corpus() -> Vec<(
     &'static str,
 )> {
     vec![
-        (
-            RuleId::R1,
-            CONTRACT_PATH,
-            include_str!("fixtures/r1/violation.rs"),
-            include_str!("fixtures/r1/clean.rs"),
-            include_str!("fixtures/r1/suppressed.rs"),
-        ),
-        (
-            RuleId::R2,
-            CONTRACT_PATH,
-            include_str!("fixtures/r2/violation.rs"),
-            include_str!("fixtures/r2/clean.rs"),
-            include_str!("fixtures/r2/suppressed.rs"),
-        ),
-        (
-            RuleId::R3,
-            CONTRACT_PATH,
-            include_str!("fixtures/r3/violation.rs"),
-            include_str!("fixtures/r3/clean.rs"),
-            include_str!("fixtures/r3/suppressed.rs"),
-        ),
-        (
-            RuleId::R4,
-            CONTRACT_PATH,
-            include_str!("fixtures/r4/violation.rs"),
-            include_str!("fixtures/r4/clean.rs"),
-            include_str!("fixtures/r4/suppressed.rs"),
-        ),
-        (
-            RuleId::R5,
-            CONTRACT_PATH,
-            include_str!("fixtures/r5/violation.rs"),
-            include_str!("fixtures/r5/clean.rs"),
-            include_str!("fixtures/r5/suppressed.rs"),
-        ),
-        (
-            RuleId::R6,
-            CONTRACT_PATH,
-            include_str!("fixtures/r6/violation.rs"),
-            include_str!("fixtures/r6/clean.rs"),
-            include_str!("fixtures/r6/suppressed.rs"),
-        ),
-        (
-            RuleId::R7,
-            CRATE_ROOT_PATH,
-            include_str!("fixtures/r7/violation.rs"),
-            include_str!("fixtures/r7/clean.rs"),
-            include_str!("fixtures/r7/suppressed.rs"),
-        ),
-        (
-            RuleId::R8,
-            CONTRACT_PATH,
-            include_str!("fixtures/r8/violation.rs"),
-            include_str!("fixtures/r8/clean.rs"),
-            include_str!("fixtures/r8/suppressed.rs"),
-        ),
         // r9 is cross-module by nature and has its own lint_sources
         // tests below; r10/r11 have single-file direct clauses.
         (
@@ -221,11 +164,8 @@ fn r9_helper_without_render_path_caller_is_silent() {
 #[test]
 fn violation_fixtures_are_rule_scoped_not_global() {
     // The same violating source in a non-contract crate stays silent
-    // for the contract rules (R8 is hygiene and applies everywhere).
+    // when no render-path code reaches it.
     for (rule, _, violation, _, _) in corpus() {
-        if rule == RuleId::R8 {
-            continue;
-        }
         let rep = lint_source("crates/sim/src/fixture.rs", violation);
         assert!(
             rep.findings.iter().all(|f| f.rule != rule),

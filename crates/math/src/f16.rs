@@ -26,9 +26,11 @@ pub const F16_MAX_F32: f32 = 65504.0;
 /// ```
 pub fn f32_to_f16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
-    // neo-lint: allow(r1, "the & 0x8000 mask leaves only bit 15, which fits u16 exactly")
     let sign = ((bits >> 16) & 0x8000) as u16;
-    // neo-lint: allow(r1, "the & 0xFF mask pins the exponent to 8 bits; i32 holds it with room for the bias arithmetic below")
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "the & 0xFF mask pins the exponent to 8 bits; i32 holds it with room for the bias arithmetic below"
+    )]
     let exp = ((bits >> 23) & 0xFF) as i32;
     let man = bits & 0x007F_FFFF;
 
@@ -48,9 +50,15 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
             return sign;
         }
         let man = man | 0x0080_0000; // restore the implicit leading 1
-                                     // neo-lint: allow(r1, "half_exp is in -10..=0 here, so 14 - half_exp is 14..=24: positive and in u32 range")
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "half_exp is in -10..=0 here, so 14 - half_exp is 14..=24: positive and in u32 range"
+        )]
         let shift = (14 - half_exp) as u32; // 14..=24
-                                            // neo-lint: allow(r1, "man has 24 significant bits and shift >= 14, so the result fits in 10 bits")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "man has 24 significant bits and shift >= 14, so the result fits in 10 bits"
+        )]
         let half_man = (man >> shift) as u16;
         let round_bit = 1u32 << (shift - 1);
         // Round to nearest, ties to even: bump when the round bit is set
@@ -61,7 +69,11 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
         return sign | half_man;
     }
 
-    // neo-lint: allow(r1, "half_exp is in 1..=30 here (5 exponent bits) and man >> 13 leaves 10 mantissa bits; both fit u16")
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "half_exp is in 1..=30 here (5 exponent bits) and man >> 13 leaves 10 mantissa bits; both fit u16"
+    )]
     let out = sign | ((half_exp as u16) << 10) | (man >> 13) as u16;
     let round_bit = 0x0000_1000u32;
     if man & round_bit != 0 && man & (3 * round_bit - 1) != 0 {

@@ -21,8 +21,11 @@
 //! assert!((v - Vec3::new(0.0, 0.0, -1.0)).length() < 1e-5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::float_cmp, reason = "unit tests compare exact expected floats")
+)]
 
 mod aabb;
 pub mod f16;

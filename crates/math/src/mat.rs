@@ -93,13 +93,20 @@ impl Mat3 {
     }
 
     /// Element at `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` or `col` is outside `0..3`.
     #[inline]
     pub fn get(self, row: usize, col: usize) -> f32 {
         let col_v = match col {
             0 => self.x_axis,
             1 => self.y_axis,
             2 => self.z_axis,
-            // neo-lint: allow(r2, "slice-indexing semantics: an out-of-bounds accessor index is a caller bug, matching `[]` on arrays")
+            #[expect(
+                clippy::panic,
+                reason = "slice-indexing semantics: an out-of-bounds accessor index is a caller bug, matching `[]` on arrays"
+            )]
             _ => panic!("column {col} out of bounds for Mat3"),
         };
         col_v[row]

@@ -7,20 +7,18 @@
 //! where they are lossless — `usize` is 32 or 64 bits on every target
 //! the workspace builds for — and the functions here turn that from a
 //! per-call-site assumption into a single compile-time check. Use these
-//! instead of bare `as` casts (neo-lint rule `r1`): a bare cast that
-//! silently truncates shipped two real bugs (the NEOG count-header
-//! wraparound and the `count × record` decode overflow); these helpers
-//! cannot truncate on any platform the crate compiles on.
+//! instead of bare `as` casts (clippy `cast_possible_truncation`): a
+//! bare cast that silently truncates shipped two real bugs (the NEOG
+//! count-header wraparound and the `count × record` decode overflow);
+//! these helpers cannot truncate on any platform the crate compiles on.
 
 // Compile-time width pins: building for a 16-bit `usize` (conversion
 // below would truncate) or a >64-bit `usize` (u64 conversion would
 // truncate) must fail loudly, not wrap silently.
-// neo-lint: allow(r2, "compile-time width check: evaluated at const time, not a runtime panic path")
 const _: () = assert!(
     usize::BITS >= u32::BITS,
     "usize narrower than u32 is unsupported"
 );
-// neo-lint: allow(r2, "compile-time width check: evaluated at const time, not a runtime panic path")
 const _: () = assert!(
     usize::BITS <= u64::BITS,
     "usize wider than u64 is unsupported"
@@ -34,7 +32,6 @@ const _: () = assert!(
 #[inline]
 #[must_use]
 pub const fn usize_from_u32(x: u32) -> usize {
-    // neo-lint: allow(r1, "usize::BITS >= 32 is const-asserted above; this is the one annotated widening site")
     x as usize
 }
 
@@ -46,7 +43,6 @@ pub const fn usize_from_u32(x: u32) -> usize {
 #[inline]
 #[must_use]
 pub const fn u64_from_usize(x: usize) -> u64 {
-    // neo-lint: allow(r1, "usize::BITS <= 64 is const-asserted above; this is the one annotated widening site")
     x as u64
 }
 

@@ -50,7 +50,6 @@ const SH_C3: [f32; 7] = [
 ///
 /// Panics if `degree > MAX_DEGREE`.
 pub fn eval_basis(degree: usize, dir: Vec3, out: &mut [f32; MAX_COEFFS]) {
-    // neo-lint: allow(r2, "documented `# Panics` contract: a degree beyond the table would index past the basis constants")
     assert!(
         degree <= MAX_DEGREE,
         "SH degree {degree} exceeds {MAX_DEGREE}"

@@ -194,7 +194,6 @@ macro_rules! impl_vec_common {
             fn index(&self, index: usize) -> &f32 {
                 match index {
                     $($idx => &self.$field,)+
-                    // neo-lint: allow(r2, "Index trait contract: out-of-bounds `[]` panics, matching slices and arrays")
                     _ => panic!("index {index} out of bounds for {}", stringify!($name)),
                 }
             }
@@ -214,7 +213,7 @@ macro_rules! impl_vec_common {
                 $(
                     if !first { write!(f, ", ")?; }
                     write!(f, "{}", self.$field)?;
-                    #[allow(unused_assignments)]
+                    #[allow(unused_assignments, reason = "the last repetition's store is never read")]
                     { first = false; }
                 )+
                 write!(f, ")")

@@ -1,6 +1,11 @@
 //! Edge-case tests for the math toolkit: degenerate inputs the pipeline
 //! can produce (zero vectors, empty boxes, slerp endpoints, band-0 SH).
 
+#![allow(
+    clippy::float_cmp,
+    reason = "tests compare against exactly representable expected values"
+)]
+
 use neo_math::sh::{self, ShCoefficients, MAX_COEFFS};
 use neo_math::{Aabb, Quat, Vec3};
 

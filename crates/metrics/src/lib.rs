@@ -21,8 +21,11 @@
 //! assert!(neo_metrics::lpips_proxy(&a, &b) < 1e-6);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::float_cmp, reason = "unit tests compare exact expected floats")
+)]
 
 use neo_math::Vec3;
 use neo_pipeline::Image;
@@ -200,7 +203,6 @@ pub fn lpips_proxy(a: &Image, b: &Image) -> f64 {
 }
 
 fn assert_dims(a: &Image, b: &Image) {
-    // neo-lint: allow(r2, "documented `# Panics` contract of every metric: comparing differently-sized images is a caller bug")
     assert!(
         a.width() == b.width() && a.height() == b.height(),
         "image dimensions differ: {}x{} vs {}x{}",

@@ -205,12 +205,15 @@ pub fn bin_to_tiles(grid: &TileGrid, projected: &[ProjectedGaussian]) -> TileAss
 /// granularity instead of re-deriving it from per-ID diffs.
 ///
 /// `tags` must be parallel to `projected` (same length).
+///
+/// # Panics
+///
+/// Panics when `tags.len() != projected.len()`.
 pub fn bin_to_tiles_with_clusters(
     grid: &TileGrid,
     projected: &[ProjectedGaussian],
     tags: &[u32],
 ) -> (TileAssignments, Vec<Vec<u32>>) {
-    // neo-lint: allow(r2, "misuse guard on a parallel-slice contract; a silent zip-truncate would corrupt cache invalidation")
     assert_eq!(projected.len(), tags.len(), "tags must parallel projected");
     let mut out = TileAssignments::new(*grid);
     let mut tile_tags: Vec<Vec<u32>> = vec![Vec::new(); grid.tile_count()];

@@ -18,7 +18,6 @@ impl Image {
     ///
     /// Panics when either dimension is zero.
     pub fn new(width: u32, height: u32, background: Vec3) -> Self {
-        // neo-lint: allow(r2, "documented `# Panics` contract: zero-sized images are a caller bug")
         assert!(width > 0 && height > 0, "image dimensions must be positive");
         Self {
             width,
@@ -44,7 +43,6 @@ impl Image {
     /// Panics when out of bounds.
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> Vec3 {
-        // neo-lint: allow(r2, "documented `# Panics` contract, same semantics as slice indexing")
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.data[usize_from_u32(y * self.width + x)]
     }
@@ -56,7 +54,6 @@ impl Image {
     /// Panics when out of bounds.
     #[inline]
     pub fn set(&mut self, x: u32, y: u32, c: Vec3) {
-        // neo-lint: allow(r2, "documented `# Panics` contract, same semantics as slice indexing")
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.data[usize_from_u32(y * self.width + x)] = c;
     }
@@ -95,7 +92,6 @@ impl Image {
     pub fn blit_region(&mut self, x0: u32, y0: u32, w: u32, h: u32, block: &[Vec3]) {
         // Widened arithmetic: u32 sums would wrap in release builds and
         // let an out-of-bounds rect slip past the check.
-        // neo-lint: allow(r2, "documented `# Panics` contract: the widened bounds check IS the guard")
         assert!(
             u64::from(x0) + u64::from(w) <= u64::from(self.width)
                 && u64::from(y0) + u64::from(h) <= u64::from(self.height),
@@ -104,7 +100,6 @@ impl Image {
             self.height
         );
         let (w, h) = (usize_from_u32(w), usize_from_u32(h));
-        // neo-lint: allow(r2, "documented `# Panics` contract: mis-sized blocks are a caller bug")
         assert_eq!(block.len(), w * h, "block size mismatch");
         for row in 0..h {
             let dst = (usize_from_u32(y0) + row) * usize_from_u32(self.width) + usize_from_u32(x0);
@@ -122,7 +117,11 @@ impl Image {
     /// Converts to 8-bit RGB, clamping to `[0, 1]`.
     pub fn to_rgb8(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.data.len() * 3);
-        // neo-lint: allow(r1, "f32->u8 after clamp to [0,1], scale by 255, round: in 0..=255 by construction; floats have no try_from")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f32->u8 after clamp to [0,1], scale by 255, round: in 0..=255 by construction; floats have no try_from"
+        )]
         let quantize = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
         for p in &self.data {
             out.push(quantize(p.x));

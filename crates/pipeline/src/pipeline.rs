@@ -114,9 +114,15 @@ pub fn rasterize_tile_with_scratch(
     ordered: &[&ProjectedGaussian],
     config: &RenderConfig,
 ) -> TileRasterStats {
-    // neo-lint: allow(r1, "tile_index ranges over grid.tile_count(), a product of u32 tile coordinates; a valid index always fits u32")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "tile_index ranges over grid.tile_count(), a product of u32 tile coordinates; a valid index always fits u32"
+    )]
     let tx = (tile_index as u32) % grid.tiles_x();
-    // neo-lint: allow(r1, "tile_index ranges over grid.tile_count(), a product of u32 tile coordinates; a valid index always fits u32")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "tile_index ranges over grid.tile_count(), a product of u32 tile coordinates; a valid index always fits u32"
+    )]
     let ty = (tile_index as u32) / grid.tiles_x();
     let (x0, y0, x1, y1) = grid.tile_rect(tx, ty);
     let (tile_w, tile_h) = (x1 - x0, y1 - y0);
@@ -313,7 +319,6 @@ impl TileBlend<'_> {
 
 /// [`LANES`] as a pixel-coordinate stride.
 const LANES_U32: u32 = 8;
-// neo-lint: allow(r2, "compile-time check: a chunk must lie in exactly one subtile column")
 const _: () = assert!(LANES_U32 == SUBTILE_SIZE && usize_from_u32(LANES_U32) == LANES);
 
 /// Lane `j`'s pixel offset within its chunk.
@@ -569,8 +574,12 @@ impl CutoffEllipse {
 /// the bounds are integers, and a clamped value is non-negative, where
 /// truncation is floor.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "f64->u32 of a value clamped into [lo, hi], both u32 bounds; truncating a non-negative value is floor and floats have no try_from"
+)]
 fn floor_clamped(v: f64, lo: u32, hi: u32) -> u32 {
-    // neo-lint: allow(r1, "f64->u32 of a value clamped into [lo, hi], both u32 bounds; truncating a non-negative value is floor and floats have no try_from")
     v.clamp(f64::from(lo), f64::from(hi)) as u32
 }
 
@@ -581,7 +590,10 @@ fn floor_clamped(v: f64, lo: u32, hi: u32) -> u32 {
 #[inline]
 fn ceil_plus_one_clamped(v: f64, lo: u32, hi: u32) -> u32 {
     let v = v.clamp(f64::from(lo) - 1.0, f64::from(hi));
-    // neo-lint: allow(r1, "f64->i64 of a value clamped into [lo - 1, hi] with u32 bounds: exact and in range, and floats have no try_from")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "f64->i64 of a value clamped into [lo - 1, hi] with u32 bounds: exact and in range, and floats have no try_from"
+    )]
     let t = v as i64;
     let ceil = if (t as f64) < v { t + 1 } else { t };
     u32::try_from((ceil + 1).clamp(i64::from(lo), i64::from(hi))).unwrap_or(hi)

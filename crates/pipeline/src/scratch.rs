@@ -155,7 +155,6 @@ impl RasterScratch {
     /// shape) or the rect is out of the image's bounds.
     pub fn blit_to(&self, image: &mut Image, grid: &TileGrid, tile_index: usize) {
         let (x0, y0, x1, y1) = grid.tile_rect_at(tile_index);
-        // neo-lint: allow(r2, "documented `# Panics` contract: a mismatched block/rect shape would blit garbage pixels")
         assert!(
             self.width == usize_from_u32(x1 - x0) && self.height == usize_from_u32(y1 - y0),
             "scratch block {}x{} does not match tile rect {}x{}",

@@ -57,7 +57,6 @@ impl TileGrid {
     /// [`subtile_bitmap`] degrades to a conservative whole-tile test (no
     /// subtile skipping); see [`TileGrid::subtiles_per_edge`].
     pub fn new(width: u32, height: u32, tile_size: u32) -> Self {
-        // neo-lint: allow(r2, "documented `# Panics` contract: zero dimensions make every derived tile count meaningless")
         assert!(
             width > 0 && height > 0 && tile_size > 0,
             "dimensions must be positive"
@@ -125,9 +124,15 @@ impl TileGrid {
     /// assert_eq!(grid.tile_rect_at(3), grid.tile_rect(1, 1));
     /// ```
     pub fn tile_rect_at(&self, tile_index: usize) -> (u32, u32, u32, u32) {
-        // neo-lint: allow(r1, "tile_index ranges over tile_count(), a product of u32 tile coordinates; a valid index always fits u32")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "tile_index ranges over tile_count(), a product of u32 tile coordinates; a valid index always fits u32"
+        )]
         let tx = (tile_index as u32) % self.tiles_x;
-        // neo-lint: allow(r1, "tile_index ranges over tile_count(), a product of u32 tile coordinates; a valid index always fits u32")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "tile_index ranges over tile_count(), a product of u32 tile coordinates; a valid index always fits u32"
+        )]
         let ty = (tile_index as u32) / self.tiles_x;
         self.tile_rect(tx, ty)
     }
@@ -142,13 +147,29 @@ impl TileGrid {
         if max_x < 0.0 || max_y < 0.0 || min_x >= self.width as f32 || min_y >= self.height as f32 {
             return None;
         }
-        // neo-lint: allow(r1, "f32->u32 after max(0.0): the saturating cast clamps the far edge to the image via the min() below; floats have no try_from")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f32->u32 after max(0.0): the saturating cast clamps the far edge to the image via the min() below; floats have no try_from"
+        )]
         let tx0 = (min_x.max(0.0) as u32) / self.tile_size;
-        // neo-lint: allow(r1, "f32->u32 after max(0.0): the saturating cast clamps the far edge to the image via the min() below; floats have no try_from")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f32->u32 after max(0.0): the saturating cast clamps the far edge to the image via the min() below; floats have no try_from"
+        )]
         let ty0 = (min_y.max(0.0) as u32) / self.tile_size;
-        // neo-lint: allow(r1, "f32->u32 after min(width - 1): non-negative (the early-out above rejects max < 0) and in image range; floats have no try_from")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f32->u32 after min(width - 1): non-negative (the early-out above rejects max < 0) and in image range; floats have no try_from"
+        )]
         let tx1 = ((max_x.min(self.width as f32 - 1.0)) as u32) / self.tile_size;
-        // neo-lint: allow(r1, "f32->u32 after min(height - 1): non-negative (the early-out above rejects max < 0) and in image range; floats have no try_from")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f32->u32 after min(height - 1): non-negative (the early-out above rejects max < 0) and in image range; floats have no try_from"
+        )]
         let ty1 = ((max_y.min(self.height as f32 - 1.0)) as u32) / self.tile_size;
         Some((
             tx0,

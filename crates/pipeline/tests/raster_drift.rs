@@ -8,6 +8,11 @@
 //! (splat, pixel), one subtile-bitmap bit test per pixel — and bounds the
 //! drift on sampled Building flythrough frames.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` functions"
+)]
+
 use neo_math::Vec3;
 use neo_pipeline::{
     bin_to_tiles, project_storage, render_reference, subtile_bitmap, Image, ProjectedGaussian,

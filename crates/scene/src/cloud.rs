@@ -43,18 +43,24 @@ impl GaussianCloud {
 
     /// Appends a Gaussian, returning its ID.
     pub fn push(&mut self, g: Gaussian) -> u32 {
-        // neo-lint: allow(r1, "the ID space is u32 by design (file format and tile entries store u32 IDs); clouds beyond u32::MAX Gaussians are out of scope")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the ID space is u32 by design (file format and tile entries store u32 IDs); clouds beyond u32::MAX Gaussians are out of scope"
+        )]
         let id = self.gaussians.len() as u32;
         self.gaussians.push(g);
         id
     }
 
     /// Iterates over `(id, gaussian)` pairs.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the ID space is u32 by design (file format and tile entries store u32 IDs); clouds beyond u32::MAX Gaussians are out of scope"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Gaussian)> {
         self.gaussians
             .iter()
             .enumerate()
-            // neo-lint: allow(r1, "the ID space is u32 by design (file format and tile entries store u32 IDs); clouds beyond u32::MAX Gaussians are out of scope")
             .map(|(i, g)| (i as u32, g))
     }
 

@@ -351,9 +351,13 @@ impl CellGrid {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "f32->u32 after floor().max(0.0): non-negative, and min() below clamps to the grid; floats have no try_from"
+    )]
     fn cell_coord(&self, x: f32, lo: f32, inv: f32) -> u32 {
         let c = ((x - lo) * inv).floor().max(0.0);
-        // neo-lint: allow(r1, "f32->u32 after floor().max(0.0): non-negative, and min() below clamps to the grid; floats have no try_from")
         (c as u32).min(self.cells - 1)
     }
 

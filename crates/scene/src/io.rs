@@ -227,8 +227,11 @@ fn write_header(
 ///
 /// Panics when the cloud holds ≥ 2³² Gaussians (the count header is a
 /// `u32`); use [`try_encode_cloud`] to handle that case fallibly.
+#[expect(
+    clippy::expect_used,
+    reason = "documented `# Panics` contract of the legacy infallible API; try_encode_cloud is the fallible path"
+)]
 pub fn encode_cloud(cloud: &GaussianCloud) -> Vec<u8> {
-    // neo-lint: allow(r2, "documented `# Panics` contract of the legacy infallible API; try_encode_cloud is the fallible path")
     try_encode_cloud(cloud).expect("cloud exceeds the u32 count header")
 }
 

@@ -204,6 +204,10 @@ impl CloudStorage for GaussianCloud {
 /// remaining three components (sign-flipped so the dropped one is
 /// non-negative, `q ≡ -q`) are stored as 10-bit fixed point over
 /// `[-1/√2, 1/√2]`.
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "each packed component is clamped to [0, 1023] before the i32→u32 cast, so it cannot wrap"
+)]
 pub fn pack_quat(q: Quat) -> u32 {
     let comps = [q.w, q.x, q.y, q.z];
     let mut largest = 0usize;
@@ -213,7 +217,10 @@ pub fn pack_quat(q: Quat) -> u32 {
         }
     }
     let flip = comps[largest] < 0.0;
-    // neo-lint: allow(r1, "largest indexes a 4-array, so it is 0..=3 and fits any integer type")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "largest indexes a 4-array, so it is 0..=3 and fits any integer type"
+    )]
     let mut out = (largest as u32) << 30;
     let mut slot = 0u32;
     for (i, &c) in comps.iter().enumerate() {
@@ -222,9 +229,11 @@ pub fn pack_quat(q: Quat) -> u32 {
         }
         let v = if flip { -c } else { c };
         // A unit quaternion's non-largest components lie in [-1/√2, 1/√2].
-        // neo-lint: allow(r1, "operand is clamped to [-1, 1] and scaled to ±511 before the f32→i32 cast, which is exact in that range (NaN casts to 0)")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "operand is clamped to [-1, 1] and scaled to ±511 before the f32→i32 cast, which is exact in that range (NaN casts to 0)"
+        )]
         let fixed = ((v * std::f32::consts::SQRT_2).clamp(-1.0, 1.0) * 511.0).round() as i32 + 512;
-        // neo-lint: allow(r1, "clamped to [0, 1023] on the line above, so the i32→u32 cast cannot wrap")
         out |= (fixed.clamp(0, 1023) as u32) << (20 - 10 * slot);
         slot += 1;
     }
@@ -243,7 +252,10 @@ pub fn unpack_quat(bits: u32) -> Quat {
         if i == largest {
             continue;
         }
-        // neo-lint: allow(r1, "masked to 10 bits, so the u32→i32 cast cannot wrap")
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "masked to 10 bits, so the u32→i32 cast cannot wrap"
+        )]
         let fixed = ((bits >> (20 - 10 * slot)) & 0x3FF) as i32 - 512;
         let v = fixed as f32 / (511.0 * std::f32::consts::SQRT_2);
         *c = v;
@@ -254,10 +266,14 @@ pub fn unpack_quat(bits: u32) -> Quat {
     Quat::new(comps[0], comps[1], comps[2], comps[3]).normalized()
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "operand is clamped to [0, 255] before the f32→u8 cast; NaN saturates to 0 by the cast's own semantics"
+)]
 fn quantize_opacity(o: f32) -> u8 {
     // NaN clamps to 0.0 (`f32::clamp` propagates NaN, but `as u8`
     // saturates NaN to 0), so the result is always in range.
-    // neo-lint: allow(r1, "operand is clamped to [0, 255] before the f32→u8 cast; NaN saturates to 0 by the cast's own semantics")
     (o.clamp(0.0, 1.0) * 255.0).round() as u8
 }
 

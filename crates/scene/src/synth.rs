@@ -61,13 +61,19 @@ impl Default for SynthParams {
 impl SynthParams {
     /// Returns a copy with the Gaussian count scaled by `factor`
     /// (clamped to at least 1). Used to run reduced-size experiments.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `factor` is not positive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "f64->usize saturating cast is the intended rounding; counts are clamped to >= 1 below and floats have no try_from"
+    )]
     pub fn scaled(mut self, factor: f64) -> Self {
-        // neo-lint: allow(r2, "builder precondition: a non-positive scale factor is a caller bug with no sensible recovery")
         assert!(factor > 0.0, "scale factor must be positive");
-        // neo-lint: allow(r1, "f64->usize saturating cast is the intended rounding; counts are clamped to >= 1 below and floats have no try_from")
         self.gaussian_count = ((self.gaussian_count as f64 * factor) as usize).max(1);
         // Keep per-cluster density roughly constant.
-        // neo-lint: allow(r1, "f64->usize saturating cast is the intended rounding; counts are clamped to >= 1 below and floats have no try_from")
         self.cluster_count = ((self.cluster_count as f64 * factor.sqrt()) as usize).max(1);
         self
     }
@@ -105,10 +111,13 @@ fn log_uniform(rng: &mut impl Rng, lo: f32, hi: f32) -> f32 {
 ///
 /// Deterministic: equal parameters (including seed) produce identical
 /// clouds on every platform.
+///
+/// # Panics
+///
+/// Panics when `sh_degree > 3` or `background_fraction` is outside
+/// `[0, 1]`.
 pub fn generate(params: &SynthParams) -> GaussianCloud {
-    // neo-lint: allow(r2, "generator precondition: out-of-range SynthParams are a caller bug, and silently clamping would change the generated scene")
     assert!(params.sh_degree <= 3, "sh_degree must be 0..=3");
-    // neo-lint: allow(r2, "generator precondition: out-of-range SynthParams are a caller bug, and silently clamping would change the generated scene")
     assert!(
         (0.0..=1.0).contains(&params.background_fraction),
         "background_fraction must be in [0, 1]"
@@ -270,11 +279,18 @@ impl CityParams {
     /// Blocks per axis: always even (so the city's central north–south
     /// street runs through `x = 0`, where the quickstart camera drives),
     /// and chosen so the block count grows linearly with `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scale` is not positive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "f32->usize after round().max(1.0): positive and far below usize::MAX for any sane scale; floats have no try_from"
+    )]
     pub fn blocks_per_axis(&self) -> usize {
-        // neo-lint: allow(r2, "generator precondition: a non-positive scale is a caller bug, and clamping would silently change the scene")
         assert!(self.scale > 0.0, "city scale must be positive");
         let half = (self.scale.sqrt() * 2.0).round().max(1.0);
-        // neo-lint: allow(r1, "f32->usize after round().max(1.0): positive and far below usize::MAX for any sane scale; floats have no try_from")
         2 * (half as usize)
     }
 
@@ -295,8 +311,11 @@ impl CityParams {
 
     /// Generates the city cloud. Deterministic: equal parameters
     /// (including seed) produce identical clouds on every platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sh_degree > 3`.
     pub fn build(&self) -> GaussianCloud {
-        // neo-lint: allow(r2, "generator precondition: out-of-range CityParams are a caller bug, and silently clamping would change the generated scene")
         assert!(self.sh_degree <= 3, "sh_degree must be 0..=3");
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let n = self.blocks_per_axis();

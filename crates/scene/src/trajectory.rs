@@ -142,12 +142,15 @@ impl CameraPath {
 ///
 /// Panics when fewer than two waypoints are given.
 pub fn catmull_rom(waypoints: &[Vec3], s: f32) -> Vec3 {
-    // neo-lint: allow(r2, "documented `# Panics` contract: a spline through fewer than two points is undefined")
     assert!(waypoints.len() >= 2, "spline needs at least two waypoints");
     let n = waypoints.len();
     let segs = (n - 1) as f32;
     let x = (s.clamp(0.0, 1.0) * segs).min(segs - 1e-6);
-    // neo-lint: allow(r1, "x is clamped into [0, segs - 1e-6] above, so floor() is a valid segment index; floats have no try_from")
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "x is clamped into [0, segs - 1e-6] above, so floor() is a valid segment index; floats have no try_from"
+    )]
     let i = x.floor() as usize;
     let u = x - i as f32;
     let last = isize::try_from(n).unwrap_or(isize::MAX) - 1;
@@ -178,8 +181,11 @@ pub struct FrameSampler {
 
 impl FrameSampler {
     /// Samples `path` at `fps` frames per second at resolution `res`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fps` is not positive.
     pub fn new(path: CameraPath, fps: f32, res: Resolution) -> Self {
-        // neo-lint: allow(r2, "constructor precondition: a non-positive frame rate makes sampling undefined; failing fast beats NaN timestamps")
         assert!(fps > 0.0, "fps must be positive");
         Self {
             path,
@@ -190,9 +196,12 @@ impl FrameSampler {
     }
 
     /// Multiplies camera speed (Figure 17(b) uses 2×, 4×, 8×, 16×).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `speed` is not positive.
     #[must_use]
     pub fn with_speed(mut self, speed: f32) -> Self {
-        // neo-lint: allow(r2, "constructor precondition: a non-positive speed multiplier makes sampling undefined; failing fast beats NaN timestamps")
         assert!(speed > 0.0, "speed must be positive");
         self.speed = speed;
         self

@@ -41,8 +41,12 @@ impl FrameBudget {
     /// ```
     #[must_use]
     pub fn from_refresh_hz(hz: f64) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64->u64 of a positive finite value in (0, 1e6/hz]; floats have no try_from and validate() rejects the 0 edge"
+        )]
         let period_us = if hz.is_finite() && hz > 0.0 {
-            // neo-lint: allow(r1, "f64->u64 of a positive finite value in (0, 1e6/hz]; floats have no try_from and validate() rejects the 0 edge")
             (1e6 / hz).round() as u64
         } else {
             0

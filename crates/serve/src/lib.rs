@@ -69,8 +69,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::float_cmp, reason = "unit tests compare exact expected floats")
+)]
 
 mod admission;
 mod budget;

@@ -184,7 +184,10 @@ enum Pace<'c> {
     /// Injected per-frame costs; no wall-clock reads at all.
     Virtual(&'c dyn CostModel),
     /// Host monotonic clock; costs are measured render durations.
-    // neo-lint: allow(r4, "real-clock serving is explicitly nondeterministic and quarantined behind this variant; the virtual-clock path never constructs it")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-clock serving is explicitly nondeterministic and quarantined behind this variant; the virtual-clock path never constructs it"
+    )]
     Real(std::time::Instant),
 }
 
@@ -293,12 +296,15 @@ impl<'e> ServeDriver<'e> {
     /// # Errors
     ///
     /// As [`ServeDriver::run_virtual`], minus any cost-model concerns.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-clock mode is the explicitly nondeterministic measurement path; determinism tests run run_virtual, which never reads a clock"
+    )]
     pub fn run_real_clock(
         &self,
         specs: &[SessionSpec],
         scheduler: &mut dyn Scheduler,
     ) -> ServeResult<ServeReport> {
-        // neo-lint: allow(r4, "real-clock mode is the explicitly nondeterministic measurement path; determinism tests run run_virtual, which never reads a clock")
         self.run_inner(specs, scheduler, Pace::Real(std::time::Instant::now()))
     }
 

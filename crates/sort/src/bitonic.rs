@@ -189,7 +189,6 @@ pub(crate) fn bsu_block(block: &mut [TableEntry]) -> SortCost {
 ///
 /// Panics when given more than [`BSU_WIDTH`] entries.
 pub fn bsu_sort16(entries: &mut [TableEntry]) -> SortCost {
-    // neo-lint: allow(r2, "documented `# Panics` contract: the BSU is a fixed 16-wide hardware unit, oversized input is a caller bug")
     assert!(
         entries.len() <= BSU_WIDTH,
         "BSU sorts at most {BSU_WIDTH} entries, got {}",

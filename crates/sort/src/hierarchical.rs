@@ -46,7 +46,6 @@ pub fn hierarchical_sort(
     entries: &[TableEntry],
     config: &HierarchicalConfig,
 ) -> (Vec<TableEntry>, SortCost) {
-    // neo-lint: allow(r2, "documented `# Panics` contract: >16 bucket bits no longer models on-chip metadata")
     assert!(config.bucket_bits <= 16, "bucket_bits must be ≤ 16");
     let mut cost = SortCost::new();
     if entries.is_empty() {
@@ -86,7 +85,11 @@ pub fn hierarchical_sort(
             let overflow = (bucket.len() as f64 / config.chunk_size as f64)
                 .log2()
                 .ceil();
-            // neo-lint: allow(r1, "overflow = ceil(log2(len/chunk)) is a small non-negative f64; the saturating f64->u64 cast is exact and floats have no try_from")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "overflow = ceil(log2(len/chunk)) is a small non-negative f64; the saturating f64->u64 cast is exact and floats have no try_from"
+            )]
             let extra_passes = overflow as u64;
             extra_pass_bytes +=
                 neo_math::num::u64_from_usize(bucket.len() * ENTRY_BYTES) * extra_passes;

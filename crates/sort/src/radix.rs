@@ -59,7 +59,6 @@ pub fn radix_sort(entries: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
         // Counting pass (histogram) is on-chip; scatter is the DRAM pass.
         let mut counts = [0usize; 256];
         for e in &src {
-            // neo-lint: allow(r1, "the & 0xFF mask pins the digit to 0..=255; it cannot truncate")
             counts[((key64(e) >> shift) & 0xFF) as usize] += 1;
         }
         let mut offsets = [0usize; 256];
@@ -71,7 +70,6 @@ pub fn radix_sort(entries: &[TableEntry]) -> (Vec<TableEntry>, SortCost) {
         dst.clear();
         dst.resize(n, src[0]);
         for e in &src {
-            // neo-lint: allow(r1, "the & 0xFF mask pins the digit to 0..=255; it cannot truncate")
             let d = ((key64(e) >> shift) & 0xFF) as usize;
             dst[offsets[d]] = *e;
             offsets[d] += 1;

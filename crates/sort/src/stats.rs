@@ -58,10 +58,13 @@ pub fn order_differences(prev: &[u32], cur: &[u32]) -> Vec<usize> {
 /// formula yields rank 0 there, which would underflow the 1-based rank;
 /// we define `p = 0.0` as the minimum sample (rank 1). The upper clamp is
 /// defensive against float round-up at `p = 100.0`.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "f64->usize is a saturating cast and the clamp(1, n) pins the rank in range; floats have no try_from"
+)]
 fn nearest_rank_index(n: usize, p: f64) -> usize {
-    // neo-lint: allow(r2, "documented `# Panics` contract: out-of-range percentile is a caller bug")
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    // neo-lint: allow(r1, "f64->usize is a saturating cast and the clamp(1, n) pins the rank in range; floats have no try_from")
     (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 
@@ -80,7 +83,6 @@ fn nearest_rank_index(n: usize, p: f64) -> usize {
 /// Panics when `p` is outside `[0, 100]`.
 pub fn percentile(samples: &[usize], p: f64) -> usize {
     if samples.is_empty() {
-        // neo-lint: allow(r2, "documented `# Panics` contract: out-of-range percentile is a caller bug")
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
         return 0;
     }
@@ -101,7 +103,6 @@ pub fn percentile(samples: &[usize], p: f64) -> usize {
 /// Panics when `p` is outside `[0, 100]`.
 pub fn percentile_f64(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
-        // neo-lint: allow(r2, "documented `# Panics` contract: out-of-range percentile is a caller bug")
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
         return 0.0;
     }

@@ -150,7 +150,6 @@ impl StrategyKind {
     /// interval); validate first when the parameters are untrusted.
     #[must_use]
     pub fn build(self, config: SorterConfig) -> Box<dyn SortingStrategy> {
-        // neo-lint: allow(r2, "documented `# Panics` contract: validate() is the fallible path for untrusted parameters")
         assert!(self.validate().is_ok(), "invalid strategy: {self:?}");
         match self {
             StrategyKind::FullResort => Box::new(FullResortStrategy::new()),
@@ -349,7 +348,6 @@ impl PeriodicStrategy {
     ///
     /// Panics when `interval` is zero.
     pub fn new(interval: u32) -> Self {
-        // neo-lint: allow(r2, "documented `# Panics` contract: a zero refresh interval would divide by zero every frame")
         assert!(interval > 0, "periodic interval must be positive");
         Self {
             interval,
@@ -815,7 +813,7 @@ mod tests {
             // Re-key the returned order with the *true* current depths and
             // count inversions: measures real blend-order error, tolerant
             // of the by-design one-frame depth lag.
-            let depth_of: std::collections::HashMap<u32, f32> = fr.iter().copied().collect();
+            let depth_of: std::collections::BTreeMap<u32, f32> = fr.iter().copied().collect();
             let rekeyed = GaussianTable::from_entries(
                 out.order
                     .iter()

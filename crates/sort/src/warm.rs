@@ -95,7 +95,6 @@ impl IdMap {
 
     #[inline]
     fn home(&self, id: u32) -> usize {
-        // neo-lint: allow(r6, "Fibonacci-hash mixing: the wraparound of the golden-ratio multiply IS the hash") allow(r1, "the >> 32 of a u64 leaves 32 bits, then & mask narrows further; cannot truncate")
         ((u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize & self.mask
     }
 

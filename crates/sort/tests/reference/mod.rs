@@ -14,7 +14,10 @@
 //! Shared by `crates/sort/tests/reuse_update_reference.rs` and the
 //! workspace's `tests/property_sort.rs`.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each including test binary uses a different subset"
+)]
 
 use neo_sort::dps::{chunk_ranges, DpsConfig};
 use neo_sort::strategies::SorterConfig;

@@ -4,6 +4,11 @@
 //! closed-form cost of an already sorted chunk must equal what the kernel
 //! counts for it.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures index small generated frames with bare casts"
+)]
+
 mod reference;
 
 use neo_sort::dps::{chunk_ranges, dynamic_partial_sort, DpsConfig};
