@@ -241,12 +241,10 @@ impl RendererConfig {
     /// The cache is per-tile session state, so it shards with the
     /// intra-frame worker pool and survives re-planning; hit-rate and
     /// repair cost surface per frame in
-    /// [`crate::FrameResult::temporal`]. With
-    /// [`neo_sort::WarmStartMode::Exact`] the output is byte-identical
-    /// to cold sorting (validation mode); the default
-    /// [`neo_sort::WarmStartMode::Repair`] keeps images byte-identical
-    /// over *exact* inner strategies while cutting sorting traffic to a
-    /// single pass on warm frames.
+    /// [`crate::FrameResult::temporal`]. Over *exact* inner strategies
+    /// (full-resort, hierarchical) images stay byte-identical to cold
+    /// sorting while sorting traffic drops to a single pass on warm
+    /// frames.
     ///
     /// This example is the README's warm-start quickstart, kept honest by
     /// `cargo test --doc`:

@@ -1174,9 +1174,6 @@ mod tests {
                     reuse: None,
                 }
             }
-            fn cost(&self) -> SortCost {
-                SortCost::new()
-            }
         }
 
         let engine = RenderEngine::builder()
@@ -1338,9 +1335,6 @@ mod tests {
                     outgoing: 0,
                     reuse: None,
                 }
-            }
-            fn cost(&self) -> SortCost {
-                SortCost::new()
             }
         }
 

@@ -34,11 +34,9 @@ impl std::fmt::Display for SessionId {
 ///
 /// Populated only when the session's strategies carry a temporal cache
 /// (see [`crate::RendererConfig::with_temporal_cache`]); all-zero
-/// otherwise, and all-zero in [`neo_sort::WarmStartMode::Exact`], whose
-/// contract is a `FrameResult` byte-identical to cold sorting. Every
-/// field is an order-independent integer sum over tiles, so the values
-/// are byte-identical across thread counts and shard plans like the rest
-/// of the frame result.
+/// otherwise. Every field is an order-independent integer sum over
+/// tiles, so the values are byte-identical across thread counts and shard
+/// plans like the rest of the frame result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TemporalCacheStats {
     /// Tiles served from the warm cache (repair path) this frame.

@@ -82,6 +82,6 @@ pub use frame::{FrameResult, SessionId, TemporalCacheStats, TileLoad};
 pub use neo_pipeline::LodConfig;
 pub use neo_scene::{CloudStorage, ClusterParams, ClusteredCloud, StorageFormat};
 pub use neo_sort::strategies::StrategyKind;
-pub use neo_sort::warm::{WarmStartConfig, WarmStartMode, WarmStartStats};
+pub use neo_sort::warm::WarmStartConfig;
 pub use neo_sort::SortingStrategy;
 pub use shard::ShardPlan;

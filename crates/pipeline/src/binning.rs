@@ -27,7 +27,7 @@ pub struct TilePopulationDiff {
 impl TilePopulationDiff {
     /// Fraction of the previous population still present (1.0 when the
     /// previous frame was empty — an empty tile retains everything
-    /// vacuously, matching `neo_sort::stats::retention`).
+    /// vacuously).
     #[must_use]
     pub fn retention(&self) -> f64 {
         let prev = self.retained + self.departed;

@@ -16,8 +16,9 @@
 //!   each with faithful cost accounting (compares, element moves, DRAM
 //!   bytes). User-defined strategies implement the same trait and run
 //!   through `neo-core`'s `RenderEngine` unchanged.
-//! * **Temporal statistics** ([`stats`]) — Gaussian retention and
-//!   order-difference percentiles (Figures 6 and 7).
+//! * **Temporal statistics** ([`stats`]) — order differences and their
+//!   percentiles (Figure 7); retention (Figure 6) is
+//!   `neo_pipeline::diff_tile_population`.
 //! * **Warm-start temporal sorting** ([`warm`]) — a cache wrapper over
 //!   any strategy that carries the previous frame's order across frames
 //!   and repairs it instead of re-sorting, exploiting exactly the
@@ -64,4 +65,4 @@ mod table;
 pub use cost::SortCost;
 pub use strategies::{SortingStrategy, StrategyKind};
 pub use table::{GaussianTable, TableEntry, ENTRY_BYTES};
-pub use warm::{WarmStartConfig, WarmStartMode, WarmStartSorter, WarmStartStats};
+pub use warm::{WarmStartConfig, WarmStartSorter};

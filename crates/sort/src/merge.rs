@@ -90,37 +90,6 @@ pub(crate) fn merge_into(
     (w, cost)
 }
 
-/// Merges `k` key-sorted runs into one sorted vector by iterated pairwise
-/// merging (how the Sorting Core combines BSU outputs into a chunk).
-pub fn merge_runs(runs: &[&[TableEntry]]) -> (Vec<TableEntry>, SortCost) {
-    let mut cost = SortCost::new();
-    match runs.len() {
-        0 => return (Vec::new(), cost),
-        1 => {
-            let out: Vec<_> = runs[0].iter().copied().filter(|e| e.valid).collect();
-            cost.moves += neo_math::num::u64_from_usize(out.len());
-            return (out, cost);
-        }
-        _ => {}
-    }
-    let mut current: Vec<Vec<TableEntry>> = runs.iter().map(|r| r.to_vec()).collect();
-    while current.len() > 1 {
-        let mut next = Vec::with_capacity(current.len().div_ceil(2));
-        let mut iter = current.chunks(2);
-        for pair in &mut iter {
-            if pair.len() == 2 {
-                let (merged, c) = merge_filtering(&pair[0], &pair[1]);
-                cost += c;
-                next.push(merged);
-            } else {
-                next.push(pair[0].clone());
-            }
-        }
-        current = next;
-    }
-    (current.pop().unwrap_or_default(), cost)
-}
-
 /// Sorts a chunk the way a Sorting Core does: split into 16-entry
 /// sub-chunks, BSU-sort each, then MSU-merge the runs. Invalid entries are
 /// filtered out by the merge.
@@ -308,31 +277,6 @@ mod tests {
         let a = run(&[1.0, 2.0]);
         let (out, cost) = merge_filtering(&a, &[]);
         assert_eq!(out.len(), 2);
-        assert_eq!(cost.compares, 0);
-    }
-
-    #[test]
-    fn merge_runs_many() {
-        let r1 = run(&[1.0, 4.0, 7.0]);
-        let r2 = run(&[2.0, 5.0]);
-        let r3 = run(&[3.0, 6.0]);
-        let (out, _) = merge_runs(&[&r1, &r2, &r3]);
-        let depths: Vec<f32> = out.iter().map(|e| e.depth).collect();
-        assert_eq!(depths, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn merge_runs_single_filters_invalid() {
-        let mut r = run(&[1.0, 2.0]);
-        r[1].valid = false;
-        let (out, _) = merge_runs(&[&r]);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn merge_runs_empty() {
-        let (out, cost) = merge_runs(&[]);
-        assert!(out.is_empty());
         assert_eq!(cost.compares, 0);
     }
 

@@ -1,7 +1,8 @@
 //! Temporal-similarity statistics (the measurements behind Figures 6–7).
 //!
 //! * **Retention**: the proportion of a tile's Gaussians shared with the
-//!   previous frame (Figure 6 plots the CDF of this over tiles).
+//!   previous frame (Figure 6 plots the CDF of this over tiles) — see
+//!   `neo_pipeline::diff_tile_population`.
 //! * **Order difference**: how far each shared Gaussian moves within the
 //!   tile's depth ordering between consecutive frames (Figure 7 reports
 //!   the 90th/95th/99th percentiles).
@@ -9,18 +10,7 @@
 // BTree collections keep every derived iteration order a pure function
 // of the keys (architecture contract §4); hash maps are seeded per
 // process.
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Fraction of `prev` IDs that also appear in `cur` (1.0 when `prev` is
-/// empty — an empty tile retains everything vacuously).
-pub fn retention(prev: &[u32], cur: &[u32]) -> f64 {
-    if prev.is_empty() {
-        return 1.0;
-    }
-    let cur_set: BTreeSet<u32> = cur.iter().copied().collect();
-    let shared = prev.iter().filter(|id| cur_set.contains(id)).count();
-    shared as f64 / prev.len() as f64
-}
+use std::collections::BTreeMap;
 
 /// Per-Gaussian rank displacement between two orderings.
 ///
@@ -91,53 +81,9 @@ pub fn percentile(samples: &[usize], p: f64) -> usize {
     sorted[nearest_rank_index(sorted.len(), p)]
 }
 
-/// Nearest-rank percentile for `f64` samples.
-///
-/// Same contract as [`percentile`]: `0.0` sentinel for empty input,
-/// `p = 0.0` is the minimum sample, `p = 100.0` the maximum. Samples are
-/// ordered by [`f64::total_cmp`], so NaNs sort to the ends instead of
-/// poisoning the ranking.
-///
-/// # Panics
-///
-/// Panics when `p` is outside `[0, 100]`.
-pub fn percentile_f64(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[nearest_rank_index(sorted.len(), p)]
-}
-
-/// Empirical CDF points `(value, cumulative_fraction)` for plotting
-/// (Figure 6 renders these curves).
-pub fn empirical_cdf(samples: &[f64]) -> Vec<(f64, f64)> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len() as f64;
-    sorted
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, (i + 1) as f64 / n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retention_basic() {
-        assert_eq!(retention(&[1, 2, 3, 4], &[2, 3, 4, 5]), 0.75);
-        assert_eq!(retention(&[], &[1]), 1.0);
-        assert_eq!(retention(&[1, 2], &[]), 0.0);
-        assert_eq!(retention(&[1, 2], &[1, 2]), 1.0);
-    }
 
     #[test]
     fn order_differences_identical_orders() {
@@ -201,8 +147,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1);
         assert_eq!(percentile(&[42], 0.0), 42);
         assert_eq!(percentile(&[], 0.0), 0, "empty-input sentinel");
-        assert!((percentile_f64(&[2.5, 0.5], 0.0) - 0.5).abs() < 1e-12);
-        assert_eq!(percentile_f64(&[], 0.0), 0.0);
     }
 
     #[test]
@@ -212,21 +156,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.001), 10);
         assert_eq!(percentile(&v, 25.0), 10);
         assert_eq!(percentile(&v, 25.1), 20);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let cdf = empirical_cdf(&[0.5, 0.1, 0.9, 0.1]);
-        assert_eq!(cdf.len(), 4);
-        assert!(cdf.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-        assert!(empirical_cdf(&[]).is_empty());
-    }
-
-    #[test]
-    fn percentile_f64_works() {
-        let v = [0.1, 0.9, 0.5];
-        assert!((percentile_f64(&v, 100.0) - 0.9).abs() < 1e-12);
-        assert_eq!(percentile_f64(&[], 50.0), 0.0);
     }
 }

@@ -67,7 +67,6 @@ pub const HIERARCHICAL_PASSES: u32 = 2;
 /// s.begin_frame(0);
 /// let out = s.order(&[(2, 5.0), (7, 1.0)]);
 /// assert_eq!(out.order[0].id, 7);
-/// assert_eq!(s.cost().bytes_total(), out.cost.bytes_total());
 /// ```
 pub trait SortingStrategy: std::fmt::Debug + Send {
     /// Short human-readable name for diagnostics and experiment labels.
@@ -82,9 +81,6 @@ pub trait SortingStrategy: std::fmt::Debug + Send {
     /// Produces the blend order for the tile's true `(id, depth)` entries
     /// this frame, advancing all internal state.
     fn order(&mut self, current: &[(u32, f32)]) -> FrameOrder;
-
-    /// Cumulative sorting cost across every frame ordered so far.
-    fn cost(&self) -> SortCost;
 
     /// The table carried across frames, when the strategy persists one.
     fn table(&self) -> Option<&GaussianTable> {
@@ -234,14 +230,12 @@ pub struct FrameOrder {
 /// (CUB model): multi-pass, bandwidth-hungry, but exact. The "original
 /// 3DGS" baseline.
 #[derive(Debug, Clone, Default)]
-pub struct FullResortStrategy {
-    total_cost: SortCost,
-}
+pub struct FullResortStrategy;
 
 impl FullResortStrategy {
     /// Creates the stateless full-resort baseline.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -258,7 +252,6 @@ impl SortingStrategy for FullResortStrategy {
             .map(|&(id, d)| TableEntry::new(id, d))
             .collect();
         let (order, cost) = radix_sort(&entries);
-        self.total_cost += cost;
         FrameOrder {
             order,
             cost,
@@ -267,23 +260,17 @@ impl SortingStrategy for FullResortStrategy {
             reuse: None,
         }
     }
-
-    fn cost(&self) -> SortCost {
-        self.total_cost
-    }
 }
 
 /// Exact sort with GSCore's hierarchical (coarse bucket + fine chunk)
 /// method: fewer off-chip passes than radix, still from scratch.
 #[derive(Debug, Clone, Default)]
-pub struct HierarchicalStrategy {
-    total_cost: SortCost,
-}
+pub struct HierarchicalStrategy;
 
 impl HierarchicalStrategy {
     /// Creates the stateless GSCore-style hierarchical sorter.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -300,7 +287,6 @@ impl SortingStrategy for HierarchicalStrategy {
             .map(|&(id, d)| TableEntry::new(id, d))
             .collect();
         let (order, cost) = hierarchical_sort(&entries, &HierarchicalConfig::default());
-        self.total_cost += cost;
         FrameOrder {
             order,
             cost,
@@ -308,10 +294,6 @@ impl SortingStrategy for HierarchicalStrategy {
             outgoing: 0,
             reuse: None,
         }
-    }
-
-    fn cost(&self) -> SortCost {
-        self.total_cost
     }
 }
 
@@ -338,7 +320,6 @@ pub struct PeriodicStrategy {
     interval: u32,
     frame: u64,
     table: GaussianTable,
-    total_cost: SortCost,
 }
 
 impl PeriodicStrategy {
@@ -353,7 +334,6 @@ impl PeriodicStrategy {
             interval,
             frame: 0,
             table: GaussianTable::new(),
-            total_cost: SortCost::new(),
         }
     }
 
@@ -379,7 +359,6 @@ impl SortingStrategy for PeriodicStrategy {
                 .map(|&(id, d)| TableEntry::new(id, d))
                 .collect();
             let (order, cost) = radix_sort(&entries);
-            self.total_cost += cost;
             self.table.set_entries(order.clone());
             FrameOrder {
                 order,
@@ -402,10 +381,6 @@ impl SortingStrategy for PeriodicStrategy {
         }
     }
 
-    fn cost(&self) -> SortCost {
-        self.total_cost
-    }
-
     fn table(&self) -> Option<&GaussianTable> {
         Some(&self.table)
     }
@@ -417,7 +392,6 @@ impl SortingStrategy for PeriodicStrategy {
 pub struct BackgroundStrategy {
     lag: u32,
     pending: VecDeque<Vec<TableEntry>>,
-    total_cost: SortCost,
 }
 
 impl BackgroundStrategy {
@@ -426,7 +400,6 @@ impl BackgroundStrategy {
         Self {
             lag,
             pending: VecDeque::new(),
-            total_cost: SortCost::new(),
         }
     }
 
@@ -450,7 +423,6 @@ impl SortingStrategy for BackgroundStrategy {
             .map(|&(id, d)| TableEntry::new(id, d))
             .collect();
         let (fresh, cost) = radix_sort(&entries);
-        self.total_cost += cost;
         self.pending.push_back(fresh);
         // ...but rendering consumes the sort finished `lag` frames ago.
         while self.pending.len() > neo_math::num::usize_from_u32(self.lag) + 1 {
@@ -465,10 +437,6 @@ impl SortingStrategy for BackgroundStrategy {
             outgoing: 0,
             reuse: None,
         }
-    }
-
-    fn cost(&self) -> SortCost {
-        self.total_cost
     }
 }
 
@@ -509,7 +477,6 @@ pub struct ReuseUpdateStrategy {
     /// IDs of the table's valid entries: the previous frame's input IDs,
     /// sorted and deduplicated.
     valid_ids: Vec<u32>,
-    total_cost: SortCost,
 }
 
 impl ReuseUpdateStrategy {
@@ -520,7 +487,6 @@ impl ReuseUpdateStrategy {
             frame: 0,
             table: GaussianTable::new(),
             valid_ids: Vec::new(),
-            total_cost: SortCost::new(),
         }
     }
 
@@ -543,6 +509,65 @@ fn by_id_last_wins(current: &[(u32, f32)]) -> Vec<(u32, f32)> {
         same
     });
     by_id
+}
+
+/// A tile's `(id, depth)` input prepared for membership queries against
+/// a sorted ID list: the hash-map-free lookup [`ReuseUpdateStrategy`] and
+/// [`crate::warm::WarmStartSorter`] share.
+///
+/// Its ID-ascending view is the input itself when that is strictly
+/// ascending by ID, as binning emits it, and a `by_id_last_wins` copy
+/// otherwise.
+pub(crate) struct TileInput<'a> {
+    current: &'a [(u32, f32)],
+    by_id: Cow<'a, [(u32, f32)]>,
+}
+
+impl<'a> TileInput<'a> {
+    pub(crate) fn new(current: &'a [(u32, f32)]) -> Self {
+        let by_id = if current.windows(2).all(|w| w[0].0 < w[1].0) {
+            Cow::Borrowed(current)
+        } else {
+            Cow::Owned(by_id_last_wins(current))
+        };
+        Self { current, by_id }
+    }
+
+    /// This frame's depth of `id`, by binary search.
+    #[inline]
+    pub(crate) fn depth(&self, id: u32) -> Option<f32> {
+        let i = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(self.by_id[i].1)
+    }
+
+    /// The input's IDs, ascending and deduplicated.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.by_id.iter().map(|&(id, _)| id)
+    }
+
+    /// The input entries, in input order, whose ID is not in the ascending
+    /// `sorted_ids`: one merge pass when the input is ascending by ID, a
+    /// binary search per entry otherwise.
+    pub(crate) fn not_in(&self, sorted_ids: &[u32]) -> Vec<TableEntry> {
+        let entry = |&(id, d): &(u32, f32)| TableEntry::new(id, d);
+        if let Cow::Borrowed(_) = self.by_id {
+            let mut known = sorted_ids.iter().peekable();
+            self.current
+                .iter()
+                .filter(|&&(id, _)| {
+                    while known.next_if(|&&k| k < id).is_some() {}
+                    known.peek() != Some(&&id)
+                })
+                .map(entry)
+                .collect()
+        } else {
+            self.current
+                .iter()
+                .filter(|(id, _)| sorted_ids.binary_search(id).is_err())
+                .map(entry)
+                .collect()
+        }
+    }
 }
 
 impl SortingStrategy for ReuseUpdateStrategy {
@@ -578,31 +603,9 @@ impl SortingStrategy for ReuseUpdateStrategy {
         }
 
         // ❷ Insertion: newly visible Gaussians, in input order, are the
-        // input IDs that were not valid — one merge pass when the input
-        // is ascending by ID, a binary search per entry otherwise.
-        let ascending = current.windows(2).all(|w| w[0].0 < w[1].0);
-        let by_id: Cow<'_, [(u32, f32)]> = if ascending {
-            Cow::Borrowed(current)
-        } else {
-            Cow::Owned(by_id_last_wins(current))
-        };
-        let mut incoming_entries: Vec<TableEntry> = if ascending {
-            let mut valid = self.valid_ids.iter().peekable();
-            current
-                .iter()
-                .filter(|&&(id, _)| {
-                    while valid.next_if(|&&v| v < id).is_some() {}
-                    valid.peek() != Some(&&id)
-                })
-                .map(|&(id, d)| TableEntry::new(id, d))
-                .collect()
-        } else {
-            current
-                .iter()
-                .filter(|(id, _)| self.valid_ids.binary_search(id).is_err())
-                .map(|&(id, d)| TableEntry::new(id, d))
-                .collect()
-        };
+        // input IDs that were not valid.
+        let input = TileInput::new(current);
+        let mut incoming_entries = input.not_in(&self.valid_ids);
         let incoming = incoming_entries.len();
         let (sorted_len, c_in) = sort_chunk(&mut incoming_entries, true, &mut scratch);
         // Freed before the merge allocates the order, which can then reuse
@@ -632,9 +635,9 @@ impl SortingStrategy for ReuseUpdateStrategy {
         // entries that no longer intersect the tile lose their valid bit.
         let mut outgoing = 0;
         for e in self.table.entries_mut() {
-            match by_id.binary_search_by_key(&e.id, |&(id, _)| id) {
-                Ok(i) => e.depth = by_id[i].1,
-                Err(_) => {
+            match input.depth(e.id) {
+                Some(depth) => e.depth = depth,
+                None => {
                     if e.valid {
                         outgoing += 1;
                     }
@@ -643,7 +646,7 @@ impl SortingStrategy for ReuseUpdateStrategy {
             }
         }
         self.valid_ids.clear();
-        self.valid_ids.extend(by_id.iter().map(|&(id, _)| id));
+        self.valid_ids.extend(input.ids());
         if !self.config.deferred_depth_update {
             // Ablation: a separate depth-refresh pass re-reads and
             // re-writes the whole table.
@@ -653,7 +656,6 @@ impl SortingStrategy for ReuseUpdateStrategy {
             cost.passes += 1;
         }
 
-        self.total_cost += cost;
         FrameOrder {
             order,
             cost,
@@ -661,10 +663,6 @@ impl SortingStrategy for ReuseUpdateStrategy {
             outgoing,
             reuse: None,
         }
-    }
-
-    fn cost(&self) -> SortCost {
-        self.total_cost
     }
 
     fn table(&self) -> Option<&GaussianTable> {
@@ -934,17 +932,6 @@ mod tests {
         .map(|f| s.process_frame(f).outgoing)
         .collect();
         assert_eq!(outgoing, vec![0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn cumulative_cost_sums_frames() {
-        let mut s = StrategyKind::FullResort.build(SorterConfig::default());
-        let f = frame(&[1, 2, 3], |id| id as f32);
-        s.begin_frame(0);
-        let c0 = s.order(&f).cost;
-        s.begin_frame(1);
-        let c1 = s.order(&f).cost;
-        assert_eq!(s.cost().bytes_total(), c0.bytes_total() + c1.bytes_total());
     }
 
     #[test]

@@ -124,50 +124,14 @@ impl GaussianTable {
         self.entries.extend_from_slice(entries);
     }
 
-    /// Consumes the table, returning its entries.
-    pub fn into_entries(self) -> Vec<TableEntry> {
-        self.entries
-    }
-
     /// Number of valid entries.
     pub fn valid_count(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
     }
 
-    /// Marks `id` invalid, returning whether it was present.
-    pub fn invalidate(&mut self, id: u32) -> bool {
-        let mut found = false;
-        for e in &mut self.entries {
-            if e.id == id {
-                e.valid = false;
-                found = true;
-            }
-        }
-        found
-    }
-
-    /// Writes a new depth for `id` (deferred depth update), returning
-    /// whether the entry was present.
-    pub fn update_depth(&mut self, id: u32, depth: f32) -> bool {
-        let mut found = false;
-        for e in &mut self.entries {
-            if e.id == id {
-                e.depth = depth;
-                found = true;
-            }
-        }
-        found
-    }
-
     /// True when entries are sorted by [`TableEntry::key`].
     pub fn is_sorted(&self) -> bool {
         self.entries.windows(2).all(|w| w[0].key() <= w[1].key())
-    }
-
-    /// Fully sorts the table (reference operation — what per-frame
-    /// re-sorting computes).
-    pub fn sort_full(&mut self) {
-        self.entries.sort_by_key(TableEntry::key);
     }
 
     /// Number of inversions (pairs out of order) — the Kendall-tau
@@ -201,19 +165,6 @@ impl GaussianTable {
         let mut keys: Vec<_> = self.entries.iter().map(TableEntry::key).collect();
         let mut buf = Vec::with_capacity(keys.len());
         count(&mut keys, &mut buf)
-    }
-
-    /// Maximum displacement of any entry from its position in the fully
-    /// sorted table (the paper's "order difference", Figure 7).
-    pub fn max_displacement(&self) -> usize {
-        let mut sorted: Vec<_> = self.entries.iter().enumerate().collect();
-        sorted.sort_by_key(|(_, e)| e.key());
-        sorted
-            .iter()
-            .enumerate()
-            .map(|(target, (current, _))| target.abs_diff(*current))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Size of the table in off-chip bytes.
@@ -273,40 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_full_sorts() {
-        let mut t = table(&[3.0, 1.0, 2.0, 0.5]);
-        assert!(!t.is_sorted());
-        t.sort_full();
-        assert!(t.is_sorted());
-        let ids: Vec<_> = t.entries().iter().map(|e| e.id).collect();
-        assert_eq!(ids, vec![3, 1, 2, 0]);
-    }
-
-    #[test]
     fn inversions_count() {
         assert_eq!(table(&[1.0, 2.0, 3.0]).inversions(), 0);
         assert_eq!(table(&[3.0, 2.0, 1.0]).inversions(), 3);
         assert_eq!(table(&[2.0, 1.0, 3.0]).inversions(), 1);
         assert_eq!(GaussianTable::new().inversions(), 0);
-    }
-
-    #[test]
-    fn max_displacement_matches_shift() {
-        // Element at index 0 belongs at index 3.
-        let t = table(&[9.0, 1.0, 2.0, 3.0]);
-        assert_eq!(t.max_displacement(), 3);
-        assert_eq!(table(&[1.0, 2.0]).max_displacement(), 0);
-    }
-
-    #[test]
-    fn invalidate_and_depth_update() {
-        let mut t = table(&[1.0, 2.0]);
-        assert!(t.invalidate(1));
-        assert!(!t.invalidate(9));
-        assert_eq!(t.valid_count(), 1);
-        assert!(t.update_depth(0, 5.0));
-        assert_eq!(t.entries()[0].depth, 5.0);
-        assert!(!t.update_depth(42, 0.0));
     }
 
     #[test]

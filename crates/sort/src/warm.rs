@@ -20,20 +20,11 @@
 //! strategy — so pathological frames cost one full sort, never a
 //! quadratic repair.
 //!
-//! # Modes
-//!
-//! * [`WarmStartMode::Repair`] (default) — the warm path above. Over an
-//!   *exact* inner strategy (full-resort, hierarchical) the repaired
-//!   order is itself exact — identical IDs and depths to the cold sort,
-//!   by construction of the key-ordered repair and merge — so rendered
-//!   images are byte-identical while the sorting traffic drops to a
-//!   single pass. Only the [`SortCost`] differs from cold sorting.
-//! * [`WarmStartMode::Exact`] — a validation/shadow mode: every call is
-//!   delegated verbatim to the inner strategy (output, cost, and
-//!   diagnostics are *byte-identical* to running the inner strategy
-//!   alone, preserving the renderer's determinism contract), while the
-//!   cache and its statistics are maintained in shadow and exposed via
-//!   [`WarmStartSorter::stats`].
+//! Over an *exact* inner strategy (full-resort, hierarchical) the
+//! repaired order is itself exact — identical IDs and depths to the cold
+//! sort, by construction of the key-ordered repair and merge — so
+//! rendered images are byte-identical while the sorting traffic drops to
+//! a single pass. Only the [`SortCost`] differs from cold sorting.
 //!
 //! # Examples
 //!
@@ -51,140 +42,20 @@
 //! assert!(hit.reuse.unwrap().warm);
 //! assert_eq!(hit.order.len(), 3);
 //! assert!(hit.cost.bytes_total() < cold.cost.bytes_total());
-//! assert!(warm.stats().hit_rate() > 0.0);
 //! ```
 
-use crate::merge::{chunk_sort, merge_keeping};
-use crate::strategies::{FrameOrder, SortingStrategy, TileReuse};
+use crate::bitonic::pad_entry;
+use crate::merge::{merge_into, sort_chunk, ChunkScratch};
+use crate::strategies::{FrameOrder, SortingStrategy, TileInput, TileReuse};
 use crate::{GaussianTable, SortCost, TableEntry, ENTRY_BYTES};
 
-/// Minimal open-addressing `id → depth` map for the per-tile hot path.
-///
-/// `std::collections::HashMap`'s DoS-resistant SipHash costs more than
-/// the repair pass it serves here (two map builds + two probes per entry
-/// per frame); Fibonacci multiply + linear probing at ≤0.5 load factor
-/// is deterministic and an order of magnitude cheaper. The slot sentinel
-/// is `u32::MAX`, which [`TableEntry::key`] reserves for the bitonic
-/// padding anyway; a real `u32::MAX` ID is still handled, via a
-/// dedicated side slot.
-struct IdMap {
-    mask: usize,
-    slots: Vec<(u32, u32)>, // (id, depth bits); EMPTY_ID marks a free slot
-    taken: Vec<bool>,       // per-slot "consumed by the retained scan" flag
-    max_id_depth: Option<u32>,
-    max_id_taken: bool,
-}
-
-const EMPTY_ID: u32 = u32::MAX;
-
-impl IdMap {
-    fn build(entries: impl ExactSizeIterator<Item = (u32, f32)>) -> Self {
-        let cap = (entries.len().max(1) * 2).next_power_of_two().max(8);
-        let mut map = Self {
-            mask: cap - 1,
-            slots: vec![(EMPTY_ID, 0); cap],
-            taken: vec![false; cap],
-            max_id_depth: None,
-            max_id_taken: false,
-        };
-        for (id, depth) in entries {
-            map.insert(id, depth);
-        }
-        map
-    }
-
-    #[inline]
-    fn home(&self, id: u32) -> usize {
-        ((u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize & self.mask
-    }
-
-    /// Probes to the slot holding `id`, or the empty slot ending its
-    /// chain. `None` encodes the reserved-ID side slot.
-    #[inline]
-    fn probe(&self, id: u32) -> Option<usize> {
-        if id == EMPTY_ID {
-            return None;
-        }
-        let mut i = self.home(id);
-        loop {
-            let slot_id = self.slots[i].0;
-            if slot_id == id || slot_id == EMPTY_ID {
-                return Some(i);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn insert(&mut self, id: u32, depth: f32) {
-        match self.probe(id) {
-            None => self.max_id_depth = Some(depth.to_bits()),
-            Some(i) => self.slots[i] = (id, depth.to_bits()),
-        }
-    }
-
-    #[inline]
-    fn get(&self, id: u32) -> Option<f32> {
-        match self.probe(id) {
-            None => self.max_id_depth.map(f32::from_bits),
-            Some(i) => {
-                let (slot_id, bits) = self.slots[i];
-                (slot_id == id).then(|| f32::from_bits(bits))
-            }
-        }
-    }
-
-    /// [`IdMap::get`] that also marks the entry as consumed, so a later
-    /// scan over the inserted population can partition it into consumed
-    /// (retained) and unconsumed (arrived) without a second map.
-    #[inline]
-    fn take(&mut self, id: u32) -> Option<f32> {
-        match self.probe(id) {
-            None => {
-                self.max_id_taken = self.max_id_depth.is_some();
-                self.max_id_depth.map(f32::from_bits)
-            }
-            Some(i) => {
-                let (slot_id, bits) = self.slots[i];
-                if slot_id == id {
-                    self.taken[i] = true;
-                    Some(f32::from_bits(bits))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether `id` was consumed by a previous [`IdMap::take`]. Only
-    /// meaningful for IDs that were inserted.
-    #[inline]
-    fn was_taken(&self, id: u32) -> bool {
-        match self.probe(id) {
-            None => self.max_id_taken,
-            Some(i) => self.slots[i].0 == id && self.taken[i],
-        }
-    }
-}
-
-/// Why a repair-mode frame went cold, carrying the membership diff the
-/// warm attempt measured so the cold result can still report it.
+/// Why a frame went cold, carrying the membership diff the warm attempt
+/// measured so the cold result can still report it.
 #[derive(Debug, Clone, Copy)]
 struct ColdCause {
     retention: f64,
     incoming: usize,
     outgoing: usize,
-}
-
-/// Output contract of a [`WarmStartSorter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStartMode {
-    /// Serve warm frames from the repaired cache (the fast path).
-    #[default]
-    Repair,
-    /// Delegate every frame to the inner strategy verbatim; maintain the
-    /// cache and statistics in shadow only. Output is byte-identical to
-    /// the bare inner strategy.
-    Exact,
 }
 
 /// Configuration for [`WarmStartSorter`].
@@ -201,8 +72,6 @@ pub struct WarmStartConfig {
     /// displacements coherent frames produce, far below the quadratic
     /// worst case.
     pub repair_budget_factor: u32,
-    /// Output contract; see [`WarmStartMode`].
-    pub mode: WarmStartMode,
 }
 
 impl Default for WarmStartConfig {
@@ -210,21 +79,11 @@ impl Default for WarmStartConfig {
         Self {
             retention_threshold: 0.5,
             repair_budget_factor: 4,
-            mode: WarmStartMode::Repair,
         }
     }
 }
 
 impl WarmStartConfig {
-    /// The default configuration in [`WarmStartMode::Exact`].
-    #[must_use]
-    pub fn exact() -> Self {
-        Self {
-            mode: WarmStartMode::Exact,
-            ..Self::default()
-        }
-    }
-
     /// Sets the retention threshold (validated, not clamped — see
     /// [`WarmStartConfig::validate`]).
     #[must_use]
@@ -237,13 +96,6 @@ impl WarmStartConfig {
     #[must_use]
     pub fn with_repair_budget_factor(mut self, factor: u32) -> Self {
         self.repair_budget_factor = factor;
-        self
-    }
-
-    /// Sets the output mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: WarmStartMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -265,53 +117,8 @@ impl WarmStartConfig {
     }
 }
 
-/// Cumulative warm-start statistics across every frame a
-/// [`WarmStartSorter`] has ordered.
-///
-/// In [`WarmStartMode::Exact`] these are *shadow* statistics: warm/cold
-/// classification records what the repair path would have chosen (by
-/// retention), even though every frame is actually served by the inner
-/// strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStartStats {
-    /// Frames ordered.
-    pub frames: u64,
-    /// Frames served from the warm cache (repair path).
-    pub warm_frames: u64,
-    /// Frames served by a cold inner sort (first frame, low retention,
-    /// or repair-budget abort).
-    pub cold_frames: u64,
-    /// Cold frames caused by retention below the threshold.
-    pub fallbacks: u64,
-    /// Cold frames caused by the repair pass exceeding its move budget.
-    pub budget_aborts: u64,
-    /// Cached entries reused across all warm frames.
-    pub reused_entries: u64,
-    /// Newcomers merge-inserted across all warm frames.
-    pub inserted_entries: u64,
-    /// Departed entries dropped across all warm frames.
-    pub dropped_entries: u64,
-    /// Element moves spent in repair passes.
-    pub repair_moves: u64,
-    /// External cache invalidations honoured (see
-    /// [`SortingStrategy::invalidate_cache`]).
-    pub invalidations: u64,
-}
-
-impl WarmStartStats {
-    /// Fraction of frames served warm (0 when no frames were ordered).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.warm_frames as f64 / self.frames as f64
-        }
-    }
-}
-
 /// A temporal-cache wrapper around any inner [`SortingStrategy`] — see
-/// the [module docs](crate::warm) for the algorithm and modes.
+/// the [module docs](crate::warm) for the algorithm.
 ///
 /// The cache is strictly tile-local state, like every other strategy's
 /// tables, so warm-start sorting composes with `neo-core`'s intra-frame
@@ -319,14 +126,13 @@ impl WarmStartStats {
 ///
 /// # Precondition: unique IDs per frame
 ///
-/// In [`WarmStartMode::Repair`], each [`SortingStrategy::order`] call's
-/// entries must have **distinct Gaussian IDs** (the membership diff is
-/// keyed by ID, so duplicates collapse to one depth and the repaired
-/// order can disagree with a cold sort of the duplicated input). Tile
-/// binning never assigns a splat to the same tile twice, so every input
-/// produced by the rendering pipeline satisfies this; direct callers
-/// feeding synthetic duplicate IDs should deduplicate first or use
-/// [`WarmStartMode::Exact`], which delegates verbatim.
+/// Each [`SortingStrategy::order`] call's entries should have **distinct
+/// Gaussian IDs**: the membership diff is keyed by ID, so duplicates
+/// collapse to the last depth given and the repaired order can disagree
+/// with a cold sort of the duplicated input. Tile binning never assigns
+/// a splat to the same tile twice, so every input produced by the
+/// rendering pipeline satisfies this; direct callers feeding synthetic
+/// duplicate IDs should deduplicate first.
 #[derive(Debug)]
 pub struct WarmStartSorter {
     inner: Box<dyn SortingStrategy>,
@@ -335,14 +141,14 @@ pub struct WarmStartSorter {
     /// Previous frame's blend order (valid entries only); meaningful only
     /// once `primed` is set.
     cache: GaussianTable,
+    /// IDs of the cached entries, sorted and deduplicated.
+    cached_ids: Vec<u32>,
     primed: bool,
-    /// Frame indices forwarded to the inner strategy. In repair mode the
-    /// inner strategy only sees the frames it actually sorts, as a
-    /// contiguous 0,1,2,… sequence (parity-sensitive inner logic such as
-    /// DPS interleaving must not observe gaps).
+    /// Frame indices forwarded to the inner strategy. The inner strategy
+    /// only sees the frames it actually sorts, as a contiguous 0,1,2,…
+    /// sequence (parity-sensitive inner logic such as DPS interleaving
+    /// must not observe gaps).
     inner_frames: u64,
-    total_cost: SortCost,
-    stats: WarmStartStats,
 }
 
 impl WarmStartSorter {
@@ -355,10 +161,9 @@ impl WarmStartSorter {
             config,
             name,
             cache: GaussianTable::new(),
+            cached_ids: Vec::new(),
             primed: false,
             inner_frames: 0,
-            total_cost: SortCost::new(),
-            stats: WarmStartStats::default(),
         }
     }
 
@@ -367,37 +172,9 @@ impl WarmStartSorter {
         &self.config
     }
 
-    /// Cumulative warm-start statistics.
-    pub fn stats(&self) -> WarmStartStats {
-        self.stats
-    }
-
     /// The wrapped inner strategy.
     pub fn inner(&self) -> &dyn SortingStrategy {
         self.inner.as_ref()
-    }
-
-    /// Replaces the cache with the valid entries of `order`.
-    fn store(&mut self, order: &[TableEntry]) {
-        self.cache
-            .set_entries(order.iter().copied().filter(|e| e.valid).collect());
-        self.primed = true;
-    }
-
-    /// Retention of the current population against the cache — count
-    /// only, no allocation (the shadow path runs this every frame).
-    /// Returns `None` when the cache is empty or unprimed.
-    fn retention_against_cache(&self, current: &IdMap) -> Option<(f64, usize)> {
-        if !self.primed || self.cache.is_empty() {
-            return None;
-        }
-        let retained = self
-            .cache
-            .entries()
-            .iter()
-            .filter(|e| current.get(e.id).is_some())
-            .count();
-        Some((retained as f64 / self.cache.len() as f64, retained))
     }
 
     /// The warm repair path. Returns `Err(ColdCause)` when the frame must
@@ -412,24 +189,23 @@ impl WarmStartSorter {
                 outgoing: 0,
             });
         }
-        let mut current_map = IdMap::build(current.iter().copied());
-        // Retained scan, in cached order: `take` consumes each current
-        // entry still cached, so the leftover (untaken) current entries
-        // are exactly the arrivals — one map serves both partitions.
-        let mut retained: Vec<TableEntry> = Vec::with_capacity(self.cache.len());
-        for e in self.cache.entries() {
-            if let Some(d) = current_map.take(e.id) {
-                retained.push(TableEntry::new(e.id, d));
-            }
-        }
+        let input = TileInput::new(current);
+        // Retained entries in cached order, at this frame's depths; the
+        // arrivals are the input entries whose ID was not cached.
+        let mut retained: Vec<TableEntry> = self
+            .cache
+            .entries()
+            .iter()
+            .filter_map(|e| Some(TableEntry::new(e.id, input.depth(e.id)?)))
+            .collect();
+        let mut arrived = input.not_in(&self.cached_ids);
         let retention = retained.len() as f64 / self.cache.len() as f64;
         let cause = ColdCause {
             retention,
-            incoming: current.len() - retained.len(),
+            incoming: arrived.len(),
             outgoing: self.cache.len() - retained.len(),
         };
         if retention < self.config.retention_threshold {
-            self.stats.fallbacks += 1;
             return Err(cause);
         }
 
@@ -452,7 +228,6 @@ impl WarmStartSorter {
                 retained[j] = retained[j - 1];
                 repair_moves += 1;
                 if repair_moves > budget {
-                    self.stats.budget_aborts += 1;
                     return Err(cause);
                 }
                 j -= 1;
@@ -463,60 +238,62 @@ impl WarmStartSorter {
             }
         }
 
-        let arrived: Vec<TableEntry> = current
-            .iter()
-            .filter(|&&(id, _)| !current_map.was_taken(id))
-            .map(|&(id, d)| TableEntry::new(id, d))
-            .collect();
-        let incoming = arrived.len();
-        let outgoing = self.cache.len() - retained.len();
-        let (arrived_sorted, cost_in) = chunk_sort(&arrived);
-        let (merged, cost_merge) = merge_keeping(&retained, &arrived_sorted);
+        let mut scratch = ChunkScratch::default();
+        let (arrived_len, cost_in) = sort_chunk(&mut arrived, true, &mut scratch);
+        drop(scratch);
+        let mut order = vec![pad_entry(); retained.len() + arrived_len];
+        let (merged_len, cost_merge) =
+            merge_into(&retained, &arrived[..arrived_len], false, &mut order);
+        order.truncate(merged_len);
 
         // Traffic model: one read of the inherited table + the arrivals,
         // one write of the merged table — a single off-chip pass, the
         // bandwidth win over a cold multi-pass sort.
-        let mut cost = SortCost::new();
-        cost.compares = repair_compares + cost_in.compares + cost_merge.compares;
-        cost.moves = repair_moves + cost_in.moves + cost_merge.moves;
-        cost.bytes_read =
-            self.cache.byte_size() + neo_math::num::u64_from_usize(incoming * ENTRY_BYTES);
-        cost.bytes_written = neo_math::num::u64_from_usize(merged.len() * ENTRY_BYTES);
-        cost.passes = 1;
-
-        self.stats.warm_frames += 1;
-        self.stats.reused_entries += neo_math::num::u64_from_usize(retained.len());
-        self.stats.inserted_entries += neo_math::num::u64_from_usize(incoming);
-        self.stats.dropped_entries += neo_math::num::u64_from_usize(outgoing);
-        self.stats.repair_moves += repair_moves;
+        let cost = SortCost {
+            compares: repair_compares + cost_in.compares + cost_merge.compares,
+            moves: repair_moves + cost_in.moves + cost_merge.moves,
+            bytes_read: self.cache.byte_size()
+                + neo_math::num::u64_from_usize(cause.incoming * ENTRY_BYTES),
+            bytes_written: neo_math::num::u64_from_usize(merged_len * ENTRY_BYTES),
+            passes: 1,
+        };
         let reuse = TileReuse {
             warm: true,
             retention,
             reused: retained.len(),
             repair_moves,
         };
-        self.cache.set_entries(merged.clone());
+        self.cache.assign(&order);
+        // The merged order holds exactly this frame's input IDs.
+        self.cached_ids.clear();
+        self.cached_ids.extend(input.ids());
         Ok(FrameOrder {
-            order: merged,
+            order,
             cost,
-            incoming,
-            outgoing,
+            incoming: cause.incoming,
+            outgoing: cause.outgoing,
             reuse: Some(reuse),
         })
     }
 
     /// The cold path: delegate this frame to the inner strategy and
-    /// re-prime the cache from its output. Churn is reported against the
-    /// (old) cache — the same semantics warm frames use — rather than
-    /// whatever the inner strategy tracks, so tile loads stay comparable
-    /// across warm and cold frames.
+    /// re-prime the cache from the valid entries of its output. Churn is
+    /// reported against the (old) cache — the same semantics warm frames
+    /// use — rather than whatever the inner strategy tracks, so tile loads
+    /// stay comparable across warm and cold frames.
     fn cold(&mut self, current: &[(u32, f32)], cause: ColdCause) -> FrameOrder {
         let frame = self.inner_frames;
         self.inner_frames += 1;
         self.inner.begin_frame(frame);
         let mut out = self.inner.order(current);
-        self.stats.cold_frames += 1;
-        self.store(&out.order);
+        self.cache
+            .set_entries(out.order.iter().copied().filter(|e| e.valid).collect());
+        self.cached_ids.clear();
+        self.cached_ids
+            .extend(self.cache.entries().iter().map(|e| e.id));
+        self.cached_ids.sort_unstable();
+        self.cached_ids.dedup();
+        self.primed = true;
         out.incoming = cause.incoming;
         out.outgoing = cause.outgoing;
         out.reuse = Some(TileReuse {
@@ -527,24 +304,6 @@ impl WarmStartSorter {
         });
         out
     }
-
-    /// Shadow bookkeeping for [`WarmStartMode::Exact`]: classify the
-    /// frame the way the repair path would have, without touching the
-    /// delegated output.
-    fn shadow_account(&mut self, current: &[(u32, f32)]) {
-        let current_map = IdMap::build(current.iter().copied());
-        match self.retention_against_cache(&current_map) {
-            Some((retention, retained)) if retention >= self.config.retention_threshold => {
-                self.stats.warm_frames += 1;
-                self.stats.reused_entries += neo_math::num::u64_from_usize(retained);
-            }
-            Some(_) => {
-                self.stats.fallbacks += 1;
-                self.stats.cold_frames += 1;
-            }
-            None => self.stats.cold_frames += 1,
-        }
-    }
 }
 
 impl SortingStrategy for WarmStartSorter {
@@ -552,55 +311,30 @@ impl SortingStrategy for WarmStartSorter {
         &self.name
     }
 
-    fn begin_frame(&mut self, frame_index: u64) {
-        if self.config.mode == WarmStartMode::Exact {
-            // Pure delegation: the inner strategy sees the true indices.
-            self.inner.begin_frame(frame_index);
-        }
-        // Repair mode forwards lazily from `cold` with its own contiguous
-        // counter, so the inner strategy never observes index gaps.
+    fn begin_frame(&mut self, _frame_index: u64) {
+        // Forwarded lazily from `cold` with its own contiguous counter, so
+        // the inner strategy never observes index gaps.
     }
 
     fn order(&mut self, current: &[(u32, f32)]) -> FrameOrder {
-        self.stats.frames += 1;
-        let out = match self.config.mode {
-            WarmStartMode::Exact => {
-                let out = self.inner.order(current);
-                self.shadow_account(current);
-                self.store(&out.order);
-                out
-            }
-            WarmStartMode::Repair => match self.try_warm(current) {
-                Ok(out) => out,
-                // The Err carries this frame's membership diff against
-                // the cache, recorded on the cold result for diagnostics.
-                Err(cause) => self.cold(current, cause),
-            },
-        };
-        self.total_cost += out.cost;
-        out
-    }
-
-    fn cost(&self) -> SortCost {
-        self.total_cost
+        match self.try_warm(current) {
+            Ok(out) => out,
+            Err(cause) => self.cold(current, cause),
+        }
     }
 
     fn table(&self) -> Option<&GaussianTable> {
-        // Exact mode delegates *all* observable behaviour to the inner
-        // strategy — including which table it reports.
-        if self.config.mode == WarmStartMode::Exact || !self.primed {
-            self.inner.table()
-        } else {
+        if self.primed {
             Some(&self.cache)
+        } else {
+            self.inner.table()
         }
     }
 
     fn invalidate_cache(&mut self) {
-        if self.primed {
-            self.stats.invalidations += 1;
-        }
         self.primed = false;
         self.cache.set_entries(Vec::new());
+        self.cached_ids.clear();
         self.inner.invalidate_cache();
     }
 }
@@ -622,9 +356,92 @@ mod tests {
         order.iter().map(|e| e.id).collect()
     }
 
+    /// An order with depths as bits, so NaN depths compare equal to
+    /// themselves.
+    fn bits(order: &[TableEntry]) -> Vec<(u32, u32, bool)> {
+        order
+            .iter()
+            .map(|e| (e.id, e.depth.to_bits(), e.valid))
+            .collect()
+    }
+
     fn drive(s: &mut WarmStartSorter, frame_index: u64, input: &[(u32, f32)]) -> FrameOrder {
         s.begin_frame(frame_index);
         s.order(input)
+    }
+
+    /// A deterministic generator for the hostile-input tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// `frames` frames over IDs `0..300` with ~9% churn per frame and
+    /// smoothly drifting depths, a fifth of them replaced by `special`
+    /// depths; with `shuffle`, each frame's entries are in a random
+    /// order instead of ascending by ID.
+    fn hostile_frames(frames: u64, special: &[f32], shuffle: bool) -> Vec<Vec<(u32, f32)>> {
+        let mut rng = Lcg(0x5EED);
+        (0..frames)
+            .map(|f| {
+                let mut input: Vec<(u32, f32)> = (0..300u32)
+                    .filter(|i| !(i + f as u32).is_multiple_of(11))
+                    .map(|id| {
+                        let drift = (id as f32 * 0.37 + f as f32 * 0.05).sin() * 50.0;
+                        let depth = if special.is_empty() || rng.below(5) != 0 {
+                            drift
+                        } else {
+                            special[rng.below(special.len() as u64) as usize]
+                        };
+                        (id, depth)
+                    })
+                    .collect();
+                if shuffle {
+                    for i in (1..input.len()).rev() {
+                        input.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                }
+                input
+            })
+            .collect()
+    }
+
+    const HOSTILE_DEPTHS: [f32; 7] = [
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        // The pad key's NaN pattern, legal with any ID but `u32::MAX`.
+        f32::from_bits(0x7FFF_FFFF),
+    ];
+
+    /// Runs `frames` through a warm sorter and a bare one over `kind` and
+    /// asserts the warm order equals the cold order every frame; returns
+    /// how many frames were served warm.
+    fn assert_warm_matches_cold(kind: StrategyKind, frames: &[Vec<(u32, f32)>]) -> usize {
+        let mut s = warm(
+            kind,
+            WarmStartConfig::default().with_repair_budget_factor(64),
+        );
+        let mut cold = kind.build(Default::default());
+        let mut warm_frames = 0;
+        for (f, input) in frames.iter().enumerate() {
+            let a = drive(&mut s, f as u64, input);
+            cold.begin_frame(f as u64);
+            let b = cold.order(input);
+            assert_eq!(bits(&a.order), bits(&b.order), "{kind:?} frame {f}");
+            warm_frames += usize::from(a.reuse.unwrap().warm);
+        }
+        warm_frames
     }
 
     #[test]
@@ -641,41 +458,59 @@ mod tests {
         let r = f1.reuse.unwrap();
         assert!(r.warm);
         assert_eq!(r.reused, 3);
-        assert_eq!(s.stats().warm_frames, 1);
-        assert_eq!(s.stats().cold_frames, 1);
     }
 
     #[test]
     fn warm_repair_matches_cold_exact_sort() {
         // Over an exact inner strategy, the repaired order must be the
         // exact sorted order — same IDs and depths as a cold sort —
-        // across drifting depths and churning membership.
-        let mut s = warm(
-            StrategyKind::FullResort,
-            WarmStartConfig::default().with_repair_budget_factor(64),
-        );
-        let mut cold = StrategyKind::FullResort.build(Default::default());
-        for f in 0..12u64 {
-            let ids: Vec<u32> = (0..300)
-                .filter(|i| !(i + f as u32).is_multiple_of(11)) // ~9% churn per frame
-                .collect();
-            let input = frame(&ids, |id| {
-                ((id as f32 * 0.37 + f as f32 * 0.05).sin() * 50.0) + id as f32 * 0.01
-            });
-            let a = drive(&mut s, f, &input);
-            cold.begin_frame(f);
-            let b = cold.order(&input);
-            assert_eq!(a.order, b.order, "order diverged on frame {f}");
+        // across drifting depths and churning membership. Hostile depths
+        // (NaN of both signs, ±inf, ±0) are ordered totally by
+        // `TableEntry::key`, so they must match bit for bit too; shuffled
+        // input takes the sorted-copy branch of the membership lookup.
+        for special in [&[][..], &HOSTILE_DEPTHS] {
+            for shuffle in [false, true] {
+                let frames = hostile_frames(12, special, shuffle);
+                for kind in [StrategyKind::FullResort, StrategyKind::Hierarchical] {
+                    let warm_frames = assert_warm_matches_cold(kind, &frames);
+                    assert!(warm_frames >= 10, "{kind:?}: {warm_frames} warm frames");
+                }
+            }
         }
-        assert!(s.stats().warm_frames >= 10, "{:?}", s.stats());
+    }
+
+    #[test]
+    fn hostile_depths_are_deterministic_over_approximate_inners() {
+        let frames = hostile_frames(12, &HOSTILE_DEPTHS, false);
+        for kind in [
+            StrategyKind::Periodic(3),
+            StrategyKind::Background(2),
+            StrategyKind::ReuseUpdate,
+        ] {
+            let mut a = warm(kind, WarmStartConfig::default());
+            let mut b = warm(kind, WarmStartConfig::default());
+            for (f, input) in frames.iter().enumerate() {
+                let (x, y) = (
+                    drive(&mut a, f as u64, input),
+                    drive(&mut b, f as u64, input),
+                );
+                assert_eq!(bits(&x.order), bits(&y.order), "{kind:?} frame {f}");
+                assert_eq!(
+                    (x.cost, x.incoming, x.outgoing, x.reuse),
+                    (y.cost, y.incoming, y.outgoing, y.reuse),
+                    "{kind:?} frame {f}"
+                );
+            }
+        }
     }
 
     #[test]
     fn warm_traffic_beats_cold_radix() {
         let ids: Vec<u32> = (0..2000).collect();
         let mut s = warm(StrategyKind::FullResort, WarmStartConfig::default());
-        drive(&mut s, 0, &frame(&ids, |id| id as f32));
-        let cold_bytes = s.cost().bytes_total();
+        let cold_bytes = drive(&mut s, 0, &frame(&ids, |id| id as f32))
+            .cost
+            .bytes_total();
         let f1 = drive(&mut s, 1, &frame(&ids, |id| id as f32 + 0.5));
         assert!(
             f1.cost.bytes_total() * 3 < cold_bytes,
@@ -694,8 +529,12 @@ mod tests {
         drive(&mut s, 0, &frame(&[1, 2, 3, 4], |id| id as f32));
         // Half the population departs: 0.5 < 0.9 threshold.
         let f1 = drive(&mut s, 1, &frame(&[1, 2, 9, 10], |id| id as f32));
-        assert!(!f1.reuse.unwrap().warm);
-        assert_eq!(s.stats().fallbacks, 1);
+        let r = f1.reuse.unwrap();
+        assert!(!r.warm);
+        assert_eq!(
+            r.retention, 0.5,
+            "a fallback: retention under the threshold"
+        );
         assert_eq!(ids_of(&f1.order), vec![1, 2, 9, 10]);
         assert_eq!(
             (f1.incoming, f1.outgoing),
@@ -715,36 +554,30 @@ mod tests {
         );
         drive(&mut s, 0, &frame(&ids, |id| id as f32));
         let f1 = drive(&mut s, 1, &frame(&ids, |id| -(id as f32)));
-        assert!(!f1.reuse.unwrap().warm);
-        assert_eq!(s.stats().budget_aborts, 1);
+        let r = f1.reuse.unwrap();
+        assert!(!r.warm);
+        assert_eq!(r.retention, 1.0, "an abort: retention over the threshold");
         // Output is still the exact sorted order (cold inner sort).
         assert_eq!(ids_of(&f1.order), (0..200).rev().collect::<Vec<u32>>());
     }
 
     #[test]
-    fn exact_mode_is_byte_identical_to_inner() {
-        for kind in [
-            StrategyKind::FullResort,
-            StrategyKind::Hierarchical,
-            StrategyKind::Periodic(2),
-            StrategyKind::Background(1),
-            StrategyKind::ReuseUpdate,
-        ] {
-            let mut shadow = warm(kind, WarmStartConfig::exact());
-            let mut bare = kind.build(Default::default());
-            for f in 0..6u64 {
-                let ids: Vec<u32> = (0..80 + (f as u32 * 13) % 17).collect();
-                let input = frame(&ids, |id| ((id * 31 + f as u32 * 7) % 97) as f32);
-                let a = drive(&mut shadow, f, &input);
-                bare.begin_frame(f);
-                let b = bare.order(&input);
-                assert_eq!(a, b, "{kind:?} exact mode diverged on frame {f}");
-            }
-            assert_eq!(shadow.cost(), bare.cost(), "{kind:?} cumulative cost");
-            // Shadow statistics still ran.
-            assert_eq!(shadow.stats().frames, 6);
-            assert!(shadow.stats().warm_frames > 0, "{kind:?}");
-        }
+    fn duplicate_cached_ids_count_arrivals_without_underflow() {
+        // The inner order caches ID 5 twice. Retention counts both cached
+        // entries (2 of 5 = 0.4, a fallback) while the input holds one
+        // entry, which is no arrival: the cold frame reports 0 incoming.
+        let mut s = warm(StrategyKind::FullResort, WarmStartConfig::default());
+        drive(
+            &mut s,
+            0,
+            &[(5, 1.0), (5, 2.0), (6, 3.0), (7, 4.0), (8, 5.0)],
+        );
+        let f1 = drive(&mut s, 1, &[(5, 1.5)]);
+        let r = f1.reuse.unwrap();
+        assert!(!r.warm);
+        assert_eq!(r.retention, 0.4);
+        assert_eq!((f1.incoming, f1.outgoing), (0, 3));
+        assert_eq!(bits(&f1.order), bits(&[TableEntry::new(5, 1.5)]));
     }
 
     #[test]
@@ -813,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_cache_forces_cold_and_counts() {
+    fn invalidate_cache_forces_cold() {
         let mut s = warm(StrategyKind::FullResort, WarmStartConfig::default());
         let ids: Vec<u32> = (0..50).collect();
         drive(&mut s, 0, &frame(&ids, |id| id as f32));
@@ -824,12 +657,13 @@ mod tests {
                 .warm
         );
         s.invalidate_cache();
-        // Invalidating an already-empty cache is not double-counted.
         s.invalidate_cache();
-        assert_eq!(s.stats().invalidations, 1);
-        // Identical population, but the cache is gone: cold, exact order.
+        // Identical population, but the cache is gone: cold with
+        // retention 0, exact order.
         let f2 = drive(&mut s, 2, &frame(&ids, |id| id as f32 + 0.2));
-        assert!(!f2.reuse.unwrap().warm);
+        let r = f2.reuse.unwrap();
+        assert!(!r.warm);
+        assert_eq!(r.retention, 0.0);
         assert_eq!(ids_of(&f2.order), ids);
         // The cache re-primes afterwards.
         assert!(
@@ -844,15 +678,5 @@ mod tests {
     fn warm_sorter_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<WarmStartSorter>();
-    }
-
-    #[test]
-    fn cumulative_cost_sums_warm_and_cold_frames() {
-        let mut s = warm(StrategyKind::FullResort, WarmStartConfig::default());
-        let ids: Vec<u32> = (0..100).collect();
-        let c0 = drive(&mut s, 0, &frame(&ids, |id| id as f32)).cost;
-        let c1 = drive(&mut s, 1, &frame(&ids, |id| id as f32 + 0.5)).cost;
-        assert_eq!(s.cost().bytes_total(), c0.bytes_total() + c1.bytes_total());
-        assert_eq!(s.cost().compares, c0.compares + c1.compares);
     }
 }

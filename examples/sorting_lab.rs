@@ -45,7 +45,6 @@ fn perturbed_table(n: usize, max_shift: usize) -> GaussianTable {
 struct OddEvenTouchup {
     order: Vec<TableEntry>,
     frame: u64,
-    total: SortCost,
 }
 
 impl SortingStrategy for OddEvenTouchup {
@@ -89,7 +88,6 @@ impl SortingStrategy for OddEvenTouchup {
         cost.bytes_read += bytes;
         cost.bytes_written += bytes;
         cost.passes += 1;
-        self.total += cost;
         FrameOrder {
             order: self.order.clone(),
             cost,
@@ -97,10 +95,6 @@ impl SortingStrategy for OddEvenTouchup {
             outgoing,
             reuse: None,
         }
-    }
-
-    fn cost(&self) -> SortCost {
-        self.total
     }
 }
 

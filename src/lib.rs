@@ -31,7 +31,7 @@ pub mod prelude {
     pub use neo_core::{
         FrameResult, FrameStream, NeoError, NeoResult, Parallelism, RenderEngine, RenderSession,
         RendererConfig, ShardPlan, SortingStrategy, StrategyKind, TemporalCacheStats,
-        WarmStartConfig, WarmStartMode,
+        WarmStartConfig,
     };
     pub use neo_metrics::{lpips_proxy, psnr, ssim};
     pub use neo_pipeline::{render_reference, Image, RenderConfig, Stage};

@@ -1,15 +1,11 @@
 //! Contracts of the warm-start temporal sorting cache:
 //!
-//! 1. **Exact mode** is byte-identical to cold sorting — the full
-//!    `FrameResult` (pixels, stats, traffic, sort cost, tile loads,
-//!    temporal stats) matches a session without the cache, for all five
-//!    built-in strategies at 1 and 4 threads.
-//! 2. **Repair mode** preserves the intra-frame determinism contract:
-//!    output is byte-identical across thread counts and shard plans.
-//! 3. **Repair mode over an exact sorter** renders byte-identical
-//!    images to cold sorting (the repaired order *is* the exact order)
-//!    while cutting sorting traffic, and the cache survives re-planning
-//!    frame to frame.
+//! 1. It preserves the intra-frame determinism contract: output is
+//!    byte-identical across thread counts and shard plans, for all five
+//!    built-in strategies.
+//! 2. Over an exact sorter it renders byte-identical images to cold
+//!    sorting (the repaired order *is* the exact order) while cutting
+//!    sorting traffic, and the cache survives re-planning frame to frame.
 
 use neo_core::{
     FrameResult, RenderEngine, RendererConfig, ShardPlan, StrategyKind, WarmStartConfig,
@@ -56,26 +52,6 @@ fn render(kind: StrategyKind, config: RendererConfig, plan: &ShardPlan) -> Vec<F
                 .expect("trajectory camera is valid")
         })
         .collect()
-}
-
-#[test]
-fn exact_mode_is_byte_identical_to_cold_sorting_for_all_strategies() {
-    let base = RendererConfig::default().with_tile_size(16);
-    for kind in all_strategies() {
-        let cold = render(kind, base.clone(), &ShardPlan::serial());
-        assert!(cold.iter().all(|f| f.image.is_some()));
-        for threads in [1usize, 4] {
-            let warm = render(
-                kind,
-                base.clone().with_temporal_cache(WarmStartConfig::exact()),
-                &ShardPlan::balanced(threads),
-            );
-            assert_eq!(
-                cold, warm,
-                "{kind:?} exact-mode warm start diverged from cold at {threads} thread(s)"
-            );
-        }
-    }
 }
 
 #[test]
@@ -200,9 +176,6 @@ fn warm_start_composes_with_custom_strategy_factories() {
                 outgoing: 0,
                 reuse: None,
             }
-        }
-        fn cost(&self) -> SortCost {
-            SortCost::new()
         }
     }
 
