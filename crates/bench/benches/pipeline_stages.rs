@@ -2,7 +2,10 @@
 //! (with culling), binning and tile rasterization.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use neo_pipeline::{bin_to_tiles, project_storage, rasterize_tile, Image, RenderConfig, TileGrid};
+use neo_pipeline::{
+    bin_to_tiles, project_storage, rasterize_tile_with_scratch, RasterScratch, RenderConfig,
+    TileGrid,
+};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
 fn bench_stages(c: &mut Criterion) {
@@ -37,12 +40,11 @@ fn bench_stages(c: &mut Criterion) {
         .collect();
     order.sort_by(|a, b| a.depth.total_cmp(&b.depth));
     let cfg = RenderConfig::default();
+    let mut scratch = RasterScratch::new();
     group.bench_function("rasterize_densest_tile", |b| {
-        b.iter_batched(
-            || Image::new(cam.width, cam.height, neo_math::Vec3::ZERO),
-            |mut img| rasterize_tile(&mut img, &grid, tile_index, black_box(&order), &cfg),
-            criterion::BatchSize::LargeInput,
-        )
+        b.iter(|| {
+            rasterize_tile_with_scratch(&mut scratch, &grid, tile_index, black_box(&order), &cfg)
+        })
     });
     group.finish();
 }

@@ -1,16 +1,18 @@
 //! Criterion bench for the exact-clipped row-interval rasterization fast
 //! path vs the legacy every-pixel-per-splat loop, on the densest tile
-//! and on a full reference frame of the Building scene.
+//! and on a full-resort engine frame of the Building scene.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use neo_core::{RenderEngine, RendererConfig, StrategyKind};
 use neo_pipeline::{
-    bin_to_tiles, project_storage, rasterize_tile_with_scratch, render_reference, RasterScratch,
-    RenderConfig, TileGrid,
+    bin_to_tiles, project_storage, rasterize_tile_with_scratch, RasterScratch, RenderConfig,
+    TileGrid,
 };
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
+use std::sync::Arc;
 
 fn bench_fast_path(c: &mut Criterion) {
-    let cloud = ScenePreset::Building.build_scaled(0.002);
+    let cloud = Arc::new(ScenePreset::Building.build_scaled(0.002));
     let sampler = FrameSampler::new(
         ScenePreset::Building.trajectory(),
         30.0,
@@ -28,7 +30,7 @@ fn bench_fast_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("raster_fast_path");
 
     // Densest tile of the frame, the SCU-style microbenchmark.
-    let projected = project_storage(&cam, &cloud);
+    let projected = project_storage(&cam, cloud.as_ref());
     let grid = TileGrid::new(cam.width, cam.height, fast_cfg.tile_size);
     let binned = bin_to_tiles(&grid, &projected);
     let (tile_index, entries) = binned
@@ -69,12 +71,24 @@ fn bench_fast_path(c: &mut Criterion) {
         })
     });
 
-    // Whole reference frames, end to end.
-    group.bench_function("reference_frame_exact_clipped", |b| {
-        b.iter(|| render_reference(black_box(&cloud), black_box(&cam), &fast_cfg))
+    // Whole full-resort frames through the engine, end to end.
+    let session = |config: RendererConfig| {
+        RenderEngine::builder()
+            .scene(Arc::clone(&cloud))
+            .config(config)
+            .strategy(StrategyKind::FullResort)
+            .build()
+            .expect("bench configuration is valid")
+            .session()
+    };
+    let engine_cfg = RendererConfig::default().with_tile_size(fast_cfg.tile_size);
+    let mut fast = session(engine_cfg.clone());
+    group.bench_function("full_resort_frame_exact_clipped", |b| {
+        b.iter(|| fast.render_frame(black_box(&cam)))
     });
-    group.bench_function("reference_frame_legacy", |b| {
-        b.iter(|| render_reference(black_box(&cloud), black_box(&cam), &legacy_cfg))
+    let mut legacy = session(engine_cfg.without_raster_fast_path());
+    group.bench_function("full_resort_frame_legacy", |b| {
+        b.iter(|| legacy.render_frame(black_box(&cam)))
     });
     group.finish();
 }

@@ -4,10 +4,9 @@
 //!
 //! Run: `cargo run --release -p neo-bench --bin ablation_dps_passes`
 
-use neo_bench::{ExperimentRecord, TextTable};
+use neo_bench::{ground_truth, ExperimentRecord, TextTable};
 use neo_core::{RenderEngine, RendererConfig};
 use neo_metrics::psnr;
-use neo_pipeline::{render_reference, RenderConfig};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
 fn main() {
@@ -16,12 +15,8 @@ fn main() {
     let res = Resolution::Custom(256, 144);
     let cloud = std::sync::Arc::new(scene.build_scaled(0.004));
     let sampler = FrameSampler::new(scene.trajectory(), 30.0, res);
-    let gt_cfg = RenderConfig {
-        tile_size: 32,
-        subtiling: false,
-        transmittance_eps: 1e-6,
-        ..RenderConfig::default()
-    };
+    // One oracle ground truth per frame, shared by every swept setting.
+    let ground_truth = ground_truth(&cloud, &sampler, 14);
 
     let mut table = TextTable::new(["Passes", "mean PSNR dB", "min PSNR dB", "sort KB/frame"]);
     let mut record = ExperimentRecord::new(
@@ -43,12 +38,12 @@ fn main() {
         let (mut sum, mut min_p) = (0.0f64, f64::INFINITY);
         let mut bytes = 0u64;
         let mut counted = 0u64;
-        for i in 0..14 {
-            let cam = sampler.frame(i);
-            let (gt, _) = render_reference(cloud.as_ref(), &cam, &gt_cfg);
-            let fr = session.render_frame(&cam).expect("trajectory camera");
+        for (i, gt) in ground_truth.iter().enumerate() {
+            let fr = session
+                .render_frame(&sampler.frame(i))
+                .expect("trajectory camera");
             if i >= 4 {
-                let p = psnr(&gt, &fr.image.expect("image")).min(60.0);
+                let p = psnr(gt, &fr.image.expect("image")).min(60.0);
                 sum += p;
                 min_p = min_p.min(p);
                 bytes += fr.sort_cost.bytes_total();

@@ -4,17 +4,19 @@
 //!
 //! Latency uses the Neo hardware model with each strategy's *measured*
 //! per-frame sorting traffic (captured from the real per-tile sorters);
-//! quality renders real frames against an exhaustive-blend reference.
+//! quality renders real frames against the independent `f64` oracle
+//! ([`neo_bench::ground_truth`]), computed once per frame.
 //!
 //! Run: `cargo run --release -p neo-bench --bin fig19_strategies`
 
-use neo_bench::{ExperimentRecord, TextTable};
+use neo_bench::{ground_truth, ExperimentRecord, TextTable};
 use neo_core::{RenderEngine, RendererConfig, StrategyKind};
 use neo_metrics::psnr;
-use neo_pipeline::{render_reference, RenderConfig};
-use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
+use neo_pipeline::Image;
+use neo_scene::{presets::ScenePreset, FrameSampler, GaussianCloud, Resolution};
 use neo_sim::devices::{Device, NeoDevice};
 use neo_workloads::capture::{capture_workload, CaptureConfig};
+use std::sync::Arc;
 
 const FRAMES: usize = 165;
 const SLO_MS: f64 = 16.6;
@@ -72,33 +74,31 @@ fn latency_series(kind: StrategyKind) -> Vec<f64> {
         .collect()
 }
 
-/// Per-frame PSNR against an exhaustive-blend reference at reduced
-/// resolution (quality differences come from ordering, not resolution).
-fn psnr_series(kind: StrategyKind) -> Vec<f64> {
+/// The reduced-resolution quality run: quality differences come from
+/// ordering, not resolution.
+fn quality_sampler() -> FrameSampler {
     let scene = ScenePreset::Family;
-    let res = Resolution::Custom(256, 144);
-    let cloud = scene.build_scaled(0.004);
-    let sampler = FrameSampler::new(scene.trajectory(), 30.0, res);
-    let gt_cfg = RenderConfig {
-        tile_size: 32,
-        subtiling: false,
-        transmittance_eps: 1e-6,
-        ..RenderConfig::default()
-    };
+    FrameSampler::new(scene.trajectory(), 30.0, Resolution::Custom(256, 144))
+}
+
+/// Per-frame PSNR of `kind` against the shared `ground_truth`.
+fn psnr_series(kind: StrategyKind, cloud: &Arc<GaussianCloud>, ground_truth: &[Image]) -> Vec<f64> {
+    let sampler = quality_sampler();
     let engine = RenderEngine::builder()
-        .scene(cloud)
+        .scene(Arc::clone(cloud))
         .config(RendererConfig::default().with_tile_size(32))
         .strategy(kind)
         .build()
         .expect("figure configuration is valid");
-    let cloud = std::sync::Arc::clone(engine.scene());
     let mut session = engine.session();
-    (0..FRAMES)
-        .map(|i| {
-            let cam = sampler.frame(i);
-            let (gt, _) = render_reference(cloud.as_ref(), &cam, &gt_cfg);
-            let fr = session.render_frame(&cam).expect("trajectory camera");
-            psnr(&gt, &fr.image.expect("image enabled")).min(60.0)
+    ground_truth
+        .iter()
+        .enumerate()
+        .map(|(i, gt)| {
+            let fr = session
+                .render_frame(&sampler.frame(i))
+                .expect("trajectory camera");
+            psnr(gt, &fr.image.expect("image enabled")).min(60.0)
         })
         .collect()
 }
@@ -110,6 +110,10 @@ fn main() {
         "Per-frame latency (ms) and PSNR (dB) for four sorting strategies",
     );
 
+    // One oracle ground truth per frame, shared by every strategy.
+    let cloud = Arc::new(ScenePreset::Family.build_scaled(0.004));
+    let ground_truth = ground_truth(&cloud, &quality_sampler(), FRAMES);
+
     let mut lat_table = TextTable::new([
         "Strategy",
         "mean ms",
@@ -120,7 +124,7 @@ fn main() {
     ]);
     for (label, kind) in strategies() {
         let lat = latency_series(kind);
-        let q = psnr_series(kind);
+        let q = psnr_series(kind, &cloud, &ground_truth);
         let mean_lat = lat.iter().sum::<f64>() / lat.len() as f64;
         let max_lat = lat.iter().cloned().fold(0.0, f64::max);
         let violations = lat.iter().filter(|&&l| l > SLO_MS).count();

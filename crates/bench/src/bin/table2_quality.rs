@@ -1,7 +1,8 @@
 //! Table 2: rendering quality (PSNR / LPIPS) of original 3DGS and Neo.
 //!
-//! Ground truth is an exhaustive-blend render (no early termination, no
-//! subtile skipping) with exact sorting; "Original 3DGS" is the standard
+//! Ground truth is [`neo_bench::ground_truth`]: the independent `f64`
+//! oracle, which blends every splat over its whole α ≥ 1/255 ellipse in
+//! global depth order with no early termination; "Original 3DGS" is the standard
 //! early-terminating renderer with exact per-frame sorting; "Neo" is the
 //! reuse-and-update renderer. The paper's point — Neo's deltas are
 //! imperceptible (≤0.1 dB PSNR, ≤0.001 LPIPS) — is checked on the deltas.
@@ -14,10 +15,10 @@
 //!
 //! Run: `cargo run --release -p neo-bench --bin table2_quality`
 
-use neo_bench::{ExperimentRecord, TextTable};
+use neo_bench::{ground_truth, ExperimentRecord, TextTable};
 use neo_core::{RenderEngine, RendererConfig, StorageFormat, StrategyKind};
 use neo_metrics::{lpips_proxy, psnr};
-use neo_pipeline::{render_reference, RenderConfig, Stage};
+use neo_pipeline::Stage;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
 const FRAMES: usize = 16;
@@ -75,14 +76,8 @@ fn measure(
 }
 
 fn main() {
-    println!("Table 2 — quality comparison (vs exhaustive-blend ground truth)\n");
+    println!("Table 2 — quality comparison (vs the f64 oracle's ground truth)\n");
     let res = Resolution::Custom(256, 144);
-    let gt_cfg = RenderConfig {
-        tile_size: 32,
-        subtiling: false,
-        transmittance_eps: 1e-6,
-        ..RenderConfig::default()
-    };
 
     let mut table = TextTable::new([
         "Scene",
@@ -102,10 +97,7 @@ fn main() {
 
     for scene in ScenePreset::TANKS_AND_TEMPLES {
         let sampler = FrameSampler::new(scene.trajectory(), 30.0, res);
-        let cloud = scene.build_scaled(0.004);
-        let ground_truth: Vec<_> = (0..FRAMES)
-            .map(|i| render_reference(&cloud, &sampler.frame(i), &gt_cfg).0)
-            .collect();
+        let ground_truth = ground_truth(&scene.build_scaled(0.004), &sampler, FRAMES);
 
         let base = measure(
             scene,

@@ -8,9 +8,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use neo_scene::{presets::ScenePreset, Resolution};
+use neo_pipeline::{project_storage, render_oracle, Image};
+use neo_scene::{presets::ScenePreset, FrameSampler, GaussianCloud, Resolution};
 use neo_sim::devices::Device;
-use neo_sim::WorkloadFrame;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -150,24 +150,19 @@ pub fn device_fps(device: &dyn Device, scene: ScenePreset, resolution: Resolutio
     device.mean_fps(&frames)
 }
 
-/// Total DRAM traffic of `device` over the canonical 60-frame workload.
-pub fn device_traffic(device: &dyn Device, scene: ScenePreset, resolution: Resolution) -> u64 {
-    let frames = neo_workloads::experiments::scene_workload(scene, resolution);
-    device.total_traffic(&frames)
-}
-
-/// Geometric-mean helper for speedup summaries.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
-/// Evaluates the mean FPS of a device over an explicit workload sequence —
-/// a thin convenience wrapper used by binaries with custom captures.
-pub fn mean_fps_of(device: &dyn Device, frames: &[WorkloadFrame]) -> f64 {
-    device.mean_fps(frames)
+/// Ground-truth images of the first `frames` frames of `sampler`:
+/// [`render_oracle`] over the projected scene, on a black background.
+/// The oracle computes in `f64`, covers each splat's whole α ≥ 1/255
+/// ellipse and never terminates early, and it shares no tile, binning or
+/// blend code with the renderers these images grade.
+pub fn ground_truth(cloud: &GaussianCloud, sampler: &FrameSampler, frames: usize) -> Vec<Image> {
+    (0..frames)
+        .map(|i| {
+            let cam = sampler.frame(i);
+            let projected = project_storage(&cam, cloud);
+            render_oracle(&projected, cam.width, cam.height, neo_math::Vec3::ZERO)
+        })
+        .collect()
 }
 
 /// Maps `f` over `items` on up to `available_parallelism` scoped threads,
@@ -232,12 +227,6 @@ mod tests {
     fn gb_formats() {
         assert_eq!(gb(19_600_000_000), "19.6");
         assert_eq!(gb(0), "0.0");
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
     }
 
     #[test]

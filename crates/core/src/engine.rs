@@ -384,7 +384,6 @@ impl RenderSession {
             background: config.background,
             subtiling: config.subtiling,
             raster_fast_path: config.raster_fast_path,
-            ..RenderConfig::default()
         };
         let ctx = ShardContext {
             projected: &projected,
@@ -1540,7 +1539,131 @@ mod tests {
         );
         let f = engine.session().render_frame(&cam).unwrap();
         assert_eq!(f.stats.projected, 0);
+        assert_eq!(f.stats.traffic.stage_total(Stage::Sorting), 0);
         let image = f.image.unwrap();
         assert!(image.pixels().iter().all(|&p| p == background));
+    }
+
+    /// One full-resort frame of `cloud` from `(0, 0, -5)` toward the
+    /// origin.
+    fn render_one(cloud: GaussianCloud, size: u32, config: RendererConfig) -> FrameResult {
+        let cam = Camera::look_at(
+            Vec3::new(0.0, 0.0, -5.0),
+            Vec3::ZERO,
+            Vec3::Y,
+            1.0,
+            Resolution::Custom(size, size),
+        );
+        let engine = RenderEngine::builder()
+            .scene(cloud)
+            .config(config)
+            .strategy(StrategyKind::FullResort)
+            .build()
+            .unwrap();
+        engine.session().render_frame(&cam).unwrap()
+    }
+
+    fn blob(z: f32, sigma: f32, opacity: f32, rgb: Vec3) -> neo_scene::Gaussian {
+        neo_scene::Gaussian::isotropic(Vec3::new(0.0, 0.0, z), sigma, opacity, rgb)
+    }
+
+    fn cloud_of(gaussians: Vec<neo_scene::Gaussian>) -> GaussianCloud {
+        GaussianCloud::from_gaussians(gaussians)
+    }
+
+    const RED: Vec3 = Vec3::new(1.0, 0.0, 0.0);
+
+    #[test]
+    fn single_gaussian_renders_red_center_and_charges_every_stage() {
+        let f = render_one(
+            cloud_of(vec![blob(0.0, 0.3, 0.95, RED)]),
+            128,
+            RendererConfig::default(),
+        );
+        let center = f.image.as_ref().unwrap().get(64, 64);
+        assert!(center.x > 0.5 && center.y < 0.2, "center = {center}");
+        assert!(f.stats.blend_ops > 0);
+        assert_eq!(f.stats.projected, 1);
+        for stage in Stage::ALL {
+            assert!(f.stats.traffic.stage_total(stage) > 0, "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn occlusion_front_wins() {
+        // Red at depth 4 in front of green at depth 6.
+        let green = Vec3::new(0.0, 1.0, 0.0);
+        let cloud = cloud_of(vec![
+            blob(-1.0, 0.25, 0.99, RED),
+            blob(1.0, 0.25, 0.99, green),
+        ]);
+        let c = render_one(cloud, 128, RendererConfig::default())
+            .image
+            .unwrap()
+            .get(64, 64);
+        assert!(c.x > c.y * 2.0, "front red must dominate: {c}");
+    }
+
+    #[test]
+    fn subtiling_skips_only_faint_pixels() {
+        let mut green = blob(0.0, 0.1, 0.8, Vec3::new(0.0, 1.0, 0.0));
+        green.mean = Vec3::new(0.8, 0.4, 0.0);
+        let cloud = cloud_of(vec![blob(0.0, 0.3, 0.95, RED), green]);
+        let without = RendererConfig {
+            subtiling: false,
+            ..RendererConfig::default()
+        };
+        let on = render_one(cloud.clone(), 128, RendererConfig::default());
+        let off = render_one(cloud, 128, without);
+        let max_diff = on
+            .image
+            .unwrap()
+            .pixels()
+            .iter()
+            .zip(off.image.unwrap().pixels())
+            .map(|(p, q)| (*p - *q).abs().max_element())
+            .fold(0.0f32, f32::max);
+        assert!(max_diff < 0.02, "max diff {max_diff}");
+        assert!(on.stats.blend_ops <= off.stats.blend_ops);
+    }
+
+    #[test]
+    fn degenerate_scale_cloud_renders_finite() {
+        // A Gaussian whose covariance overflows f32 is culled at
+        // projection, and a NaN-opacity Gaussian is skipped by the blend
+        // guard: neither may change the frame.
+        let red = blob(0.0, 0.3, 0.95, RED);
+        let mut huge = blob(0.0, 0.2, 0.9, Vec3::ONE);
+        huge.scale = Vec3::splat(1e25);
+        let nan_opacity = blob(0.1, 0.2, f32::NAN, Vec3::ONE);
+        let f = render_one(
+            cloud_of(vec![red.clone(), huge, nan_opacity]),
+            96,
+            RendererConfig::default(),
+        );
+        let clean = render_one(cloud_of(vec![red]), 96, RendererConfig::default());
+        assert!(f
+            .image
+            .as_ref()
+            .unwrap()
+            .pixels()
+            .iter()
+            .all(|p| p.is_finite()));
+        assert_eq!(
+            f.image, clean.image,
+            "degenerate Gaussians changed the image"
+        );
+        assert_eq!(f.stats.blend_ops, clean.stats.blend_ops);
+    }
+
+    #[test]
+    fn stacked_opaque_gaussians_saturate() {
+        let stack = (0..8u8).map(|i| blob(f32::from(i) * 0.05, 0.5, 0.99, Vec3::ONE));
+        assert!(
+            render_one(cloud_of(stack.collect()), 64, RendererConfig::default())
+                .stats
+                .saturated_pixels
+                > 0
+        );
     }
 }

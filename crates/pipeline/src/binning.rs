@@ -37,18 +37,6 @@ impl TilePopulationDiff {
             self.retained as f64 / prev as f64
         }
     }
-
-    /// Unique IDs in the previous population.
-    #[must_use]
-    pub fn prev_len(&self) -> usize {
-        self.retained + self.departed
-    }
-
-    /// Unique IDs in the current population.
-    #[must_use]
-    pub fn cur_len(&self) -> usize {
-        self.retained + self.arrived
-    }
 }
 
 /// Diffs one tile's `(id, depth)` population between two frames — the
@@ -143,11 +131,6 @@ impl TileAssignments {
             .enumerate()
             .filter(|(_, t)| !t.is_empty())
             .map(|(i, t)| (i, t.as_slice()))
-    }
-
-    /// Largest per-tile population.
-    pub fn max_tile_population(&self) -> usize {
-        self.tiles.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -301,8 +284,6 @@ mod tests {
         assert_eq!(d.retained, 2);
         assert_eq!(d.departed, 1);
         assert_eq!(d.arrived, 2);
-        assert_eq!(d.prev_len(), 3);
-        assert_eq!(d.cur_len(), 4);
         assert!((d.retention() - 2.0 / 3.0).abs() < 1e-12);
         // Vacuous retention for an empty previous population.
         assert_eq!(diff_tile_population(&[], &cur).retention(), 1.0);
@@ -338,7 +319,6 @@ mod tests {
             splat(2, 100.0, 100.0, 3.0, 3.0),
         ];
         let binned = bin_to_tiles(&grid, &splats);
-        assert_eq!(binned.max_tile_population(), 2);
         assert_eq!(binned.iter_occupied().count(), 2);
     }
 }

@@ -108,12 +108,6 @@ impl Image {
         }
     }
 
-    /// Mean pixel value across the image.
-    pub fn mean(&self) -> Vec3 {
-        let sum = self.data.iter().fold(Vec3::ZERO, |acc, &p| acc + p);
-        sum / self.data.len() as f32
-    }
-
     /// Converts to 8-bit RGB, clamping to `[0, 1]`.
     pub fn to_rgb8(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.data.len() * 3);
@@ -174,13 +168,6 @@ mod tests {
         let ppm = img.to_ppm();
         assert!(ppm.starts_with(b"P6\n2 2\n255\n"));
         assert_eq!(ppm.len(), 11 + 12);
-    }
-
-    #[test]
-    fn mean_averages() {
-        let mut img = Image::new(2, 1, Vec3::ZERO);
-        img.set(1, 0, Vec3::ONE);
-        assert_eq!(img.mean(), Vec3::splat(0.5));
     }
 
     #[test]

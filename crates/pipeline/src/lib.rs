@@ -11,18 +11,26 @@
 //! and it produces the per-tile workload statistics that drive the
 //! cycle-level performance model in `neo-sim`.
 //!
+//! This crate holds the stages; `neo-core`'s `RenderSession` is the one
+//! frame body that runs them. [`render_oracle`] is the exception on
+//! purpose: an independent `f64` renderer with no tiles, the ground
+//! truth of the quality experiments and the differential tests.
+//!
 //! # Examples
 //!
 //! ```
-//! use neo_pipeline::{render_reference, RenderConfig};
+//! use neo_math::Vec3;
+//! use neo_pipeline::{project_storage, render_oracle};
 //! use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 //!
 //! let cloud = ScenePreset::Family.build_scaled(0.003);
 //! let sampler = FrameSampler::new(
 //!     ScenePreset::Family.trajectory(), 30.0, Resolution::Custom(160, 90));
-//! let (image, stats) = render_reference(&cloud, &sampler.frame(0), &RenderConfig::default());
+//! let cam = sampler.frame(0);
+//! let projected = project_storage(&cam, &cloud);
+//! assert!(!projected.is_empty());
+//! let image = render_oracle(&projected, cam.width, cam.height, Vec3::ZERO);
 //! assert_eq!(image.width(), 160);
-//! assert!(stats.projected > 0);
 //! ```
 
 #![deny(missing_docs)]
@@ -39,6 +47,7 @@ mod binning;
 mod culling;
 mod framebuffer;
 pub mod lod;
+mod oracle;
 mod pipeline;
 mod projection;
 mod scratch;
@@ -51,20 +60,9 @@ pub use binning::{
 };
 pub use framebuffer::Image;
 pub use lod::{cluster_visible, project_clusters, ClusterProjection, LodConfig};
-pub use pipeline::{render_reference, RenderConfig, TileRasterStats};
+pub use oracle::render_oracle;
+pub use pipeline::{rasterize_tile_with_scratch, RenderConfig, TileRasterStats};
 pub use projection::{project_gaussian, project_storage, ProjectedGaussian};
 pub use scratch::{RasterScratch, ShardScratch};
 pub use stats::{FrameStats, Stage, TrafficLedger};
-pub use tiles::{subtile_bitmap, TileGrid, SUBTILES_PER_TILE, SUBTILE_SIZE};
-
-/// Rasterizes one tile's Gaussians (already depth-ordered) into `image`.
-///
-/// Re-exported from the rasterizer module for callers (like `neo-core`)
-/// that manage their own per-tile ordering.
-pub use pipeline::rasterize_tile;
-
-/// Scratch-buffer variant of [`rasterize_tile`]: leaves the finished
-/// pixel block in a reusable [`RasterScratch`] for deferred, deterministic
-/// merging — the rasterization primitive of `neo-core`'s intra-frame
-/// worker pool.
-pub use pipeline::rasterize_tile_with_scratch;
+pub use tiles::{subtile_bitmap, TileGrid, SUBTILE_SIZE};

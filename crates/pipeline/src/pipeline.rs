@@ -1,22 +1,17 @@
-//! Stage ❹ (rasterization) and the reference end-to-end renderer.
+//! Stage ❹: tile rasterization.
 //!
-//! The reference renderer sorts each tile from scratch with a stable sort —
-//! this is the "original 3DGS" behaviour that Neo's reuse-and-update
-//! renderer (in `neo-core`) is compared against for image quality.
+//! [`rasterize_tile_with_scratch`] blends one tile's depth-ordered splats;
+//! `neo-core`'s `RenderSession` is the frame body that calls it.
 
-use crate::binning::bin_to_tiles;
-use crate::framebuffer::Image;
-use crate::projection::{project_storage, ProjectedGaussian};
+use crate::projection::ProjectedGaussian;
 use crate::scratch::{Lanes, RasterScratch, TilePlanes, LANES};
-use crate::stats::{FrameStats, Stage};
 use crate::tiles::{subtile_bitmap, TileGrid, SUBTILE_SIZE};
-use neo_math::num::{u64_from_usize, usize_from_u32};
+use neo_math::num::usize_from_u32;
 use neo_math::Vec3;
-use neo_scene::{Camera, CloudStorage};
 
-/// Default transmittance threshold below which a pixel is considered
-/// saturated and blending stops (the reference implementation's 1/255).
-pub const DEFAULT_TRANSMITTANCE_EPS: f32 = 1.0 / 255.0;
+/// Transmittance below which a pixel is saturated and blending stops
+/// (the 3DGS 1/255).
+const TRANSMITTANCE_EPS: f32 = 1.0 / 255.0;
 
 /// Minimum α a splat must contribute for a pixel to be blended (the
 /// reference rasterizer's 1/255 cutoff). Shared by the blend kernel and
@@ -24,20 +19,19 @@ pub const DEFAULT_TRANSMITTANCE_EPS: f32 = 1.0 / 255.0;
 /// constant.
 const BLEND_ALPHA_CUTOFF: f32 = 1.0 / 255.0;
 
-/// Configuration for the functional renderer.
+/// Configuration of the tile rasterizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RenderConfig {
-    /// Tile edge in pixels (paper: 64).
+    /// Tile edge in pixels (paper: 64). The rasterizer does not read it:
+    /// the tile geometry comes from the [`TileGrid`] passed alongside.
+    /// It stays so that callers can keep the grid's tile size next to
+    /// the other raster settings.
     pub tile_size: u32,
     /// Background color.
     pub background: Vec3,
     /// Use subtile intersection bitmaps to skip non-overlapping subtiles
     /// (GSCore/Neo behaviour). Disabling rasterizes every pixel of a tile.
     pub subtiling: bool,
-    /// Early-termination threshold on per-pixel transmittance. Lowering it
-    /// towards zero approaches exhaustive blending (used as the
-    /// "ground-truth" configuration in quality experiments).
-    pub transmittance_eps: f32,
     /// Use the exact-clipped row-interval fast path (default `true`):
     /// each splat's true α-cutoff ellipse (the region where
     /// `alpha_at ≥ 1/255`) is solved per row and only those pixels are
@@ -55,7 +49,6 @@ impl Default for RenderConfig {
             tile_size: 64,
             background: Vec3::ZERO,
             subtiling: true,
-            transmittance_eps: DEFAULT_TRANSMITTANCE_EPS,
             raster_fast_path: true,
         }
     }
@@ -78,32 +71,12 @@ pub struct TileRasterStats {
     pub pixel_visits: u64,
 }
 
-/// Rasterizes one tile given its depth-ordered splats.
-///
-/// `ordered` must be sorted by ascending depth; the function blends
-/// front-to-back with early termination and (optionally) subtile skipping.
-///
-/// This one-shot wrapper allocates fresh working buffers per call; hot
-/// loops should hold a [`RasterScratch`] and call
-/// [`rasterize_tile_with_scratch`] instead (byte-identical output).
-pub fn rasterize_tile(
-    image: &mut Image,
-    grid: &TileGrid,
-    tile_index: usize,
-    ordered: &[&ProjectedGaussian],
-    config: &RenderConfig,
-) -> TileRasterStats {
-    let mut scratch = RasterScratch::new();
-    let stats = rasterize_tile_with_scratch(&mut scratch, grid, tile_index, ordered, config);
-    scratch.blit_to(image, grid, tile_index);
-    stats
-}
-
 /// Rasterizes one tile into `scratch`'s reusable buffers, leaving the
 /// finished pixel block in the scratch instead of writing a framebuffer.
 ///
-/// `ordered` must be sorted by ascending depth, exactly as for
-/// [`rasterize_tile`]. The caller commits the block with
+/// `ordered` must be sorted by ascending depth; the function blends
+/// front to back with early termination at transmittance 1/255 and
+/// (optionally) subtile skipping. The caller commits the block with
 /// [`RasterScratch::blit_to`] (immediately for serial rendering, or after
 /// a parallel frame's workers join — the deferred merge is what makes
 /// sharded rendering deterministic).
@@ -135,7 +108,6 @@ pub fn rasterize_tile_with_scratch(
     scratch.row_live.resize(h, tile_w);
     let mut tile = TileBlend {
         origin: (x0, y0),
-        eps: config.transmittance_eps,
         planes: &mut scratch.planes,
         row_live: &mut scratch.row_live,
         stats: TileRasterStats::default(),
@@ -247,7 +219,6 @@ fn subtile_run(bitmap: u64, per_edge: u32, row: u32) -> std::ops::Range<u32> {
 /// plus the counters the kernel maintains.
 struct TileBlend<'a> {
     origin: (u32, u32),
-    eps: f32,
     planes: &'a mut TilePlanes,
     /// Per-row count of not-yet-saturated pixels.
     row_live: &'a mut [u32],
@@ -306,7 +277,7 @@ impl TileBlend<'_> {
             // Blend a local copy: writing through the `&mut` chunk
             // references instead keeps rustc from vectorizing the body.
             let mut px = [*t, *r, *g, *b];
-            blend_chunk(p, &terms, x_first, lanes, self.eps, &mut px, &mut counts);
+            blend_chunk(p, &terms, x_first, lanes, &mut px, &mut counts);
             [*t, *r, *g, *b] = px;
         }
         let [blends, sats] = counts.map(|lane| lane.iter().sum::<u32>());
@@ -363,7 +334,6 @@ fn blend_chunk(
     row: &RowTerms,
     x_first: f32,
     lanes: (f32, f32),
-    eps: f32,
     px: &mut [Lanes; 4],
     counts: &mut [[u32; LANES]; 2],
 ) {
@@ -378,7 +348,7 @@ fn blend_chunk(
         let alpha = if a < ALPHA_MAX { a } else { ALPHA_MAX };
         let tj = t[j];
         let in_span = (LANE_OFFSETS[j] >= lanes.0) & (LANE_OFFSETS[j] < lanes.1);
-        let live = mask(in_span & (tj >= eps) & (alpha >= BLEND_ALPHA_CUTOFF));
+        let live = mask(in_span & (tj >= TRANSMITTANCE_EPS) & (alpha >= BLEND_ALPHA_CUTOFF));
         let weight = alpha * tj;
         let nt = tj * (1.0 - alpha);
         r[j] = select(live, r[j] + p.color.x * weight, r[j]);
@@ -386,7 +356,7 @@ fn blend_chunk(
         b[j] = select(live, b[j] + p.color.z * weight, b[j]);
         t[j] = select(live, nt, tj);
         blends[j] += live & 1;
-        sats[j] += live & mask(nt < eps) & 1;
+        sats[j] += live & mask(nt < TRANSMITTANCE_EPS) & 1;
     }
 }
 
@@ -599,213 +569,23 @@ fn ceil_plus_one_clamped(v: f64, lo: u32, hi: u32) -> u32 {
     u32::try_from((ceil + 1).clamp(i64::from(lo), i64::from(hi))).unwrap_or(hi)
 }
 
-/// Renders one frame with the reference pipeline: cull+project, bin, sort
-/// each tile from scratch (stable by depth), rasterize.
-///
-/// Returns the image and the frame statistics, including a DRAM-traffic
-/// ledger computed with the same accounting rules the performance models
-/// use (entries are 8 bytes: 4-byte ID + 4-byte depth key). Feature reads
-/// are charged at the storage backend's actual record size
-/// ([`CloudStorage::record_bytes`]) rather than a hardcoded f32 layout.
-///
-/// Accepts any storage backend; a plain `&GaussianCloud` coerces.
-pub fn render_reference(
-    cloud: &dyn CloudStorage,
-    cam: &Camera,
-    config: &RenderConfig,
-) -> (Image, FrameStats) {
-    let projected = project_storage(cam, cloud);
-    let grid = TileGrid::new(cam.width, cam.height, config.tile_size);
-    let assignments = bin_to_tiles(&grid, &projected);
-
-    // Index projected splats by ID for per-tile lookups.
-    let max_id = cloud.len();
-    let mut by_id: Vec<Option<usize>> = vec![None; max_id];
-    for (i, p) in projected.iter().enumerate() {
-        by_id[usize_from_u32(p.id)] = Some(i);
-    }
-
-    let mut image = Image::new(cam.width, cam.height, config.background);
-    let mut stats = FrameStats {
-        input: cloud.len(),
-        projected: projected.len(),
-        duplicates: assignments.total_assignments(),
-        occupied_tiles: assignments.occupied_tiles(),
-        ..Default::default()
-    };
-
-    // Traffic accounting (reference = sort from scratch each frame):
-    // features are read once per Gaussian for projection, per-tile entries
-    // are written out and re-read by sorting and rasterization.
-    let entry_bytes = 8u64;
-    let feature_bytes = u64_from_usize(cloud.record_bytes());
-    stats.traffic.read(
-        Stage::FeatureExtraction,
-        u64_from_usize(cloud.len()) * feature_bytes,
-    );
-    stats.traffic.write(
-        Stage::Sorting,
-        u64_from_usize(assignments.total_assignments()) * entry_bytes,
-    );
-
-    let mut scratch = RasterScratch::new();
-    for (tile_index, entries) in assignments.iter_occupied() {
-        // Sort from scratch: stable sort by depth.
-        let mut order: Vec<&ProjectedGaussian> = entries
-            .iter()
-            .filter_map(|&(id, _)| by_id[usize_from_u32(id)].map(|i| &projected[i]))
-            .collect();
-        order.sort_by(|a, b| a.depth.total_cmp(&b.depth));
-
-        // Sorting reads + writes the tile's entry list (single logical
-        // pass; multi-pass costs are modelled in neo-sim, not here).
-        let tile_bytes = u64_from_usize(entries.len()) * entry_bytes;
-        stats.traffic.read(Stage::Sorting, tile_bytes);
-        stats.traffic.write(Stage::Sorting, tile_bytes);
-
-        // Rasterization fetches each listed Gaussian's 2D features.
-        stats.traffic.read(
-            Stage::Rasterization,
-            u64_from_usize(entries.len()) * feature_bytes,
-        );
-
-        let tile_stats =
-            rasterize_tile_with_scratch(&mut scratch, &grid, tile_index, &order, config);
-        scratch.blit_to(&mut image, &grid, tile_index);
-        stats.blend_ops += tile_stats.blend_ops;
-        stats.saturated_pixels += tile_stats.saturated_pixels;
-        stats.pixel_visits += tile_stats.pixel_visits;
-    }
-    // Final pixel writes.
-    stats.traffic.write(
-        Stage::Rasterization,
-        u64::from(cam.width) * u64::from(cam.height) * 4,
-    );
-
-    (image, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framebuffer::Image;
     use neo_math::Vec2;
-    use neo_scene::{Gaussian, GaussianCloud, Resolution};
 
-    fn cam(w: u32, h: u32) -> Camera {
-        Camera::look_at(
-            Vec3::new(0.0, 0.0, -5.0),
-            Vec3::ZERO,
-            Vec3::Y,
-            1.0,
-            Resolution::Custom(w, h),
-        )
-    }
-
-    fn red_blob() -> GaussianCloud {
-        let mut cloud = GaussianCloud::new();
-        cloud.push(Gaussian::isotropic(
-            Vec3::ZERO,
-            0.3,
-            0.95,
-            Vec3::new(1.0, 0.0, 0.0),
-        ));
-        cloud
-    }
-
-    #[test]
-    fn single_gaussian_renders_red_center() {
-        let cam = cam(128, 128);
-        let (img, stats) = render_reference(&red_blob(), &cam, &RenderConfig::default());
-        let center = img.get(64, 64);
-        assert!(center.x > 0.5, "center = {center}");
-        assert!(center.y < 0.2);
-        assert!(stats.blend_ops > 0);
-        assert_eq!(stats.projected, 1);
-    }
-
-    #[test]
-    fn empty_cloud_renders_background() {
-        let cam = cam(64, 64);
-        let cfg = RenderConfig {
-            background: Vec3::new(0.0, 0.0, 1.0),
-            ..Default::default()
-        };
-        let (img, stats) = render_reference(&GaussianCloud::new(), &cam, &cfg);
-        assert_eq!(img.get(30, 30), Vec3::new(0.0, 0.0, 1.0));
-        assert_eq!(stats.projected, 0);
-        assert_eq!(stats.traffic.stage_total(Stage::Sorting), 0);
-    }
-
-    #[test]
-    fn occlusion_front_wins() {
-        let cam = cam(128, 128);
-        let mut cloud = GaussianCloud::new();
-        // Front (closer to camera at z=-5): red at z=-1 (depth 4).
-        cloud.push(Gaussian::isotropic(
-            Vec3::new(0.0, 0.0, -1.0),
-            0.25,
-            0.99,
-            Vec3::new(1.0, 0.0, 0.0),
-        ));
-        // Back: green at z=+1 (depth 6).
-        cloud.push(Gaussian::isotropic(
-            Vec3::new(0.0, 0.0, 1.0),
-            0.25,
-            0.99,
-            Vec3::new(0.0, 1.0, 0.0),
-        ));
-        let (img, _) = render_reference(&cloud, &cam, &RenderConfig::default());
-        let c = img.get(64, 64);
-        assert!(c.x > c.y * 2.0, "front red must dominate: {c}");
-    }
-
-    #[test]
-    fn subtiling_matches_full_raster() {
-        let cam = cam(128, 128);
-        let cloud = {
-            let mut c = red_blob();
-            c.push(Gaussian::isotropic(
-                Vec3::new(0.8, 0.4, 0.0),
-                0.1,
-                0.8,
-                Vec3::new(0.0, 1.0, 0.0),
-            ));
-            c
-        };
-        let (a, _) = render_reference(
-            &cloud,
-            &cam,
-            &RenderConfig {
-                subtiling: true,
-                ..Default::default()
-            },
-        );
-        let (b, _) = render_reference(
-            &cloud,
-            &cam,
-            &RenderConfig {
-                subtiling: false,
-                ..Default::default()
-            },
-        );
-        // Subtile skipping only skips pixels beyond 3σ where alpha < 1/255;
-        // images should be nearly identical.
-        let max_diff = a
-            .pixels()
-            .iter()
-            .zip(b.pixels())
-            .map(|(p, q)| (*p - *q).abs().max_element())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 0.02, "max diff {max_diff}");
-    }
-
-    #[test]
-    fn traffic_ledger_populated() {
-        let cam = cam(128, 128);
-        let (_, stats) = render_reference(&red_blob(), &cam, &RenderConfig::default());
-        assert!(stats.traffic.stage_total(Stage::FeatureExtraction) > 0);
-        assert!(stats.traffic.stage_total(Stage::Sorting) > 0);
-        assert!(stats.traffic.stage_total(Stage::Rasterization) > 0);
+    /// Rasterizes one tile and blits it into a fresh `w`×`h` image.
+    fn raster_one(
+        grid: &TileGrid,
+        ordered: &[&ProjectedGaussian],
+        config: &RenderConfig,
+    ) -> (Image, TileRasterStats) {
+        let mut scratch = RasterScratch::new();
+        let stats = rasterize_tile_with_scratch(&mut scratch, grid, 0, ordered, config);
+        let mut image = Image::new(grid.width, grid.height, config.background);
+        scratch.blit_to(&mut image, grid, 0);
+        (image, stats)
     }
 
     // Whole-scene fast-vs-full-row parity lives in `tests/raster_parity.rs`
@@ -832,10 +612,8 @@ mod tests {
                 raster_fast_path: false,
                 ..Default::default()
             };
-            let mut legacy_img = Image::new(64, 64, Vec3::ZERO);
-            let legacy = rasterize_tile(&mut legacy_img, &grid, 0, &[&splat], &legacy_cfg);
-            let mut fast_img = Image::new(64, 64, Vec3::ZERO);
-            let fast = rasterize_tile(&mut fast_img, &grid, 0, &[&splat], &RenderConfig::default());
+            let (legacy_img, legacy) = raster_one(&grid, &[&splat], &legacy_cfg);
+            let (fast_img, fast) = raster_one(&grid, &[&splat], &RenderConfig::default());
             assert_eq!(legacy_img, fast_img, "opacity={opacity}");
             assert_eq!(legacy.blend_ops, fast.blend_ops, "opacity={opacity}");
             assert_eq!(legacy.saturated_pixels, fast.saturated_pixels);
@@ -894,12 +672,10 @@ mod tests {
                 raster_fast_path: fast,
                 ..Default::default()
             };
-            let mut clean = Image::new(64, 64, Vec3::ZERO);
-            let clean_stats = rasterize_tile(&mut clean, &grid, 0, &[&good], &cfg);
+            let (clean, clean_stats) = raster_one(&grid, &[&good], &cfg);
             for (i, bad) in poisoned.iter().enumerate() {
-                let mut img = Image::new(64, 64, Vec3::ZERO);
                 // Poisoned splat in front: must not affect the result.
-                let stats = rasterize_tile(&mut img, &grid, 0, &[bad, &good], &cfg);
+                let (img, stats) = raster_one(&grid, &[bad, &good], &cfg);
                 assert_eq!(img, clean, "poisoned splat {i} leaked (fast={fast})");
                 assert_eq!(
                     stats.blend_ops, clean_stats.blend_ops,
@@ -937,7 +713,6 @@ mod tests {
         let (row, span) = (16u32, 3u32..13);
         let mut tile = TileBlend {
             origin: (0, 0),
-            eps: DEFAULT_TRANSMITTANCE_EPS,
             planes: &mut scratch.planes,
             row_live: &mut scratch.row_live,
             stats: TileRasterStats::default(),
@@ -1019,45 +794,5 @@ mod tests {
             let e = exp_nonpositive(x);
             assert!(e.is_normal(), "exp({x}) = {e:e} is not a normal float");
         }
-    }
-
-    #[test]
-    fn degenerate_scale_cloud_renders_finite() {
-        // Degenerate-scale regression: a Gaussian whose covariance
-        // overflows f32 is culled at projection, and a NaN-opacity
-        // Gaussian is skipped by the blend-loop guard — neither may
-        // poison the frame.
-        let cam = cam(96, 96);
-        let mut cloud = red_blob();
-        let mut huge = Gaussian::isotropic(Vec3::ZERO, 0.2, 0.9, Vec3::ONE);
-        huge.scale = Vec3::new(1e25, 1e25, 1e25);
-        cloud.push(huge);
-        let mut nan_opacity = Gaussian::isotropic(Vec3::new(0.1, 0.0, 0.0), 0.2, 0.9, Vec3::ONE);
-        nan_opacity.opacity = f32::NAN;
-        cloud.push(nan_opacity);
-
-        let (img, stats) = render_reference(&cloud, &cam, &RenderConfig::default());
-        assert!(img.pixels().iter().all(|p| p.is_finite()), "NaN leaked");
-        let (clean_img, clean_stats) =
-            render_reference(&red_blob(), &cam, &RenderConfig::default());
-        assert_eq!(img, clean_img, "degenerate Gaussians changed the image");
-        assert_eq!(stats.blend_ops, clean_stats.blend_ops);
-    }
-
-    #[test]
-    fn saturation_early_exit_counts() {
-        let cam = cam(64, 64);
-        let mut cloud = GaussianCloud::new();
-        // Stack several opaque Gaussians; pixels should saturate.
-        for i in 0..8 {
-            cloud.push(Gaussian::isotropic(
-                Vec3::new(0.0, 0.0, i as f32 * 0.05),
-                0.5,
-                0.99,
-                Vec3::ONE,
-            ));
-        }
-        let (_, stats) = render_reference(&cloud, &cam, &RenderConfig::default());
-        assert!(stats.saturated_pixels > 0);
     }
 }

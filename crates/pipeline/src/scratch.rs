@@ -29,23 +29,22 @@ use neo_math::Vec3;
 /// After a [`crate::rasterize_tile_with_scratch`] call the scratch holds
 /// the tile's finished pixel block ([`RasterScratch::pixels`], row-major
 /// within the tile rect); [`RasterScratch::blit_to`] copies it into a
-/// framebuffer. Reusing one scratch across a whole frame removes the two
-/// per-tile heap allocations the one-shot [`crate::rasterize_tile`]
-/// wrapper makes.
+/// framebuffer. Reusing one scratch across a whole frame removes every
+/// per-tile heap allocation once the buffers have grown.
 ///
 /// # Examples
 ///
 /// ```
 /// use neo_math::{Vec2, Vec3};
 /// use neo_pipeline::{
-///     rasterize_tile, rasterize_tile_with_scratch, Image, ProjectedGaussian, RasterScratch,
-///     RenderConfig, TileGrid,
+///     rasterize_tile_with_scratch, Image, ProjectedGaussian, RasterScratch, RenderConfig,
+///     TileGrid,
 /// };
 ///
 /// let grid = TileGrid::new(128, 64, 64);
 /// let splat = ProjectedGaussian {
 ///     id: 0,
-///     mean2d: Vec2::new(40.0, 30.0),
+///     mean2d: Vec2::new(60.0, 30.0),
 ///     depth: 1.0,
 ///     conic: (0.02, 0.0, 0.02),
 ///     radius: 25.0,
@@ -54,17 +53,15 @@ use neo_math::Vec3;
 /// };
 /// let cfg = RenderConfig::default();
 ///
-/// // Scratch-based rasterization + blit is byte-identical to the
-/// // one-shot wrapper.
+/// // One scratch serves every tile of the frame: rasterize, then blit.
 /// let mut scratch = RasterScratch::new();
-/// let stats = rasterize_tile_with_scratch(&mut scratch, &grid, 0, &[&splat], &cfg);
-/// let mut via_scratch = Image::new(128, 64, Vec3::ZERO);
-/// scratch.blit_to(&mut via_scratch, &grid, 0);
-///
-/// let mut direct = Image::new(128, 64, Vec3::ZERO);
-/// let direct_stats = rasterize_tile(&mut direct, &grid, 0, &[&splat], &cfg);
-/// assert_eq!(via_scratch, direct);
-/// assert_eq!(stats, direct_stats);
+/// let mut image = Image::new(128, 64, Vec3::ZERO);
+/// for tile in 0..grid.tile_count() {
+///     let stats = rasterize_tile_with_scratch(&mut scratch, &grid, tile, &[&splat], &cfg);
+///     assert!(stats.blend_ops > 0);
+///     scratch.blit_to(&mut image, &grid, tile);
+/// }
+/// assert!(image.get(60, 30).x > 0.8);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RasterScratch {
@@ -192,7 +189,10 @@ struct TileSpan {
 ///
 /// ```
 /// use neo_math::{Vec2, Vec3};
-/// use neo_pipeline::{rasterize_tile, Image, ProjectedGaussian, RenderConfig, ShardScratch, TileGrid};
+/// use neo_pipeline::{
+///     rasterize_tile_with_scratch, Image, ProjectedGaussian, RasterScratch, RenderConfig,
+///     ShardScratch, TileGrid,
+/// };
 ///
 /// let grid = TileGrid::new(128, 64, 64);
 /// let splat = ProjectedGaussian {
@@ -213,12 +213,15 @@ struct TileSpan {
 /// scratch.rasterize(&grid, 1, &[&splat], &cfg);
 /// assert_eq!(scratch.buffered_tiles(), 2);
 ///
-/// // ...and the deferred merge matches direct rasterization exactly.
+/// // ...and the deferred merge matches blitting each tile at once.
 /// let mut merged = Image::new(128, 64, Vec3::ZERO);
 /// scratch.blit_to(&mut merged, &grid);
 /// let mut direct = Image::new(128, 64, Vec3::ZERO);
-/// rasterize_tile(&mut direct, &grid, 0, &[&splat], &cfg);
-/// rasterize_tile(&mut direct, &grid, 1, &[&splat], &cfg);
+/// let mut one_tile = RasterScratch::new();
+/// for tile in 0..2 {
+///     rasterize_tile_with_scratch(&mut one_tile, &grid, tile, &[&splat], &cfg);
+///     one_tile.blit_to(&mut direct, &grid, tile);
+/// }
 /// assert_eq!(merged, direct);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -245,7 +248,7 @@ impl ShardScratch {
     /// arena.
     ///
     /// `ordered` must be sorted by ascending depth, exactly as for
-    /// [`crate::rasterize_tile`].
+    /// [`crate::rasterize_tile_with_scratch`].
     pub fn rasterize(
         &mut self,
         grid: &TileGrid,
@@ -320,8 +323,21 @@ impl ShardScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::rasterize_tile;
     use neo_math::Vec2;
+
+    /// Rasterizes one tile with a fresh scratch and blits it.
+    fn rasterize_fresh(
+        image: &mut Image,
+        grid: &TileGrid,
+        tile_index: usize,
+        ordered: &[&ProjectedGaussian],
+        config: &RenderConfig,
+    ) -> TileRasterStats {
+        let mut scratch = RasterScratch::new();
+        let stats = rasterize_tile_with_scratch(&mut scratch, grid, tile_index, ordered, config);
+        scratch.blit_to(image, grid, tile_index);
+        stats
+    }
 
     fn splat(x: f32, y: f32, radius: f32) -> ProjectedGaussian {
         ProjectedGaussian {
@@ -336,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_one_shot_wrapper() {
+    fn scratch_reuse_matches_a_fresh_scratch() {
         let grid = TileGrid::new(100, 70, 64); // border tiles are clipped
         let cfg = RenderConfig::default();
         let s0 = splat(60.0, 30.0, 30.0);
@@ -347,7 +363,7 @@ mod tests {
         for tile in 0..grid.tile_count() {
             let a = rasterize_tile_with_scratch(&mut scratch, &grid, tile, &[&s0, &s1], &cfg);
             scratch.blit_to(&mut via_scratch, &grid, tile);
-            let b = rasterize_tile(&mut direct, &grid, tile, &[&s0, &s1], &cfg);
+            let b = rasterize_fresh(&mut direct, &grid, tile, &[&s0, &s1], &cfg);
             assert_eq!(a, b, "tile {tile}");
         }
         assert_eq!(via_scratch, direct);
@@ -385,8 +401,8 @@ mod tests {
         assert_eq!(scratch.buffered_tiles(), 0, "no blocks buffered");
 
         let mut direct = Image::new(128, 64, Vec3::ZERO);
-        let b0 = rasterize_tile(&mut direct, &grid, 0, &[&s], &cfg);
-        let b1 = rasterize_tile(&mut direct, &grid, 1, &[&s], &cfg);
+        let b0 = rasterize_fresh(&mut direct, &grid, 0, &[&s], &cfg);
+        let b1 = rasterize_fresh(&mut direct, &grid, 1, &[&s], &cfg);
         assert_eq!(via_direct, direct);
         assert_eq!((a0, a1), (b0, b1));
     }

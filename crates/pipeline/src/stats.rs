@@ -98,16 +98,6 @@ impl TrafficLedger {
     pub fn total(&self) -> u64 {
         Stage::ALL.iter().map(|&s| self.stage_total(s)).sum()
     }
-
-    /// Fraction of total traffic attributable to `stage` (0 when empty).
-    pub fn stage_fraction(&self, stage: Stage) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.stage_total(stage) as f64 / total as f64
-        }
-    }
 }
 
 impl Add for TrafficLedger {
@@ -188,14 +178,11 @@ mod tests {
         assert_eq!(l.stage_total(Stage::Sorting), 150);
         assert_eq!(l.stage_total(Stage::Rasterization), 10);
         assert_eq!(l.total(), 160);
-        assert!((l.stage_fraction(Stage::Sorting) - 150.0 / 160.0).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_ledger_fraction_is_zero() {
-        let l = TrafficLedger::new();
-        assert_eq!(l.stage_fraction(Stage::Sorting), 0.0);
-        assert_eq!(l.total(), 0);
+    fn empty_ledger_total_is_zero() {
+        assert_eq!(TrafficLedger::new().total(), 0);
     }
 
     #[test]

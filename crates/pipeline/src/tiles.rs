@@ -12,9 +12,6 @@ use neo_math::Vec2;
 /// Subtile edge length in pixels (paper Table 1: 8×8 px subtiles).
 pub const SUBTILE_SIZE: u32 = 8;
 
-/// Number of subtiles per 64×64 tile (8×8 grid → 64, one bit each).
-pub const SUBTILES_PER_TILE: u32 = 64;
-
 /// Partition of an image into square tiles.
 ///
 /// # Examples
@@ -49,22 +46,13 @@ impl TileGrid {
     ///
     /// # Panics
     ///
-    /// Panics when any dimension is zero. In debug builds, additionally
-    /// asserts that a tile spans at most 8×8 subtiles (`tile_size ≤ 64`
-    /// at the fixed 8-px [`SUBTILE_SIZE`]) — the bound under which
-    /// [`subtile_bitmap`]'s 64-bit bitmaps describe every subtile. Larger
-    /// tiles still render correct pixels in release builds, but
-    /// [`subtile_bitmap`] degrades to a conservative whole-tile test (no
-    /// subtile skipping); see [`TileGrid::subtiles_per_edge`].
+    /// Panics when any dimension is zero. Any positive tile size is
+    /// valid; above 64 px, [`subtile_bitmap`] degrades to a conservative
+    /// whole-tile test (see [`TileGrid::subtiles_per_edge`]).
     pub fn new(width: u32, height: u32, tile_size: u32) -> Self {
         assert!(
             width > 0 && height > 0 && tile_size > 0,
             "dimensions must be positive"
-        );
-        debug_assert!(
-            tile_size.div_ceil(SUBTILE_SIZE) <= 8,
-            "tile_size {tile_size} spans more than 64 subtiles; \
-             subtile bitmaps track at most 8×8 subtiles per tile"
         );
         Self {
             width,
@@ -187,7 +175,6 @@ impl TileGrid {
     /// everything below it. Beyond that bound, [`subtile_bitmap`] falls
     /// back to a conservative whole-tile intersection test: pixels are
     /// never wrongly skipped, but per-subtile skipping is lost.
-    /// [`TileGrid::new`] flags such grids with a `debug_assert!`.
     pub fn subtiles_per_edge(&self) -> u32 {
         self.tile_size.div_ceil(SUBTILE_SIZE)
     }
@@ -320,21 +307,11 @@ mod tests {
         let _ = TileGrid::new(100, 100, 0);
     }
 
-    /// Debug builds reject grids whose tiles span more than 64 subtiles
-    /// at construction (the bitmap cannot describe them).
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "more than 64 subtiles")]
-    fn oversized_tile_asserts_in_debug() {
-        let _ = TileGrid::new(256, 256, 128);
-    }
-
-    /// Release builds degrade oversized tiles to a conservative
-    /// whole-tile bitmap: a splat overlapping *only* subtiles beyond bit
-    /// 63 must still be reported as covering (the old first-64 clamp
-    /// returned 0 and made the rasterizer drop such splats), and a splat
-    /// missing the tile entirely still reports zero coverage.
-    #[cfg(not(debug_assertions))]
+    /// Oversized tiles degrade to a conservative whole-tile bitmap: a
+    /// splat overlapping *only* subtiles beyond bit 63 must still be
+    /// reported as covering (the old first-64 clamp returned 0 and made
+    /// the rasterizer drop such splats), and a splat missing the tile
+    /// entirely still reports zero coverage.
     #[test]
     fn oversized_tile_bitmap_is_conservative() {
         let g = TileGrid::new(128, 128, 128);

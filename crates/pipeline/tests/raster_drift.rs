@@ -6,7 +6,9 @@
 //! (operation order, cutoffs, clamps, early termination) is unchanged.
 //! This test keeps a copy of the scalar loop — one `alpha_at` call per
 //! (splat, pixel), one subtile-bitmap bit test per pixel — and bounds the
-//! drift on sampled Building flythrough frames.
+//! drift on sampled Building flythrough frames. Both sides run the same
+//! frame loop here (project, bin, stable depth sort per tile), so the
+//! only difference is the tile rasterizer.
 
 #![allow(
     clippy::expect_used,
@@ -15,8 +17,8 @@
 
 use neo_math::Vec3;
 use neo_pipeline::{
-    bin_to_tiles, project_storage, render_reference, subtile_bitmap, Image, ProjectedGaussian,
-    RenderConfig, TileGrid, SUBTILE_SIZE,
+    bin_to_tiles, project_storage, rasterize_tile_with_scratch, subtile_bitmap, Image,
+    ProjectedGaussian, RasterScratch, RenderConfig, TileGrid, SUBTILE_SIZE,
 };
 use neo_scene::presets::ScenePreset;
 use neo_scene::{Camera, FrameSampler, GaussianCloud, Resolution};
@@ -24,6 +26,9 @@ use neo_scene::{Camera, FrameSampler, GaussianCloud, Resolution};
 const WIDTH: u32 = 640;
 const HEIGHT: u32 = 360;
 const TILE: u32 = 32;
+
+/// The kernel's early-termination threshold on transmittance (1/255).
+const EPS: f32 = 1.0 / 255.0;
 
 /// The scalar blend loop: every pixel of the tile, every splat, with
 /// per-pixel transmittance and bitmap tests, then the background
@@ -41,7 +46,6 @@ fn rasterize_tile_scalar(
     let (x0, y0, x1, y1) = grid.tile_rect(tx, ty);
     let w = usize::try_from(x1 - x0).expect("tile width fits usize");
     let h = usize::try_from(y1 - y0).expect("tile height fits usize");
-    let eps = config.transmittance_eps;
     let mut transmittance = vec![1.0f32; w * h];
     let mut color = vec![config.background; w * h];
     let mut live_pixels = w * h;
@@ -72,7 +76,7 @@ fn rasterize_tile_scalar(
             for px in x0..x1 {
                 let li = usize::try_from((py - y0) * (x1 - x0) + (px - x0)).expect("index");
                 let t = transmittance[li];
-                if t < eps {
+                if t < EPS {
                     continue;
                 }
                 if config.subtiling {
@@ -89,7 +93,7 @@ fn rasterize_tile_scalar(
                 color[li] += p.color * (alpha * t);
                 let nt = t * (1.0 - alpha);
                 transmittance[li] = nt;
-                if nt < eps {
+                if nt < EPS {
                     live_pixels -= 1;
                 }
             }
@@ -103,11 +107,16 @@ fn rasterize_tile_scalar(
     }
 }
 
-/// The reference renderer's frame (project, bin, stable depth sort per
-/// tile) through the scalar loop.
-fn render_scalar(cloud: &GaussianCloud, cam: &Camera, config: &RenderConfig) -> Image {
+/// One frame: project, bin, sort each tile from scratch (stable by
+/// depth), and hand each tile's order to `rasterize`.
+fn render_frame(
+    cloud: &GaussianCloud,
+    cam: &Camera,
+    config: &RenderConfig,
+    mut rasterize: impl FnMut(&mut Image, &TileGrid, usize, &[&ProjectedGaussian]),
+) -> Image {
     let projected = project_storage(cam, cloud);
-    let grid = TileGrid::new(cam.width, cam.height, config.tile_size);
+    let grid = TileGrid::new(cam.width, cam.height, TILE);
     let assignments = bin_to_tiles(&grid, &projected);
     let mut by_id = vec![None; cloud.len()];
     for (i, p) in projected.iter().enumerate() {
@@ -121,7 +130,7 @@ fn render_scalar(cloud: &GaussianCloud, cam: &Camera, config: &RenderConfig) -> 
             .map(|i| &projected[i])
             .collect();
         order.sort_by(|a, b| a.depth.total_cmp(&b.depth));
-        rasterize_tile_scalar(&mut image, &grid, tile_index, &order, config);
+        rasterize(&mut image, &grid, tile_index, &order);
     }
     image
 }
@@ -139,10 +148,16 @@ fn vectorized_kernel_drift_from_scalar_loop_is_bounded() {
         background: Vec3::new(0.1, 0.2, 0.3),
         ..RenderConfig::default()
     };
+    let mut scratch = RasterScratch::new();
     for frame in [0, 25, 50] {
         let cam = sampler.frame(frame);
-        let (fast, _) = render_reference(&cloud, &cam, &config);
-        let scalar = render_scalar(&cloud, &cam, &config);
+        let fast = render_frame(&cloud, &cam, &config, |image, grid, tile, order| {
+            rasterize_tile_with_scratch(&mut scratch, grid, tile, order, &config);
+            scratch.blit_to(image, grid, tile);
+        });
+        let scalar = render_frame(&cloud, &cam, &config, |image, grid, tile, order| {
+            rasterize_tile_scalar(image, grid, tile, order, &config);
+        });
         let mut max_abs = 0.0f32;
         let mut sum_sq = 0.0f64;
         for (a, b) in fast.pixels().iter().zip(scalar.pixels()) {

@@ -1,4 +1,4 @@
-//! Regression pin for `rasterize_tile` blending statistics.
+//! Regression pin for `rasterize_tile_with_scratch` blending statistics.
 //!
 //! The counters on a fixed two-Gaussian tile are part of the workload
 //! contract: the sorting/raster refactors on the roadmap must not silently
@@ -8,7 +8,10 @@
 //! values and say so in the changelog.
 
 use neo_math::{Vec2, Vec3};
-use neo_pipeline::{rasterize_tile, Image, ProjectedGaussian, RenderConfig, TileGrid};
+use neo_pipeline::{
+    rasterize_tile_with_scratch, Image, ProjectedGaussian, RasterScratch, RenderConfig, TileGrid,
+    TileRasterStats,
+};
 
 /// A 64×64 single-tile grid with two overlapping, high-opacity Gaussians:
 /// a broad near one and a tighter far one, so every counter is exercised.
@@ -35,12 +38,24 @@ fn fixture() -> (TileGrid, Vec<ProjectedGaussian>) {
     (grid, vec![near, far])
 }
 
+/// Rasterizes tile 0 of `grid` into a fresh image.
+fn raster(
+    grid: &TileGrid,
+    ordered: &[&ProjectedGaussian],
+    config: &RenderConfig,
+) -> (Image, TileRasterStats) {
+    let mut scratch = RasterScratch::new();
+    let stats = rasterize_tile_with_scratch(&mut scratch, grid, 0, ordered, config);
+    let mut image = Image::new(grid.width, grid.height, config.background);
+    scratch.blit_to(&mut image, grid, 0);
+    (image, stats)
+}
+
 #[test]
 fn two_gaussian_tile_stats_are_pinned() {
     let (grid, splats) = fixture();
     let ordered: Vec<&ProjectedGaussian> = splats.iter().collect();
-    let mut image = Image::new(64, 64, Vec3::ZERO);
-    let stats = rasterize_tile(&mut image, &grid, 0, &ordered, &RenderConfig::default());
+    let (_, stats) = raster(&grid, &ordered, &RenderConfig::default());
 
     // Pinned on the seed rasterizer. Both Gaussians intersect the tile
     // (zero_coverage = 0) and their overlap core saturates 16 pixels.
@@ -62,8 +77,7 @@ fn legacy_loop_visits_every_pixel_per_splat() {
         raster_fast_path: false,
         ..Default::default()
     };
-    let mut image = Image::new(64, 64, Vec3::ZERO);
-    let stats = rasterize_tile(&mut image, &grid, 0, &ordered, &cfg);
+    let (_, stats) = raster(&grid, &ordered, &cfg);
     assert_eq!(
         (stats.blend_ops, stats.saturated_pixels, stats.zero_coverage),
         (4428, 16, 0)
@@ -86,8 +100,7 @@ fn off_tile_gaussian_counts_as_zero_coverage() {
         opacity: 0.5,
     });
     let ordered: Vec<&ProjectedGaussian> = splats.iter().collect();
-    let mut image = Image::new(64, 64, Vec3::ZERO);
-    let stats = rasterize_tile(&mut image, &grid, 0, &ordered, &RenderConfig::default());
+    let (_, stats) = raster(&grid, &ordered, &RenderConfig::default());
     assert_eq!(stats.zero_coverage, 1);
 }
 
@@ -96,15 +109,13 @@ fn disabling_subtiling_only_increases_blend_work() {
     let (grid, splats) = fixture();
     let ordered: Vec<&ProjectedGaussian> = splats.iter().collect();
 
-    let mut img_a = Image::new(64, 64, Vec3::ZERO);
-    let with_subtiling = rasterize_tile(&mut img_a, &grid, 0, &ordered, &RenderConfig::default());
+    let (img_a, with_subtiling) = raster(&grid, &ordered, &RenderConfig::default());
 
     let cfg = RenderConfig {
         subtiling: false,
         ..RenderConfig::default()
     };
-    let mut img_b = Image::new(64, 64, Vec3::ZERO);
-    let without = rasterize_tile(&mut img_b, &grid, 0, &ordered, &cfg);
+    let (img_b, without) = raster(&grid, &ordered, &cfg);
 
     // Subtile skipping may only skip work. It is a lossy approximation at
     // subtile boundaries (GSCore behaviour), so the image may drift by a

@@ -34,7 +34,7 @@ pub mod prelude {
         WarmStartConfig,
     };
     pub use neo_metrics::{lpips_proxy, psnr, ssim};
-    pub use neo_pipeline::{render_reference, Image, RenderConfig, Stage};
+    pub use neo_pipeline::{render_oracle, Image, RenderConfig, Stage};
     pub use neo_scene::{presets::ScenePreset, Camera, FrameSampler, GaussianCloud, Resolution};
     pub use neo_sim::devices::{Device, GsCore, NeoDevice, OrinAgx};
     pub use neo_sim::{dram::DramModel, WorkloadFrame};

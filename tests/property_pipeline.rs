@@ -4,7 +4,8 @@
 
 use neo_math::{Vec2, Vec3};
 use neo_pipeline::{
-    bin_to_tiles, rasterize_tile, subtile_bitmap, Image, ProjectedGaussian, RenderConfig, TileGrid,
+    bin_to_tiles, rasterize_tile_with_scratch, subtile_bitmap, Image, ProjectedGaussian,
+    RasterScratch, RenderConfig, TileGrid,
 };
 use neo_scene::{Camera, Gaussian, Resolution};
 use proptest::prelude::*;
@@ -98,9 +99,13 @@ proptest! {
         };
         let mut fast_img = Image::new(150, 100, Vec3::ZERO);
         let mut legacy_img = Image::new(150, 100, Vec3::ZERO);
+        let mut scratch = RasterScratch::new();
         for tile in 0..grid.tile_count() {
-            let fast = rasterize_tile(&mut fast_img, &grid, tile, &ordered, &fast_cfg);
-            let legacy = rasterize_tile(&mut legacy_img, &grid, tile, &ordered, &legacy_cfg);
+            let fast = rasterize_tile_with_scratch(&mut scratch, &grid, tile, &ordered, &fast_cfg);
+            scratch.blit_to(&mut fast_img, &grid, tile);
+            let legacy =
+                rasterize_tile_with_scratch(&mut scratch, &grid, tile, &ordered, &legacy_cfg);
+            scratch.blit_to(&mut legacy_img, &grid, tile);
             prop_assert_eq!(fast.blend_ops, legacy.blend_ops, "tile {}", tile);
             prop_assert_eq!(fast.saturated_pixels, legacy.saturated_pixels, "tile {}", tile);
             prop_assert_eq!(fast.zero_coverage, legacy.zero_coverage, "tile {}", tile);

@@ -11,7 +11,7 @@
 //! byte-for-byte and must hold under the optimized float paths.
 
 use neo_core::{FrameResult, RenderEngine, RendererConfig, ShardPlan, StrategyKind};
-use neo_pipeline::{render_reference, RenderConfig};
+use neo_pipeline::RenderConfig;
 use neo_scene::{presets::ScenePreset, FrameSampler, GaussianCloud, Resolution};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -133,39 +133,15 @@ fn fast_path_pixel_visits_are_shard_invariant() {
     assert_eq!(serial, sharded);
 }
 
-#[test]
-fn reference_renderer_fast_path_matches_legacy() {
-    let cloud = ScenePreset::Family.build_scaled(0.003);
-    let cam = sampler().frame(1);
-    for subtiling in [true, false] {
-        let fast_cfg = RenderConfig {
-            tile_size: 32,
-            subtiling,
-            ..Default::default()
-        };
-        let legacy_cfg = RenderConfig {
-            raster_fast_path: false,
-            ..fast_cfg.clone()
-        };
-        let (fast_img, mut fast) = render_reference(&cloud, &cam, &fast_cfg);
-        let (legacy_img, legacy) = render_reference(&cloud, &cam, &legacy_cfg);
-        assert_eq!(fast_img, legacy_img, "subtiling={subtiling}");
-        assert!(fast.pixel_visits < legacy.pixel_visits);
-        fast.pixel_visits = legacy.pixel_visits;
-        assert_eq!(fast, legacy, "subtiling={subtiling}");
-    }
-}
-
 /// Tiles spanning more than 64 subtiles degrade to a conservative
 /// whole-tile bitmap instead of silently dropping splats whose coverage
-/// lies beyond bit 63 (debug builds reject such grids at construction,
-/// so this contract is release-only — which is also the profile CI runs
-/// this suite under).
-#[cfg(not(debug_assertions))]
+/// lies beyond bit 63.
 #[test]
 fn oversized_tiles_never_drop_covered_pixels() {
     use neo_math::{Vec2, Vec3};
-    use neo_pipeline::{rasterize_tile, Image, ProjectedGaussian, TileGrid};
+    use neo_pipeline::{
+        rasterize_tile_with_scratch, Image, ProjectedGaussian, RasterScratch, TileGrid,
+    };
 
     // 16x16 subtiles per tile; the splat covers only the bottom-right of
     // the tile, so every subtile it touches has bit index ≥ 64.
@@ -189,10 +165,15 @@ fn oversized_tiles_never_drop_covered_pixels() {
             subtiling: false,
             ..with_subtiling.clone()
         };
-        let mut img_a = Image::new(128, 128, Vec3::ZERO);
-        let a = rasterize_tile(&mut img_a, &grid, 0, &[&splat], &with_subtiling);
-        let mut img_b = Image::new(128, 128, Vec3::ZERO);
-        let b = rasterize_tile(&mut img_b, &grid, 0, &[&splat], &without);
+        let raster = |config: &RenderConfig| {
+            let mut scratch = RasterScratch::new();
+            let stats = rasterize_tile_with_scratch(&mut scratch, &grid, 0, &[&splat], config);
+            let mut image = Image::new(128, 128, Vec3::ZERO);
+            scratch.blit_to(&mut image, &grid, 0);
+            (image, stats)
+        };
+        let (img_a, a) = raster(&with_subtiling);
+        let (img_b, b) = raster(&without);
         assert!(a.blend_ops > 0, "splat was wrongly dropped (fast={fast})");
         assert_eq!(a.blend_ops, b.blend_ops);
         assert_eq!(
