@@ -126,10 +126,16 @@ struct TileStrategy {
     prev_tags: Vec<u32>,
 }
 
+/// The [`RenderSession`] `by_id` entry of an ID with no projected splat
+/// this frame.
+const ABSENT: u32 = u32::MAX;
+
 /// Read-only per-frame inputs shared by every render worker.
 struct ShardContext<'a> {
     projected: &'a [ProjectedGaussian],
-    by_id: &'a [Option<usize>],
+    /// Pipeline ID → index into `projected`, [`ABSENT`] when the ID has
+    /// no splat this frame (a stale table entry).
+    by_id: &'a [u32],
     grid: &'a TileGrid,
     raster_cfg: &'a RenderConfig,
     render_image: bool,
@@ -261,9 +267,8 @@ fn run_shard(
             blend.extend(order.order.iter().filter(|e| e.valid).filter_map(|e| {
                 ctx.by_id
                     .get(neo_math::num::usize_from_u32(e.id))
-                    .copied()
-                    .flatten()
-                    .map(|i| &ctx.projected[i])
+                    .filter(|&&i| i != ABSENT)
+                    .map(|&i| &ctx.projected[neo_math::num::usize_from_u32(i)])
             }));
             let ts = rasterize(tile_index, &blend);
             out.blend_ops += ts.blend_ops;
@@ -328,12 +333,20 @@ impl RenderSession {
             }
         };
 
-        // ID → projected-splat lookup for rasterization. Proxy splats live
-        // in the ID range above the storage (`source_len + proxy_index`).
-        let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
-        let mut by_id: Vec<Option<usize>> = vec![None; id_space];
-        for (i, p) in projected.iter().enumerate() {
-            by_id[neo_math::num::usize_from_u32(p.id)] = Some(i);
+        // ID → projected-splat lookup for the rasterizer's gather, so only
+        // frames with an image need it. Proxy splats live in the ID range
+        // above the storage (`source_len + proxy_index`). The table
+        // persists in the session with every slot absent between frames:
+        // only this frame's IDs are set here, and the same walk clears
+        // them once the tiles are rendered.
+        if config.render_image {
+            let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
+            if self.by_id.len() < id_space {
+                self.by_id.resize(id_space, ABSENT);
+            }
+            for (i, p) in (0u32..).zip(&projected) {
+                self.by_id[neo_math::num::usize_from_u32(p.id)] = i;
+            }
         }
 
         // Occupied tiles in ascending tile-index order.
@@ -387,7 +400,7 @@ impl RenderSession {
         };
         let ctx = ShardContext {
             projected: &projected,
-            by_id: &by_id,
+            by_id: &self.by_id,
             grid: &grid,
             raster_cfg: &raster_cfg,
             render_image: config.render_image,
@@ -524,6 +537,11 @@ impl RenderSession {
             Stage::Rasterization,
             u64::from(cam.width) * u64::from(cam.height) * 4,
         );
+        if config.render_image {
+            for p in &projected {
+                self.by_id[neo_math::num::usize_from_u32(p.id)] = ABSENT;
+            }
+        }
 
         self.frames_rendered += 1;
         FrameResult {
@@ -683,23 +701,42 @@ impl RenderEngineBuilder {
         // Build the configured storage backend once, at engine
         // construction; sessions share it behind the Arc. The AoS format
         // reuses the scene allocation directly.
-        let storage: Arc<dyn CloudStorage> = match self.config.storage {
-            StorageFormat::AosF32 => scene.clone(),
-            StorageFormat::SoaF32 => Arc::new(SoaCloud::from_cloud(&scene)),
-            StorageFormat::Compact => Arc::new(CompactCloud::from_cloud(&scene)),
+        let format = self.config.storage;
+        let encode = |scene: &Arc<GaussianCloud>| -> Arc<dyn CloudStorage> {
+            match format {
+                StorageFormat::AosF32 => scene.clone(),
+                StorageFormat::SoaF32 => Arc::new(SoaCloud::from_cloud(scene)),
+                StorageFormat::Compact => Arc::new(CompactCloud::from_cloud(scene)),
+            }
         };
+        let mut scene = scene;
+        let mut storage = encode(&scene);
         // The cluster index is built over the *configured* storage (not
         // the f32 scene): clustering is a function of the decoded
         // records, so the index sees exactly the splats projection will
         // stream — including any compact-format quantization.
-        let lod_index = self.config.lod.as_ref().map(|lod| {
-            Arc::new(ClusteredCloud::build(
+        let mut lod_index = None;
+        if let Some(lod) = &self.config.lod {
+            let mut index = ClusteredCloud::build(
                 storage.as_ref(),
                 ClusterParams {
                     target_cluster_size: lod.cluster_size,
                 },
-            ))
-        });
+            );
+            // Renumber the scene into the index's cluster order, so each
+            // cluster streams from storage as one ID range. Dropping the
+            // storage first releases the AoS format's second reference:
+            // the permutation then runs in place when the builder holds
+            // the only one, and on a private copy of a shared scene
+            // otherwise. Both re-encoded formats are per record, so the
+            // re-encoded storage decodes to the records the index saw.
+            if let Some(order) = index.renumber() {
+                drop(storage);
+                Arc::make_mut(&mut scene).permute(order);
+                storage = encode(&scene);
+            }
+            lod_index = Some(Arc::new(index));
+        }
         Ok(RenderEngine {
             scene,
             storage,
@@ -762,11 +799,21 @@ impl RenderEngine {
             grid: None,
             sorters: Vec::new(),
             scratch: Vec::new(),
+            by_id: Vec::new(),
             frames_rendered: 0,
         }
     }
 
-    /// The shared scene.
+    /// The shared scene, in the order the pipeline's IDs index.
+    ///
+    /// On the flat path this is the scene the builder was given. With
+    /// [`RendererConfig::with_lod`] the builder renumbers it into cluster
+    /// order, so Gaussian `k` here is Gaussian `source_ids[k]` of the
+    /// original (see [`ClusteredCloud::source_ids`] on
+    /// [`RenderEngine::lod_index`]). The permutation runs in place when
+    /// the builder held the only reference to the scene; a scene `Arc`
+    /// still shared with the caller is left untouched and the engine
+    /// keeps a renumbered private copy.
     pub fn scene(&self) -> &Arc<GaussianCloud> {
         &self.scene
     }
@@ -775,13 +822,19 @@ impl RenderEngine {
     ///
     /// For [`StorageFormat::AosF32`] this is the scene `Arc` itself; for
     /// the planar and compact formats it is a re-encoded copy built at
-    /// [`RenderEngineBuilder::build`] time.
+    /// [`RenderEngineBuilder::build`] time. Either way it is in the same
+    /// order as [`RenderEngine::scene`], cluster order on LOD engines.
     pub fn storage(&self) -> &Arc<dyn CloudStorage> {
         &self.storage
     }
 
     /// The cluster index built at construction when
     /// [`RendererConfig::with_lod`] is set; `None` on the flat path.
+    ///
+    /// The index is renumbered together with the scene: its member IDs
+    /// are the IDs of [`RenderEngine::storage`], each cluster one
+    /// contiguous range, and [`ClusteredCloud::source_ids`] maps them
+    /// back to the builder's original order.
     pub fn lod_index(&self) -> Option<&Arc<ClusteredCloud>> {
         self.lod_index.as_ref()
     }
@@ -821,6 +874,10 @@ pub struct RenderSession {
     /// Per-shard raster buffers, grown to the largest shard count seen
     /// and reused across frames.
     scratch: Vec<ShardScratch>,
+    /// Pipeline ID → index of its projected splat, [`ABSENT`] outside a
+    /// frame; grown to the ID space by the first frame with an image and
+    /// reused across frames.
+    by_id: Vec<u32>,
     frames_rendered: u64,
 }
 
@@ -1242,6 +1299,76 @@ mod tests {
                 "index must cut feature-extraction traffic (frame {i})"
             );
         }
+    }
+
+    #[test]
+    fn lod_engines_renumber_the_scene_into_cluster_order() {
+        use neo_pipeline::LodConfig;
+        let original = neo_scene::synth::CityParams {
+            splats_per_block: 60,
+            ..neo_scene::synth::CityParams::default().scaled(2.0)
+        }
+        .build();
+        let build = |scene: Arc<GaussianCloud>, storage: StorageFormat| {
+            RenderEngine::builder()
+                .scene(scene)
+                .config(
+                    RendererConfig::default()
+                        .with_storage(storage)
+                        .with_lod(LodConfig::default()),
+                )
+                .build()
+                .unwrap()
+        };
+        // A scene shared with the caller is left as it was: the engine
+        // renumbers a private copy.
+        let shared = Arc::new(original.clone());
+        let engine = build(Arc::clone(&shared), StorageFormat::AosF32);
+        assert_eq!(*shared, original);
+        assert!(!Arc::ptr_eq(engine.scene(), &shared));
+        let index = engine.lod_index().unwrap();
+        let source_ids = index.source_ids().expect("a city is not in cluster order");
+        assert_eq!(source_ids.len(), original.len());
+        for (k, &src) in source_ids.iter().enumerate() {
+            assert_eq!(
+                engine.scene().gaussians()[k],
+                original.gaussians()[src as usize]
+            );
+        }
+        // Each cluster is one contiguous ID range, in cluster order.
+        let mut next = 0u32;
+        for c in index.clusters() {
+            assert_eq!(c.members().first(), Some(&next));
+            assert_eq!(c.members().last(), Some(&(next + c.len() as u32 - 1)));
+            next += c.len() as u32;
+        }
+        // An owned scene is renumbered in place into the same order, and
+        // the re-encoded formats follow the renumbered scene.
+        for format in [
+            StorageFormat::AosF32,
+            StorageFormat::SoaF32,
+            StorageFormat::Compact,
+        ] {
+            let scene = Arc::new(original.clone());
+            let allocation = Arc::as_ptr(&scene);
+            let owned = build(scene, format);
+            assert_eq!(Arc::as_ptr(owned.scene()), allocation, "{format:?}");
+            assert_eq!(owned.scene(), engine.scene(), "{format:?}");
+            let reference = match format {
+                StorageFormat::AosF32 => engine.scene().to_cloud(),
+                StorageFormat::SoaF32 => neo_scene::SoaCloud::from_cloud(engine.scene()).to_cloud(),
+                StorageFormat::Compact => {
+                    neo_scene::CompactCloud::from_cloud(engine.scene()).to_cloud()
+                }
+            };
+            assert_eq!(owned.storage().to_cloud(), reference, "{format:?}");
+        }
+        // The flat path keeps the scene allocation and order untouched.
+        let flat = RenderEngine::builder()
+            .scene(Arc::clone(&shared))
+            .build()
+            .unwrap();
+        assert!(Arc::ptr_eq(flat.scene(), &shared));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Stage ❶: frustum culling.
 
+use crate::projection::ProjectionContext;
 use neo_math::Vec3;
-use neo_scene::Camera;
 
 /// Conservative frustum test for a bounding sphere in *camera space*.
 ///
 /// `t` is the camera-space center, `radius` the world-space bounding
 /// radius (camera transforms are rigid, so lengths are preserved). The test
 /// checks the near/far planes and the four side planes derived from the
-/// fields of view, each relaxed by `radius`.
-pub fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
+/// fields of view, each relaxed by `radius`; the half-FOV tangents come
+/// precomputed with the frame's [`ProjectionContext`].
+pub(crate) fn in_frustum(ctx: &ProjectionContext, t: Vec3, radius: f32) -> bool {
+    let cam = &ctx.cam;
     if t.z + radius < cam.near || t.z - radius > cam.far {
         return false;
     }
@@ -17,15 +19,13 @@ pub fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
     // sphere radius as slack (conservative, cheap — same test GSCore's
     // projection unit applies).
     let z = t.z.max(cam.near);
-    let tan_x = (cam.fov_x() * 0.5).tan();
-    let tan_y = (cam.fov_y * 0.5).tan();
-    t.x.abs() <= z * tan_x + radius && t.y.abs() <= z * tan_y + radius
+    t.x.abs() <= z * ctx.tan_half_fov.x + radius && t.y.abs() <= z * ctx.tan_half_fov.y + radius
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_scene::Resolution;
+    use neo_scene::{Camera, Resolution};
 
     fn cam() -> Camera {
         Camera::look_at(
@@ -35,6 +35,10 @@ mod tests {
             1.0,
             Resolution::Hd,
         )
+    }
+
+    fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
+        super::in_frustum(&ProjectionContext::new(cam), t, radius)
     }
 
     #[test]

@@ -5,8 +5,20 @@
 //! clusters are rejected with a conservative frustum test, distant
 //! clusters whose screen footprint falls below a threshold are replaced
 //! by their precomputed merged proxies, and only the surviving clusters'
-//! members are projected (streamed from storage in consecutive-ID runs
-//! via `visit_range`).
+//! members are projected.
+//!
+//! # Streaming
+//!
+//! [`project_clusters`] is a streaming kernel. The camera constants are
+//! computed once per frame, and each visible cluster's members are read
+//! from storage with `visit_range` over their consecutive-ID runs. The
+//! render engine renumbers its scene into cluster order at build time
+//! ([`ClusteredCloud::renumber`]), so there every cluster is a single run
+//! and the frame reads the storage front to back, in ascending ID order.
+//! Members and proxies are collected separately and the proxies appended
+//! last, which leaves a renumbered index's output already ascending by
+//! pipeline ID; the final ordering step is then one linear check. An
+//! index that was never renumbered still works and is sorted.
 //!
 //! # Determinism and parity
 //!
@@ -15,18 +27,18 @@
 //! is guaranteed to fail `in_frustum`. With proxy substitution disabled
 //! (`proxy_footprint_px == 0`), the output of [`project_clusters`] is
 //! therefore byte-identical to
-//! [`project_storage`](crate::projection::project_storage) — same
-//! splats, same arithmetic, same ascending-ID order. The `lod_parity`
-//! suite pins this.
+//! [`project_storage`](crate::projection::project_storage) over the same
+//! storage — same splats, same arithmetic, same ascending-ID order. The
+//! `lod_parity` suite pins this, for raw and renumbered indexes.
 //!
 //! Proxy splats are addressed by **pipeline IDs**
 //! `source_len() + proxy_index`, so they never collide with member IDs
 //! and downstream binning/sorting stay deterministic.
 
-use crate::projection::{project_gaussian_with_view, ProjectedGaussian};
+use crate::projection::{project_in, ProjectedGaussian, ProjectionContext};
 use neo_math::num::u64_from_usize;
 use neo_math::{Aabb, Mat4, Vec3};
-use neo_scene::{Camera, CloudStorage, Cluster, ClusteredCloud};
+use neo_scene::{Camera, CloudStorage, ClusteredCloud};
 
 /// Configuration of the cluster-index LOD path.
 ///
@@ -144,32 +156,33 @@ fn min_abs(lo: f32, hi: f32) -> f32 {
 /// `|t.x| ≥ min_abs(lo.x, hi.x)` while its allowance
 /// `max(t.z, near)·tan + r ≤ max(hi.z, near)·tan + R` — each cluster
 /// inequality failing implies the member inequality fails.
-pub fn cluster_visible(cam: &Camera, view: &Mat4, bounds: Aabb, max_radius: f32) -> bool {
-    let (lo, hi) = camera_space_box(view, bounds);
-    visible_box(cam, lo, hi, max_radius)
+pub fn cluster_visible(cam: &Camera, bounds: Aabb, max_radius: f32) -> bool {
+    let ctx = ProjectionContext::new(cam);
+    let (lo, hi) = camera_space_box(&ctx.view, bounds);
+    visible_box(&ctx, lo, hi, max_radius)
 }
 
 /// [`cluster_visible`] on a precomputed camera-space box (the hot path
 /// shares the box with the footprint estimate).
-fn visible_box(cam: &Camera, lo: Vec3, hi: Vec3, max_radius: f32) -> bool {
+fn visible_box(ctx: &ProjectionContext, lo: Vec3, hi: Vec3, max_radius: f32) -> bool {
+    let cam = &ctx.cam;
     let r = max_radius;
     if hi.z + r < cam.near || lo.z - r > cam.far {
         return false;
     }
     let z = hi.z.max(cam.near);
-    let tan_x = (cam.fov_x() * 0.5).tan();
-    let tan_y = (cam.fov_y * 0.5).tan();
-    min_abs(lo.x, hi.x) <= z * tan_x + r && min_abs(lo.y, hi.y) <= z * tan_y + r
+    min_abs(lo.x, hi.x) <= z * ctx.tan_half_fov.x + r
+        && min_abs(lo.y, hi.y) <= z * ctx.tan_half_fov.y + r
 }
 
 /// Conservative screen footprint (pixel diameter) of a cluster from its
 /// camera-space bounds box and member radius bound.
-fn cluster_footprint_px(cam: &Camera, lo: Vec3, hi: Vec3, max_radius: f32) -> f32 {
+fn cluster_footprint_px(ctx: &ProjectionContext, lo: Vec3, hi: Vec3, max_radius: f32) -> f32 {
     let center = (lo + hi) * 0.5;
     let half_diag = ((hi - lo) * 0.5).length();
     let r = half_diag + max_radius;
-    let z = (center.z - r).max(cam.near);
-    cam.focal().y * (2.0 * r) / z
+    let z = (center.z - r).max(ctx.cam.near);
+    ctx.focal.y * (2.0 * r) / z
 }
 
 /// Projects `storage` through its cluster `index`: culls whole clusters,
@@ -177,27 +190,34 @@ fn cluster_footprint_px(cam: &Camera, lo: Vec3, hi: Vec3, max_radius: f32) -> f3
 /// members from storage in consecutive-ID runs.
 ///
 /// `index` must have been built over `storage` (same length, same
-/// contents); the output is sorted ascending by pipeline ID, with the
-/// parallel [`ClusterProjection::tags`] recording each splat's cluster.
+/// contents), or renumbered together with it. The output is sorted
+/// ascending by pipeline ID, with the parallel
+/// [`ClusterProjection::tags`] recording each splat's cluster. For a
+/// renumbered index every visible cluster is one `visit_range` call and
+/// the output comes out ascending, so ordering it costs one linear pass;
+/// otherwise the runs interleave and the output is sorted.
 pub fn project_clusters(
     cam: &Camera,
     storage: &dyn CloudStorage,
     index: &ClusteredCloud,
     cfg: &LodConfig,
 ) -> ClusterProjection {
-    let view = cam.view_matrix();
+    let ctx = ProjectionContext::new(cam);
     let proxy_base = index.source_len();
     let substitution = cfg.proxy_footprint_px > 0.0 && !index.is_degenerate();
 
-    let mut items: Vec<(ProjectedGaussian, u32)> = Vec::new();
+    let mut projected: Vec<ProjectedGaussian> = Vec::new();
+    let mut tags: Vec<u32> = Vec::new();
+    let mut proxies: Vec<ProjectedGaussian> = Vec::new();
+    let mut proxy_tags: Vec<u32> = Vec::new();
     let mut clusters_culled = 0u64;
     let mut clusters_proxied = 0u64;
     let mut splats_saved = 0u64;
     let mut splats_visited = 0u64;
 
     for (ci, cluster) in index.clusters().iter().enumerate() {
-        let (lo, hi) = camera_space_box(&view, cluster.bounds());
-        if !visible_box(cam, lo, hi, cluster.max_radius()) {
+        let (lo, hi) = camera_space_box(&ctx.view, cluster.bounds());
+        if !visible_box(&ctx, lo, hi, cluster.max_radius()) {
             clusters_culled += 1;
             splats_saved += u64_from_usize(cluster.len());
             continue;
@@ -206,7 +226,7 @@ pub fn project_clusters(
         let (proxy_start, proxy_len) = cluster.proxy_range();
         let proxied = substitution
             && proxy_len > 0
-            && cluster_footprint_px(cam, lo, hi, cluster.max_radius()) < cfg.proxy_footprint_px;
+            && cluster_footprint_px(&ctx, lo, hi, cluster.max_radius()) < cfg.proxy_footprint_px;
         if proxied {
             clusters_proxied += 1;
             splats_saved += u64_from_usize(cluster.len()) - u64::from(proxy_len);
@@ -215,27 +235,29 @@ pub fn project_clusters(
                 let pid = proxy_base
                     .saturating_add(proxy_start)
                     .saturating_add(u32::try_from(k).unwrap_or(u32::MAX));
-                if let Some(pp) = project_gaussian_with_view(cam, &view, pid, p) {
-                    items.push((pp, tag_base | 1));
+                if let Some(pp) = project_in(&ctx, pid, p) {
+                    proxies.push(pp);
+                    proxy_tags.push(tag_base | 1);
                 }
             }
         } else {
-            for (start, end) in consecutive_runs(cluster) {
+            for (start, end) in consecutive_runs(cluster.members()) {
                 storage.visit_range(start, end, &mut |id, g| {
                     splats_visited += 1;
-                    if let Some(p) = project_gaussian_with_view(cam, &view, id, g) {
-                        items.push((p, tag_base));
+                    if let Some(p) = project_in(&ctx, id, g) {
+                        projected.push(p);
+                        tags.push(tag_base);
                     }
                 });
             }
         }
     }
 
-    // Pipeline IDs are unique (members < source_len ≤ proxy IDs), so
-    // sorting by ID alone is a total, deterministic order.
-    items.sort_unstable_by_key(|&(p, _)| p.id);
-    let tags = items.iter().map(|&(_, tag)| tag).collect();
-    let projected = items.into_iter().map(|(p, _)| p).collect();
+    // Proxy IDs lie above every member ID, so appending them keeps an
+    // ascending member list ascending.
+    projected.append(&mut proxies);
+    tags.append(&mut proxy_tags);
+    sort_by_id(&mut projected, &mut tags);
     ClusterProjection {
         projected,
         tags,
@@ -247,21 +269,36 @@ pub fn project_clusters(
     }
 }
 
-/// Maximal runs of consecutive member IDs, as `(start, end)` half-open
-/// ranges for `visit_range` streaming.
-fn consecutive_runs(cluster: &Cluster) -> Vec<(u32, u32)> {
-    let members = cluster.members();
-    let mut runs = Vec::new();
-    let mut s = 0usize;
-    while s < members.len() {
-        let mut e = s + 1;
-        while e < members.len() && members[e] == members[e - 1] + 1 {
-            e += 1;
-        }
-        runs.push((members[s], members[e - 1] + 1));
-        s = e;
+/// Orders `projected` and its parallel `tags` ascending by pipeline ID.
+///
+/// Pipeline IDs are unique (members < `source_len` ≤ proxy IDs), so the
+/// ID alone is a total, deterministic order. Input that is already
+/// ascending — every frame of a renumbered index — costs one linear
+/// check; anything else is sorted as `(splat, tag)` pairs.
+fn sort_by_id(projected: &mut Vec<ProjectedGaussian>, tags: &mut Vec<u32>) {
+    if projected.is_sorted_by_key(|p| p.id) {
+        return;
     }
-    runs
+    let mut items: Vec<(ProjectedGaussian, u32)> =
+        projected.drain(..).zip(tags.drain(..)).collect();
+    items.sort_unstable_by_key(|&(p, _)| p.id);
+    (*projected, *tags) = items.into_iter().unzip();
+}
+
+/// Maximal runs of consecutive member IDs, as `(start, end)` half-open
+/// ranges for `visit_range` streaming. A renumbered cluster is one run.
+fn consecutive_runs(members: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut rest = members;
+    std::iter::from_fn(move || {
+        let &start = rest.first()?;
+        let mut len = 1;
+        while len < rest.len() && rest[len] == rest[len - 1] + 1 {
+            len += 1;
+        }
+        let end = rest[len - 1] + 1;
+        rest = &rest[len..];
+        Some((start, end))
+    })
 }
 
 #[cfg(test)]
@@ -340,18 +377,18 @@ mod tests {
         let cloud = city();
         let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
         let cam = street_cam(40.0);
-        let view = cam.view_matrix();
+        let ctx = ProjectionContext::new(&cam);
         let mut culled = 0;
         for c in idx.clusters() {
-            if cluster_visible(&cam, &view, c.bounds(), c.max_radius()) {
+            if cluster_visible(&cam, c.bounds(), c.max_radius()) {
                 continue;
             }
             culled += 1;
             for &id in c.members() {
                 let g = cloud.get(id).unwrap();
-                let t = view.transform_point(g.mean);
+                let t = ctx.view.transform_point(g.mean);
                 assert!(
-                    !in_frustum(&cam, t, g.bounding_radius()),
+                    !in_frustum(&ctx, t, g.bounding_radius()),
                     "cluster cull dropped visible splat {id}"
                 );
             }
@@ -431,10 +468,19 @@ mod tests {
         let cloud = city();
         let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
         for c in idx.clusters() {
-            let runs = consecutive_runs(c);
-            let expanded: Vec<u32> = runs.iter().flat_map(|&(s, e)| s..e).collect();
+            let expanded: Vec<u32> = consecutive_runs(c.members())
+                .flat_map(|(s, e)| s..e)
+                .collect();
             assert_eq!(expanded, c.members());
         }
+        // After renumbering, every cluster streams as one run.
+        let mut idx = idx;
+        idx.renumber().expect("a city is not in cluster order");
+        for c in idx.clusters() {
+            let runs: Vec<(u32, u32)> = consecutive_runs(c.members()).collect();
+            assert_eq!(runs.len(), 1);
+        }
+        assert_eq!(consecutive_runs(&[]).count(), 0);
     }
 
     fn clusters_tag_proxy_count(out: &ClusterProjection) -> usize {

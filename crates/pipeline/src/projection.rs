@@ -7,7 +7,7 @@
 //! resulting 2D covariance yields a conic and a 3σ bounding radius.
 
 use crate::culling::in_frustum;
-use neo_math::{Mat3, Vec2, Vec3};
+use neo_math::{Mat3, Mat4, Vec2, Vec3};
 use neo_scene::{Camera, CloudStorage, Gaussian};
 
 /// Low-pass dilation added to the 2D covariance diagonal (antialiasing),
@@ -57,30 +57,81 @@ impl ProjectedGaussian {
     }
 }
 
+/// Camera constants of one frame, computed once before any per-splat
+/// work — the set-up step of the reference forward pass.
+///
+/// Holds the view matrix and its rotation block, the half-FOV tangents
+/// the frustum tests use, the focal length and the image centre. Each is
+/// computed by the same expression, in the same operand order, as the
+/// [`Camera`] accessor it stands in for, so projecting through a context
+/// is bit-identical to calling those accessors for every splat.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProjectionContext {
+    pub(crate) cam: Camera,
+    pub(crate) view: Mat4,
+    /// `view.to_mat3()` and its transpose.
+    rotation: Mat3,
+    rotation_t: Mat3,
+    /// `tan(fov_x / 2)` and `tan(fov_y / 2)`.
+    pub(crate) tan_half_fov: Vec2,
+    pub(crate) focal: Vec2,
+    /// Image centre and size in pixels.
+    center: Vec2,
+    size: Vec2,
+}
+
+impl ProjectionContext {
+    pub(crate) fn new(cam: &Camera) -> Self {
+        let view = cam.view_matrix();
+        let rotation = view.to_mat3();
+        let width = cam.width as f32;
+        let height = cam.height as f32;
+        Self {
+            cam: *cam,
+            view,
+            rotation,
+            rotation_t: rotation.transpose(),
+            tan_half_fov: Vec2::new((cam.fov_x() * 0.5).tan(), (cam.fov_y * 0.5).tan()),
+            focal: cam.focal(),
+            center: Vec2::new(width * 0.5, height * 0.5),
+            size: Vec2::new(width, height),
+        }
+    }
+
+    /// [`Camera::camera_to_pixel`] on the hoisted constants.
+    fn camera_to_pixel(&self, t: Vec3) -> Option<Vec2> {
+        if t.z < self.cam.near {
+            return None;
+        }
+        Some(Vec2::new(
+            self.focal.x * t.x / t.z + self.center.x,
+            self.focal.y * t.y / t.z + self.center.y,
+        ))
+    }
+}
+
 /// Projects a single Gaussian, returning `None` when culled.
 ///
 /// Culling folds in the paper's stage ❶: Gaussians behind the near plane,
 /// beyond the far plane, or projecting entirely off-screen are discarded.
 pub fn project_gaussian(cam: &Camera, id: u32, g: &Gaussian) -> Option<ProjectedGaussian> {
-    let view = cam.view_matrix();
-    project_gaussian_with_view(cam, &view, id, g)
+    project_in(&ProjectionContext::new(cam), id, g)
 }
 
-/// [`project_gaussian`] with a precomputed view matrix (hot path: the view
-/// matrix is shared by every Gaussian of a frame).
-pub fn project_gaussian_with_view(
-    cam: &Camera,
-    view: &neo_math::Mat4,
+/// [`project_gaussian`] against a frame's precomputed camera constants
+/// (hot path: one context serves every Gaussian of a frame).
+pub(crate) fn project_in(
+    ctx: &ProjectionContext,
     id: u32,
     g: &Gaussian,
 ) -> Option<ProjectedGaussian> {
-    let t = view.transform_point(g.mean);
-    if !in_frustum(cam, t, g.bounding_radius()) {
+    let t = ctx.view.transform_point(g.mean);
+    if !in_frustum(ctx, t, g.bounding_radius()) {
         return None;
     }
 
-    let focal = cam.focal();
-    let mean2d = cam.camera_to_pixel(t)?;
+    let focal = ctx.focal;
+    let mean2d = ctx.camera_to_pixel(t)?;
 
     // Jacobian of the perspective projection at t (2×3, embedded in 3×3
     // with a zero third row).
@@ -91,8 +142,7 @@ pub fn project_gaussian_with_view(
         Vec3::new(0.0, focal.y * inv_z, -focal.y * t.y * inv_z2),
         Vec3::ZERO,
     );
-    let w = view.to_mat3();
-    let cov_cam = w * g.covariance() * w.transpose();
+    let cov_cam = ctx.rotation * g.covariance() * ctx.rotation_t;
     let cov2d_full = j * cov_cam * j.transpose();
 
     let a = cov2d_full.get(0, 0) + COV2D_DILATION;
@@ -115,13 +165,13 @@ pub fn project_gaussian_with_view(
     // decided later by the binning stage.
     if mean2d.x + radius < 0.0
         || mean2d.y + radius < 0.0
-        || mean2d.x - radius >= cam.width as f32
-        || mean2d.y - radius >= cam.height as f32
+        || mean2d.x - radius >= ctx.size.x
+        || mean2d.y - radius >= ctx.size.y
     {
         return None;
     }
 
-    let color = g.sh.eval(cam.view_direction(g.mean));
+    let color = g.sh.eval(ctx.cam.view_direction(g.mean));
 
     Some(ProjectedGaussian {
         id,
@@ -142,10 +192,10 @@ pub fn project_gaussian_with_view(
 /// coerces; the planar backend stores the same f32 bits, so it projects
 /// bit-identically to it.
 pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
-    let view = cam.view_matrix();
+    let ctx = ProjectionContext::new(cam);
     let mut out = Vec::new();
     storage.visit(&mut |id, g| {
-        if let Some(p) = project_gaussian_with_view(cam, &view, id, g) {
+        if let Some(p) = project_in(&ctx, id, g) {
             out.push(p);
         }
     });
@@ -165,6 +215,28 @@ mod tests {
             1.0,
             Resolution::Custom(640, 360),
         )
+    }
+
+    #[test]
+    fn context_constants_are_the_camera_accessors_bit_for_bit() {
+        for fov_y in [1e-4, 0.3, 1.0, 2.5, std::f32::consts::PI - 1e-3] {
+            for (w, h) in [(640, 360), (1, 399), (333, 7)] {
+                let mut cam = test_camera().with_resolution(Resolution::Custom(w, h));
+                cam.fov_y = fov_y;
+                let ctx = ProjectionContext::new(&cam);
+                assert_eq!(ctx.view, cam.view_matrix());
+                assert_eq!(ctx.rotation, cam.view_matrix().to_mat3());
+                assert_eq!(ctx.rotation_t, cam.view_matrix().to_mat3().transpose());
+                let tan_x = (cam.fov_x() * 0.5).tan();
+                let tan_y = (cam.fov_y * 0.5).tan();
+                assert_eq!(ctx.tan_half_fov.x.to_bits(), tan_x.to_bits());
+                assert_eq!(ctx.tan_half_fov.y.to_bits(), tan_y.to_bits());
+                assert_eq!(ctx.focal.x.to_bits(), cam.focal().x.to_bits());
+                assert_eq!(ctx.focal.y.to_bits(), cam.focal().y.to_bits());
+                let t = Vec3::new(0.37, -1.25, 3.5);
+                assert_eq!(ctx.camera_to_pixel(t), cam.camera_to_pixel(t));
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,51 @@ impl GaussianCloud {
             .unwrap_or(0)
     }
 
+    /// Reorders the cloud in place so that Gaussian `k` afterwards is the
+    /// one that had ID `order[k]` (`order` maps new ID → old ID).
+    ///
+    /// Walks each cycle of the permutation once, moving every Gaussian
+    /// exactly once through a single held record; the only extra memory
+    /// is one flag per Gaussian, never a second copy of the cloud.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `order` is not a permutation of `0..len()`.
+    pub fn permute(&mut self, order: &[u32]) {
+        let n = self.gaussians.len();
+        assert_eq!(order.len(), n, "permutation length must match the cloud");
+        // First pass validates `order` and marks every ID as pending; the
+        // cycle walk then clears each flag as it places that record.
+        let mut pending = vec![false; n];
+        for &src in order {
+            let src = neo_math::num::usize_from_u32(src);
+            assert!(src < n && !pending[src], "order must be a permutation");
+            pending[src] = true;
+        }
+        for start in 0..n {
+            if !pending[start] {
+                continue;
+            }
+            pending[start] = false;
+            let mut src = neo_math::num::usize_from_u32(order[start]);
+            if src == start {
+                continue;
+            }
+            // Each position is read (as the source of its predecessor in
+            // the cycle) before it is written, so one held record closes
+            // the cycle.
+            let held = self.gaussians[start].clone();
+            let mut dst = start;
+            while src != start {
+                self.gaussians[dst] = self.gaussians[src].clone();
+                pending[src] = false;
+                dst = src;
+                src = neo_math::num::usize_from_u32(order[src]);
+            }
+            self.gaussians[dst] = held;
+        }
+    }
+
     /// Drops Gaussians failing [`Gaussian::is_valid`], returning how many
     /// were removed. IDs are reassigned (they are positional).
     pub fn retain_valid(&mut self) -> usize {
@@ -186,6 +231,53 @@ mod tests {
         c.push(hi);
         c.push(probe(2.0));
         assert_eq!(c.max_sh_degree(), 2);
+    }
+
+    /// The out-of-place definition `permute` must match.
+    fn gathered(c: &GaussianCloud, order: &[u32]) -> GaussianCloud {
+        order
+            .iter()
+            .map(|&i| c.gaussians[i as usize].clone())
+            .collect()
+    }
+
+    fn assert_permutes_like_gather(order: &[u32]) {
+        let c: GaussianCloud = (0..order.len()).map(|i| probe(i as f32)).collect();
+        let mut p = c.clone();
+        p.permute(order);
+        assert_eq!(p, gathered(&c, order), "order {order:?}");
+    }
+
+    #[test]
+    fn permute_matches_gather_on_identity_cycles_and_fixed_points() {
+        assert_permutes_like_gather(&[]);
+        assert_permutes_like_gather(&[0, 1, 2, 3]);
+        // One cycle through every element, in both directions.
+        assert_permutes_like_gather(&[1, 2, 3, 4, 5, 0]);
+        assert_permutes_like_gather(&[5, 0, 1, 2, 3, 4]);
+        // Fixed points between a 2-cycle and a 3-cycle.
+        assert_permutes_like_gather(&[1, 0, 2, 5, 4, 6, 3, 7]);
+    }
+
+    #[test]
+    fn permute_matches_gather_on_random_orders() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for n in [2usize, 17, 256] {
+            // Fisher–Yates.
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            assert_permutes_like_gather(&order);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn permute_rejects_a_repeated_id() {
+        let mut c: GaussianCloud = (0..3).map(|i| probe(i as f32)).collect();
+        c.permute(&[0, 0, 2]);
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! accumulation runs in ascending-member order. Building the same cloud
 //! twice — or on different machines — yields byte-identical indexes.
 //!
-//! Member IDs are **not** remapped: a cluster stores the storage IDs of
-//! its members, so downstream consumers (projection, binning, the
-//! warm-start cache) see exactly the IDs the flat path would produce.
+//! # Renumbering
+//!
+//! A freshly built index stores the storage IDs of its members, so a
+//! cluster's members are scattered across the cloud. The render engine
+//! renumbers the scene once, at build time, into the index's member
+//! order: [`ClusteredCloud::renumber`] relabels every cluster to one
+//! contiguous, ascending ID range (clusters in Morton order) and hands
+//! back the permutation the storage must undergo
+//! ([`GaussianCloud::permute`](crate::GaussianCloud::permute)).
+//! Afterwards each cluster streams from storage as a single range, and
+//! [`ClusteredCloud::source_ids`] maps the new IDs back to the original
+//! ones. Relabeling changes no bound or proxy: within a cluster the new
+//! IDs keep the members' original relative order, so every per-cluster
+//! accumulation runs in the same order as before.
 
 use crate::storage::CloudStorage;
 use crate::Gaussian;
@@ -122,14 +133,27 @@ pub struct ClusteredCloud {
     proxies: Vec<Gaussian>,
     source_len: u32,
     degenerate: bool,
+    /// New ID → original ID, set by [`ClusteredCloud::renumber`].
+    source_ids: Option<Vec<u32>>,
 }
 
 impl ClusteredCloud {
     /// Builds a cluster index over `storage`.
     ///
-    /// Deterministic: see the module docs. Costs three streaming passes
-    /// over the storage plus an `O(n log n)` sort of `(cell, id)` keys.
+    /// Deterministic: see the module docs. Costs two streaming passes
+    /// over the storage plus a linear-time radix sort of `(cell, id)`
+    /// keys.
     pub fn build(storage: &dyn CloudStorage, params: ClusterParams) -> Self {
+        Self::build_with(storage, params, radix_sort_keyed)
+    }
+
+    /// [`ClusteredCloud::build`] with the `(cell, id)` key sort supplied
+    /// by the caller (the tests swap in a comparison sort).
+    fn build_with(
+        storage: &dyn CloudStorage,
+        params: ClusterParams,
+        sort_keyed: fn(Vec<u64>) -> Vec<u64>,
+    ) -> Self {
         let params = params.sanitized();
         let n = storage.len();
         let Ok(source_len) = u32::try_from(n) else {
@@ -154,13 +178,14 @@ impl ClusteredCloud {
         let cells = cells_per_axis(n, params.target_cluster_size);
         let grid = CellGrid::new(world, cells);
 
-        // Key every splat by the Morton code of its grid cell, then sort
-        // by (key, id): equal keys group into clusters, and the stable
+        // Key every splat by the Morton code of its grid cell, packed
+        // above its ID, then sort: equal keys group into clusters, and the
         // (key, id) order makes member lists ascending by construction.
-        let mut keyed: Vec<(u64, u32)> = (0u32..source_len)
-            .map(|id| (grid.morton_key(means[usize_from_u32(id)]), id))
-            .collect();
-        keyed.sort_unstable();
+        let keyed = sort_keyed(
+            (0u32..source_len)
+                .map(|id| (grid.morton_key(means[usize_from_u32(id)]) << 32) | u64::from(id))
+                .collect(),
+        );
 
         // Group into clusters and record each splat's cluster index for
         // the proxy-accumulation pass.
@@ -168,12 +193,12 @@ impl ClusteredCloud {
         let mut cluster_of: Vec<u32> = vec![0; n];
         let mut i = 0usize;
         while i < keyed.len() {
-            let key = keyed[i].0;
+            let key = keyed[i] >> 32;
             let mut members = Vec::new();
             let mut bounds = Aabb::EMPTY;
             let mut max_radius = 0.0f32;
-            while i < keyed.len() && keyed[i].0 == key {
-                let id = keyed[i].1;
+            while i < keyed.len() && keyed[i] >> 32 == key {
+                let id = low_u32(keyed[i]);
                 members.push(id);
                 bounds = bounds.union_point(means[usize_from_u32(id)]);
                 max_radius = max_radius.max(radii[usize_from_u32(id)]);
@@ -223,6 +248,7 @@ impl ClusteredCloud {
             proxies,
             source_len,
             degenerate: false,
+            source_ids: None,
         }
     }
 
@@ -257,6 +283,7 @@ impl ClusteredCloud {
             proxies: Vec::new(),
             source_len,
             degenerate: true,
+            source_ids: None,
         }
     }
 
@@ -266,7 +293,42 @@ impl ClusteredCloud {
             proxies: Vec::new(),
             source_len: 0,
             degenerate: false,
+            source_ids: None,
         }
+    }
+
+    /// Relabels the members so that each cluster owns one contiguous,
+    /// ascending ID range, clusters following each other in Morton order.
+    ///
+    /// Returns the member order — new ID → source ID — that the storage
+    /// the index was built over must be permuted by to match, or `None`
+    /// when that order is the identity (as it is for a degenerate or an
+    /// already renumbered index) and nothing changed. Bounds and proxies
+    /// stay as they are (see the module docs); the order is kept as
+    /// [`ClusteredCloud::source_ids`].
+    pub fn renumber(&mut self) -> Option<&[u32]> {
+        let mut order = Vec::with_capacity(usize_from_u32(self.source_len));
+        for cluster in &self.clusters {
+            order.extend_from_slice(&cluster.members);
+        }
+        if order.iter().zip(0u32..).all(|(&id, k)| id == k) {
+            return None;
+        }
+        let mut next = 0u32;
+        for cluster in &mut self.clusters {
+            for id in &mut cluster.members {
+                *id = next;
+                next += 1;
+            }
+        }
+        Some(self.source_ids.insert(order).as_slice())
+    }
+
+    /// The source ID of every member, indexed by its current ID, once
+    /// [`ClusteredCloud::renumber`] has relabeled the index; `None` while
+    /// member IDs are still the IDs of the storage it was built over.
+    pub fn source_ids(&self) -> Option<&[u32]> {
+        self.source_ids.as_deref()
     }
 
     /// True for indexes built by [`ClusteredCloud::degenerate`] (the
@@ -314,6 +376,45 @@ impl ClusteredCloud {
     pub fn total_members(&self) -> usize {
         self.clusters.iter().map(Cluster::len).sum()
     }
+}
+
+/// Bits per radix digit: two passes cover the 24-bit Morton key.
+const RADIX_BITS: u32 = 12;
+
+/// Sorts `(key << 32) | id` words whose key fits in 24 bits, by a stable
+/// two-pass LSD radix sort on the key alone. The words arrive in
+/// ascending ID order, so IDs stay ascending within a key and the result
+/// equals a comparison sort of the whole words.
+fn radix_sort_keyed(mut keyed: Vec<u64>) -> Vec<u64> {
+    const BUCKETS: usize = 1 << RADIX_BITS;
+    const MASK: u32 = (1 << RADIX_BITS) - 1;
+    let digit =
+        |word: u64, pass: u32| usize_from_u32(low_u32(word >> (32 + pass * RADIX_BITS)) & MASK);
+    let mut out = vec![0u64; keyed.len()];
+    for pass in 0..2 {
+        let mut offsets = vec![0usize; BUCKETS];
+        for &word in &keyed {
+            offsets[digit(word, pass)] += 1;
+        }
+        let mut sum = 0usize;
+        for slot in &mut offsets {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+        }
+        for &word in &keyed {
+            let d = digit(word, pass);
+            out[offsets[d]] = word;
+            offsets[d] += 1;
+        }
+        std::mem::swap(&mut keyed, &mut out);
+    }
+    keyed
+}
+
+/// The ID half of a packed `(key << 32) | id` word.
+fn low_u32(word: u64) -> u32 {
+    u32::try_from(word & u64::from(u32::MAX)).unwrap_or(u32::MAX)
 }
 
 /// Smallest cell count per axis such that `cells³ · target ≥ n`,
@@ -600,6 +701,74 @@ mod tests {
         assert_eq!(idx.cluster_count(), 0);
         assert_eq!(idx.proxy_count(), 0);
         assert_eq!(idx.source_len(), 0);
+    }
+
+    #[test]
+    fn radix_sort_builds_the_comparison_sort_index() {
+        let comparison_sort = |mut keyed: Vec<u64>| {
+            keyed.sort_unstable();
+            keyed
+        };
+        let clouds = [
+            small_cloud(),
+            crate::synth::CityParams {
+                splats_per_block: 60,
+                ..crate::synth::CityParams::default().scaled(2.0)
+            }
+            .build(),
+            SynthParams {
+                gaussian_count: 40_000,
+                seed: 11,
+                ..Default::default()
+            }
+            .build(),
+        ];
+        for cloud in &clouds {
+            for target_cluster_size in [1, 32, 512] {
+                let params = ClusterParams {
+                    target_cluster_size,
+                };
+                assert_eq!(
+                    ClusteredCloud::build(cloud, params),
+                    ClusteredCloud::build_with(cloud, params, comparison_sort),
+                    "{} splats, target {target_cluster_size}",
+                    cloud.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn renumbering_makes_clusters_contiguous_and_keeps_bounds_and_proxies() {
+        let cloud = small_cloud();
+        let built = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let mut idx = built.clone();
+        let order = idx
+            .renumber()
+            .expect("3k splats are not in cluster order")
+            .to_vec();
+        assert_eq!(idx.source_ids(), Some(order.as_slice()));
+        let mut next = 0u32;
+        for (c, before) in idx.clusters().iter().zip(built.clusters()) {
+            let len = c.len() as u32;
+            assert_eq!(c.members(), (next..next + len).collect::<Vec<_>>());
+            // New ID k stands for source ID order[k].
+            let sources: Vec<u32> = c.members().iter().map(|&k| order[k as usize]).collect();
+            assert_eq!(sources, before.members());
+            next += len;
+        }
+        assert_eq!(next, idx.source_len());
+        // Rebuilding over the permuted cloud gives the relabeled index:
+        // clusters, bounds and proxies are unchanged bit for bit.
+        let mut permuted = cloud.clone();
+        permuted.permute(&order);
+        let rebuilt = ClusteredCloud::build(&permuted, ClusterParams::default());
+        assert_eq!(rebuilt.clusters(), idx.clusters());
+        assert_eq!(rebuilt.proxies(), idx.proxies());
+        // A renumbered (or degenerate) index is already in order.
+        assert!(idx.clone().renumber().is_none());
+        assert!(ClusteredCloud::degenerate(&cloud).renumber().is_none());
+        assert!(built.source_ids().is_none());
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //!    to the flat [`neo_pipeline::project_storage`] path for arbitrary
 //!    clouds and cameras — cluster culling may only skip splats the
 //!    per-splat frustum test would reject anyway.
+//!    After renumbering into cluster order, the cull-only cluster path
+//!    equals the flat path over the permuted cloud and streams its output
+//!    strictly ID-ascending; with proxies on, members come first,
+//!    ascending, then proxies above `source_len`.
 //! 2. **LOD-off identity**: a [`RendererConfig`] without `with_lod` and
-//!    one with a cull-only `LodConfig` render byte-identical images and
-//!    agree on every statistic except the index's own bookkeeping
-//!    (cluster counters and the feature-extraction traffic the cull
-//!    saves), across all five sorting strategies and thread counts.
+//!    one with a cull-only `LodConfig` agree on every statistic except
+//!    the index's own bookkeeping (cluster counters and the
+//!    feature-extraction traffic the cull saves), across all five
+//!    sorting strategies and thread counts. A LOD engine renumbers its
+//!    scene into cluster order, so the whole `FrameResult` matches a flat
+//!    engine over that renumbered scene. Against the original order the
+//!    images and every count match too, except the sorting network's
+//!    `compares`/`moves`: tiles sorted from scratch see their entries in
+//!    a different ID order.
 //! 3. **LOD-on determinism**: with proxy substitution active, frames
 //!    are byte-identical across thread counts and shard plans.
 
@@ -56,6 +65,33 @@ fn city_scene() -> (Arc<GaussianCloud>, FrameSampler) {
     (cloud, sampler)
 }
 
+fn build_engine(
+    cloud: &Arc<GaussianCloud>,
+    lod: Option<LodConfig>,
+    kind: StrategyKind,
+    threads: u32,
+) -> RenderEngine {
+    let mut config = RendererConfig::default()
+        .with_tile_size(32)
+        .with_threads(threads);
+    if let Some(lod) = lod {
+        config = config.with_lod(lod);
+    }
+    RenderEngine::builder()
+        .scene(Arc::clone(cloud))
+        .config(config)
+        .strategy(kind)
+        .build()
+        .expect("valid test configuration")
+}
+
+fn render(engine: &RenderEngine, sampler: &FrameSampler, frames: usize) -> Vec<FrameResult> {
+    let mut session = engine.session();
+    (0..frames)
+        .map(|i| session.render_frame(&sampler.frame(i)).expect("camera"))
+        .collect()
+}
+
 fn render_frames(
     cloud: &Arc<GaussianCloud>,
     sampler: &FrameSampler,
@@ -64,22 +100,7 @@ fn render_frames(
     threads: u32,
     frames: usize,
 ) -> Vec<FrameResult> {
-    let mut config = RendererConfig::default()
-        .with_tile_size(32)
-        .with_threads(threads);
-    if let Some(lod) = lod {
-        config = config.with_lod(lod);
-    }
-    let engine = RenderEngine::builder()
-        .scene(Arc::clone(cloud))
-        .config(config)
-        .strategy(kind)
-        .build()
-        .expect("valid test configuration");
-    let mut session = engine.session();
-    (0..frames)
-        .map(|i| session.render_frame(&sampler.frame(i)).expect("camera"))
-        .collect()
+    render(&build_engine(cloud, lod, kind, threads), sampler, frames)
 }
 
 /// Everything the flat path and the cull-only LOD path must share: the
@@ -100,13 +121,28 @@ fn cull_only_lod_matches_flat_path_across_strategies_and_threads() {
     let (cloud, sampler) = city_scene();
     for kind in ALL_STRATEGIES {
         for threads in [1, 4] {
-            let flat = render_frames(&cloud, &sampler, None, kind, threads, 3);
-            let lod = render_frames(&cloud, &sampler, Some(cull_only()), kind, threads, 3);
-            for (i, (f, l)) in flat.iter().zip(&lod).enumerate() {
+            let lod_engine = build_engine(&cloud, Some(cull_only()), kind, threads);
+            let renumbered = Arc::clone(lod_engine.scene());
+            assert_ne!(*renumbered, *cloud, "the city is not in cluster order");
+            let lod = render(&lod_engine, &sampler, 3);
+            let flat = render_frames(&renumbered, &sampler, None, kind, threads, 3);
+            let original = render_frames(&cloud, &sampler, None, kind, threads, 3);
+            for (i, ((f, l), o)) in flat.iter().zip(&lod).zip(&original).enumerate() {
                 assert_eq!(
                     *f,
                     normalized(l, f),
                     "cull-only LOD diverged: {kind:?}, {threads} thread(s), frame {i}"
+                );
+                // Renumbering keeps every image bit and count; only the
+                // sorting network's work on from-scratch tiles depends on
+                // the ID order it is handed.
+                let mut renumbering_only = f.clone();
+                renumbering_only.sort_cost.compares = o.sort_cost.compares;
+                renumbering_only.sort_cost.moves = o.sort_cost.moves;
+                assert_eq!(
+                    renumbering_only, *o,
+                    "renumbering changed more than compares/moves: {kind:?}, \
+                     {threads} thread(s), frame {i}"
                 );
                 // The index must actually have run — and saved traffic.
                 assert!(l.stats.clusters_total > 0, "{kind:?}: index did not run");
@@ -255,5 +291,45 @@ proptest! {
             clustered.splats_visited + clustered.splats_saved,
             u64_from_usize(cloud.len())
         );
+    }
+
+    /// Renumbering as a property: over the cloud permuted into cluster
+    /// order, the cull-only cluster path equals the flat path and comes
+    /// out strictly ID-ascending without reordering; with proxies on,
+    /// ascending members come first, then proxies above `source_len`.
+    #[test]
+    fn renumbered_cluster_path_streams_in_id_order(
+        gaussians in prop::collection::vec(arb_gaussian(), 1..96),
+        cam in arb_camera(),
+        cluster_size in 1u32..64,
+        proxy_footprint_px in 1.0f32..400.0,
+    ) {
+        let cloud = GaussianCloud::from_gaussians(gaussians);
+        let mut index = ClusteredCloud::build(&cloud, ClusterParams {
+            target_cluster_size: cluster_size,
+        });
+        let mut permuted = cloud.clone();
+        if let Some(order) = index.renumber() {
+            permuted.permute(order);
+        }
+        let clustered = project_clusters(&cam, &permuted, &index, &cull_only());
+        prop_assert_eq!(&clustered.projected, &project_storage(&cam, &permuted));
+        prop_assert!(clustered.projected.windows(2).all(|w| w[0].id < w[1].id));
+
+        let lod = LodConfig { cluster_size, proxy_footprint_px };
+        let out = project_clusters(&cam, &permuted, &index, &lod);
+        let members = out.tags.iter().take_while(|&&t| t & 1 == 0).count();
+        prop_assert!(out.tags[members..].iter().all(|&t| t & 1 == 1),
+            "members and proxies interleave");
+        prop_assert!(out.projected[..members].windows(2).all(|w| w[0].id < w[1].id));
+        prop_assert!(out.projected[members..].windows(2).all(|w| w[0].id < w[1].id));
+        prop_assert!(out.projected[members..].iter().all(|p| p.id >= index.source_len()));
+        // Members are exactly the flat projections of unproxied clusters.
+        for (p, &tag) in out.projected[..members].iter().zip(&out.tags) {
+            let cluster = &index.clusters()[(tag >> 1) as usize];
+            prop_assert!(cluster.members().contains(&p.id));
+            prop_assert_eq!(Some(*p), neo_pipeline::project_gaussian(
+                &cam, p.id, &permuted.gaussians()[p.id as usize]));
+        }
     }
 }

@@ -1,13 +1,15 @@
 //! Property-based tests on the functional pipeline: tiling, binning and
-//! projection invariants for arbitrary splats and cameras, plus the
-//! byte-identity contract of the exact-clipped rasterization fast path.
+//! projection invariants for arbitrary splats and cameras, the
+//! byte-identity contract of the exact-clipped rasterization fast path,
+//! and projection against a frozen per-splat reference.
 
-use neo_math::{Vec2, Vec3};
+use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
+use neo_math::{Mat3, Mat4, Quat, Vec2, Vec3};
 use neo_pipeline::{
-    bin_to_tiles, rasterize_tile_with_scratch, subtile_bitmap, Image, ProjectedGaussian,
-    RasterScratch, RenderConfig, TileGrid,
+    bin_to_tiles, project_gaussian, project_storage, rasterize_tile_with_scratch, subtile_bitmap,
+    Image, ProjectedGaussian, RasterScratch, RenderConfig, TileGrid,
 };
-use neo_scene::{Camera, Gaussian, Resolution};
+use neo_scene::{Camera, Gaussian, GaussianCloud, Resolution};
 use proptest::prelude::*;
 
 fn arb_splat() -> impl Strategy<Value = ProjectedGaussian> {
@@ -236,5 +238,213 @@ proptest! {
         let back = cam.camera_to_pixel(cam_space).unwrap();
         prop_assert!((back.x - px).abs() < 0.01);
         prop_assert!((back.y - py).abs() < 0.01);
+    }
+
+    /// Projection computes its camera constants once per frame. This pins
+    /// it, bit for bit, to a frozen copy of the per-splat formulation it
+    /// replaced, over random Gaussians × cameras: splats straddling the
+    /// near plane, fields of view at both ends of the valid `(0, π)`
+    /// range, and odd resolutions and clip planes.
+    #[test]
+    fn projection_matches_the_frozen_per_splat_formulation(
+        cam in arb_projection_camera(),
+        placed in prop::collection::vec(arb_camera_space_gaussian(), 1..48),
+    ) {
+        let to_world = cam.rotation_matrix();
+        let cloud: GaussianCloud = placed
+            .into_iter()
+            .map(|(t, mut g)| {
+                g.mean = to_world * t + cam.position;
+                g
+            })
+            .collect();
+        let view = cam.view_matrix();
+        let frozen: Vec<ProjectedGaussian> = cloud
+            .iter()
+            .filter_map(|(id, g)| frozen::project_gaussian_with_view(&cam, &view, id, g))
+            .collect();
+        let hoisted = project_storage(&cam, &cloud);
+        prop_assert_eq!(bits(&hoisted), bits(&frozen));
+        for (id, g) in cloud.iter() {
+            let one = project_gaussian(&cam, id, g);
+            let reference = frozen::project_gaussian_with_view(&cam, &view, id, g);
+            prop_assert_eq!(
+                one.as_ref().map(splat_bits),
+                reference.as_ref().map(splat_bits)
+            );
+        }
+    }
+}
+
+/// Every field of a projected splat as raw bits (NaN-safe equality).
+fn splat_bits(p: &ProjectedGaussian) -> [u32; 12] {
+    [
+        p.id,
+        p.mean2d.x.to_bits(),
+        p.mean2d.y.to_bits(),
+        p.depth.to_bits(),
+        p.conic.0.to_bits(),
+        p.conic.1.to_bits(),
+        p.conic.2.to_bits(),
+        p.radius.to_bits(),
+        p.color.x.to_bits(),
+        p.color.y.to_bits(),
+        p.color.z.to_bits(),
+        p.opacity.to_bits(),
+    ]
+}
+
+fn bits(ps: &[ProjectedGaussian]) -> Vec<[u32; 12]> {
+    ps.iter().map(splat_bits).collect()
+}
+
+/// A camera anywhere, looking anywhere, with a vertical field of view
+/// drawn from near 0, near π, or the usual range, and random clip planes
+/// and resolution.
+fn arb_projection_camera() -> impl Strategy<Value = Camera> {
+    (
+        (-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0),
+        (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
+        (0u32..3, 0.0f32..1.0),
+        (0.01f32..2.0, 1.0f32..1000.0),
+        (1u32..400, 1u32..400),
+    )
+        .prop_map(|(p, d, (band, t), (near, depth_range), (w, h))| {
+            let fov_y = match band {
+                0 => 1e-4 + t * 0.05,
+                1 => std::f32::consts::PI - 1e-3 - t * 0.05,
+                _ => 0.2 + t * 2.6,
+            };
+            let position = Vec3::new(p.0, p.1, p.2);
+            let dir = Vec3::new(d.0, d.1, d.2 + 1.5);
+            let mut cam = Camera::look_at(
+                position,
+                position + dir,
+                Vec3::Y,
+                fov_y,
+                Resolution::Custom(w, h),
+            );
+            cam.near = near;
+            cam.far = near + depth_range;
+            cam
+        })
+}
+
+/// A valid Gaussian with its mean given in camera space: depths from
+/// behind the camera through the near plane to far beyond it, lateral
+/// offsets inside and outside the frustum, and SH degrees 0–3.
+fn arb_camera_space_gaussian() -> impl Strategy<Value = (Vec3, Gaussian)> {
+    (
+        (-4.0f32..4.0, -4.0f32..4.0, -1.0f32..1.0, 0u32..3),
+        (0.001f32..3.0, 0.001f32..3.0, 0.001f32..3.0),
+        (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
+        0.0f32..=1.0,
+        0usize..=3,
+        prop::collection::vec(-2.0f32..2.0, 3 * MAX_COEFFS),
+    )
+        .prop_map(|((x, y, z, band), s, q, opacity, degree, sh_vals)| {
+            // Band 0 straddles the near plane (0.01–2), band 1 sits in
+            // front of the camera, band 2 reaches past typical far planes.
+            let depth = match band {
+                0 => z * 2.5,
+                1 => 6.0 + z * 5.0,
+                _ => 500.0 + z * 600.0,
+            };
+            let lateral = depth.abs() + 1.0;
+            let mut coeffs = [[0.0f32; MAX_COEFFS]; 3];
+            for (c, channel) in coeffs.iter_mut().enumerate() {
+                for (i, coeff) in channel.iter_mut().take(basis_count(degree)).enumerate() {
+                    *coeff = sh_vals[c * MAX_COEFFS + i];
+                }
+            }
+            let g = Gaussian {
+                mean: Vec3::ZERO,
+                scale: Vec3::new(s.0, s.1, s.2),
+                rotation: Quat::new(q.0.max(0.01), q.1, q.2, q.3).normalized(),
+                opacity,
+                sh: ShCoefficients { coeffs, degree },
+            };
+            (Vec3::new(x * lateral, y * lateral, depth), g)
+        })
+}
+
+/// A frozen copy of the per-splat projection as it stood before the
+/// camera constants were hoisted out of it: every splat re-derives the
+/// frustum tangents, the focal length and the pixel mapping from the
+/// [`Camera`]. Kept verbatim so any drift of the production path shows.
+mod frozen {
+    use super::*;
+
+    const COV2D_DILATION: f32 = 0.3;
+
+    fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
+        if t.z + radius < cam.near || t.z - radius > cam.far {
+            return false;
+        }
+        let z = t.z.max(cam.near);
+        let tan_x = (cam.fov_x() * 0.5).tan();
+        let tan_y = (cam.fov_y * 0.5).tan();
+        t.x.abs() <= z * tan_x + radius && t.y.abs() <= z * tan_y + radius
+    }
+
+    pub fn project_gaussian_with_view(
+        cam: &Camera,
+        view: &Mat4,
+        id: u32,
+        g: &Gaussian,
+    ) -> Option<ProjectedGaussian> {
+        let t = view.transform_point(g.mean);
+        if !in_frustum(cam, t, g.bounding_radius()) {
+            return None;
+        }
+
+        let focal = cam.focal();
+        let mean2d = cam.camera_to_pixel(t)?;
+
+        let inv_z = 1.0 / t.z;
+        let inv_z2 = inv_z * inv_z;
+        let j = Mat3::from_rows(
+            Vec3::new(focal.x * inv_z, 0.0, -focal.x * t.x * inv_z2),
+            Vec3::new(0.0, focal.y * inv_z, -focal.y * t.y * inv_z2),
+            Vec3::ZERO,
+        );
+        let w = view.to_mat3();
+        let cov_cam = w * g.covariance() * w.transpose();
+        let cov2d_full = j * cov_cam * j.transpose();
+
+        let a = cov2d_full.get(0, 0) + COV2D_DILATION;
+        let b = cov2d_full.get(0, 1);
+        let c = cov2d_full.get(1, 1) + COV2D_DILATION;
+
+        let det = a * c - b * b;
+        if det <= 0.0 || !det.is_finite() {
+            return None;
+        }
+        let inv_det = 1.0 / det;
+        let conic = (c * inv_det, -b * inv_det, a * inv_det);
+
+        let mid = 0.5 * (a + c);
+        let lambda_max = mid + (mid * mid - det).max(0.01).sqrt();
+        let radius = (3.0 * lambda_max.sqrt()).ceil();
+
+        if mean2d.x + radius < 0.0
+            || mean2d.y + radius < 0.0
+            || mean2d.x - radius >= cam.width as f32
+            || mean2d.y - radius >= cam.height as f32
+        {
+            return None;
+        }
+
+        let color = g.sh.eval(cam.view_direction(g.mean));
+
+        Some(ProjectedGaussian {
+            id,
+            mean2d,
+            depth: t.z,
+            conic,
+            radius,
+            color,
+            opacity: g.opacity,
+        })
     }
 }

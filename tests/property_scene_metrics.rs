@@ -1,4 +1,5 @@
-//! Property-based tests on scene serialization and the image metrics.
+//! Property-based tests on scene serialization, in-place reordering, and
+//! the image metrics.
 
 use neo_math::sh::ShCoefficients;
 use neo_math::{Quat, Vec3};
@@ -42,6 +43,26 @@ proptest! {
         let bytes = io::encode_cloud(&cloud);
         let back = io::decode_cloud(&bytes).expect("decode");
         prop_assert_eq!(cloud, back);
+    }
+
+    /// The in-place cycle walk equals the out-of-place gather for random
+    /// orders (sorting the IDs by random keys), including the identity,
+    /// long cycles and fixed points those produce.
+    #[test]
+    fn in_place_permutation_matches_gather(
+        gaussians in prop::collection::vec(arb_gaussian(), 0..64),
+        keys in prop::collection::vec(0u32..8, 64),
+    ) {
+        let cloud = GaussianCloud::from_gaussians(gaussians);
+        let mut order: Vec<u32> = (0..cloud.len() as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        let gathered: GaussianCloud = order
+            .iter()
+            .map(|&i| cloud.gaussians()[i as usize].clone())
+            .collect();
+        let mut permuted = cloud.clone();
+        permuted.permute(&order);
+        prop_assert_eq!(permuted, gathered);
     }
 
     #[test]
