@@ -4,7 +4,7 @@
 //! `neo-core`'s `RenderSession` is the frame body that calls it.
 
 use crate::projection::ProjectedGaussian;
-use crate::scratch::{Lanes, RasterScratch, TilePlanes, LANES};
+use crate::scratch::{Lanes, RasterScratch, TilePlanes, LANES, LANES_U32, LANE_OFFSETS};
 use crate::tiles::{subtile_bitmap, TileGrid, SUBTILE_SIZE};
 use neo_math::num::usize_from_u32;
 use neo_math::Vec3;
@@ -106,6 +106,7 @@ pub fn rasterize_tile_with_scratch(
     scratch.planes.reset(w, h, config.background);
     scratch.row_live.clear();
     scratch.row_live.resize(h, tile_w);
+    let row_bounds = &mut scratch.row_bounds;
     let mut tile = TileBlend {
         origin: (x0, y0),
         planes: &mut scratch.planes,
@@ -161,12 +162,17 @@ pub fn rasterize_tile_with_scratch(
             let Some(ellipse) = CutoffEllipse::new(p, (x0, y0, x1, y1)) else {
                 continue;
             };
-            for py in ellipse.y_lo..ellipse.y_hi {
+            // Solve every candidate row before blending any: the solves
+            // are independent, so their f64 square roots and divisions
+            // overlap instead of stalling each row in turn.
+            ellipse.solve_rows(row_bounds);
+            for (py, &bounds) in (ellipse.y_lo..).zip(row_bounds.iter()) {
                 let row = py - y0;
                 if tile.row_live[usize_from_u32(row)] == 0 {
                     continue;
                 }
-                if let Some((lo, hi)) = ellipse.row_span(py, x0, x1) {
+                let (lo, hi) = row_span(bounds, x0, x1);
+                if lo < hi {
                     tile.blend_row_span(p, row, lo - x0..hi - x0, run(row));
                 }
             }
@@ -235,7 +241,11 @@ impl TileBlend<'_> {
     /// loop calls it with `0..width`, the fast path with the clipped
     /// α-cutoff interval. The span is walked in tile-aligned 8-pixel
     /// chunks and every lane computes its pixel from `(p, px, py)` alone,
-    /// so a pixel's value never depends on where its span starts.
+    /// so a pixel's value never depends on where its span starts. The
+    /// exponent's column half comes from the planes'
+    /// [`ColumnTerms`](crate::scratch::ColumnTerms), which recompute only
+    /// for a new splat or a chunk not yet covered, so each row reuses
+    /// them.
     #[inline(always)]
     fn blend_row_span(
         &mut self,
@@ -256,10 +266,15 @@ impl TileBlend<'_> {
             dy,
             c_dy2: p.conic.2 * dy * dy,
         };
-        let row = usize_from_u32(row);
-        let base = row * self.planes.row_chunks;
-        let chunks = base + usize_from_u32(first)..base + usize_from_u32(last);
         let planes = &mut *self.planes;
+        planes.columns.prepare(p, x0, first..last);
+        let cols = usize_from_u32(first)..usize_from_u32(last);
+        let row = usize_from_u32(row);
+        let base = row * planes.row_chunks;
+        let chunks = base + cols.start..base + cols.end;
+        let columns = planes.columns.a_dx2[cols.clone()]
+            .iter()
+            .zip(&planes.columns.b_dx[cols]);
         let chunk_refs = planes.t[chunks.clone()]
             .iter_mut()
             .zip(&mut planes.r[chunks.clone()])
@@ -267,20 +282,30 @@ impl TileBlend<'_> {
             .zip(&mut planes.b[chunks]);
         // Per-lane counters, summed once per row.
         let mut counts = [[0u32; LANES]; 2];
-        for (k, (((t, r), g), b)) in (first..last).zip(chunk_refs) {
+        for ((k, (a_dx2, b_dx)), (((t, r), g), b)) in (first..).zip(columns).zip(chunk_refs) {
             let chunk_x = k * LANES_U32;
             let lanes = (
                 span.start.saturating_sub(chunk_x) as f32,
                 (span.end - chunk_x).min(LANES_U32) as f32,
             );
-            let x_first = (x0 + chunk_x) as f32 + 0.5;
             // Blend a local copy: writing through the `&mut` chunk
             // references instead keeps rustc from vectorizing the body.
             let mut px = [*t, *r, *g, *b];
-            blend_chunk(p, &terms, x_first, lanes, &mut px, &mut counts);
+            let columns = (a_dx2, b_dx);
+            if span.start <= chunk_x && chunk_x + LANES_U32 <= span.end {
+                blend_chunk::<false>(p, &terms, columns, lanes, &mut px, &mut counts);
+            } else {
+                blend_chunk::<true>(p, &terms, columns, lanes, &mut px, &mut counts);
+            }
             [*t, *r, *g, *b] = px;
         }
-        let [blends, sats] = counts.map(|lane| lane.iter().sum::<u32>());
+        // Summed by hand: `counts.map(..)` compiles to an out-of-line
+        // call per row.
+        let [mut blends, mut sats] = [0u32; 2];
+        for (&b, &s) in counts[0].iter().zip(&counts[1]) {
+            blends += b;
+            sats += s;
+        }
         self.stats.blend_ops += u64::from(blends);
         self.stats.saturated_pixels += u64::from(sats);
         self.row_live[row] -= sats;
@@ -288,12 +313,7 @@ impl TileBlend<'_> {
     }
 }
 
-/// [`LANES`] as a pixel-coordinate stride.
-const LANES_U32: u32 = 8;
-const _: () = assert!(LANES_U32 == SUBTILE_SIZE && usize_from_u32(LANES_U32) == LANES);
-
-/// Lane `j`'s pixel offset within its chunk.
-const LANE_OFFSETS: Lanes = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+const _: () = assert!(LANES_U32 == SUBTILE_SIZE);
 
 /// The clamp the reference rasterizer applies to α.
 const ALPHA_MAX: f32 = 0.99;
@@ -306,7 +326,7 @@ struct RowTerms {
     c_dy2: f32,
 }
 
-/// All-ones when `b` holds, else zero: a lane mask for [`select`].
+/// All-ones when `b` holds, else zero: a lane mask.
 #[inline(always)]
 fn mask(b: bool) -> u32 {
     if b {
@@ -316,23 +336,29 @@ fn mask(b: bool) -> u32 {
     }
 }
 
-/// `if mask { a } else { b }` per bit. A select, never a multiply by a
-/// 0/1 mask: `NaN · 0` is `NaN`, so a multiply would leak a dead lane's
-/// garbage into its pixel.
-#[inline(always)]
-fn select(mask: u32, a: f32, b: f32) -> f32 {
-    f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
-}
+/// The bits of `−0.0`: the one addend that leaves every `f32` unchanged,
+/// `−0.0` itself included (`−0.0 + +0.0` is `+0.0`).
+const NEG_ZERO_BITS: u32 = 0x8000_0000;
 
 /// Blends splat `p` over one tile-aligned chunk `px = [T, r, g, b]` of a
-/// row; lanes in `[lanes.0, lanes.1)` are inside the span. Branch-free so
-/// rustc vectorizes it on baseline x86-64. Adds each lane's blend and
-/// saturation to `counts = [blend_ops, saturated_pixels]`.
+/// row, given the chunk's `columns = (A·dx·dx, B·dx)` from
+/// [`ColumnTerms`](crate::scratch::ColumnTerms). An `EDGE` chunk blends
+/// only its lanes in `[lanes.0, lanes.1)`; any other chunk lies wholly
+/// inside the span and skips that test. Branch-free so rustc vectorizes
+/// it on baseline x86-64. Adds each lane's blend and saturation to
+/// `counts = [blend_ops, saturated_pixels]`.
+///
+/// Dead lanes are masked by products, not selects: their α is ANDed to
+/// `+0.0`, so `T` is multiplied by exactly `1.0`, and each color product
+/// is ANDed away and replaced by `−0.0` before it is added. A NaN or
+/// infinite color therefore never reaches a dead lane (`NaN · 0` is
+/// `NaN`, but the AND clears it), and every plane value, `−0.0`
+/// included, comes out bit-identical to leaving the lane alone.
 #[inline(always)]
-fn blend_chunk(
+fn blend_chunk<const EDGE: bool>(
     p: &ProjectedGaussian,
     row: &RowTerms,
-    x_first: f32,
+    columns: (&Lanes, &Lanes),
     lanes: (f32, f32),
     px: &mut [Lanes; 4],
     counts: &mut [[u32; LANES]; 2],
@@ -341,20 +367,21 @@ fn blend_chunk(
     let [blends, sats] = counts;
     for j in 0..LANES {
         // The falloff exponent, in `ProjectedGaussian::falloff`'s
-        // operation order.
-        let dx = (x_first + LANE_OFFSETS[j]) - p.mean2d.x;
-        let power = -0.5 * (p.conic.0 * dx * dx + row.c_dy2) - p.conic.1 * dx * row.dy;
+        // operation order, from its column and row halves.
+        let power = -0.5 * (columns.0[j] + row.c_dy2) - columns.1[j] * row.dy;
         let a = p.opacity * exp_nonpositive(power);
         let alpha = if a < ALPHA_MAX { a } else { ALPHA_MAX };
         let tj = t[j];
-        let in_span = (LANE_OFFSETS[j] >= lanes.0) & (LANE_OFFSETS[j] < lanes.1);
+        let in_span = !EDGE || (LANE_OFFSETS[j] >= lanes.0) & (LANE_OFFSETS[j] < lanes.1);
         let live = mask(in_span & (tj >= TRANSMITTANCE_EPS) & (alpha >= BLEND_ALPHA_CUTOFF));
+        let alpha = f32::from_bits(alpha.to_bits() & live);
         let weight = alpha * tj;
         let nt = tj * (1.0 - alpha);
-        r[j] = select(live, r[j] + p.color.x * weight, r[j]);
-        g[j] = select(live, g[j] + p.color.y * weight, g[j]);
-        b[j] = select(live, b[j] + p.color.z * weight, b[j]);
-        t[j] = select(live, nt, tj);
+        let dead = !live & NEG_ZERO_BITS;
+        r[j] += f32::from_bits(((p.color.x * weight).to_bits() & live) | dead);
+        g[j] += f32::from_bits(((p.color.y * weight).to_bits() & live) | dead);
+        b[j] += f32::from_bits(((p.color.z * weight).to_bits() & live) | dead);
+        t[j] = nt;
         blends[j] += live & 1;
         sats[j] += live & mask(nt < TRANSMITTANCE_EPS) & 1;
     }
@@ -510,32 +537,65 @@ impl CutoffEllipse {
         })
     }
 
-    /// The candidate pixel span `[lo, hi)` of row `py`, clamped to the
-    /// tile's `[x0, x1)`, or `None` when the row misses the ellipse.
+    /// Solves every candidate row `y_lo..y_hi` into `out`: the row's
+    /// pixel span as unclamped `[lo, hi]` bounds, which [`row_span`]
+    /// turns into pixels.
     ///
-    /// Solves `a·dx² + 2b·dy·dx + (c·dy² − 2τ) ≤ 0` for the row's fixed
-    /// `dy`, then widens by [`CUTOFF_PX_SLACK`] on both sides.
-    fn row_span(&self, py: u32, x0: u32, x1: u32) -> Option<(u32, u32)> {
+    /// Solves `a·dx² + 2b·dy·dx + (c·dy² − 2τ) ≤ 0` for each row's fixed
+    /// `dy`, then widens by [`CUTOFF_PX_SLACK`] on both sides. A row that
+    /// misses the ellipse gets `[+∞, −∞]` (an empty span). No bounded
+    /// ellipse, or an overflowed discriminant, gets `[−∞, +∞]` (the full
+    /// row): the solve is meaningless there, so degrade rather than risk
+    /// clipping a pixel. The rows are independent, so their square roots
+    /// and divisions overlap.
+    fn solve_rows(&self, out: &mut Vec<[f64; 2]>) {
+        const EMPTY: [f64; 2] = [f64::INFINITY, f64::NEG_INFINITY];
+        const FULL: [f64; 2] = [f64::NEG_INFINITY, f64::INFINITY];
+        out.clear();
+        let rows = self.y_lo..self.y_hi;
         if self.full_span {
-            return Some((x0, x1));
+            out.extend(rows.map(|_| FULL));
+            return;
         }
-        let dy = py as f64 + 0.5 - self.cy;
-        let disc = self.b2_minus_ac * dy * dy + self.two_tau * self.a;
-        if disc <= 0.0 {
-            return None;
-        }
-        if !disc.is_finite() {
-            // Overflowed intermediates: the solve is meaningless, so
-            // degrade to the full row rather than risk clipping a pixel.
-            return Some((x0, x1));
-        }
-        let half = disc.sqrt();
-        let mid = -self.b * dy;
-        let dx_lo = (mid - half) / self.a;
-        let dx_hi = (mid + half) / self.a;
-        let lo = floor_clamped(self.cx + dx_lo - 0.5 - CUTOFF_PX_SLACK, x0, x1);
-        let hi = ceil_plus_one_clamped(self.cx + dx_hi - 0.5 + CUTOFF_PX_SLACK, lo, x1);
-        (lo < hi).then_some((lo, hi))
+        let two_tau_a = self.two_tau * self.a;
+        out.extend(rows.map(|py| {
+            let dy = f64::from(py) + 0.5 - self.cy;
+            let disc = self.b2_minus_ac * dy * dy + two_tau_a;
+            let half = disc.sqrt();
+            let mid = -self.b * dy;
+            let dx_lo = (mid - half) / self.a;
+            let dx_hi = (mid + half) / self.a;
+            let lo = self.cx + dx_lo - 0.5 - CUTOFF_PX_SLACK;
+            let hi = self.cx + dx_hi - 0.5 + CUTOFF_PX_SLACK;
+            if disc > 0.0 && disc < f64::INFINITY {
+                [lo, hi]
+            } else if disc <= 0.0 {
+                EMPTY
+            } else {
+                FULL
+            }
+        }));
+    }
+}
+
+/// The candidate pixel span `[lo, hi)` of a row solved by
+/// [`CutoffEllipse::solve_rows`], clamped to the tile's `[x0, x1)`;
+/// empty (`lo ≥ hi`) when the row misses the ellipse.
+#[inline(always)]
+fn row_span(bounds: [f64; 2], x0: u32, x1: u32) -> (u32, u32) {
+    let lo = floor_clamped(bounds[0], x0, x1);
+    (lo, ceil_plus_one_clamped(bounds[1], lo, x1))
+}
+
+/// `v` clamped into `[lo, hi]` by two compares (no bound check, unlike
+/// `f64::clamp`). A NaN `v` clamps to `lo`.
+#[inline(always)]
+fn clamp_f64(v: f64, lo: f64, hi: f64) -> f64 {
+    let v = if v > lo { v } else { lo };
+    if v < hi {
+        v
+    } else {
+        hi
     }
 }
 
@@ -543,23 +603,23 @@ impl CutoffEllipse {
 /// (baseline x86-64 has no SSE4.1 `roundsd`). Clamping first is exact:
 /// the bounds are integers, and a clamped value is non-negative, where
 /// truncation is floor.
-#[inline]
+#[inline(always)]
 #[expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
     reason = "f64->u32 of a value clamped into [lo, hi], both u32 bounds; truncating a non-negative value is floor and floats have no try_from"
 )]
 fn floor_clamped(v: f64, lo: u32, hi: u32) -> u32 {
-    v.clamp(f64::from(lo), f64::from(hi)) as u32
+    clamp_f64(v, f64::from(lo), f64::from(hi)) as u32
 }
 
 /// `(v.ceil() + 1)` clamped into `[lo, hi]`, without the libm `ceil`
 /// call. Clamping `v` into `[lo − 1, hi]` first cannot change the result
 /// (the bounds are integers), and on that range `ceil` is truncation
 /// plus one when truncation lost a fraction.
-#[inline]
+#[inline(always)]
 fn ceil_plus_one_clamped(v: f64, lo: u32, hi: u32) -> u32 {
-    let v = v.clamp(f64::from(lo) - 1.0, f64::from(hi));
+    let v = clamp_f64(v, f64::from(lo) - 1.0, f64::from(hi));
     #[expect(
         clippy::cast_possible_truncation,
         reason = "f64->i64 of a value clamped into [lo - 1, hi] with u32 bounds: exact and in range, and floats have no try_from"
@@ -793,6 +853,426 @@ mod tests {
         for x in sweep.chain(extremes) {
             let e = exp_nonpositive(x);
             assert!(e.is_normal(), "exp({x}) = {e:e} is not a normal float");
+        }
+    }
+
+    /// The parent's select-based blend kernel, cutoff-ellipse row solver
+    /// and subtile bitmap, frozen verbatim (only renamed) so the rewritten
+    /// ones can be held to them bit for bit.
+    mod frozen {
+        use super::super::{
+            CutoffEllipse, RowTerms, ALPHA_MAX, BLEND_ALPHA_CUTOFF, CUTOFF_KAPPA, CUTOFF_PX_SLACK,
+            CUTOFF_TAU_SLACK, EXP_MIN_ARG, TRANSMITTANCE_EPS,
+        };
+        use crate::projection::ProjectedGaussian;
+        use crate::scratch::{Lanes, LANES, LANE_OFFSETS};
+        use crate::tiles::{TileGrid, SUBTILE_SIZE};
+        use neo_math::Vec2;
+
+        fn mask(b: bool) -> u32 {
+            if b {
+                u32::MAX
+            } else {
+                0
+            }
+        }
+
+        fn select(mask: u32, a: f32, b: f32) -> f32 {
+            f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+        }
+
+        pub(super) fn blend_chunk(
+            p: &ProjectedGaussian,
+            row: &RowTerms,
+            x_first: f32,
+            lanes: (f32, f32),
+            px: &mut [Lanes; 4],
+            counts: &mut [[u32; LANES]; 2],
+        ) {
+            let [t, r, g, b] = px;
+            let [blends, sats] = counts;
+            for j in 0..LANES {
+                let dx = (x_first + LANE_OFFSETS[j]) - p.mean2d.x;
+                let power = -0.5 * (p.conic.0 * dx * dx + row.c_dy2) - p.conic.1 * dx * row.dy;
+                let a = p.opacity * super::super::exp_nonpositive(power);
+                let alpha = if a < ALPHA_MAX { a } else { ALPHA_MAX };
+                let tj = t[j];
+                let in_span = (LANE_OFFSETS[j] >= lanes.0) & (LANE_OFFSETS[j] < lanes.1);
+                let live =
+                    mask(in_span & (tj >= TRANSMITTANCE_EPS) & (alpha >= BLEND_ALPHA_CUTOFF));
+                let weight = alpha * tj;
+                let nt = tj * (1.0 - alpha);
+                r[j] = select(live, r[j] + p.color.x * weight, r[j]);
+                g[j] = select(live, g[j] + p.color.y * weight, g[j]);
+                b[j] = select(live, b[j] + p.color.z * weight, b[j]);
+                t[j] = select(live, nt, tj);
+                blends[j] += live & 1;
+                sats[j] += live & mask(nt < TRANSMITTANCE_EPS) & 1;
+            }
+        }
+
+        pub(super) fn cutoff_ellipse(
+            p: &ProjectedGaussian,
+            rect: (u32, u32, u32, u32),
+        ) -> Option<CutoffEllipse> {
+            let (_, y0, _, y1) = rect;
+            if p.opacity < BLEND_ALPHA_CUTOFF {
+                return None;
+            }
+            let scale = 1.0 - 2.0 * CUTOFF_KAPPA;
+            let a = scale * p.conic.0 as f64;
+            let b = p.conic.1 as f64;
+            let c = scale * p.conic.2 as f64;
+            let cx = p.mean2d.x as f64;
+            let cy = p.mean2d.y as f64;
+            let tau = (p.opacity as f64 * 255.0).ln() + CUTOFF_TAU_SLACK;
+            let det = a * c - b * b;
+            let bounded = det > 0.0 && a > 0.0 && c > 0.0 && tau < -f64::from(EXP_MIN_ARG);
+            if !bounded {
+                return Some(CutoffEllipse {
+                    cx,
+                    cy,
+                    a,
+                    b,
+                    b2_minus_ac: 0.0,
+                    two_tau: 0.0,
+                    y_lo: y0,
+                    y_hi: y1,
+                    full_span: true,
+                });
+            }
+            let dy_max = (2.0 * tau * a / det).sqrt() + CUTOFF_PX_SLACK;
+            let y_lo = floor_clamped(cy - 0.5 - dy_max, y0, y1);
+            let y_hi = ceil_plus_one_clamped(cy - 0.5 + dy_max, y_lo, y1);
+            Some(CutoffEllipse {
+                cx,
+                cy,
+                a,
+                b,
+                b2_minus_ac: b * b - a * c,
+                two_tau: 2.0 * tau,
+                y_lo,
+                y_hi,
+                full_span: false,
+            })
+        }
+
+        pub(super) fn row_span(e: &CutoffEllipse, py: u32, x0: u32, x1: u32) -> Option<(u32, u32)> {
+            if e.full_span {
+                return Some((x0, x1));
+            }
+            let dy = py as f64 + 0.5 - e.cy;
+            let disc = e.b2_minus_ac * dy * dy + e.two_tau * e.a;
+            if disc <= 0.0 {
+                return None;
+            }
+            if !disc.is_finite() {
+                return Some((x0, x1));
+            }
+            let half = disc.sqrt();
+            let mid = -e.b * dy;
+            let dx_lo = (mid - half) / e.a;
+            let dx_hi = (mid + half) / e.a;
+            let lo = floor_clamped(e.cx + dx_lo - 0.5 - CUTOFF_PX_SLACK, x0, x1);
+            let hi = ceil_plus_one_clamped(e.cx + dx_hi - 0.5 + CUTOFF_PX_SLACK, lo, x1);
+            (lo < hi).then_some((lo, hi))
+        }
+
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "the parent's f64->u32 of a value clamped into [lo, hi], frozen as it was"
+        )]
+        fn floor_clamped(v: f64, lo: u32, hi: u32) -> u32 {
+            v.clamp(f64::from(lo), f64::from(hi)) as u32
+        }
+
+        fn ceil_plus_one_clamped(v: f64, lo: u32, hi: u32) -> u32 {
+            let v = v.clamp(f64::from(lo) - 1.0, f64::from(hi));
+            let t = v as i64;
+            let ceil = if (t as f64) < v { t + 1 } else { t };
+            u32::try_from((ceil + 1).clamp(i64::from(lo), i64::from(hi))).unwrap_or(hi)
+        }
+
+        pub(super) fn subtile_bitmap(
+            grid: &TileGrid,
+            tx: u32,
+            ty: u32,
+            center: Vec2,
+            radius: f32,
+        ) -> u64 {
+            let (x0, y0, x1, y1) = grid.tile_rect(tx, ty);
+            let per_edge = grid.subtiles_per_edge();
+            if per_edge > 8 {
+                let cx = center.x.clamp(x0 as f32, x1 as f32);
+                let cy = center.y.clamp(y0 as f32, y1 as f32);
+                let dx = center.x - cx;
+                let dy = center.y - cy;
+                return if dx * dx + dy * dy <= radius * radius {
+                    u64::MAX
+                } else {
+                    0
+                };
+            }
+            let mut bitmap = 0u64;
+            let mut bit = 0u32;
+            for sy in 0..per_edge {
+                for sx in 0..per_edge {
+                    if bit >= 64 {
+                        return bitmap;
+                    }
+                    let sx0 = (x0 + sx * SUBTILE_SIZE) as f32;
+                    let sy0 = (y0 + sy * SUBTILE_SIZE) as f32;
+                    let sx1 = ((x0 + (sx + 1) * SUBTILE_SIZE).min(x1)) as f32;
+                    let sy1 = ((y0 + (sy + 1) * SUBTILE_SIZE).min(y1)) as f32;
+                    if sx1 <= sx0 || sy1 <= sy0 {
+                        bit += 1;
+                        continue;
+                    }
+                    let cx = center.x.clamp(sx0, sx1);
+                    let cy = center.y.clamp(sy0, sy1);
+                    let dx = center.x - cx;
+                    let dy = center.y - cy;
+                    if dx * dx + dy * dy <= radius * radius {
+                        bitmap |= 1u64 << bit;
+                    }
+                    bit += 1;
+                }
+            }
+            bitmap
+        }
+    }
+
+    /// SplitMix64: a fixed, dependency-free stream for the frozen-kernel
+    /// comparisons.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f32 {
+            (self.next() >> 40) as f32 / (1u64 << 24) as f32
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+
+        fn pick(&mut self, values: &[f32]) -> f32 {
+            values[self.below(values.len() as u32) as usize]
+        }
+    }
+
+    /// A splat for the frozen comparisons: centers in and around a
+    /// 32-px tile at `origin`; conics from tight to wide, indefinite
+    /// (power > 0) and huge; opacities at and around the 1/255 cutoff and
+    /// the 0.99 clamp; colors with NaN, ±∞ and −0.0 channels.
+    fn random_splat(rng: &mut Rng, origin: (u32, u32)) -> ProjectedGaussian {
+        let cutoff = BLEND_ALPHA_CUTOFF;
+        let u = rng.unit();
+        let opacity = rng.pick(&[
+            cutoff,
+            cutoff.next_up(),
+            cutoff.next_down(),
+            0.5,
+            ALPHA_MAX,
+            ALPHA_MAX.next_up(),
+            ALPHA_MAX.next_down(),
+            1.0,
+            2.0,
+            u,
+        ]);
+        let conic = match rng.below(5) {
+            0 => (-rng.unit(), rng.unit() - 0.5, rng.unit()),
+            1 => (1e30, 0.0, 1e30),
+            2 => (1e-30, 0.0, 1e-30),
+            _ => {
+                let a = 0.002 + rng.unit();
+                let c = 0.002 + rng.unit();
+                (a, (rng.unit() - 0.5) * (a * c).sqrt(), c)
+            }
+        };
+        let channel = |rng: &mut Rng| {
+            let u = rng.unit();
+            rng.pick(&[
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.0,
+                0.0,
+                u,
+                u,
+                u,
+            ])
+        };
+        ProjectedGaussian {
+            id: 0,
+            mean2d: Vec2::new(
+                origin.0 as f32 - 8.0 + 48.0 * rng.unit(),
+                origin.1 as f32 - 8.0 + 48.0 * rng.unit(),
+            ),
+            depth: 1.0,
+            conic,
+            radius: 40.0 * rng.unit(),
+            color: Vec3::new(channel(rng), channel(rng), channel(rng)),
+            opacity,
+        }
+    }
+
+    #[test]
+    fn blend_chunk_matches_the_frozen_select_kernel() {
+        let mut rng = Rng(21);
+        let eps = TRANSMITTANCE_EPS;
+        for case in 0..200_000 {
+            let origin = (32 * rng.below(20), 32 * rng.below(12));
+            let p = random_splat(&mut rng, origin);
+            // Rows through the center reach α at the opacity, and so
+            // at the 0.99 clamp.
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "a center above the image saturates to row 0, which is still a row"
+            )]
+            let py = if case % 7 == 0 {
+                p.mean2d.y as u32
+            } else {
+                origin.1 + rng.below(32)
+            };
+            let dy = py as f32 + 0.5 - p.mean2d.y;
+            let row = RowTerms {
+                dy,
+                c_dy2: p.conic.2 * dy * dy,
+            };
+            let k = rng.below(4);
+            let chunk_x = k * LANES_U32;
+            // A partial, full or empty span over this chunk.
+            let start = chunk_x + rng.below(9);
+            let end = (start + rng.below(10)).max(chunk_x + 1);
+            let lanes = (
+                start.saturating_sub(chunk_x) as f32,
+                (end - chunk_x).min(LANES_U32) as f32,
+            );
+            let mut px = [[0.0f32; LANES]; 4];
+            for j in 0..LANES {
+                let u = rng.unit();
+                px[0][j] = rng.pick(&[1.0, eps, eps.next_up(), eps.next_down(), 0.0, 0.5, u]);
+                for plane in &mut px[1..] {
+                    let u = rng.unit();
+                    plane[j] = rng.pick(&[-0.0, 0.0, 1.0, u, -u]);
+                }
+            }
+            let start_counts = [[rng.below(100); LANES], [rng.below(100); LANES]];
+            let (mut old_px, mut old_counts) = (px, start_counts);
+            let x_first = (origin.0 + chunk_x) as f32 + 0.5;
+            frozen::blend_chunk(&p, &row, x_first, lanes, &mut old_px, &mut old_counts);
+
+            let mut columns = crate::scratch::ColumnTerms::default();
+            columns.a_dx2.resize(4, [0.0; LANES]);
+            columns.b_dx.resize(4, [0.0; LANES]);
+            columns.prepare(&p, origin.0, k..k + 1);
+            let k = usize_from_u32(k);
+            let cols = (&columns.a_dx2[k], &columns.b_dx[k]);
+            let (mut new_px, mut new_counts) = (px, start_counts);
+            if lanes == (0.0, 8.0) {
+                blend_chunk::<false>(&p, &row, cols, lanes, &mut new_px, &mut new_counts);
+            } else {
+                blend_chunk::<true>(&p, &row, cols, lanes, &mut new_px, &mut new_counts);
+            }
+            let bits = |planes: &[Lanes; 4]| planes.map(|plane| plane.map(f32::to_bits));
+            assert_eq!(
+                bits(&new_px),
+                bits(&old_px),
+                "case {case}: {p:?}, lanes {lanes:?}"
+            );
+            assert_eq!(
+                new_counts, old_counts,
+                "case {case}: {p:?}, lanes {lanes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_solver_matches_the_frozen_one() {
+        let mut rng = Rng(2);
+        for case in 0..50_000 {
+            let tile = (rng.below(20), rng.below(12));
+            let origin = (32 * tile.0, 32 * tile.1);
+            let mut p = random_splat(&mut rng, origin);
+            p.color = Vec3::ONE;
+            if case % 11 == 0 {
+                // Absurd opacities: no bounded ellipse.
+                p.opacity = 1e30;
+            }
+            let rect = (origin.0, origin.1, origin.0 + 32, origin.1 + 32);
+            let (x0, _, x1, _) = rect;
+            let old = frozen::cutoff_ellipse(&p, rect);
+            let new = CutoffEllipse::new(&p, rect);
+            let (old, new) = match (old, new) {
+                (Some(old), Some(new)) => (old, new),
+                (None, None) => continue,
+                _ => panic!("case {case}: only one solver skips {p:?}"),
+            };
+            assert_eq!(
+                (old.y_lo, old.y_hi, old.full_span),
+                (new.y_lo, new.y_hi, new.full_span),
+                "case {case}: {p:?}"
+            );
+            let mut bounds = Vec::new();
+            new.solve_rows(&mut bounds);
+            assert_eq!(bounds.len(), usize_from_u32(new.y_hi - new.y_lo));
+            for (py, &b) in (new.y_lo..).zip(&bounds) {
+                let (lo, hi) = row_span(b, x0, x1);
+                let got = (lo < hi).then_some((lo, hi));
+                assert_eq!(
+                    got,
+                    frozen::row_span(&old, py, x0, x1),
+                    "case {case}, row {py}: {p:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn subtile_bitmap_matches_the_frozen_one() {
+        let mut rng = Rng(3);
+        // Border tiles of odd-sized images clip subtiles to nothing; the
+        // bits of such subtiles stay 0 for any radius, ∞ and NaN included.
+        for (w, h, tile) in [
+            (640, 360, 32),
+            (100, 70, 64),
+            (45, 23, 16),
+            (13, 9, 7),
+            (3, 3, 1),
+            (300, 200, 100),
+        ] {
+            let grid = TileGrid::new(w, h, tile);
+            for case in 0..4_000 {
+                let (tx, ty) = (rng.below(grid.tiles_x()), rng.below(grid.tiles_y()));
+                let (x0, y0, _, _) = grid.tile_rect(tx, ty);
+                let span = tile as f32 + 16.0;
+                let center = Vec2::new(
+                    x0 as f32 - 8.0 + span * rng.unit(),
+                    y0 as f32 - 8.0 + span * rng.unit(),
+                );
+                let center = if case % 97 == 0 {
+                    Vec2::new(f32::NAN, center.y)
+                } else {
+                    center
+                };
+                let u = rng.unit();
+                let radius =
+                    rng.pick(&[0.0, -1.0, f32::INFINITY, f32::NAN, 4.0 * u, tile as f32 * u]);
+                assert_eq!(
+                    crate::tiles::subtile_bitmap(&grid, tx, ty, center, radius),
+                    frozen::subtile_bitmap(&grid, tx, ty, center, radius),
+                    "{w}x{h}/{tile} tile ({tx}, {ty}), center {center:?}, radius {radius}"
+                );
+            }
         }
     }
 }

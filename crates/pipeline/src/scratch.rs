@@ -75,6 +75,10 @@ pub struct RasterScratch {
     /// zero (the per-row analogue of the tile-level `live_pixels`
     /// early-out); full-row spans maintain but never consult it.
     pub(crate) row_live: Vec<u32>,
+    /// The fast path's solved span bounds of each candidate row of the
+    /// current splat's cutoff ellipse, solved for all rows before any is
+    /// blended.
+    pub(crate) row_bounds: Vec<[f64; 2]>,
     /// Width in pixels of the last rasterized tile rect.
     pub(crate) width: usize,
     /// Height in pixels of the last rasterized tile rect.
@@ -84,6 +88,10 @@ pub struct RasterScratch {
 /// Pixels per blend chunk. Equal to the subtile edge, so a tile-aligned
 /// chunk lies in exactly one subtile column.
 pub(crate) const LANES: usize = 8;
+
+/// [`LANES`] as a pixel-coordinate stride.
+pub(crate) const LANES_U32: u32 = 8;
+const _: () = assert!(usize_from_u32(LANES_U32) == LANES);
 
 /// One tile-aligned 8-pixel run of a tile row.
 pub(crate) type Lanes = [f32; LANES];
@@ -99,13 +107,82 @@ pub(crate) struct TilePlanes {
     pub(crate) g: Vec<Lanes>,
     pub(crate) b: Vec<Lanes>,
     pub(crate) row_chunks: usize,
+    /// The column half of the falloff exponent for one splat.
+    pub(crate) columns: ColumnTerms,
 }
+
+/// The terms of the falloff exponent that depend on a pixel's column
+/// alone, for one splat over one tile: `(A·dx)·dx` and `B·dx` per column
+/// chunk, `dx` being the column's pixel-center `x` minus the splat's.
+/// Every row of the splat reuses them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnTerms {
+    /// Bits of the splat's `(mean.x, A, B)`, the only inputs besides the
+    /// tile origin; `None` after a reset.
+    key: Option<[u32; 3]>,
+    /// The chunks whose terms are computed.
+    valid: std::ops::Range<u32>,
+    /// `(A·dx)·dx` per chunk.
+    pub(crate) a_dx2: Vec<Lanes>,
+    /// `B·dx` per chunk.
+    pub(crate) b_dx: Vec<Lanes>,
+}
+
+impl ColumnTerms {
+    /// Makes the terms of splat `p` valid on `chunks`, for a tile whose
+    /// left edge is pixel column `x0`. Recomputes only chunks not
+    /// already computed for the same `(mean.x, A, B)`.
+    #[inline(always)]
+    pub(crate) fn prepare(&mut self, p: &ProjectedGaussian, x0: u32, chunks: std::ops::Range<u32>) {
+        let key = [
+            p.mean2d.x.to_bits(),
+            p.conic.0.to_bits(),
+            p.conic.1.to_bits(),
+        ];
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.valid = chunks.start..chunks.start;
+        }
+        if chunks.start >= self.valid.start && chunks.end <= self.valid.end {
+            return;
+        }
+        let all = if self.valid.is_empty() {
+            chunks
+        } else {
+            chunks.start.min(self.valid.start)..chunks.end.max(self.valid.end)
+        };
+        for k in all.clone() {
+            if self.valid.contains(&k) {
+                continue;
+            }
+            // The pixel centers of chunk `k`, in the blend kernel's
+            // original operation order: `8k < width`, so `x0 + 8k` stays
+            // inside the image.
+            let x_first = (x0 + k * LANES_U32) as f32 + 0.5;
+            let k = usize_from_u32(k);
+            let lanes = self.a_dx2[k].iter_mut().zip(&mut self.b_dx[k]);
+            for ((a_dx2, b_dx), offset) in lanes.zip(LANE_OFFSETS) {
+                let dx = (x_first + offset) - p.mean2d.x;
+                *a_dx2 = p.conic.0 * dx * dx;
+                *b_dx = p.conic.1 * dx;
+            }
+        }
+        self.valid = all;
+    }
+}
+
+/// Lane `j`'s pixel offset within its chunk.
+pub(crate) const LANE_OFFSETS: Lanes = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
 
 impl TilePlanes {
     /// Resets the planes for a `width`×`height` tile: full transmittance
     /// over a `background`-colored block. Keeps capacity.
     pub(crate) fn reset(&mut self, width: usize, height: usize, background: Vec3) {
         self.row_chunks = width.div_ceil(LANES);
+        let columns = &mut self.columns;
+        columns.key = None;
+        columns.a_dx2.resize(self.row_chunks, [0.0; LANES]);
+        columns.b_dx.resize(self.row_chunks, [0.0; LANES]);
         let len = self.row_chunks * height;
         for (plane, value) in [
             (&mut self.t, 1.0),

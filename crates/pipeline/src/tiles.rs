@@ -208,33 +208,42 @@ pub fn subtile_bitmap(grid: &TileGrid, tx: u32, ty: u32, center: Vec2, radius: f
             0
         };
     }
+    // The circle meets a subtile iff the squared distance from its center
+    // to the subtile rect, `dx² + dy²`, is at most `radius²`, and `dx`
+    // depends on the subtile's column alone and `dy` on its row alone:
+    // solve each axis once, then combine.
+    let cols = axis_distances(center.x, x0, x1, per_edge);
+    let rows = axis_distances(center.y, y0, y1, per_edge);
+    let r2 = radius * radius;
+    let per_edge = usize_from_u32(per_edge);
     let mut bitmap = 0u64;
-    let mut bit = 0u32;
-    for sy in 0..per_edge {
-        for sx in 0..per_edge {
-            if bit >= 64 {
-                return bitmap;
+    for (sy, dy2) in rows.iter().enumerate().take(per_edge) {
+        let Some(dy2) = *dy2 else { continue };
+        for (sx, dx2) in cols.iter().enumerate().take(per_edge) {
+            if dx2.is_some_and(|dx2| dx2 + dy2 <= r2) {
+                bitmap |= 1u64 << (sy * per_edge + sx);
             }
-            let sx0 = (x0 + sx * SUBTILE_SIZE) as f32;
-            let sy0 = (y0 + sy * SUBTILE_SIZE) as f32;
-            let sx1 = ((x0 + (sx + 1) * SUBTILE_SIZE).min(x1)) as f32;
-            let sy1 = ((y0 + (sy + 1) * SUBTILE_SIZE).min(y1)) as f32;
-            if sx1 <= sx0 || sy1 <= sy0 {
-                bit += 1;
-                continue;
-            }
-            // Circle-rectangle overlap: clamp center to the rect.
-            let cx = center.x.clamp(sx0, sx1);
-            let cy = center.y.clamp(sy0, sy1);
-            let dx = center.x - cx;
-            let dy = center.y - cy;
-            if dx * dx + dy * dy <= radius * radius {
-                bitmap |= 1u64 << bit;
-            }
-            bit += 1;
         }
     }
     bitmap
+}
+
+/// Squared distance from coordinate `c` to each of the first `count`
+/// subtile extents of the tile span `[lo, hi)` along one axis, or `None`
+/// for an extent the span clips to nothing (its bits stay 0, whatever
+/// the radius).
+fn axis_distances(c: f32, lo: u32, hi: u32, count: u32) -> [Option<f32>; 8] {
+    let mut out = [None; 8];
+    for (s, d2) in (0..count).zip(out.iter_mut()) {
+        let s0 = (lo + s * SUBTILE_SIZE) as f32;
+        let s1 = ((lo + (s + 1) * SUBTILE_SIZE).min(hi)) as f32;
+        if s1 > s0 {
+            // Circle-rectangle overlap: clamp the center to the extent.
+            let d = c - c.clamp(s0, s1);
+            *d2 = Some(d * d);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
