@@ -27,16 +27,18 @@
 //! opacity as u8, SH planes as f16. Compact payloads store quantized bits
 //! verbatim, so compact clouds round-trip losslessly.
 //!
-//! Decoding sanitizes records: a rotation that is non-finite or
-//! near-zero, or a non-finite opacity, is rejected; finite off-unit
-//! rotations are renormalized and finite out-of-range opacities clamped
-//! to `[0, 1]`, so every decoded cloud upholds the `Gaussian::is_valid`
-//! invariant the pipeline assumes (compact rotations/opacities are valid
-//! by construction).
+//! Decoding sanitizes records: a non-finite mean, a non-finite or
+//! non-positive scale, a rotation that is non-finite or near-zero, or a
+//! non-finite opacity is rejected; finite off-unit rotations are
+//! renormalized and finite out-of-range opacities clamped to `[0, 1]`,
+//! so every decoded cloud upholds the `Gaussian::is_valid` invariant the
+//! pipeline assumes (compact rotations/opacities are valid by
+//! construction; its f16 means and scales are checked like f32 ones).
 
 use crate::storage::{CloudStorage, CompactCloud, SoaCloud, StorageFormat};
 use crate::{Gaussian, GaussianCloud};
 use bytes::{Buf, BufMut};
+use neo_math::f16::f16_bits_to_f32;
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 use std::fmt;
@@ -106,11 +108,11 @@ pub enum DecodeCloudError {
     /// corrupted length field or a concatenation bug, so it is rejected
     /// rather than silently ignored.
     TrailingBytes(usize),
-    /// The record at this index stores a rotation with no usable
-    /// direction (non-finite components or a near-zero norm).
-    InvalidRotation(usize),
-    /// The record at this index stores a non-finite opacity.
-    InvalidOpacity(usize),
+    /// The record at this index is no splat: its mean is non-finite,
+    /// its scale non-finite or non-positive, its rotation has no usable
+    /// direction (non-finite components or a near-zero norm), or its
+    /// opacity is non-finite.
+    InvalidRecord(usize),
 }
 
 impl fmt::Display for DecodeCloudError {
@@ -126,12 +128,11 @@ impl fmt::Display for DecodeCloudError {
             DecodeCloudError::TrailingBytes(n) => {
                 write!(f, "{n} trailing byte(s) after the last record")
             }
-            DecodeCloudError::InvalidRotation(i) => {
-                write!(f, "record {i} has a degenerate rotation quaternion")
-            }
-            DecodeCloudError::InvalidOpacity(i) => {
-                write!(f, "record {i} has a non-finite opacity")
-            }
+            DecodeCloudError::InvalidRecord(i) => write!(
+                f,
+                "record {i} has a non-finite mean or opacity, a non-positive scale \
+                 or a degenerate rotation"
+            ),
         }
     }
 }
@@ -352,24 +353,35 @@ pub fn encode_storage(stored: &StoredCloud) -> Result<Vec<u8>, EncodeCloudError>
     }
 }
 
-/// Validates and repairs one decoded record's rotation and opacity.
+/// Rejects a record whose mean is non-finite or whose scale is
+/// non-finite or non-positive; no repair could make it a splat.
+fn check_geometry(index: usize, mean: Vec3, scale: Vec3) -> Result<(), DecodeCloudError> {
+    if mean.is_finite() && scale.is_finite() && scale.min_element() > 0.0 {
+        Ok(())
+    } else {
+        Err(DecodeCloudError::InvalidRecord(index))
+    }
+}
+
+/// Validates one decoded f32 record and repairs its rotation and
+/// opacity.
 fn sanitize_record(
     index: usize,
+    mean: Vec3,
+    scale: Vec3,
     rotation: Quat,
     opacity: f32,
 ) -> Result<(Quat, f32), DecodeCloudError> {
+    check_geometry(index, mean, scale)?;
     let n2 = rotation.norm_squared();
-    if !n2.is_finite() || n2 < QUAT_MIN_NORM_SQ {
-        return Err(DecodeCloudError::InvalidRotation(index));
+    if !n2.is_finite() || n2 < QUAT_MIN_NORM_SQ || !opacity.is_finite() {
+        return Err(DecodeCloudError::InvalidRecord(index));
     }
     let rotation = if (n2 - 1.0).abs() > QUAT_NORM_TOL {
         rotation.normalized()
     } else {
         rotation
     };
-    if !opacity.is_finite() {
-        return Err(DecodeCloudError::InvalidOpacity(index));
-    }
     Ok((rotation, opacity.clamp(0.0, 1.0)))
 }
 
@@ -383,8 +395,7 @@ fn sanitize_record(
 /// buffer length does not match the declared record count (including
 /// counts whose byte size overflows `usize`), bytes remain after the
 /// last record, or a record fails sanitization
-/// ([`DecodeCloudError::InvalidRotation`] /
-/// [`DecodeCloudError::InvalidOpacity`]).
+/// ([`DecodeCloudError::InvalidRecord`]).
 pub fn decode_cloud(buf: &[u8]) -> Result<GaussianCloud, DecodeCloudError> {
     decode_storage(buf).map(StoredCloud::into_cloud)
 }
@@ -457,7 +468,7 @@ fn decode_v1(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
             buf.get_f32_le(),
         );
         let opacity = buf.get_f32_le();
-        let (rotation, opacity) = sanitize_record(index, rotation, opacity)?;
+        let (rotation, opacity) = sanitize_record(index, mean, scale, rotation, opacity)?;
         let mut coeffs = [[0.0f32; MAX_COEFFS]; 3];
         for coeffs_c in coeffs.iter_mut() {
             for coeff in coeffs_c.iter_mut().take(n_coeffs) {
@@ -502,8 +513,11 @@ fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
             let mut opacity = p();
             let sh = read_f32_plane(&mut buf, count * 3 * n);
             for index in 0..count {
+                let at = |plane: &[Vec<f32>; 3]| {
+                    Vec3::new(plane[0][index], plane[1][index], plane[2][index])
+                };
                 let q = Quat::new(rot[0][index], rot[1][index], rot[2][index], rot[3][index]);
-                let (q, o) = sanitize_record(index, q, opacity[index])?;
+                let (q, o) = sanitize_record(index, at(&mean), at(&scale), q, opacity[index])?;
                 rot[0][index] = q.w;
                 rot[1][index] = q.x;
                 rot[2][index] = q.y;
@@ -531,9 +545,18 @@ fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
             let mut opacity = vec![0u8; count];
             buf.copy_to_slice(&mut opacity);
             let sh = read_u16_plane(&mut buf, count * 3 * n);
-            // Every bit pattern is a valid compact record (any u32
-            // unpacks to a unit quaternion; u8 opacity is always in
-            // range), so no sanitization pass is needed.
+            // Any u32 unpacks to a unit quaternion and a u8 opacity is
+            // always in range, so only the f16 geometry needs a check.
+            for index in 0..count {
+                let at = |plane: &[Vec<u16>; 3]| {
+                    Vec3::new(
+                        f16_bits_to_f32(plane[0][index]),
+                        f16_bits_to_f32(plane[1][index]),
+                        f16_bits_to_f32(plane[2][index]),
+                    )
+                };
+                check_geometry(index, at(&mean), at(&scale))?;
+            }
             Ok(StoredCloud::Compact(CompactCloud {
                 len: count,
                 degree,
@@ -680,7 +703,7 @@ mod tests {
             });
             assert_eq!(
                 decode_cloud(&encode_cloud(&cloud)),
-                Err(DecodeCloudError::InvalidRotation(0)),
+                Err(DecodeCloudError::InvalidRecord(0)),
                 "{bad:?}"
             );
         }
@@ -704,7 +727,7 @@ mod tests {
         });
         assert_eq!(
             decode_cloud(&encode_cloud(&cloud)),
-            Err(DecodeCloudError::InvalidOpacity(0))
+            Err(DecodeCloudError::InvalidRecord(0))
         );
     }
 
@@ -791,9 +814,7 @@ mod tests {
         assert!(DecodeCloudError::UnsupportedVersion(3)
             .to_string()
             .contains('3'));
-        assert!(DecodeCloudError::InvalidRotation(5)
-            .to_string()
-            .contains('5'));
+        assert!(DecodeCloudError::InvalidRecord(5).to_string().contains('5'));
         assert!(EncodeCloudError::TooManyGaussians(4_294_967_296)
             .to_string()
             .contains("4294967296"));

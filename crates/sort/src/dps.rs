@@ -26,9 +26,15 @@ pub struct DpsConfig {
     /// Chunk capacity in entries (paper: 256, sized to on-chip buffers).
     pub chunk_size: usize,
     /// Number of off-chip passes per frame (paper: 1 — more passes trade
-    /// bandwidth for faster order recovery, Section 4.3).
+    /// bandwidth for faster order recovery, Section 4.3). At most 16;
+    /// [`DpsConfig::validate`] rejects more.
     pub passes: u32,
 }
+
+/// The most DPS passes one frame may run. Each pass walks the whole
+/// table, so the count bounds frame time; 16 covers the paper's single
+/// pass and the 1–4 pass ablation with room to spare.
+const MAX_PASSES: u32 = 16;
 
 impl Default for DpsConfig {
     fn default() -> Self {
@@ -41,14 +47,21 @@ impl Default for DpsConfig {
 
 impl DpsConfig {
     /// Checks the parameters, returning a description of the first
-    /// problem found. `neo-core`'s engine builder surfaces this as an
-    /// `InvalidConfig` error at build time instead of panicking deep in
-    /// the sorting substrate.
+    /// problem found: a `chunk_size` below 2, or more than 16 `passes`.
+    /// `neo-core`'s engine builder surfaces this as an `InvalidConfig`
+    /// error at build time instead of panicking deep in the sorting
+    /// substrate or running a frame that never finishes.
     pub fn validate(&self) -> Result<(), String> {
         if self.chunk_size < 2 {
             return Err(format!(
                 "DPS chunk_size must be at least 2, got {}",
                 self.chunk_size
+            ));
+        }
+        if self.passes > MAX_PASSES {
+            return Err(format!(
+                "DPS passes must be at most {MAX_PASSES}, got {}",
+                self.passes
             ));
         }
         Ok(())
@@ -285,6 +298,20 @@ mod tests {
         .validate()
         .is_err());
         assert!(DpsConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_bounds_passes() {
+        let with = |passes| DpsConfig {
+            passes,
+            ..DpsConfig::default()
+        };
+        for passes in [0, 1, 4, MAX_PASSES] {
+            assert!(with(passes).validate().is_ok(), "{passes} passes");
+        }
+        for passes in [MAX_PASSES + 1, u32::MAX] {
+            assert!(with(passes).validate().is_err(), "{passes} passes");
+        }
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! The draws cover tile sizes 1–256, 4096 and `u32::MAX` (plus the
 //! invalid 0); backgrounds with NaN, ±0.0 and ±∞ channels; the raster
 //! fast path, subtiling and the image each on or off; DPS chunk sizes
-//! from the invalid 0 and 1 up to `usize::MAX` and 0–4 passes; every
-//! sorting strategy; and LOD off or on with valid and invalid settings.
-//! The camera is 47×29, so border tiles clip their subtiles. Threads
-//! stay at 1 or 2. DPS passes are drawn small on purpose: each pass
-//! walks the whole table, so a huge count is slow rather than unsafe.
+//! from the invalid 0 and 1 up to `usize::MAX`; DPS passes within the
+//! bound of 16 and above it up to `u32::MAX`; every sorting strategy;
+//! and LOD off or on with valid and invalid settings. The camera is
+//! 47×29, so border tiles clip their subtiles. Threads stay at 1 or 2.
+//! Each DPS pass walks the whole table, so a pass count above the bound
+//! must fail `build()` rather than run a frame that never finishes.
 
 use neo_core::{LodConfig, NeoError, RenderEngine, RendererConfig, StrategyKind};
 use neo_math::Vec3;
@@ -24,6 +25,9 @@ const ODD_TILE_SIZES: [u32; 3] = [0, 4096, u32::MAX];
 const CHANNELS: [f32; 6] = [0.0, -0.0, 0.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
 const CHUNK_SIZES: [usize; 6] = [0, 1, 2, 3, 256, usize::MAX];
+
+/// The most DPS passes `DpsConfig::validate` accepts.
+const MAX_DPS_PASSES: u32 = 16;
 
 const STRATEGIES: [StrategyKind; 5] = [
     StrategyKind::FullResort,
@@ -50,12 +54,13 @@ proptest! {
         tile in 0usize..259,
         background in (0usize..6, 0usize..6, 0usize..6),
         switches in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
-        dps in (0usize..6, 0u32..5),
+        dps in (0usize..6, any::<bool>(), 0u32..=MAX_DPS_PASSES, (MAX_DPS_PASSES + 1)..=u32::MAX),
         strategy in 0usize..5,
         lod in (0usize..5, 0usize..5),
         threads in 1u32..3,
     ) {
         let (fast_path, subtiling, image, lod_on) = switches;
+        let passes = if dps.1 { dps.2 } else { dps.3 };
         let tile_size = match u32::try_from(tile).expect("tile index fits u32") {
             t @ 0..=255 => t + 1,
             t => ODD_TILE_SIZES[(t - 256) as usize],
@@ -69,7 +74,7 @@ proptest! {
             ))
             .with_raster_fast_path(fast_path)
             .with_chunk_size(CHUNK_SIZES[dps.0])
-            .with_dps_passes(dps.1)
+            .with_dps_passes(passes)
             .with_threads(threads);
         config.subtiling = subtiling;
         if !image {
@@ -87,7 +92,10 @@ proptest! {
             .strategy(STRATEGIES[strategy])
             .build();
         let engine = match built {
-            Ok(engine) => engine,
+            Ok(engine) => {
+                prop_assert!(passes <= MAX_DPS_PASSES, "{config:?} built with {passes} passes");
+                engine
+            }
             Err(NeoError::InvalidConfig(_)) => {
                 prop_assert!(config.validate().is_err(), "{config:?} rejected but valid");
                 return Ok(());
