@@ -86,7 +86,7 @@ fn bench_fast_path(c: &mut Criterion) {
     group.bench_function("full_resort_frame_exact_clipped", |b| {
         b.iter(|| fast.render_frame(black_box(&cam)))
     });
-    let mut legacy = session(engine_cfg.without_raster_fast_path());
+    let mut legacy = session(engine_cfg.with_raster_fast_path(false));
     group.bench_function("full_resort_frame_legacy", |b| {
         b.iter(|| legacy.render_frame(black_box(&cam)))
     });

@@ -1,20 +1,19 @@
 //! Splat storage format comparison on the Building flythrough: f32 AoS
-//! (baseline) vs planar SoA f32 vs the compact quantized format
-//! (f16 means/scales/SH, u8 opacity, smallest-three packed quaternions).
+//! (baseline) vs the compact quantized format (f16 means/scales/SH, u8
+//! opacity, smallest-three packed quaternions).
 //!
 //! Per format: wall-clock per frame, per-frame splat-read DRAM bytes
 //! (feature-extraction reads + rasterization feature fetches from the
-//! traffic ledger), and PSNR against the f32 baseline. Shape checks:
-//! SoA must render byte-identically to AoS across every sorting strategy
-//! and thread count, and the compact format must cut splat-read bytes at
-//! least 2x while staying at or above 35 dB PSNR.
+//! traffic ledger), and PSNR against the f32 baseline. Shape check: the
+//! compact format must cut splat-read bytes at least 2x while staying at
+//! or above 35 dB PSNR.
 //!
 //! Writes `results/fig_formats.json`.
 //!
 //! Run: `cargo run --release -p neo-bench --bin fig_formats`
 
 use neo_bench::{ExperimentRecord, TextTable};
-use neo_core::{FrameResult, RenderEngine, RendererConfig, StorageFormat, StrategyKind};
+use neo_core::{FrameResult, RenderEngine, RendererConfig, StorageFormat};
 use neo_metrics::psnr;
 use neo_pipeline::Stage;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
@@ -66,7 +65,6 @@ fn main() {
     };
 
     let (aos_frames, aos_ms) = render(StorageFormat::AosF32);
-    let (soa_frames, soa_ms) = render(StorageFormat::SoaF32);
     let (compact_frames, compact_ms) = render(StorageFormat::Compact);
 
     let mean_bytes = |frames: &[FrameResult]| -> u64 {
@@ -86,9 +84,7 @@ fn main() {
     };
 
     let aos_bytes = mean_bytes(&aos_frames);
-    let soa_bytes = mean_bytes(&soa_frames);
     let compact_bytes = mean_bytes(&compact_frames);
-    let soa_psnr = min_psnr(&soa_frames);
     let compact_psnr = min_psnr(&compact_frames);
     let cut = aos_bytes as f64 / compact_bytes.max(1) as f64;
 
@@ -102,7 +98,6 @@ fn main() {
     let degree = cloud.max_sh_degree();
     for (format, ms, bytes, q) in [
         (StorageFormat::AosF32, aos_ms, aos_bytes, f64::INFINITY),
-        (StorageFormat::SoaF32, soa_ms, soa_bytes, soa_psnr),
         (
             StorageFormat::Compact,
             compact_ms,
@@ -124,53 +119,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // Shape check 1: the planar f32 backend is byte-identical to AoS for
-    // every sorting strategy and thread count — same bits in, same
-    // arithmetic, same merge order.
-    let strategies = [
-        StrategyKind::FullResort,
-        StrategyKind::Hierarchical,
-        StrategyKind::Periodic(4),
-        StrategyKind::Background(2),
-        StrategyKind::ReuseUpdate,
-    ];
-    let mut identical = true;
-    for kind in strategies {
-        for threads in [1u32, 4] {
-            let run = |format: StorageFormat| -> Vec<FrameResult> {
-                let engine = RenderEngine::builder()
-                    .scene(Arc::clone(&cloud))
-                    .config(
-                        RendererConfig::default()
-                            .with_tile_size(32)
-                            .with_threads(threads)
-                            .with_storage(format),
-                    )
-                    .strategy(kind)
-                    .build()
-                    .expect("figure configuration is valid");
-                let mut session = engine.session();
-                (0..4)
-                    .map(|i| session.render_frame(&sampler.frame(i)).expect("camera"))
-                    .collect()
-            };
-            let same = run(StorageFormat::AosF32) == run(StorageFormat::SoaF32);
-            if !same {
-                eprintln!("SoA diverged: {kind:?} with {threads} thread(s)");
-            }
-            identical &= same;
-        }
-    }
-    println!(
-        "shape check: SoA byte-identical to AoS across {} strategies x threads {{1,4}}: {}",
-        strategies.len(),
-        if identical { "PASS" } else { "FAIL" }
-    );
     println!(
         "shape check: compact splat-read cut {cut:.2}x (expect >= {TRAFFIC_CUT_BAR}x) at \
          {compact_psnr:.1} dB (floor {PSNR_FLOOR_DB} dB)"
     );
-    assert!(identical, "SoA must render byte-identically to AoS");
     assert!(
         cut >= TRAFFIC_CUT_BAR,
         "compact cut {cut:.2}x below the {TRAFFIC_CUT_BAR}x bar ({compact_bytes} vs {aos_bytes})"
@@ -179,20 +131,16 @@ fn main() {
         compact_psnr >= PSNR_FLOOR_DB,
         "compact PSNR {compact_psnr:.2} dB below the {PSNR_FLOOR_DB} dB floor"
     );
-    assert!(
-        soa_psnr.is_infinite(),
-        "SoA images must be bitwise equal to AoS (PSNR inf), got {soa_psnr:.2} dB"
-    );
 
     let mut record = ExperimentRecord::new(
         "fig_formats",
-        "Splat storage formats (f32 AoS vs planar SoA vs compact quantized) on the Building flythrough",
+        "Splat storage formats (f32 AoS vs compact quantized) on the Building flythrough",
     );
     record.push_series(
         "splat_read_bytes_per_frame",
-        vec![aos_bytes as f64, soa_bytes as f64, compact_bytes as f64],
+        vec![aos_bytes as f64, compact_bytes as f64],
     );
-    record.push_series("ms_per_frame", vec![aos_ms, soa_ms, compact_ms]);
+    record.push_series("ms_per_frame", vec![aos_ms, compact_ms]);
     record.push_series(
         "record_bytes",
         StorageFormat::ALL

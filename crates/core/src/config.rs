@@ -88,7 +88,7 @@ pub struct RendererConfig {
     /// α-cutoff ellipse are visited instead of every pixel of the tile.
     /// Output is byte-identical either way — only
     /// [`neo_pipeline::FrameStats::pixel_visits`] changes. Disable via
-    /// [`RendererConfig::without_raster_fast_path`] to feed the blend
+    /// [`RendererConfig::with_raster_fast_path`] to feed the blend
     /// kernel full-row spans instead (the baseline of the `fig_raster`
     /// ablation and `tests/raster_parity.rs`).
     pub raster_fast_path: bool,
@@ -108,9 +108,9 @@ pub struct RendererConfig {
     pub temporal_cache: Option<WarmStartConfig>,
     /// Splat storage backend (default [`StorageFormat::AosF32`]): how the
     /// engine lays out the scene's feature records, and therefore how
-    /// many bytes the traffic ledger charges per splat read. `SoaF32`
-    /// renders byte-identically to the default; `Compact` quantizes
-    /// (f16/u8/packed quaternions) for less than half the record size.
+    /// many bytes the traffic ledger charges per splat read: `AosF32`
+    /// keeps the f32 records; `Compact` quantizes (f16/u8/packed
+    /// quaternions) for less than half the record size.
     /// See [`RendererConfig::with_storage`].
     pub storage: StorageFormat,
     /// Cluster-index LOD path (default `None` = the flat projection
@@ -192,18 +192,11 @@ impl RendererConfig {
         self
     }
 
-    /// Disables the exact-clipped rasterization fast path, blending every
-    /// pixel of the tile for every splat (full-row spans) instead. Output is
-    /// byte-identical; only `FrameStats::pixel_visits` (and wall-clock
-    /// time) changes. This is the ablation baseline of `fig_raster`.
-    #[must_use]
-    pub fn without_raster_fast_path(mut self) -> Self {
-        self.raster_fast_path = false;
-        self
-    }
-
-    /// Sets the exact-clipped rasterization fast path explicitly (see
-    /// [`RendererConfig::without_raster_fast_path`]).
+    /// Turns the exact-clipped rasterization fast path on or off. Off
+    /// blends every pixel of the tile for every splat (full-row spans)
+    /// instead. Output is byte-identical; only `FrameStats::pixel_visits`
+    /// (and wall-clock time) changes. Off is the ablation baseline of
+    /// `fig_raster`.
     #[must_use]
     pub fn with_raster_fast_path(mut self, enabled: bool) -> Self {
         self.raster_fast_path = enabled;
@@ -277,17 +270,9 @@ impl RendererConfig {
         self
     }
 
-    /// Disables the warm-start temporal cache (the default).
-    #[must_use]
-    pub fn without_temporal_cache(mut self) -> Self {
-        self.temporal_cache = None;
-        self
-    }
-
     /// Selects the splat storage backend the engine builds the scene
-    /// into. [`StorageFormat::SoaF32`] stores the same f32 bits planar —
-    /// output stays byte-identical to the default AoS while the DRAM
-    /// stream model becomes plane-shaped. [`StorageFormat::Compact`]
+    /// into. The default [`StorageFormat::AosF32`] renders from the
+    /// scene's own f32 records. [`StorageFormat::Compact`]
     /// quantizes to f16 means/scales/SH, u8 opacity, and packed
     /// quaternions, cutting per-splat record bytes by more than half at a
     /// small PSNR cost (measured by the `fig_formats` bench).
@@ -327,13 +312,6 @@ impl RendererConfig {
     #[must_use]
     pub fn with_lod(mut self, lod: LodConfig) -> Self {
         self.lod = Some(lod);
-        self
-    }
-
-    /// Disables the cluster-index LOD path (the default).
-    #[must_use]
-    pub fn without_lod(mut self) -> Self {
-        self.lod = None;
         self
     }
 
@@ -420,11 +398,6 @@ mod tests {
         assert!(cfg.temporal_cache.is_none());
         let cfg = cfg.with_temporal_cache(WarmStartConfig::default());
         assert!(cfg.validate().is_ok());
-        assert!(cfg
-            .clone()
-            .without_temporal_cache()
-            .temporal_cache
-            .is_none());
         let bad =
             cfg.with_temporal_cache(WarmStartConfig::default().with_retention_threshold(-0.5));
         assert!(matches!(bad.validate(), Err(NeoError::InvalidConfig(_))));
@@ -434,7 +407,7 @@ mod tests {
     fn raster_fast_path_defaults_on() {
         let cfg = RendererConfig::default();
         assert!(cfg.raster_fast_path);
-        let cfg = cfg.without_raster_fast_path();
+        let cfg = cfg.with_raster_fast_path(false);
         assert!(!cfg.raster_fast_path);
         assert!(cfg.validate().is_ok(), "legacy loop is a valid config");
         assert!(cfg.with_raster_fast_path(true).raster_fast_path);
@@ -457,7 +430,6 @@ mod tests {
         assert!(cfg.lod.is_none());
         let cfg = cfg.with_lod(LodConfig::default());
         assert!(cfg.validate().is_ok());
-        assert!(cfg.clone().without_lod().lod.is_none());
         let bad = cfg.with_lod(LodConfig {
             cluster_size: 0,
             ..LodConfig::default()

@@ -52,7 +52,7 @@ use neo_pipeline::{
 };
 use neo_scene::{
     Camera, CloudStorage, ClusterParams, ClusteredCloud, CompactCloud, FrameSampler, GaussianCloud,
-    SoaCloud, StorageFormat,
+    StorageFormat,
 };
 use neo_sort::strategies::{SorterConfig, StrategyKind};
 use neo_sort::warm::{WarmStartConfig, WarmStartSorter};
@@ -377,7 +377,7 @@ impl RenderSession {
         // LOD path only the records actually decoded (surviving members +
         // proxies) are charged — that is the traffic the index exists to
         // cut; the flat walk touches every record, exactly as before.
-        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
+        let feature_bytes = self.feature_bytes;
         let records_read = match cluster_stats {
             Some((total, culled, proxied, saved, visited)) => {
                 stats.clusters_total = total;
@@ -705,7 +705,6 @@ impl RenderEngineBuilder {
         let encode = |scene: &Arc<GaussianCloud>| -> Arc<dyn CloudStorage> {
             match format {
                 StorageFormat::AosF32 => scene.clone(),
-                StorageFormat::SoaF32 => Arc::new(SoaCloud::from_cloud(scene)),
                 StorageFormat::Compact => Arc::new(CompactCloud::from_cloud(scene)),
             }
         };
@@ -728,7 +727,7 @@ impl RenderEngineBuilder {
             // storage first releases the AoS format's second reference:
             // the permutation then runs in place when the builder holds
             // the only one, and on a private copy of a shared scene
-            // otherwise. Both re-encoded formats are per record, so the
+            // otherwise. The compact encoding is per record, so the
             // re-encoded storage decodes to the records the index saw.
             if let Some(order) = index.renumber() {
                 drop(storage);
@@ -737,9 +736,13 @@ impl RenderEngineBuilder {
             }
             lod_index = Some(Arc::new(index));
         }
+        // `record_bytes` scans the cloud for its max SH degree once here,
+        // so frames read the cached size.
+        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
         Ok(RenderEngine {
             scene,
             storage,
+            feature_bytes,
             lod_index,
             config: self.config,
             factory,
@@ -758,6 +761,8 @@ impl RenderEngineBuilder {
 pub struct RenderEngine {
     scene: Arc<GaussianCloud>,
     storage: Arc<dyn CloudStorage>,
+    /// `storage.record_bytes()`, the ledger's charge per record read.
+    feature_bytes: u64,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -793,6 +798,7 @@ impl RenderEngine {
             id,
             scene: Arc::clone(&self.scene),
             storage: Arc::clone(&self.storage),
+            feature_bytes: self.feature_bytes,
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
             factory: self.factory.clone(),
@@ -821,7 +827,7 @@ impl RenderEngine {
     /// The storage backend the engine renders from ([`RendererConfig::storage`]).
     ///
     /// For [`StorageFormat::AosF32`] this is the scene `Arc` itself; for
-    /// the planar and compact formats it is a re-encoded copy built at
+    /// the compact format it is a re-encoded copy built at
     /// [`RenderEngineBuilder::build`] time. Either way it is in the same
     /// order as [`RenderEngine::scene`], cluster order on LOD engines.
     pub fn storage(&self) -> &Arc<dyn CloudStorage> {
@@ -864,6 +870,8 @@ pub struct RenderSession {
     id: SessionId,
     scene: Arc<GaussianCloud>,
     storage: Arc<dyn CloudStorage>,
+    /// The engine's cached [`RenderEngine::storage`] record size.
+    feature_bytes: u64,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -1343,12 +1351,8 @@ mod tests {
             next += c.len() as u32;
         }
         // An owned scene is renumbered in place into the same order, and
-        // the re-encoded formats follow the renumbered scene.
-        for format in [
-            StorageFormat::AosF32,
-            StorageFormat::SoaF32,
-            StorageFormat::Compact,
-        ] {
+        // the compact format follows the renumbered scene.
+        for format in StorageFormat::ALL {
             let scene = Arc::new(original.clone());
             let allocation = Arc::as_ptr(&scene);
             let owned = build(scene, format);
@@ -1356,7 +1360,6 @@ mod tests {
             assert_eq!(owned.scene(), engine.scene(), "{format:?}");
             let reference = match format {
                 StorageFormat::AosF32 => engine.scene().to_cloud(),
-                StorageFormat::SoaF32 => neo_scene::SoaCloud::from_cloud(engine.scene()).to_cloud(),
                 StorageFormat::Compact => {
                     neo_scene::CompactCloud::from_cloud(engine.scene()).to_cloud()
                 }
@@ -1483,37 +1486,6 @@ mod tests {
                 .render_frame_with_plan(&cam, &ShardPlan::balanced(7))
                 .unwrap();
             assert_eq!(serial, sharded, "seed assignment raced (round {round})");
-        }
-    }
-
-    #[test]
-    fn soa_storage_renders_byte_identically_to_aos() {
-        let scene = Arc::new(ScenePreset::Family.build_scaled(0.002));
-        let sampler = small_sampler();
-        let aos = RenderEngine::builder()
-            .scene(Arc::clone(&scene))
-            .config(RendererConfig::default().with_tile_size(32))
-            .build()
-            .unwrap();
-        let soa = RenderEngine::builder()
-            .scene(Arc::clone(&scene))
-            .config(
-                RendererConfig::default()
-                    .with_tile_size(32)
-                    .with_storage(StorageFormat::SoaF32),
-            )
-            .build()
-            .unwrap();
-        assert_eq!(soa.storage().format(), StorageFormat::SoaF32);
-        let mut a = aos.session();
-        let mut b = soa.session();
-        for i in 0..3 {
-            let cam = sampler.frame(i);
-            assert_eq!(
-                a.render_frame(&cam).unwrap(),
-                b.render_frame(&cam).unwrap(),
-                "SoA diverged from AoS on frame {i}"
-            );
         }
     }
 

@@ -134,11 +134,6 @@ impl ShCoefficients {
         }
         Vec3::new(rgb[0], rgb[1], rgb[2])
     }
-
-    /// Bytes needed to store the active coefficients (3 channels × f32).
-    pub fn byte_size(&self) -> usize {
-        3 * basis_count(self.degree) * std::mem::size_of::<f32>()
-    }
 }
 
 impl Default for ShCoefficients {
@@ -207,13 +202,5 @@ mod tests {
     fn degree_over_max_panics() {
         let mut out = [0.0; MAX_COEFFS];
         eval_basis(4, Vec3::Z, &mut out);
-    }
-
-    #[test]
-    fn byte_size_tracks_degree() {
-        let mut sh = ShCoefficients::default();
-        assert_eq!(sh.byte_size(), 12);
-        sh.degree = 3;
-        assert_eq!(sh.byte_size(), 192);
     }
 }

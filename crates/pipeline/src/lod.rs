@@ -307,7 +307,7 @@ mod tests {
     use crate::culling::in_frustum;
     use crate::projection::project_storage;
     use neo_scene::synth::{CityParams, SynthParams};
-    use neo_scene::{ClusterParams, Resolution, SoaCloud};
+    use neo_scene::{ClusterParams, CompactCloud, Resolution};
 
     fn city() -> neo_scene::GaussianCloud {
         CityParams {
@@ -347,15 +347,15 @@ mod tests {
     }
 
     #[test]
-    fn cull_parity_on_soa_backend() {
-        let cloud = city();
-        let soa = SoaCloud::from_cloud(&cloud);
-        let idx = ClusteredCloud::build(&soa, ClusterParams::default());
+    fn cull_parity_on_compact_backend() {
+        // Compact streams clusters through the trait's default
+        // `visit_range`, one decoded record per ID.
+        let compact = CompactCloud::from_cloud(&city());
+        let idx = ClusteredCloud::build(&compact, ClusterParams::default());
         let cam = street_cam(40.0);
-        assert_eq!(
-            project_clusters(&cam, &soa, &idx, &cull_only()).projected,
-            project_storage(&cam, &soa)
-        );
+        let clustered = project_clusters(&cam, &compact, &idx, &cull_only());
+        assert_eq!(clustered.projected, project_storage(&cam, &compact));
+        assert!(clustered.clusters_culled > 0, "street cam should cull");
     }
 
     #[test]

@@ -342,12 +342,11 @@ mod tests {
             .filter_map(|(id, g)| project_gaussian(&cam, id, g))
             .collect();
         assert_eq!(project_storage(&cam, &cloud), aos);
-        // The planar backend stores identical f32 bits → identical output.
-        let soa = neo_scene::SoaCloud::from_cloud(&cloud);
-        assert_eq!(project_storage(&cam, &soa), aos);
-        // The compact backend is lossy but must cull/project plausibly.
+        // The compact backend is lossy but must cull/project plausibly,
+        // exactly as its decoded records do.
         let compact = neo_scene::CompactCloud::from_cloud(&cloud);
         let pc = project_storage(&cam, &compact);
+        assert_eq!(pc, project_storage(&cam, &compact.to_cloud()));
         let visible = aos.len() as f32;
         assert!((pc.len() as f32 - visible).abs() <= visible * 0.02 + 2.0);
     }

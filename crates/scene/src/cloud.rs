@@ -79,25 +79,12 @@ impl GaussianCloud {
         })
     }
 
-    /// Size in bytes of one Gaussian's *feature record* as stored in the
-    /// off-chip feature table (position + scale + rotation + opacity + SH).
-    ///
-    /// This is the unit the DRAM-traffic model charges for feature fetches.
-    pub fn feature_record_bytes(&self) -> usize {
-        let sh_bytes = self
-            .gaussians
-            .first()
-            .map(|g| g.sh.byte_size())
-            .unwrap_or(12);
-        // mean (12) + scale (12) + rotation (16) + opacity (4) + SH
-        12 + 12 + 16 + 4 + sh_bytes
-    }
-
     /// Highest SH degree used by any Gaussian (0 for an empty cloud).
     ///
-    /// Serialization and the packed storage backends homogenize mixed
-    /// clouds to this degree (zero-padding the missing coefficients) so
-    /// no coefficient is ever truncated.
+    /// Serialization and the storage backends homogenize mixed clouds to
+    /// this degree (zero-padding the missing coefficients) so no
+    /// coefficient is ever truncated; the traffic ledger charges every
+    /// record at it.
     pub fn max_sh_degree(&self) -> usize {
         self.gaussians
             .iter()
@@ -212,13 +199,6 @@ mod tests {
         c.push(bad);
         assert_eq!(c.retain_valid(), 1);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn feature_record_bytes_reflects_sh_degree() {
-        let c: GaussianCloud = (0..1).map(|i| probe(i as f32)).collect();
-        // degree-0 SH: 12 bytes; total = 44 + 12.
-        assert_eq!(c.feature_record_bytes(), 56);
     }
 
     #[test]

@@ -570,7 +570,7 @@ impl OctantAcc {
 mod tests {
     use super::*;
     use crate::synth::SynthParams;
-    use crate::SoaCloud;
+    use crate::CompactCloud;
 
     fn small_cloud() -> crate::GaussianCloud {
         SynthParams {
@@ -619,11 +619,12 @@ mod tests {
         let a = ClusteredCloud::build(&cloud, ClusterParams::default());
         let b = ClusteredCloud::build(&cloud, ClusterParams::default());
         assert_eq!(a, b);
-        // The index is a function of decoded content: the SoA backend
-        // (lossless f32 planes) must produce the identical index.
-        let soa = SoaCloud::from_cloud(&cloud);
-        let c = ClusteredCloud::build(&soa, ClusterParams::default());
-        assert_eq!(a, c);
+        // The index is a function of decoded content: a compact backend
+        // indexes exactly like the AoS cloud it decodes to.
+        let compact = CompactCloud::from_cloud(&cloud);
+        let c = ClusteredCloud::build(&compact, ClusterParams::default());
+        let d = ClusteredCloud::build(&compact.to_cloud(), ClusterParams::default());
+        assert_eq!(c, d);
     }
 
     #[test]

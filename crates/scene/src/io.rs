@@ -14,18 +14,18 @@
 //! v2 (planar):
 //!   magic   [u8; 4] = "NEOG"
 //!   version u32     = 2
-//!   format  u8        (1 = soa-f32, 2 = compact; see `StorageFormat::tag`)
+//!   format  u8        (2 = compact; see `StorageFormat::tag`)
 //!   count   u32
 //!   degree  u8
 //!   planes  …         (see below)
 //! ```
 //!
-//! v2 `soa-f32` planes (all f32, each `count` long): mean x/y/z,
-//! scale x/y/z, rotation w/x/y/z, opacity, then `3·basis_count(degree)`
-//! SH planes channel-major. v2 `compact` planes: mean x/y/z and
-//! scale x/y/z as f16 (u16), rotation as smallest-three packed u32,
-//! opacity as u8, SH planes as f16. Compact payloads store quantized bits
-//! verbatim, so compact clouds round-trip losslessly.
+//! v2 `compact` planes (each `count` long): mean x/y/z and scale x/y/z
+//! as f16 (u16), rotation as smallest-three packed u32, opacity as u8,
+//! then `3·basis_count(degree)` SH planes as f16, channel-major. Compact
+//! payloads store quantized bits verbatim, so compact clouds round-trip
+//! losslessly. Any other format byte is rejected as
+//! `DecodeCloudError::BadFormat`.
 //!
 //! Decoding sanitizes records: a non-finite mean, a non-finite or
 //! non-positive scale, a rotation that is non-finite or near-zero, or a
@@ -35,7 +35,7 @@
 //! pipeline assumes (compact rotations/opacities are valid by
 //! construction; its f16 means and scales are checked like f32 ones).
 
-use crate::storage::{CloudStorage, CompactCloud, SoaCloud, StorageFormat};
+use crate::storage::{CloudStorage, CompactCloud, StorageFormat};
 use crate::{Gaussian, GaussianCloud};
 use bytes::{Buf, BufMut};
 use neo_math::f16::f16_bits_to_f32;
@@ -148,10 +148,8 @@ impl std::error::Error for DecodeCloudError {}
 pub enum StoredCloud {
     /// v1 payload (interleaved f32).
     Aos(GaussianCloud),
-    /// v2 planar f32 payload.
-    Soa(SoaCloud),
-    /// v2 quantized payload.
-    Compact(CompactCloud),
+    /// v2 quantized payload, boxed: its planes dwarf the AoS variant.
+    Compact(Box<CompactCloud>),
 }
 
 impl StoredCloud {
@@ -164,8 +162,7 @@ impl StoredCloud {
     pub fn as_storage(&self) -> &dyn CloudStorage {
         match self {
             StoredCloud::Aos(c) => c,
-            StoredCloud::Soa(c) => c,
-            StoredCloud::Compact(c) => c,
+            StoredCloud::Compact(c) => c.as_ref(),
         }
     }
 
@@ -173,7 +170,6 @@ impl StoredCloud {
     pub fn into_cloud(self) -> GaussianCloud {
         match self {
             StoredCloud::Aos(c) => c,
-            StoredCloud::Soa(c) => c.to_cloud(),
             StoredCloud::Compact(c) => c.to_cloud(),
         }
     }
@@ -269,9 +265,8 @@ pub fn try_encode_cloud(cloud: &GaussianCloud) -> Result<Vec<u8>, EncodeCloudErr
 }
 
 /// Serializes a cloud in the chosen storage format: v1 for
-/// [`StorageFormat::AosF32`], v2 planes otherwise. Quantization for
-/// [`StorageFormat::Compact`] happens here (via
-/// [`CompactCloud::from_cloud`]).
+/// [`StorageFormat::AosF32`], v2 planes for [`StorageFormat::Compact`].
+/// Quantization happens here (via [`CompactCloud::from_cloud`]).
 ///
 /// # Errors
 ///
@@ -283,10 +278,9 @@ pub fn try_encode_cloud_as(
 ) -> Result<Vec<u8>, EncodeCloudError> {
     match format {
         StorageFormat::AosF32 => try_encode_cloud(cloud),
-        StorageFormat::SoaF32 => encode_storage(&StoredCloud::Soa(SoaCloud::from_cloud(cloud))),
-        StorageFormat::Compact => {
-            encode_storage(&StoredCloud::Compact(CompactCloud::from_cloud(cloud)))
-        }
+        StorageFormat::Compact => encode_storage(&StoredCloud::Compact(Box::new(
+            CompactCloud::from_cloud(cloud),
+        ))),
     }
 }
 
@@ -301,30 +295,6 @@ pub fn try_encode_cloud_as(
 pub fn encode_storage(stored: &StoredCloud) -> Result<Vec<u8>, EncodeCloudError> {
     match stored {
         StoredCloud::Aos(cloud) => try_encode_cloud(cloud),
-        StoredCloud::Soa(soa) => {
-            let mut out = Vec::with_capacity(
-                V1_HEADER + 1 + soa.len * StorageFormat::SoaF32.record_bytes(soa.degree),
-            );
-            write_header(
-                &mut out,
-                VERSION_V2,
-                Some(StorageFormat::SoaF32),
-                soa.len,
-                soa.degree,
-            )?;
-            for plane in soa.mean.iter().chain(&soa.scale).chain(&soa.rot) {
-                for &v in plane {
-                    out.put_f32_le(v);
-                }
-            }
-            for &v in &soa.opacity {
-                out.put_f32_le(v);
-            }
-            for &v in &soa.sh {
-                out.put_f32_le(v);
-            }
-            Ok(out)
-        }
         StoredCloud::Compact(c) => {
             let mut out = Vec::with_capacity(
                 V1_HEADER + 1 + c.len * StorageFormat::Compact.record_bytes(c.degree),
@@ -486,10 +456,6 @@ fn decode_v1(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
     Ok(StoredCloud::Aos(cloud))
 }
 
-fn read_f32_plane(buf: &mut &[u8], count: usize) -> Vec<f32> {
-    (0..count).map(|_| buf.get_f32_le()).collect()
-}
-
 fn read_u16_plane(buf: &mut &[u8], count: usize) -> Vec<u16> {
     (0..count).map(|_| buf.get_u16_le()).collect()
 }
@@ -503,37 +469,6 @@ fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
     match format {
         // v2 never carries AoS payloads; that's what v1 is.
         StorageFormat::AosF32 => Err(DecodeCloudError::BadFormat(tag)),
-        StorageFormat::SoaF32 => {
-            let (count, degree) = read_counts(&mut buf, |d| StorageFormat::SoaF32.record_bytes(d))?;
-            let n = basis_count(degree);
-            let mut p = || read_f32_plane(&mut buf, count);
-            let mean = [p(), p(), p()];
-            let scale = [p(), p(), p()];
-            let mut rot = [p(), p(), p(), p()];
-            let mut opacity = p();
-            let sh = read_f32_plane(&mut buf, count * 3 * n);
-            for index in 0..count {
-                let at = |plane: &[Vec<f32>; 3]| {
-                    Vec3::new(plane[0][index], plane[1][index], plane[2][index])
-                };
-                let q = Quat::new(rot[0][index], rot[1][index], rot[2][index], rot[3][index]);
-                let (q, o) = sanitize_record(index, at(&mean), at(&scale), q, opacity[index])?;
-                rot[0][index] = q.w;
-                rot[1][index] = q.x;
-                rot[2][index] = q.y;
-                rot[3][index] = q.z;
-                opacity[index] = o;
-            }
-            Ok(StoredCloud::Soa(SoaCloud {
-                len: count,
-                degree,
-                mean,
-                scale,
-                rot,
-                opacity,
-                sh,
-            }))
-        }
         StorageFormat::Compact => {
             let (count, degree) =
                 read_counts(&mut buf, |d| StorageFormat::Compact.record_bytes(d))?;
@@ -557,7 +492,7 @@ fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
                 };
                 check_geometry(index, at(&mean), at(&scale))?;
             }
-            Ok(StoredCloud::Compact(CompactCloud {
+            Ok(StoredCloud::Compact(Box::new(CompactCloud {
                 len: count,
                 degree,
                 mean,
@@ -565,7 +500,7 @@ fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
                 rot,
                 opacity,
                 sh,
-            }))
+            })))
         }
     }
 }
@@ -611,11 +546,10 @@ mod tests {
                 assert_eq!(stored.as_storage().sh_degree(), degree);
                 match format {
                     StorageFormat::AosF32 => assert_eq!(stored.clone().into_cloud(), cloud),
-                    StorageFormat::SoaF32 => assert_eq!(stored.clone().into_cloud(), cloud),
                     StorageFormat::Compact => {
                         // Lossy vs the f32 source, but lossless as stored.
                         let direct = CompactCloud::from_cloud(&cloud);
-                        assert_eq!(stored, StoredCloud::Compact(direct));
+                        assert_eq!(stored, StoredCloud::Compact(Box::new(direct)));
                     }
                 }
             }
@@ -626,9 +560,9 @@ mod tests {
     fn encode_storage_preserves_compact_bits() {
         let cloud = synth_cloud(25, 2);
         let compact = CompactCloud::from_cloud(&cloud);
-        let bytes = encode_storage(&StoredCloud::Compact(compact.clone())).unwrap();
+        let bytes = encode_storage(&StoredCloud::Compact(Box::new(compact.clone()))).unwrap();
         match decode_storage(&bytes).unwrap() {
-            StoredCloud::Compact(back) => assert_eq!(back, compact),
+            StoredCloud::Compact(back) => assert_eq!(*back, compact),
             other => panic!("wrong backend {other:?}"),
         }
     }
@@ -732,20 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_blob_sanitized_too() {
-        let mut cloud = GaussianCloud::new();
-        cloud.push(Gaussian {
-            opacity: -3.5,
-            rotation: Quat::new(0.0, 3.0, 0.0, 0.0),
-            ..Default::default()
-        });
-        let bytes = try_encode_cloud_as(&cloud, StorageFormat::SoaF32).unwrap();
-        let back = decode_cloud(&bytes).unwrap();
-        assert_eq!(back.gaussians()[0].opacity, 0.0);
-        assert!((back.gaussians()[0].rotation.norm_squared() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let mut bytes = encode_cloud(&GaussianCloud::new());
         bytes[0] = b'X';
@@ -803,10 +723,11 @@ mod tests {
 
         let cloud = synth_cloud(2, 0);
         let mut v2 = try_encode_cloud_as(&cloud, StorageFormat::Compact).unwrap();
-        v2[8] = 7; // format tag
-        assert_eq!(decode_cloud(&v2), Err(DecodeCloudError::BadFormat(7)));
-        v2[8] = 0; // AoS tag is v1-only
-        assert_eq!(decode_cloud(&v2), Err(DecodeCloudError::BadFormat(0)));
+        // 0 is the AoS tag, which is v1-only; 1 is unassigned.
+        for tag in [7, 0, 1] {
+            v2[8] = tag; // format tag
+            assert_eq!(decode_cloud(&v2), Err(DecodeCloudError::BadFormat(tag)));
+        }
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub use camera::{Camera, Resolution};
 pub use cloud::GaussianCloud;
 pub use cluster::{Cluster, ClusterParams, ClusteredCloud};
 pub use gaussian::Gaussian;
-pub use storage::{CloudStorage, CompactCloud, SoaCloud, StorageFormat};
+pub use storage::{CloudStorage, CompactCloud, StorageFormat};
 pub use trajectory::{CameraPath, FrameSampler};

@@ -7,13 +7,11 @@
 //! | Format                        | Record layout                         | Bytes/splat (deg d) |
 //! |-------------------------------|---------------------------------------|---------------------|
 //! | [`StorageFormat::AosF32`]     | interleaved f32 ([`GaussianCloud`])   | 44 + 12·(d+1)²      |
-//! | [`StorageFormat::SoaF32`]     | planar f32 ([`SoaCloud`])             | 44 + 12·(d+1)²      |
 //! | [`StorageFormat::Compact`]    | f16/packed planes ([`CompactCloud`])  | 17 + 6·(d+1)²       |
 //!
-//! `SoaF32` stores the identical f32 bit patterns as the AoS cloud, so a
-//! render from it is **byte-identical** to the AoS baseline — it exists to
-//! model planar DRAM streams (and as the substrate the compact format
-//! quantizes from). `Compact` stores means, scales, and SH coefficients as
+//! `d` is the cloud's *maximum* SH degree: every backend charges each
+//! record at that homogenized degree, whichever splat comes first.
+//! `Compact` stores means, scales, and SH coefficients as
 //! IEEE f16, opacity as `u8`, and rotations as smallest-three packed
 //! quaternions (2-bit largest-component index + 3×10-bit components),
 //! cutting the record to well under half the f32 size at a measured
@@ -35,8 +33,6 @@ pub enum StorageFormat {
     /// the rest of the crate produces. The baseline.
     #[default]
     AosF32,
-    /// Planar (struct-of-arrays) f32 — bit-identical values to `AosF32`.
-    SoaF32,
     /// Quantized planar storage: f16 means/scales/SH, u8 opacity,
     /// smallest-three packed quaternions.
     Compact,
@@ -44,26 +40,22 @@ pub enum StorageFormat {
 
 impl StorageFormat {
     /// All formats, baseline first — handy for sweeps.
-    pub const ALL: [StorageFormat; 3] = [
-        StorageFormat::AosF32,
-        StorageFormat::SoaF32,
-        StorageFormat::Compact,
-    ];
+    pub const ALL: [StorageFormat; 2] = [StorageFormat::AosF32, StorageFormat::Compact];
 
     /// Stable lowercase name for tables, JSON, and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
             StorageFormat::AosF32 => "aos-f32",
-            StorageFormat::SoaF32 => "soa-f32",
             StorageFormat::Compact => "compact",
         }
     }
 
-    /// Wire tag used by the `NEOG` v2 header.
+    /// Wire tag used by the `NEOG` v2 header. Tag 1 stays unassigned: it
+    /// named a planar f32 layout, and a blob carrying it must fail to
+    /// decode rather than be read as another format.
     pub fn tag(self) -> u8 {
         match self {
             StorageFormat::AosF32 => 0,
-            StorageFormat::SoaF32 => 1,
             StorageFormat::Compact => 2,
         }
     }
@@ -72,7 +64,6 @@ impl StorageFormat {
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(StorageFormat::AosF32),
-            1 => Some(StorageFormat::SoaF32),
             2 => Some(StorageFormat::Compact),
             _ => None,
         }
@@ -85,7 +76,7 @@ impl StorageFormat {
         let n = basis_count(sh_degree);
         match self {
             // mean 12 + scale 12 + rotation 16 + opacity 4 + SH 12n
-            StorageFormat::AosF32 | StorageFormat::SoaF32 => 44 + 12 * n,
+            StorageFormat::AosF32 => 44 + 12 * n,
             // mean 6 + scale 6 + rotation 4 + opacity 1 + SH 6n
             StorageFormat::Compact => 17 + 6 * n,
         }
@@ -109,7 +100,8 @@ pub trait CloudStorage: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
-    /// The (homogenized) SH degree of the stored records.
+    /// The SH degree every record is stored and charged at: the maximum
+    /// over the stored records.
     fn sh_degree(&self) -> usize;
 
     /// Bytes charged to the traffic ledger per splat read.
@@ -131,9 +123,8 @@ pub trait CloudStorage: std::fmt::Debug + Send + Sync {
     ///
     /// Must yield exactly the `(id, Gaussian)` pairs [`visit`] would
     /// yield restricted to the range, bit-identically. The default
-    /// decodes one record per ID via [`get`]; planar backends override
-    /// it to stream their planes into a persistent scratch record
-    /// instead of re-assembling a full record per splat.
+    /// decodes one record per ID via [`get`]; the AoS cloud overrides it
+    /// to lend its records in place.
     ///
     /// [`visit`]: CloudStorage::visit
     /// [`get`]: CloudStorage::get
@@ -163,14 +154,10 @@ impl CloudStorage for GaussianCloud {
         self.len()
     }
 
+    /// The max degree, as NEOG v1 and [`CompactCloud`] homogenize to: an
+    /// O(n) scan, so per-frame callers cache it.
     fn sh_degree(&self) -> usize {
-        // Matches the historical ledger accounting: the first record's
-        // degree (clouds built by this crate are uniform).
-        self.gaussians().first().map(|g| g.sh.degree).unwrap_or(0)
-    }
-
-    fn record_bytes(&self) -> usize {
-        self.feature_record_bytes()
+        self.max_sh_degree()
     }
 
     fn get(&self, id: u32) -> Option<Gaussian> {
@@ -310,149 +297,6 @@ fn sh_planes(cloud: &GaussianCloud, degree: usize) -> Vec<f32> {
     planes
 }
 
-fn sh_from_planes(planes: &[f32], len: usize, degree: usize, j: usize) -> ShCoefficients {
-    let n = basis_count(degree).min(MAX_COEFFS);
-    let mut coeffs = [[0.0f32; MAX_COEFFS]; 3];
-    for (c, coeffs_c) in coeffs.iter_mut().enumerate() {
-        for (i, coeff) in coeffs_c.iter_mut().enumerate().take(n) {
-            *coeff = planes[(c * n + i) * len + j];
-        }
-    }
-    ShCoefficients { coeffs, degree }
-}
-
-/// Planar (struct-of-arrays) f32 splat storage.
-///
-/// Holds the same bit patterns as the source [`GaussianCloud`] — decoding
-/// reproduces each `Gaussian` exactly (up to SH degree homogenization for
-/// mixed-degree clouds), so renders are byte-identical to the AoS
-/// baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoaCloud {
-    pub(crate) len: usize,
-    pub(crate) degree: usize,
-    /// Planes: mean xyz, scale xyz, rotation wxyz, opacity — each `len` long.
-    pub(crate) mean: [Vec<f32>; 3],
-    pub(crate) scale: [Vec<f32>; 3],
-    pub(crate) rot: [Vec<f32>; 4],
-    pub(crate) opacity: Vec<f32>,
-    /// `3 · basis_count(degree)` SH planes, channel-major (see [`sh_planes`]).
-    pub(crate) sh: Vec<f32>,
-}
-
-impl SoaCloud {
-    /// Converts an AoS cloud to planes, homogenizing SH to the cloud's
-    /// max degree (zero-padding — no coefficient is dropped).
-    pub fn from_cloud(cloud: &GaussianCloud) -> Self {
-        let degree = cloud.max_sh_degree();
-        let gs = cloud.gaussians();
-        let plane = |f: &dyn Fn(&Gaussian) -> f32| gs.iter().map(f).collect::<Vec<f32>>();
-        Self {
-            len: gs.len(),
-            degree,
-            mean: [
-                plane(&|g| g.mean.x),
-                plane(&|g| g.mean.y),
-                plane(&|g| g.mean.z),
-            ],
-            scale: [
-                plane(&|g| g.scale.x),
-                plane(&|g| g.scale.y),
-                plane(&|g| g.scale.z),
-            ],
-            rot: [
-                plane(&|g| g.rotation.w),
-                plane(&|g| g.rotation.x),
-                plane(&|g| g.rotation.y),
-                plane(&|g| g.rotation.z),
-            ],
-            opacity: plane(&|g| g.opacity),
-            sh: sh_planes(cloud, degree),
-        }
-    }
-
-    fn decode(&self, j: usize) -> Gaussian {
-        Gaussian {
-            mean: Vec3::new(self.mean[0][j], self.mean[1][j], self.mean[2][j]),
-            scale: Vec3::new(self.scale[0][j], self.scale[1][j], self.scale[2][j]),
-            rotation: Quat::new(
-                self.rot[0][j],
-                self.rot[1][j],
-                self.rot[2][j],
-                self.rot[3][j],
-            ),
-            opacity: self.opacity[j],
-            sh: sh_from_planes(&self.sh, self.len, self.degree, j),
-        }
-    }
-}
-
-impl CloudStorage for SoaCloud {
-    fn format(&self) -> StorageFormat {
-        StorageFormat::SoaF32
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn sh_degree(&self) -> usize {
-        self.degree
-    }
-
-    fn get(&self, id: u32) -> Option<Gaussian> {
-        let j = neo_math::num::usize_from_u32(id);
-        (j < self.len).then(|| self.decode(j))
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
-        // IDs are `u32` by the storage API contract: a cloud with more
-        // than u32::MAX splats is unaddressable through `get` as well,
-        // so clamping the range end to u32::MAX loses nothing.
-        self.visit_range(0, u32::try_from(self.len).unwrap_or(u32::MAX), f);
-    }
-
-    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &Gaussian)) {
-        let cap = u32::try_from(self.len).unwrap_or(u32::MAX);
-        let lo = neo_math::num::usize_from_u32(start.min(cap));
-        let hi = neo_math::num::usize_from_u32(end.min(cap)).max(lo);
-        // Plane-streaming fast path: one scratch record per *range*.
-        // Only the `n` active SH coefficients are rewritten per splat;
-        // the zero padding above them is written once here and persists
-        // across the whole range, instead of `decode` re-copying all
-        // MAX_COEFFS coefficients per splat. Values are bit-identical
-        // to `decode` (same plane reads, same indexing).
-        let n = basis_count(self.degree).min(MAX_COEFFS);
-        let mut scratch = Gaussian {
-            mean: Vec3::ZERO,
-            scale: Vec3::ONE,
-            rotation: Quat::IDENTITY,
-            opacity: 0.0,
-            sh: ShCoefficients {
-                coeffs: [[0.0; MAX_COEFFS]; 3],
-                degree: self.degree,
-            },
-        };
-        for (id, j) in (start..).zip(lo..hi) {
-            scratch.mean = Vec3::new(self.mean[0][j], self.mean[1][j], self.mean[2][j]);
-            scratch.scale = Vec3::new(self.scale[0][j], self.scale[1][j], self.scale[2][j]);
-            scratch.rotation = Quat::new(
-                self.rot[0][j],
-                self.rot[1][j],
-                self.rot[2][j],
-                self.rot[3][j],
-            );
-            scratch.opacity = self.opacity[j];
-            for (c, coeffs_c) in scratch.sh.coeffs.iter_mut().enumerate() {
-                for (i, coeff) in coeffs_c.iter_mut().enumerate().take(n) {
-                    *coeff = self.sh[(c * n + i) * self.len + j];
-                }
-            }
-            f(id, &scratch);
-        }
-    }
-}
-
 /// Quantized planar splat storage: f16 means/scales/SH coefficients,
 /// `u8` opacity, smallest-three packed quaternions.
 ///
@@ -558,8 +402,8 @@ impl CloudStorage for CompactCloud {
     }
 
     fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
-        // See `SoaCloud::visit`: the id/index zip ends at the last
-        // u32-addressable record instead of wrapping.
+        // IDs are `u32` by the storage API contract, so the id/index zip
+        // ends at the last u32-addressable record instead of wrapping.
         for (id, j) in (0u32..=u32::MAX).zip(0..self.len) {
             let g = self.decode(j);
             f(id, &g);
@@ -582,28 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_roundtrip_is_exact() {
-        for degree in 0..=3 {
-            let cloud = test_cloud(degree);
-            let soa = SoaCloud::from_cloud(&cloud);
-            assert_eq!(soa.format(), StorageFormat::SoaF32);
-            assert_eq!(CloudStorage::len(&soa), cloud.len());
-            assert_eq!(soa.sh_degree(), degree);
-            assert_eq!(soa.to_cloud(), cloud, "degree {degree}");
-            assert_eq!(
-                CloudStorage::get(&soa, 3).unwrap(),
-                *GaussianCloud::get(&cloud, 3).unwrap()
-            );
-            assert!(CloudStorage::get(&soa, cloud.len() as u32).is_none());
-        }
-    }
-
-    #[test]
     fn record_bytes_match_layouts() {
         let cloud = test_cloud(1);
         // degree 1: 4 coefficients per channel.
         assert_eq!(CloudStorage::record_bytes(&cloud), 44 + 12 * 4);
-        assert_eq!(SoaCloud::from_cloud(&cloud).record_bytes(), 44 + 12 * 4);
         assert_eq!(CompactCloud::from_cloud(&cloud).record_bytes(), 17 + 6 * 4);
         // Compact must be at least 2× smaller at every degree.
         for d in 0..=3 {
@@ -690,17 +516,26 @@ mod tests {
         hi.sh.degree = 3;
         hi.sh.coeffs[1][12] = 0.25;
         cloud.push(hi.clone());
-        for storage in [
-            Box::new(SoaCloud::from_cloud(&cloud)) as Box<dyn CloudStorage>,
-            Box::new(CompactCloud::from_cloud(&cloud)),
-        ] {
-            assert_eq!(storage.sh_degree(), 3);
+        let compact = CompactCloud::from_cloud(&cloud);
+        let backends: [&dyn CloudStorage; 2] = [&cloud, &compact];
+        for storage in backends {
+            // Every record is charged at the max degree, although the
+            // first splat is degree 0.
+            let name = storage.format().name();
+            assert_eq!(storage.sh_degree(), 3, "{name}");
+            assert_eq!(
+                storage.record_bytes(),
+                storage.format().record_bytes(3),
+                "{name}"
+            );
             let back = storage.to_cloud();
             // The high-degree coefficient survives.
             let last = &back.gaussians()[cloud.len() - 1];
-            assert!((last.sh.coeffs[1][12] - 0.25).abs() < 1e-3);
-            assert!(back.gaussians().iter().all(|g| g.sh.degree == 3));
+            assert!((last.sh.coeffs[1][12] - 0.25).abs() < 1e-3, "{name}");
         }
+        // The planes store every record at the homogenized degree.
+        let back = compact.to_cloud();
+        assert!(back.gaussians().iter().all(|g| g.sh.degree == 3));
     }
 
     #[test]
@@ -708,7 +543,7 @@ mod tests {
         let cloud = test_cloud(1);
         let dyn_store: &dyn CloudStorage = &cloud;
         assert_eq!(dyn_store.format(), StorageFormat::AosF32);
-        assert_eq!(dyn_store.record_bytes(), cloud.feature_record_bytes());
+        assert_eq!(dyn_store.record_bytes(), 44 + 12 * 4);
         let mut n = 0;
         dyn_store.visit(&mut |id, g| {
             assert_eq!(g, &cloud.gaussians()[id as usize]);
@@ -721,9 +556,8 @@ mod tests {
     #[test]
     fn visit_range_matches_visit_on_every_backend() {
         let cloud = test_cloud(2);
-        let backends: [Box<dyn CloudStorage>; 3] = [
+        let backends: [Box<dyn CloudStorage>; 2] = [
             Box::new(cloud.clone()),
-            Box::new(SoaCloud::from_cloud(&cloud)),
             Box::new(CompactCloud::from_cloud(&cloud)),
         ];
         for storage in &backends {
@@ -753,24 +587,16 @@ mod tests {
     }
 
     #[test]
-    fn soa_visit_range_streams_bit_identically() {
-        // The streaming scratch path must reproduce `get` exactly,
-        // including the zero padding above the active SH degree.
-        let cloud = test_cloud(1);
-        let soa = SoaCloud::from_cloud(&cloud);
-        soa.visit_range(0, u32::try_from(soa.len()).unwrap(), &mut |id, g| {
-            let decoded = CloudStorage::get(&soa, id).unwrap();
-            assert_eq!(g, &decoded);
-            assert!(g.sh.coeffs[0][15] == 0.0 || g.sh.degree == 3);
-        });
-    }
-
-    #[test]
     fn format_tags_roundtrip() {
+        // The tags are on the wire: renumbering one breaks stored blobs.
+        assert_eq!(StorageFormat::AosF32.tag(), 0);
+        assert_eq!(StorageFormat::Compact.tag(), 2);
         for f in StorageFormat::ALL {
             assert_eq!(StorageFormat::from_tag(f.tag()), Some(f));
             assert!(!f.name().is_empty());
         }
-        assert_eq!(StorageFormat::from_tag(7), None);
+        for unassigned in [1, 3, 7] {
+            assert_eq!(StorageFormat::from_tag(unassigned), None);
+        }
     }
 }

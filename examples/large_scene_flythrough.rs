@@ -40,6 +40,8 @@ fn main() -> Result<(), NeoError> {
         .build()?;
     println!("sorting strategy: {}", engine.strategy_name());
     let cloud = std::sync::Arc::clone(engine.scene());
+    // Bytes per feature record, at the cloud's max SH degree.
+    let feature_bytes = engine.storage().record_bytes() as u64;
     let sampler = FrameSampler::new(scene.trajectory(), 30.0, Resolution::Qhd);
     let mut session = engine.session();
     let device = NeoDevice::paper_default();
@@ -67,7 +69,7 @@ fn main() -> Result<(), NeoError> {
             outgoing: s(fr.outgoing),
             table_entries: (fr.total_table_entries() as f64 * inv).round() as u64,
             blend_ops: (2560.0 * 1440.0 * neo_sim::BLEND_OVERDRAW) as u64,
-            feature_bytes: cloud.feature_record_bytes() as u64,
+            feature_bytes,
         };
         let fps = device.simulate_frame(&w).fps();
         println!(

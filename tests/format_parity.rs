@@ -1,17 +1,17 @@
-//! Cross-format parity suite: the planar SoA backend must render
-//! byte-identically to the default f32 AoS backend under every sorting
-//! strategy and thread count, the compact quantized backend must clear
-//! the pinned PSNR floor, and the NEOG codec must round-trip every
-//! storage format across SH degrees 0–3 — including subnormal and
-//! extreme coefficient values.
+//! Cross-format parity suite: the compact quantized backend must clear
+//! the pinned PSNR floor against the default f32 AoS backend, the NEOG
+//! codec must round-trip both storage formats across SH degrees 0–3 —
+//! including subnormal and extreme coefficient values — and every
+//! in-memory backend must charge the ledger the record size its wire
+//! format stores.
 
 use neo_core::{RenderEngine, RendererConfig, StorageFormat, StrategyKind};
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 use neo_metrics::psnr;
 use neo_scene::{
-    io, presets::ScenePreset, CompactCloud, FrameSampler, Gaussian, GaussianCloud, Resolution,
-    SoaCloud,
+    io, presets::ScenePreset, CloudStorage, CompactCloud, FrameSampler, Gaussian, GaussianCloud,
+    Resolution,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -32,67 +32,31 @@ fn test_sampler() -> FrameSampler {
     )
 }
 
-fn render_frames(
-    cloud: &Arc<GaussianCloud>,
-    format: StorageFormat,
-    kind: StrategyKind,
-    threads: u32,
-    frames: usize,
-) -> Vec<neo_core::FrameResult> {
+/// The first three frames of the Family trajectory under Neo's
+/// reuse-and-update sort.
+fn render_frames(cloud: &Arc<GaussianCloud>, format: StorageFormat) -> Vec<neo_core::FrameResult> {
     let engine = RenderEngine::builder()
         .scene(Arc::clone(cloud))
         .config(
             RendererConfig::default()
                 .with_tile_size(32)
-                .with_threads(threads)
                 .with_storage(format),
         )
-        .strategy(kind)
+        .strategy(StrategyKind::ReuseUpdate)
         .build()
         .expect("valid test configuration");
     let sampler = test_sampler();
     let mut session = engine.session();
-    (0..frames)
+    (0..3)
         .map(|i| session.render_frame(&sampler.frame(i)).expect("camera"))
         .collect()
 }
 
 #[test]
-fn soa_is_byte_identical_to_aos_across_strategies_and_threads() {
-    let cloud = test_scene();
-    let strategies = [
-        StrategyKind::FullResort,
-        StrategyKind::Hierarchical,
-        StrategyKind::Periodic(3),
-        StrategyKind::Background(2),
-        StrategyKind::ReuseUpdate,
-    ];
-    for kind in strategies {
-        for threads in [1, 4] {
-            let aos = render_frames(&cloud, StorageFormat::AosF32, kind, threads, 3);
-            let soa = render_frames(&cloud, StorageFormat::SoaF32, kind, threads, 3);
-            assert_eq!(aos, soa, "SoA diverged: {kind:?}, {threads} thread(s)");
-        }
-    }
-}
-
-#[test]
 fn compact_render_clears_the_psnr_floor() {
     let cloud = test_scene();
-    let aos = render_frames(
-        &cloud,
-        StorageFormat::AosF32,
-        StrategyKind::ReuseUpdate,
-        1,
-        3,
-    );
-    let compact = render_frames(
-        &cloud,
-        StorageFormat::Compact,
-        StrategyKind::ReuseUpdate,
-        1,
-        3,
-    );
+    let aos = render_frames(&cloud, StorageFormat::AosF32);
+    let compact = render_frames(&cloud, StorageFormat::Compact);
     for (i, (a, c)) in aos.iter().zip(&compact).enumerate() {
         let q = psnr(
             a.image.as_ref().expect("image enabled"),
@@ -150,7 +114,7 @@ fn arb_gaussian_with_degree() -> impl Strategy<Value = Gaussian> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// v1 and v2-SoA encodings are lossless for any valid cloud at any
+    /// The v1 (AoS f32) encoding is lossless for any valid cloud at any
     /// mix of SH degrees (records homogenize to the cloud max degree
     /// with zero padding, which `eval` ignores).
     #[test]
@@ -176,11 +140,6 @@ proptest! {
                 }
             }
         }
-
-        let v2 = io::try_encode_cloud_as(&cloud, StorageFormat::SoaF32).expect("encode v2 SoA");
-        let stored = io::decode_storage(&v2).expect("decode v2 SoA");
-        prop_assert_eq!(stored.format(), StorageFormat::SoaF32);
-        prop_assert_eq!(stored.into_cloud(), back);
     }
 
     /// The compact backend is quantize-once: serializing and decoding a
@@ -219,30 +178,28 @@ proptest! {
         }
     }
 
-    /// In-memory storage backends agree with the codec: building a
-    /// `SoaCloud`/`CompactCloud` directly matches encode→decode through
-    /// the wire format.
+    /// In-memory storage backends agree with the codec: each charges
+    /// the ledger exactly the record size its wire format stores (the
+    /// max SH degree, on mixed-degree clouds too), and building a
+    /// `CompactCloud` directly matches encode→decode through the wire
+    /// format.
     #[test]
     fn storage_backends_match_the_codec(
         gaussians in prop::collection::vec(arb_gaussian_with_degree(), 1..16),
     ) {
         let cloud = GaussianCloud::from_gaussians(gaussians);
-
-        let soa = SoaCloud::from_cloud(&cloud);
-        let via_codec = io::decode_storage(
-            &io::try_encode_cloud_as(&cloud, StorageFormat::SoaF32).expect("encode"),
-        )
-        .expect("decode");
-        prop_assert_eq!(neo_scene::CloudStorage::to_cloud(&soa), via_codec.into_cloud());
-
         let compact = CompactCloud::from_cloud(&cloud);
+        // Header bytes: magic, version, count and degree, plus v2's
+        // format byte.
+        for (storage, header) in [(&cloud as &dyn CloudStorage, 13), (&compact, 14)] {
+            let bytes = io::try_encode_cloud_as(&cloud, storage.format()).expect("encode");
+            prop_assert_eq!(bytes.len(), header + cloud.len() * storage.record_bytes());
+        }
+
         let via_codec = io::decode_storage(
             &io::try_encode_cloud_as(&cloud, StorageFormat::Compact).expect("encode"),
         )
         .expect("decode");
-        prop_assert_eq!(
-            neo_scene::CloudStorage::to_cloud(&compact),
-            via_codec.into_cloud()
-        );
+        prop_assert_eq!(compact.to_cloud(), via_codec.into_cloud());
     }
 }

@@ -37,7 +37,7 @@ fn arb_image(w: u32, h: u32) -> impl Strategy<Value = Image> {
 }
 
 /// Seed corpus of the `NEOG` fuzzer: a small synthetic cloud at SH
-/// degrees 0–3, encoded as v1 AoS and as v2 SoA and compact. Mutating
+/// degrees 0–3, encoded as v1 AoS and as v2 compact. Mutating
 /// well-formed blobs reaches the decoder's record paths far more often
 /// than uniform noise would.
 fn neog_seeds() -> &'static [(StorageFormat, Vec<u8>)] {
@@ -52,11 +52,7 @@ fn neog_seeds() -> &'static [(StorageFormat, Vec<u8>)] {
                 ..SynthParams::default()
             }
             .build();
-            for format in [
-                StorageFormat::AosF32,
-                StorageFormat::SoaF32,
-                StorageFormat::Compact,
-            ] {
+            for format in StorageFormat::ALL {
                 let blob = io::try_encode_cloud_as(&cloud, format).expect("seed encodes");
                 seeds.push((format, blob));
             }
@@ -70,7 +66,7 @@ fn neog_seeds() -> &'static [(StorageFormat, Vec<u8>)] {
 fn neog_header(format: StorageFormat) -> usize {
     match format {
         StorageFormat::AosF32 => 13,
-        StorageFormat::SoaF32 | StorageFormat::Compact => 14,
+        StorageFormat::Compact => 14,
     }
 }
 
@@ -121,7 +117,11 @@ fn mutate_neog(blob: &mut Vec<u8>, format: StorageFormat, kind: u8, a: u32, b: u
         }
         // Overwrite the degree field, in range or not.
         5 if blob.len() > count_at + 4 => {
-            blob[count_at + 4] = if b.is_multiple_of(2) { (b % 5) as u8 } else { b as u8 };
+            blob[count_at + 4] = if b.is_multiple_of(2) {
+                (b % 5) as u8
+            } else {
+                b as u8
+            };
         }
         _ => {}
     }
@@ -150,7 +150,8 @@ proptest! {
     /// to splats that uphold `Gaussian::is_valid`.
     #[test]
     fn mutated_neog_blobs_decode_to_valid_clouds_or_errors(
-        seed in 0usize..12,
+        // One seed per SH degree 0–3 and storage format.
+        seed in 0usize..8,
         ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..8),
         fit in any::<bool>(),
     ) {

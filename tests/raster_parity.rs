@@ -86,7 +86,7 @@ fn fast_path_matches_legacy_for_all_strategies_subtiling_and_threads() {
             for threads in [1usize, 4] {
                 let mut fast_cfg = RendererConfig::default().with_tile_size(16);
                 fast_cfg.subtiling = subtiling;
-                let legacy_cfg = fast_cfg.clone().without_raster_fast_path();
+                let legacy_cfg = fast_cfg.clone().with_raster_fast_path(false);
                 let plan = ShardPlan::balanced(threads);
                 let fast = render(&scene, kind, fast_cfg, &plan);
                 let legacy = render(&scene, kind, legacy_cfg, &plan);
@@ -202,7 +202,7 @@ proptest! {
         let cfg = RendererConfig::default().with_tile_size(tile_size);
         let plan = ShardPlan::balanced(threads);
         let fast = render(&scene, kind, cfg.clone(), &plan);
-        let legacy = render(&scene, kind, cfg.without_raster_fast_path(), &plan);
+        let legacy = render(&scene, kind, cfg.with_raster_fast_path(false), &plan);
         for (i, (f, l)) in fast.iter().zip(&legacy).enumerate() {
             prop_assert!(f.stats.pixel_visits <= l.stats.pixel_visits);
             let mut f = f.clone();
