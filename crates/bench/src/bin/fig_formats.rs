@@ -2,11 +2,15 @@
 //! (baseline) vs the compact quantized format (f16 means/scales/SH, u8
 //! opacity, smallest-three packed quaternions).
 //!
-//! Per format: wall-clock per frame, per-frame splat-read DRAM bytes
-//! (feature-extraction reads + rasterization feature fetches from the
-//! traffic ledger), and PSNR against the f32 baseline. Shape check: the
-//! compact format must cut splat-read bytes at least 2x while staying at
-//! or above 35 dB PSNR.
+//! Per format: per-frame splat-read DRAM bytes (feature-extraction
+//! reads plus rasterization feature fetches, from the traffic ledger)
+//! and PSNR against the f32 baseline. Shape check: the compact format
+//! must cut splat-read bytes at least 2x while staying at or above 35 dB
+//! PSNR.
+//!
+//! Nothing here is timed: a format's run-to-run spread over a few
+//! back-to-back frames is wider than the gap between formats. Wall-clock
+//! comparisons belong to the repository benchmark (`perfbench/`).
 //!
 //! Writes `results/fig_formats.json`.
 //!
@@ -18,7 +22,6 @@ use neo_metrics::psnr;
 use neo_pipeline::Stage;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use std::sync::Arc;
-use std::time::Instant;
 
 const FRAMES: usize = 16;
 const PSNR_FLOOR_DB: f64 = 35.0;
@@ -41,7 +44,7 @@ fn main() {
         cloud.max_sh_degree(),
     );
 
-    let render = |format: StorageFormat| -> (Vec<FrameResult>, f64) {
+    let render = |format: StorageFormat| -> Vec<FrameResult> {
         let engine = RenderEngine::builder()
             .scene(Arc::clone(&cloud))
             .config(
@@ -52,20 +55,13 @@ fn main() {
             .build()
             .expect("figure configuration is valid");
         let mut session = engine.session();
-        // Warm per-tile tables and scratch outside the timed loop.
-        session
-            .render_frame(&sampler.frame(0))
-            .expect("trajectory camera");
-        let start = Instant::now();
-        let frames: Vec<FrameResult> = (1..=FRAMES)
+        (0..FRAMES)
             .map(|i| session.render_frame(&sampler.frame(i)).expect("camera"))
-            .collect();
-        let ms_per_frame = start.elapsed().as_secs_f64() * 1e3 / FRAMES as f64;
-        (frames, ms_per_frame)
+            .collect()
     };
 
-    let (aos_frames, aos_ms) = render(StorageFormat::AosF32);
-    let (compact_frames, compact_ms) = render(StorageFormat::Compact);
+    let aos_frames = render(StorageFormat::AosF32);
+    let compact_frames = render(StorageFormat::Compact);
 
     let mean_bytes = |frames: &[FrameResult]| -> u64 {
         frames.iter().map(splat_read_bytes).sum::<u64>() / frames.len() as u64
@@ -88,27 +84,15 @@ fn main() {
     let compact_psnr = min_psnr(&compact_frames);
     let cut = aos_bytes as f64 / compact_bytes.max(1) as f64;
 
-    let mut table = TextTable::new([
-        "storage",
-        "record B",
-        "ms/frame",
-        "splat-read/frame",
-        "min PSNR dB",
-    ]);
+    let mut table = TextTable::new(["storage", "record B", "splat-read/frame", "min PSNR dB"]);
     let degree = cloud.max_sh_degree();
-    for (format, ms, bytes, q) in [
-        (StorageFormat::AosF32, aos_ms, aos_bytes, f64::INFINITY),
-        (
-            StorageFormat::Compact,
-            compact_ms,
-            compact_bytes,
-            compact_psnr,
-        ),
+    for (format, bytes, q) in [
+        (StorageFormat::AosF32, aos_bytes, f64::INFINITY),
+        (StorageFormat::Compact, compact_bytes, compact_psnr),
     ] {
         table.row([
             format.name().to_string(),
             format.record_bytes(degree).to_string(),
-            format!("{ms:.2}"),
             format!("{:.2} MB", bytes as f64 / 1e6),
             if q.is_finite() {
                 format!("{q:.1}")
@@ -140,7 +124,6 @@ fn main() {
         "splat_read_bytes_per_frame",
         vec![aos_bytes as f64, compact_bytes as f64],
     );
-    record.push_series("ms_per_frame", vec![aos_ms, compact_ms]);
     record.push_series(
         "record_bytes",
         StorageFormat::ALL

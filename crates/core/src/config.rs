@@ -104,7 +104,9 @@ pub struct RendererConfig {
     /// every per-tile strategy is wrapped in a
     /// [`neo_sort::WarmStartSorter`] that carries the previous frame's
     /// order across frames and repairs it instead of re-sorting. See
-    /// [`RendererConfig::with_temporal_cache`].
+    /// [`RendererConfig::with_temporal_cache`]. The repository
+    /// benchmark's replay (`perfbench/`) reads this field to refuse
+    /// cached engines, so it must stay a public field.
     pub temporal_cache: Option<WarmStartConfig>,
     /// Splat storage backend (default [`StorageFormat::AosF32`]): how the
     /// engine lays out the scene's feature records, and therefore how
@@ -117,9 +119,8 @@ pub struct RendererConfig {
     /// walk, byte-identical to the pre-index renderer — pinned by
     /// `tests/lod_parity.rs`). When set, the engine builds a
     /// [`neo_scene::ClusteredCloud`] over the scene at build time and
-    /// each frame culls whole clusters, substitutes merged proxies for
-    /// sub-threshold-footprint clusters, and invalidates the warm-start
-    /// cache at cluster granularity. See [`RendererConfig::with_lod`].
+    /// each frame culls whole clusters and substitutes merged proxies for
+    /// sub-threshold-footprint clusters. See [`RendererConfig::with_lod`].
     pub lod: Option<LodConfig>,
 }
 
@@ -294,8 +295,11 @@ impl RendererConfig {
     /// per cluster) and, each frame, rejects whole clusters with a
     /// conservative frustum test, renders clusters whose screen
     /// footprint falls below `config.proxy_footprint_px` from their
-    /// merged proxy splats, and invalidates the warm-start cache of any
-    /// tile whose clusters flipped between proxy and member rendering.
+    /// merged proxy splats. The frame is then binned and sorted exactly
+    /// like a flat one; a warm-start cache
+    /// ([`RendererConfig::with_temporal_cache`]) sees a cluster that
+    /// flips between proxy and member rendering as departed and arrived
+    /// IDs, like any other change of a tile's population.
     ///
     /// Off by default. With `proxy_footprint_px == 0` the LOD path only
     /// culls — output stays byte-identical to the flat walk; with a

@@ -46,9 +46,8 @@ use crate::{
     TileLoad,
 };
 use neo_pipeline::{
-    bin_to_tiles, bin_to_tiles_with_clusters, project_clusters, project_storage, ClusterProjection,
-    FrameStats, Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid,
-    TileRasterStats, TrafficLedger,
+    bin_to_tiles, project_clusters, project_storage, FrameStats, Image, ProjectedGaussian,
+    RenderConfig, ShardScratch, Stage, TileGrid, TileRasterStats, TrafficLedger,
 };
 use neo_scene::{
     Camera, CloudStorage, ClusterParams, ClusteredCloud, CompactCloud, FrameSampler, GaussianCloud,
@@ -119,11 +118,6 @@ impl std::fmt::Debug for StrategyFactory {
 struct TileStrategy {
     strategy: Box<dyn SortingStrategy>,
     next_frame: u64,
-    /// Cluster tags (`(cluster << 1) | proxy_bit`, sorted, deduped) seen
-    /// in this tile on the previous LOD-path frame. Empty when the LOD
-    /// path is off — the flat path never touches it, preserving the
-    /// byte-exact legacy behaviour.
-    prev_tags: Vec<u32>,
 }
 
 /// The [`RenderSession`] `by_id` entry of an ID with no projected splat
@@ -140,31 +134,6 @@ struct ShardContext<'a> {
     raster_cfg: &'a RenderConfig,
     render_image: bool,
     feature_bytes: u64,
-    /// Per-tile cluster-tag sets from [`bin_to_tiles_with_clusters`];
-    /// `None` on the flat (LOD-off) path.
-    tile_tags: Option<&'a [Vec<u32>]>,
-}
-
-/// Whether any cluster present in both tag sets flipped between proxy
-/// and member rendering. Both inputs are sorted ascending and hold at
-/// most one tag per cluster (a cluster renders one way per frame), so a
-/// two-pointer sweep on the cluster index (`tag >> 1`) suffices.
-fn lod_tags_flipped(prev: &[u32], cur: &[u32]) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < prev.len() && j < cur.len() {
-        match (prev[i] >> 1).cmp(&(cur[j] >> 1)) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if prev[i] != cur[j] {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    false
 }
 
 /// One worker's frame contribution, merged on the main thread in shard
@@ -211,19 +180,6 @@ fn run_shard(
         let slot = sorters[tile_index - base]
             .as_mut()
             .expect("strategies are pre-created in tile order before sharding");
-        if let Some(all_tags) = ctx.tile_tags {
-            // Cluster-granular invalidation: a cluster that flipped
-            // between proxy and member rendering replaces its splats
-            // wholesale (different IDs), so the warm cache is doomed —
-            // skip the warm attempt instead of letting it fall back.
-            // Tag state is tile-local, hence shard-invariant.
-            let cur = &all_tags[tile_index];
-            if lod_tags_flipped(&slot.prev_tags, cur) {
-                slot.strategy.invalidate_cache();
-            }
-            slot.prev_tags.clear();
-            slot.prev_tags.extend_from_slice(cur);
-        }
         let frame = slot.next_frame;
         slot.next_frame += 1;
         slot.strategy.begin_frame(frame);
@@ -299,39 +255,18 @@ impl RenderSession {
         // Projection: through the cluster index when the LOD path is on
         // (whole-cluster culling, proxy substitution, member streaming), the
         // flat storage walk otherwise — the latter byte-exactly preserves
-        // the pre-index renderer, which `tests/lod_parity.rs` pins.
+        // the pre-index renderer, which `tests/lod_parity.rs` pins. Both
+        // bin the same way: a tile's sorter tracks its own population, so
+        // LOD frames need no cluster-level signal downstream.
         let lod = config.lod.as_ref().zip(lod_index);
-        let (projected, assignments, tile_tags, cluster_stats) = match lod {
+        let (projected, clusters) = match lod {
             Some((lod_cfg, index)) => {
-                let ClusterProjection {
-                    projected,
-                    tags,
-                    clusters_total,
-                    clusters_culled,
-                    clusters_proxied,
-                    splats_saved,
-                    splats_visited,
-                } = project_clusters(cam, storage, index, lod_cfg);
-                let (assignments, tile_tags) = bin_to_tiles_with_clusters(&grid, &projected, &tags);
-                (
-                    projected,
-                    assignments,
-                    Some(tile_tags),
-                    Some((
-                        clusters_total,
-                        clusters_culled,
-                        clusters_proxied,
-                        splats_saved,
-                        splats_visited,
-                    )),
-                )
+                let mut cp = project_clusters(cam, storage, index, lod_cfg);
+                (std::mem::take(&mut cp.projected), Some(cp))
             }
-            None => {
-                let projected = project_storage(cam, storage);
-                let assignments = bin_to_tiles(&grid, &projected);
-                (projected, assignments, None, None)
-            }
+            None => (project_storage(cam, storage), None),
         };
+        let assignments = bin_to_tiles(&grid, &projected);
 
         // ID → projected-splat lookup for the rasterizer's gather, so only
         // frames with an image need it. Proxy splats live in the ID range
@@ -378,13 +313,13 @@ impl RenderSession {
         // proxies) are charged — that is the traffic the index exists to
         // cut; the flat walk touches every record, exactly as before.
         let feature_bytes = self.feature_bytes;
-        let records_read = match cluster_stats {
-            Some((total, culled, proxied, saved, visited)) => {
-                stats.clusters_total = total;
-                stats.clusters_culled = culled;
-                stats.clusters_lod = proxied;
-                stats.lod_splats_saved = saved;
-                visited
+        let records_read = match &clusters {
+            Some(cp) => {
+                stats.clusters_total = cp.clusters_total;
+                stats.clusters_culled = cp.clusters_culled;
+                stats.clusters_lod = cp.clusters_proxied;
+                stats.lod_splats_saved = cp.splats_saved;
+                cp.splats_visited
             }
             None => neo_math::num::u64_from_usize(storage.len()),
         };
@@ -405,7 +340,6 @@ impl RenderSession {
             raster_cfg: &raster_cfg,
             render_image: config.render_image,
             feature_bytes,
-            tile_tags: tile_tags.as_deref(),
         };
 
         // Strategy creation happens here, on the calling thread, in tile
@@ -417,7 +351,6 @@ impl RenderSession {
             self.sorters[tile_index].get_or_insert_with(|| TileStrategy {
                 strategy: self.factory.create(),
                 next_frame: 0,
-                prev_tags: Vec::new(),
             });
         }
 

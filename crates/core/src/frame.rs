@@ -130,7 +130,8 @@ impl FrameResult {
         if self.tile_loads.is_empty() {
             0.0
         } else {
-            // Indexed loop: the summation order is explicit (r10).
+            // Indexed loop: the summation order is explicit
+            // (ARCHITECTURE.md § "Determinism contract", clause 3).
             let mut total = 0.0f64;
             for i in 0..self.tile_loads.len() {
                 total += f64::from(self.tile_loads[i].table_len);

@@ -38,8 +38,8 @@ use neo_pipeline::Image;
 pub fn mse(a: &Image, b: &Image) -> f64 {
     assert_dims(a, b);
     let (pa, pb) = (a.pixels(), b.pixels());
-    // Indexed loop: the summation order is explicit (r10), pixel 0
-    // first — the exact order the old iterator fold used.
+    // Indexed loop: the summation order is explicit, pixel 0 first
+    // (ARCHITECTURE.md § "Determinism contract", clause 3).
     let mut sum = 0.0f64;
     for i in 0..pa.len() {
         let d = pa[i] - pb[i];

@@ -182,10 +182,10 @@ pub fn bin_to_tiles(grid: &TileGrid, projected: &[ProjectedGaussian]) -> TileAss
 /// (`(cluster_index << 1) | proxy_bit`, as produced by
 /// [`crate::project_clusters`]) whose splats landed in that tile.
 ///
-/// The warm-start cache diffs these sets between frames: a cluster
-/// whose tag flips (proxy ↔ members) changes the tile's splat
-/// population wholesale, so the sorter invalidates at cluster
-/// granularity instead of re-deriving it from per-ID diffs.
+/// The renderer bins LOD frames with [`bin_to_tiles`] and reads no
+/// tags. This function stays only because the repository benchmark
+/// (`perfbench/`) still calls it; it goes with the benchmark's next
+/// change.
 ///
 /// `tags` must be parallel to `projected` (same length).
 ///

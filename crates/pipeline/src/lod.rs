@@ -91,10 +91,9 @@ pub struct ClusterProjection {
     /// proxy IDs — `source_len() + proxy_index` — after them).
     pub projected: Vec<ProjectedGaussian>,
     /// Per-splat cluster tag, parallel to `projected`:
-    /// `(cluster_index << 1) | proxy_bit`. The tag feeds cluster-granular
-    /// warm-start invalidation — a cluster flipping between member and
-    /// proxy rendering changes its tag, which downstream binning exposes
-    /// per tile.
+    /// `(cluster_index << 1) | proxy_bit`. The renderer reads none; the
+    /// field stays only because the repository benchmark (`perfbench/`)
+    /// still bins with it, and goes with the benchmark's next change.
     pub tags: Vec<u32>,
     /// Clusters in the index.
     pub clusters_total: u64,
@@ -204,7 +203,7 @@ pub fn project_clusters(
 ) -> ClusterProjection {
     let ctx = ProjectionContext::new(cam);
     let proxy_base = index.source_len();
-    let substitution = cfg.proxy_footprint_px > 0.0 && !index.is_degenerate();
+    let substitution = cfg.proxy_footprint_px > 0.0;
 
     let mut projected: Vec<ProjectedGaussian> = Vec::new();
     let mut tags: Vec<u32> = Vec::new();
@@ -306,7 +305,7 @@ mod tests {
     use super::*;
     use crate::culling::in_frustum;
     use crate::projection::project_storage;
-    use neo_scene::synth::{CityParams, SynthParams};
+    use neo_scene::synth::CityParams;
     use neo_scene::{ClusterParams, CompactCloud, Resolution};
 
     fn city() -> neo_scene::GaussianCloud {
@@ -356,20 +355,6 @@ mod tests {
         let clustered = project_clusters(&cam, &compact, &idx, &cull_only());
         assert_eq!(clustered.projected, project_storage(&cam, &compact));
         assert!(clustered.clusters_culled > 0, "street cam should cull");
-    }
-
-    #[test]
-    fn degenerate_index_is_flat_path() {
-        let cloud = SynthParams {
-            gaussian_count: 500,
-            ..Default::default()
-        }
-        .build();
-        let idx = ClusteredCloud::degenerate(&cloud);
-        let cam = street_cam(6.0);
-        let out = project_clusters(&cam, &cloud, &idx, &LodConfig::default());
-        assert_eq!(out.projected, project_storage(&cam, &cloud));
-        assert!(out.tags.iter().all(|&t| t == 0));
     }
 
     #[test]

@@ -189,8 +189,7 @@ pub(crate) fn project_in(
 ///
 /// Output order matches storage order (IDs ascending), which downstream
 /// stages rely on for deterministic binning. A plain `&GaussianCloud`
-/// coerces; the planar backend stores the same f32 bits, so it projects
-/// bit-identically to it.
+/// coerces.
 pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
     let ctx = ProjectionContext::new(cam);
     let mut out = Vec::new();

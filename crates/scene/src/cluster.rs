@@ -124,15 +124,12 @@ impl Cluster {
 ///
 /// Built once per scene (or on scene upload) by [`ClusteredCloud::build`];
 /// the renderer consults it every frame for whole-cluster frustum
-/// culling and footprint-driven proxy substitution. The 1-cluster
-/// [`ClusteredCloud::degenerate`] form reproduces the flat pipeline
-/// byte-for-byte and anchors the parity suite.
+/// culling and footprint-driven proxy substitution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusteredCloud {
     clusters: Vec<Cluster>,
     proxies: Vec<Gaussian>,
     source_len: u32,
-    degenerate: bool,
     /// New ID → original ID, set by [`ClusteredCloud::renumber`].
     source_ids: Option<Vec<u32>>,
 }
@@ -247,42 +244,6 @@ impl ClusteredCloud {
             clusters,
             proxies,
             source_len,
-            degenerate: false,
-            source_ids: None,
-        }
-    }
-
-    /// Builds the degenerate 1-cluster index: every splat in a single
-    /// cluster, no proxies. Projection over this index is byte-identical
-    /// to the flat `project_storage` walk — the parity anchor.
-    pub fn degenerate(storage: &dyn CloudStorage) -> Self {
-        let n = storage.len();
-        let Ok(source_len) = u32::try_from(n) else {
-            return Self::empty();
-        };
-        if n == 0 {
-            return Self {
-                degenerate: true,
-                ..Self::empty()
-            };
-        }
-        let mut bounds = Aabb::EMPTY;
-        let mut max_radius = 0.0f32;
-        storage.visit(&mut |_, g| {
-            bounds = bounds.union_point(g.mean);
-            max_radius = max_radius.max(g.bounding_radius());
-        });
-        Self {
-            clusters: vec![Cluster {
-                members: (0..source_len).collect(),
-                bounds,
-                max_radius,
-                proxy_start: 0,
-                proxy_len: 0,
-            }],
-            proxies: Vec::new(),
-            source_len,
-            degenerate: true,
             source_ids: None,
         }
     }
@@ -292,7 +253,6 @@ impl ClusteredCloud {
             clusters: Vec::new(),
             proxies: Vec::new(),
             source_len: 0,
-            degenerate: false,
             source_ids: None,
         }
     }
@@ -302,8 +262,8 @@ impl ClusteredCloud {
     ///
     /// Returns the member order — new ID → source ID — that the storage
     /// the index was built over must be permuted by to match, or `None`
-    /// when that order is the identity (as it is for a degenerate or an
-    /// already renumbered index) and nothing changed. Bounds and proxies
+    /// when that order is the identity (as it is for an already
+    /// renumbered index) and nothing changed. Bounds and proxies
     /// stay as they are (see the module docs); the order is kept as
     /// [`ClusteredCloud::source_ids`].
     pub fn renumber(&mut self) -> Option<&[u32]> {
@@ -329,12 +289,6 @@ impl ClusteredCloud {
     /// member IDs are still the IDs of the storage it was built over.
     pub fn source_ids(&self) -> Option<&[u32]> {
         self.source_ids.as_deref()
-    }
-
-    /// True for indexes built by [`ClusteredCloud::degenerate`] (the
-    /// flat-pipeline parity case).
-    pub fn is_degenerate(&self) -> bool {
-        self.degenerate
     }
 
     /// The clusters, in ascending Morton-key order.
@@ -685,17 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_is_one_flat_cluster() {
-        let cloud = small_cloud();
-        let idx = ClusteredCloud::degenerate(&cloud);
-        assert!(idx.is_degenerate());
-        assert_eq!(idx.cluster_count(), 1);
-        assert_eq!(idx.proxy_count(), 0);
-        assert_eq!(idx.clusters()[0].members().len(), cloud.len());
-        assert_eq!(idx.clusters()[0].members()[0], 0);
-    }
-
-    #[test]
     fn empty_storage_builds_empty_index() {
         let cloud = crate::GaussianCloud::default();
         let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
@@ -766,9 +709,8 @@ mod tests {
         let rebuilt = ClusteredCloud::build(&permuted, ClusterParams::default());
         assert_eq!(rebuilt.clusters(), idx.clusters());
         assert_eq!(rebuilt.proxies(), idx.proxies());
-        // A renumbered (or degenerate) index is already in order.
+        // A renumbered index is already in order.
         assert!(idx.clone().renumber().is_none());
-        assert!(ClusteredCloud::degenerate(&cloud).renumber().is_none());
         assert!(built.source_ids().is_none());
     }
 

@@ -112,21 +112,24 @@ pub trait CloudStorage: std::fmt::Debug + Send + Sync {
     /// Decodes the splat with the given positional ID, if in range.
     fn get(&self, id: u32) -> Option<Gaussian>;
 
-    /// Visits every splat in ID order. The `Gaussian` reference is only
-    /// valid for the duration of the callback (packed backends decode
-    /// into a scratch value).
-    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian));
+    /// Visits every splat in ID order: [`visit_range`] over the whole
+    /// store.
+    ///
+    /// [`visit_range`]: CloudStorage::visit_range
+    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
+        self.visit_range(0, u32::MAX, f);
+    }
 
     /// Visits the splats with IDs in `start..end` (clamped to the store)
     /// in ID order — the chunked access path cluster projection uses for
-    /// consecutive-ID runs.
+    /// consecutive-ID runs. The `Gaussian` reference is only valid for
+    /// the duration of the callback (packed backends decode into a
+    /// scratch value).
     ///
-    /// Must yield exactly the `(id, Gaussian)` pairs [`visit`] would
-    /// yield restricted to the range, bit-identically. The default
-    /// decodes one record per ID via [`get`]; the AoS cloud overrides it
-    /// to lend its records in place.
+    /// Must yield exactly what [`get`] returns for each ID in the range,
+    /// bit-identically. The default decodes one record per ID via
+    /// [`get`]; the AoS cloud overrides it to lend its records in place.
     ///
-    /// [`visit`]: CloudStorage::visit
     /// [`get`]: CloudStorage::get
     fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &Gaussian)) {
         for id in start..end {
@@ -162,12 +165,6 @@ impl CloudStorage for GaussianCloud {
 
     fn get(&self, id: u32) -> Option<Gaussian> {
         GaussianCloud::get(self, id).cloned()
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
-        for (id, g) in self.iter() {
-            f(id, g);
-        }
     }
 
     fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &Gaussian)) {
@@ -400,15 +397,6 @@ impl CloudStorage for CompactCloud {
         let j = neo_math::num::usize_from_u32(id);
         (j < self.len).then(|| self.decode(j))
     }
-
-    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
-        // IDs are `u32` by the storage API contract, so the id/index zip
-        // ends at the last u32-addressable record instead of wrapping.
-        for (id, j) in (0u32..=u32::MAX).zip(0..self.len) {
-            let g = self.decode(j);
-            f(id, &g);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -554,35 +542,39 @@ mod tests {
     }
 
     #[test]
-    fn visit_range_matches_visit_on_every_backend() {
+    fn visit_range_matches_get_on_every_backend() {
         let cloud = test_cloud(2);
         let backends: [Box<dyn CloudStorage>; 2] = [
             Box::new(cloud.clone()),
             Box::new(CompactCloud::from_cloud(&cloud)),
         ];
         for storage in &backends {
-            let mut full: Vec<(u32, Gaussian)> = Vec::new();
-            storage.visit(&mut |id, g| full.push((id, g.clone())));
             let len = u32::try_from(storage.len()).unwrap();
-            for (start, end) in [(0, len), (0, 0), (1, 3), (len - 1, len), (2, 2)] {
+            let ranges = [
+                (0, len),
+                (0, 0),
+                (1, 3),
+                (len - 1, len),
+                (2, 2),
+                (3, 1),
+                (len - 2, len + 100),
+                (len + 5, len + 9),
+                (0, u32::MAX),
+            ];
+            for (start, end) in ranges {
                 let mut ranged: Vec<(u32, Gaussian)> = Vec::new();
                 storage.visit_range(start, end, &mut |id, g| ranged.push((id, g.clone())));
-                let lo = start.min(end) as usize;
-                let hi = end as usize;
+                // Out-of-range ends clamp to the store instead of panicking.
+                let expected: Vec<(u32, Gaussian)> = (start..end.min(len))
+                    .map(|id| (id, storage.get(id).unwrap()))
+                    .collect();
                 assert_eq!(
                     ranged,
-                    full[lo..hi.max(lo)],
+                    expected,
                     "{} range {start}..{end}",
                     storage.format().name()
                 );
             }
-            // Out-of-range ends clamp instead of panicking.
-            let mut clamped: Vec<u32> = Vec::new();
-            storage.visit_range(len - 2, len + 100, &mut |id, _| clamped.push(id));
-            assert_eq!(clamped, vec![len - 2, len - 1]);
-            let mut none = 0;
-            storage.visit_range(len + 5, len + 9, &mut |_, _| none += 1);
-            assert_eq!(none, 0);
         }
     }
 

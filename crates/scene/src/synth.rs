@@ -151,7 +151,7 @@ pub fn generate(params: &SynthParams) -> GaussianCloud {
         .map(|i| 1.0 / (1.0 + i as f32).sqrt())
         .collect();
     // Explicit slice-order accumulation: the summation order is the
-    // storage order, not an iterator adapter's (r10).
+    // storage order (ARCHITECTURE.md § "Determinism contract", clause 3).
     let mut total_weight = 0.0f32;
     for &w in &weights {
         total_weight += w;

@@ -87,16 +87,13 @@ pub trait SortingStrategy: std::fmt::Debug + Send {
         None
     }
 
-    /// Drops any cross-frame cached state, forcing the next frame to be
-    /// computed from scratch.
+    /// A no-op that no strategy overrides and no library code calls.
     ///
-    /// Called by the renderer when it *knows* the tile's population
-    /// changed wholesale — e.g. a cluster in the tile flipped between
-    /// proxy and member rendering under the LOD path — so temporal
-    /// caches skip the doomed warm attempt. Stateless (per-frame)
-    /// strategies need not do anything; the default is a no-op. Must not
-    /// change the strategy's *output* for populations that would have
-    /// gone cold anyway — only its cost/diagnostics may differ.
+    /// Every strategy tracks its tile's population itself (the warm-start
+    /// cache goes cold when retention drops), so the renderer never
+    /// signals a population change. The method stays only because the
+    /// repository benchmark (`perfbench/`) still calls it; it goes with
+    /// the benchmark's next change.
     fn invalidate_cache(&mut self) {}
 }
 

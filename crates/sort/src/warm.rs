@@ -330,13 +330,6 @@ impl SortingStrategy for WarmStartSorter {
             self.inner.table()
         }
     }
-
-    fn invalidate_cache(&mut self) {
-        self.primed = false;
-        self.cache.set_entries(Vec::new());
-        self.cached_ids.clear();
-        self.inner.invalidate_cache();
-    }
 }
 
 #[cfg(test)]
@@ -643,35 +636,6 @@ mod tests {
         drive(&mut s, 0, &frame(&[3, 1], |id| id as f32));
         let t = s.table().expect("primed cache");
         assert_eq!(ids_of(t.entries()), vec![1, 3]);
-    }
-
-    #[test]
-    fn invalidate_cache_forces_cold() {
-        let mut s = warm(StrategyKind::FullResort, WarmStartConfig::default());
-        let ids: Vec<u32> = (0..50).collect();
-        drive(&mut s, 0, &frame(&ids, |id| id as f32));
-        assert!(
-            drive(&mut s, 1, &frame(&ids, |id| id as f32 + 0.1))
-                .reuse
-                .unwrap()
-                .warm
-        );
-        s.invalidate_cache();
-        s.invalidate_cache();
-        // Identical population, but the cache is gone: cold with
-        // retention 0, exact order.
-        let f2 = drive(&mut s, 2, &frame(&ids, |id| id as f32 + 0.2));
-        let r = f2.reuse.unwrap();
-        assert!(!r.warm);
-        assert_eq!(r.retention, 0.0);
-        assert_eq!(ids_of(&f2.order), ids);
-        // The cache re-primes afterwards.
-        assert!(
-            drive(&mut s, 3, &frame(&ids, |id| id as f32 + 0.3))
-                .reuse
-                .unwrap()
-                .warm
-        );
     }
 
     #[test]

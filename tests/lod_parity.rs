@@ -23,14 +23,18 @@
 //!    a different ID order.
 //! 3. **LOD-on determinism**: with proxy substitution active, frames
 //!    are byte-identical across thread counts and shard plans.
+//! 4. **LOD with the warm-start cache**: over an exact sorter, adding
+//!    the cache to a proxying LOD engine changes only the sorting
+//!    traffic, while clusters flip between proxy and member rendering.
 
 use neo_core::{
     FrameResult, LodConfig, RenderEngine, RendererConfig, ShardPlan, StorageFormat, StrategyKind,
+    WarmStartConfig,
 };
 use neo_math::num::u64_from_usize;
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
-use neo_pipeline::{project_clusters, project_storage, Stage};
+use neo_pipeline::{project_clusters, project_storage, FrameStats, Stage, TrafficLedger};
 use neo_scene::synth::CityParams;
 use neo_scene::{
     Camera, ClusterParams, ClusteredCloud, FrameSampler, Gaussian, GaussianCloud, Resolution,
@@ -187,6 +191,70 @@ fn lod_on_is_deterministic_across_threads_and_shard_plans() {
                 .expect("camera");
             assert_eq!(reference, &sharded, "{kind:?}: frame {i} shard divergence");
         }
+    }
+}
+
+/// `stats` with the sorting stage's traffic zeroed: the only statistic
+/// a warm-start cache over an exact sorter is allowed to change.
+fn without_sort_traffic(stats: FrameStats) -> FrameStats {
+    let mut s = stats;
+    s.traffic = TrafficLedger::new();
+    for stage in [Stage::FeatureExtraction, Stage::Rasterization] {
+        s.traffic.read(stage, stats.traffic.reads(stage));
+        s.traffic.write(stage, stats.traffic.writes(stage));
+    }
+    s
+}
+
+#[test]
+fn lod_with_temporal_cache_matches_lod_without_it() {
+    // Clusters flip between proxy and member rendering while the camera
+    // moves; the warm-start cache sees each flip as departed and arrived
+    // IDs. Over an exact sorter the repaired order is the exact order, so
+    // only the sorting traffic may differ from the cache-less engine.
+    const FRAMES: usize = 8;
+    let (cloud, sampler) = city_scene();
+    let lod = LodConfig {
+        cluster_size: 128,
+        proxy_footprint_px: 96.0,
+    };
+    let engine = |config: RendererConfig| {
+        RenderEngine::builder()
+            .scene(Arc::clone(&cloud))
+            .config(config)
+            .strategy(StrategyKind::FullResort)
+            .build()
+            .expect("valid test configuration")
+    };
+    for threads in [1, 4] {
+        let config = RendererConfig::default()
+            .with_tile_size(32)
+            .with_threads(threads)
+            .with_lod(lod);
+        let cold = render(&engine(config.clone()), &sampler, FRAMES);
+        let warm = render(
+            &engine(config.with_temporal_cache(WarmStartConfig::default())),
+            &sampler,
+            FRAMES,
+        );
+        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
+            assert!(c.image.is_some());
+            assert_eq!(c.image, w.image, "{threads} thread(s), frame {i}: image");
+            assert_eq!(
+                without_sort_traffic(c.stats),
+                without_sort_traffic(w.stats),
+                "{threads} thread(s), frame {i}: stats"
+            );
+        }
+        assert!(
+            warm.windows(2)
+                .any(|f| f[0].stats.clusters_lod != f[1].stats.clusters_lod),
+            "{threads} thread(s): no cluster flipped between proxy and members"
+        );
+        assert!(
+            warm[1..].iter().any(|f| f.temporal.warm_tiles > 0),
+            "{threads} thread(s): the cache never served a tile warm"
+        );
     }
 }
 
