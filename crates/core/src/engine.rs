@@ -46,8 +46,9 @@ use crate::{
     TileLoad,
 };
 use neo_pipeline::{
-    bin_to_tiles, project_clusters, project_storage, FrameStats, Image, ProjectedGaussian,
-    RenderConfig, ShardScratch, Stage, TileGrid, TileRasterStats, TrafficLedger,
+    bin_to_tiles, color_pass, project_clusters_geometry, project_storage_geometry, FrameStats,
+    Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid, TileRasterStats,
+    TrafficLedger,
 };
 use neo_scene::{
     Camera, CloudStorage, ClusterParams, ClusteredCloud, CompactCloud, FrameSampler, GaussianCloud,
@@ -252,20 +253,26 @@ impl RenderSession {
         let storage = self.storage.as_ref();
         let lod_index = self.lod_index.as_deref();
 
-        // Projection: through the cluster index when the LOD path is on
-        // (whole-cluster culling, proxy substitution, member streaming), the
-        // flat storage walk otherwise — the latter byte-exactly preserves
-        // the pre-index renderer, which `tests/lod_parity.rs` pins. Both
-        // bin the same way: a tile's sorter tracks its own population, so
-        // LOD frames need no cluster-level signal downstream.
+        // Projection's geometry pass: through the cluster index when the
+        // LOD path is on (whole-cluster culling, proxy substitution, member
+        // streaming), the flat storage walk otherwise — the latter
+        // byte-exactly preserves the pre-index renderer, which
+        // `tests/lod_parity.rs` pins. Both bin the same way: a tile's
+        // sorter tracks its own population, so LOD frames need no
+        // cluster-level signal downstream.
         let lod = config.lod.as_ref().zip(lod_index);
-        let (projected, clusters) = match lod {
+        let (mut projected, clusters) = match lod {
             Some((lod_cfg, index)) => {
-                let mut cp = project_clusters(cam, storage, index, lod_cfg);
+                let mut cp = project_clusters_geometry(cam, storage, index, lod_cfg);
                 (std::mem::take(&mut cp.projected), Some(cp))
             }
-            None => (project_storage(cam, storage), None),
+            None => (project_storage_geometry(cam, storage), None),
         };
+        // Color is read by the rasterizer alone, so only frames with an
+        // image read SH: one color pass over the projected splats.
+        if config.render_image {
+            color_pass(cam, storage, lod.map(|(_, index)| index), &mut projected);
+        }
         let assignments = bin_to_tiles(&grid, &projected);
 
         // ID → projected-splat lookup for the rasterizer's gather, so only
@@ -312,7 +319,7 @@ impl RenderSession {
         // LOD path only the records actually decoded (surviving members +
         // proxies) are charged — that is the traffic the index exists to
         // cut; the flat walk touches every record, exactly as before.
-        let feature_bytes = self.feature_bytes;
+        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
         let records_read = match &clusters {
             Some(cp) => {
                 stats.clusters_total = cp.clusters_total;
@@ -669,13 +676,9 @@ impl RenderEngineBuilder {
             }
             lod_index = Some(Arc::new(index));
         }
-        // `record_bytes` scans the cloud for its max SH degree once here,
-        // so frames read the cached size.
-        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
         Ok(RenderEngine {
             scene,
             storage,
-            feature_bytes,
             lod_index,
             config: self.config,
             factory,
@@ -694,8 +697,6 @@ impl RenderEngineBuilder {
 pub struct RenderEngine {
     scene: Arc<GaussianCloud>,
     storage: Arc<dyn CloudStorage>,
-    /// `storage.record_bytes()`, the ledger's charge per record read.
-    feature_bytes: u64,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -731,7 +732,6 @@ impl RenderEngine {
             id,
             scene: Arc::clone(&self.scene),
             storage: Arc::clone(&self.storage),
-            feature_bytes: self.feature_bytes,
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
             factory: self.factory.clone(),
@@ -803,8 +803,6 @@ pub struct RenderSession {
     id: SessionId,
     scene: Arc<GaussianCloud>,
     storage: Arc<dyn CloudStorage>,
-    /// The engine's cached [`RenderEngine::storage`] record size.
-    feature_bytes: u64,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -1242,6 +1240,87 @@ mod tests {
         }
     }
 
+    /// A storage that lends its inner store's geometry and panics on any
+    /// read of SH, whole records included.
+    #[derive(Debug)]
+    struct GeometryOnly(Arc<dyn CloudStorage>);
+
+    impl CloudStorage for GeometryOnly {
+        fn format(&self) -> StorageFormat {
+            self.0.format()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn sh_degree(&self) -> usize {
+            self.0.sh_degree()
+        }
+        fn get(&self, id: u32) -> Option<neo_scene::Gaussian> {
+            panic!("decoded whole splat {id}");
+        }
+        fn visit_range(
+            &self,
+            start: u32,
+            end: u32,
+            f: &mut dyn FnMut(u32, &neo_scene::SplatGeometry),
+        ) {
+            self.0.visit_range(start, end, f);
+        }
+        fn color(&self, id: u32, _cam: &Camera) -> Vec3 {
+            panic!("read the SH of splat {id}");
+        }
+    }
+
+    #[test]
+    fn image_off_frames_never_read_sh() {
+        use neo_pipeline::LodConfig;
+        let scene = Arc::new(
+            neo_scene::synth::CityParams {
+                splats_per_block: 150,
+                ..neo_scene::synth::CityParams::default().scaled(4.0)
+            }
+            .build(),
+        );
+        let sampler = FrameSampler::new(
+            neo_scene::synth::CityParams::default()
+                .scaled(4.0)
+                .trajectory(),
+            30.0,
+            Resolution::Custom(160, 96),
+        );
+        let lod = LodConfig {
+            proxy_footprint_px: 48.0,
+            ..LodConfig::default()
+        };
+        for lod in [None, Some(lod)] {
+            let mut config = RendererConfig::default().with_tile_size(32).without_image();
+            if let Some(lod) = lod {
+                config = config.with_lod(lod);
+            }
+            let plain = RenderEngine::builder()
+                .scene(Arc::clone(&scene))
+                .config(config)
+                .build()
+                .unwrap();
+            let guarded = RenderEngine {
+                scene: Arc::clone(&plain.scene),
+                storage: Arc::new(GeometryOnly(Arc::clone(&plain.storage))),
+                lod_index: plain.lod_index.clone(),
+                config: plain.config.clone(),
+                factory: plain.factory.clone(),
+            };
+            let (mut a, mut b) = (plain.session(), guarded.session());
+            let mut proxied = 0;
+            for i in 0..8 {
+                let cam = sampler.frame(i * 4);
+                let expected = a.render_frame(&cam).unwrap();
+                assert_eq!(b.render_frame(&cam).unwrap(), expected, "frame {i}");
+                proxied += expected.stats.clusters_lod;
+            }
+            assert_eq!(proxied > 0, lod.is_some(), "proxies must be exercised");
+        }
+    }
+
     #[test]
     fn lod_engines_renumber_the_scene_into_cluster_order() {
         use neo_pipeline::LodConfig;
@@ -1271,10 +1350,7 @@ mod tests {
         let source_ids = index.source_ids().expect("a city is not in cluster order");
         assert_eq!(source_ids.len(), original.len());
         for (k, &src) in source_ids.iter().enumerate() {
-            assert_eq!(
-                engine.scene().gaussians()[k],
-                original.gaussians()[src as usize]
-            );
+            assert_eq!(engine.scene().get(k as u32), original.get(src));
         }
         // Each cluster is one contiguous ID range, in cluster order.
         let mut next = 0u32;

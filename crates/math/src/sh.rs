@@ -121,19 +121,34 @@ impl ShCoefficients {
     /// Matches the 3DGS convention of adding 0.5 after the SH dot product
     /// and clamping negatives.
     pub fn eval(&self, dir: Vec3) -> Vec3 {
-        let mut basis = [0.0; MAX_COEFFS];
-        eval_basis(self.degree, dir, &mut basis);
-        let n = basis_count(self.degree);
-        let mut rgb = [0.0f32; 3];
-        for (c, out) in rgb.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (coeff, b) in self.coeffs[c].iter().zip(&basis).take(n) {
-                acc += coeff * b;
-            }
-            *out = (acc + 0.5).clamp(0.0, 1.0);
-        }
-        Vec3::new(rgb[0], rgb[1], rgb[2])
+        eval_rgb(self.degree, self.coeffs.as_flattened(), MAX_COEFFS, dir)
     }
+}
+
+/// [`ShCoefficients::eval`] over channel-major coefficients stored at any
+/// stride: basis `i` of channel `c` is `coeffs[c * stride + i]`. Only the
+/// first `basis_count(degree)` bases of each channel are read, in the
+/// same order as `eval`, so both give the same bits for the same
+/// coefficients.
+///
+/// # Panics
+///
+/// Panics if `degree > MAX_DEGREE`, if `stride < basis_count(degree)` or
+/// if `coeffs` holds fewer than three channels at `stride`.
+pub fn eval_rgb(degree: usize, coeffs: &[f32], stride: usize, dir: Vec3) -> Vec3 {
+    let mut basis = [0.0; MAX_COEFFS];
+    eval_basis(degree, dir, &mut basis);
+    let n = basis_count(degree);
+    assert!(n <= stride, "SH stride {stride} below {n} bases");
+    let mut rgb = [0.0f32; 3];
+    for (c, out) in rgb.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (coeff, b) in coeffs[c * stride..][..n].iter().zip(&basis) {
+            acc += coeff * b;
+        }
+        *out = (acc + 0.5).clamp(0.0, 1.0);
+    }
+    Vec3::new(rgb[0], rgb[1], rgb[2])
 }
 
 impl Default for ShCoefficients {

@@ -59,10 +59,14 @@ pub use binning::{
     TilePopulationDiff,
 };
 pub use framebuffer::Image;
-pub use lod::{cluster_visible, project_clusters, ClusterProjection, LodConfig};
+pub use lod::{
+    cluster_visible, project_clusters, project_clusters_geometry, ClusterProjection, LodConfig,
+};
 pub use oracle::render_oracle;
 pub use pipeline::{rasterize_tile_with_scratch, RenderConfig, TileRasterStats};
-pub use projection::{project_gaussian, project_storage, ProjectedGaussian};
+pub use projection::{
+    color_pass, project_gaussian, project_storage, project_storage_geometry, ProjectedGaussian,
+};
 pub use scratch::{RasterScratch, ShardScratch};
 pub use stats::{FrameStats, Stage, TrafficLedger};
 pub use tiles::{subtile_bitmap, TileGrid, SUBTILE_SIZE};

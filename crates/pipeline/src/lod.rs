@@ -9,9 +9,13 @@
 //!
 //! # Streaming
 //!
-//! [`project_clusters`] is a streaming kernel. The camera constants are
-//! computed once per frame, and each visible cluster's members are read
-//! from storage with `visit_range` over their consecutive-ID runs. The
+//! [`project_clusters_geometry`] is a streaming kernel. The camera
+//! constants are computed once per frame, and each visible cluster's
+//! member geometry is read from storage with `visit_range` over its
+//! consecutive-ID runs; proxies run through the same projection kernel
+//! from the index's geometry table. No SH is read: color is the
+//! separate [`color_pass`], which
+//! [`project_clusters`] adds for callers that want colored output. The
 //! render engine renumbers its scene into cluster order at build time
 //! ([`ClusteredCloud::renumber`]), so there every cluster is a single run
 //! and the frame reads the storage front to back, in ascending ID order.
@@ -35,7 +39,7 @@
 //! `source_len() + proxy_index`, so they never collide with member IDs
 //! and downstream binning/sorting stay deterministic.
 
-use crate::projection::{project_in, ProjectedGaussian, ProjectionContext};
+use crate::projection::{color_pass, project_in, ProjectedGaussian, ProjectionContext};
 use neo_math::num::u64_from_usize;
 use neo_math::{Aabb, Mat4, Vec3};
 use neo_scene::{Camera, CloudStorage, ClusteredCloud};
@@ -91,9 +95,11 @@ pub struct ClusterProjection {
     /// proxy IDs — `source_len() + proxy_index` — after them).
     pub projected: Vec<ProjectedGaussian>,
     /// Per-splat cluster tag, parallel to `projected`:
-    /// `(cluster_index << 1) | proxy_bit`. The renderer reads none; the
-    /// field stays only because the repository benchmark (`perfbench/`)
-    /// still bins with it, and goes with the benchmark's next change.
+    /// `(cluster_index << 1) | proxy_bit`; empty from
+    /// [`project_clusters_geometry`]. The renderer reads none; the field
+    /// stays only because the repository benchmark (`perfbench/`) still
+    /// bins with it through [`project_clusters`], and goes with the
+    /// benchmark's next change.
     pub tags: Vec<u32>,
     /// Clusters in the index.
     pub clusters_total: u64,
@@ -184,22 +190,48 @@ fn cluster_footprint_px(ctx: &ProjectionContext, lo: Vec3, hi: Vec3, max_radius:
     ctx.focal.y * (2.0 * r) / z
 }
 
-/// Projects `storage` through its cluster `index`: culls whole clusters,
-/// substitutes proxies for sub-threshold clusters, and streams surviving
-/// members from storage in consecutive-ID runs.
-///
-/// `index` must have been built over `storage` (same length, same
-/// contents), or renumbered together with it. The output is sorted
-/// ascending by pipeline ID, with the parallel
-/// [`ClusterProjection::tags`] recording each splat's cluster. For a
-/// renumbered index every visible cluster is one `visit_range` call and
-/// the output comes out ascending, so ordering it costs one linear pass;
-/// otherwise the runs interleave and the output is sorted.
+/// Projects `storage` through its cluster `index` with colors and
+/// cluster tags: [`project_clusters_geometry`] plus the tags, then the
+/// [`color_pass`].
 pub fn project_clusters(
     cam: &Camera,
     storage: &dyn CloudStorage,
     index: &ClusteredCloud,
     cfg: &LodConfig,
+) -> ClusterProjection {
+    let mut cp = cluster_pass(cam, storage, index, cfg, true);
+    color_pass(cam, storage, Some(index), &mut cp.projected);
+    cp
+}
+
+/// The geometry pass through a cluster index: culls whole clusters,
+/// substitutes proxies for sub-threshold clusters, and streams surviving
+/// members' geometry from storage in consecutive-ID runs. Color is left
+/// unset and [`ClusterProjection::tags`] empty.
+///
+/// `index` must have been built over `storage` (same length, same
+/// contents), or renumbered together with it. The output is sorted
+/// ascending by pipeline ID. For a renumbered index every visible
+/// cluster is one `visit_range` call and the output comes out ascending,
+/// so ordering it costs one linear pass; otherwise the runs interleave
+/// and the output is sorted.
+pub fn project_clusters_geometry(
+    cam: &Camera,
+    storage: &dyn CloudStorage,
+    index: &ClusteredCloud,
+    cfg: &LodConfig,
+) -> ClusterProjection {
+    cluster_pass(cam, storage, index, cfg, false)
+}
+
+/// [`project_clusters_geometry`], recording each splat's cluster tag when
+/// `tagged`.
+fn cluster_pass(
+    cam: &Camera,
+    storage: &dyn CloudStorage,
+    index: &ClusteredCloud,
+    cfg: &LodConfig,
+    tagged: bool,
 ) -> ClusterProjection {
     let ctx = ProjectionContext::new(cam);
     let proxy_base = index.source_len();
@@ -236,7 +268,9 @@ pub fn project_clusters(
                     .saturating_add(u32::try_from(k).unwrap_or(u32::MAX));
                 if let Some(pp) = project_in(&ctx, pid, p) {
                     proxies.push(pp);
-                    proxy_tags.push(tag_base | 1);
+                    if tagged {
+                        proxy_tags.push(tag_base | 1);
+                    }
                 }
             }
         } else {
@@ -245,7 +279,9 @@ pub fn project_clusters(
                     splats_visited += 1;
                     if let Some(p) = project_in(&ctx, id, g) {
                         projected.push(p);
-                        tags.push(tag_base);
+                        if tagged {
+                            tags.push(tag_base);
+                        }
                     }
                 });
             }
@@ -268,14 +304,19 @@ pub fn project_clusters(
     }
 }
 
-/// Orders `projected` and its parallel `tags` ascending by pipeline ID.
+/// Orders `projected` and its parallel `tags` (when not empty)
+/// ascending by pipeline ID.
 ///
 /// Pipeline IDs are unique (members < `source_len` ≤ proxy IDs), so the
 /// ID alone is a total, deterministic order. Input that is already
 /// ascending — every frame of a renumbered index — costs one linear
-/// check; anything else is sorted as `(splat, tag)` pairs.
+/// check; anything else is sorted, as `(splat, tag)` pairs when tagged.
 fn sort_by_id(projected: &mut Vec<ProjectedGaussian>, tags: &mut Vec<u32>) {
     if projected.is_sorted_by_key(|p| p.id) {
+        return;
+    }
+    if tags.is_empty() {
+        projected.sort_unstable_by_key(|p| p.id);
         return;
     }
     let mut items: Vec<(ProjectedGaussian, u32)> =

@@ -5,10 +5,17 @@
 //! splatting): the 3D covariance is transformed into camera space, the
 //! perspective projection is linearized with its Jacobian, and the
 //! resulting 2D covariance yields a conic and a 3σ bounding radius.
+//!
+//! Feature extraction runs as two passes. The geometry pass streams each
+//! splat's [`SplatGeometry`] through the one projection kernel and leaves
+//! color unset; no SH is read. The color pass ([`color_pass`]) then
+//! evaluates SH for the splats that survived, per ID, and only frames
+//! that draw an image run it. [`project_storage`] runs both, so its
+//! output is what a single fused pass produced, bit for bit.
 
 use crate::culling::in_frustum;
 use neo_math::{Mat3, Mat4, Vec2, Vec3};
-use neo_scene::{Camera, CloudStorage, Gaussian};
+use neo_scene::{Camera, CloudStorage, ClusteredCloud, Gaussian, SplatGeometry};
 
 /// Low-pass dilation added to the 2D covariance diagonal (antialiasing),
 /// matching the reference implementation's 0.3 px².
@@ -28,7 +35,7 @@ pub struct ProjectedGaussian {
     pub conic: (f32, f32, f32),
     /// Conservative splat radius in pixels (3σ of the major axis).
     pub radius: f32,
-    /// View-dependent RGB color.
+    /// View-dependent RGB color; zero until the [`color_pass`] sets it.
     pub color: Vec3,
     /// Base opacity.
     pub opacity: f32,
@@ -110,20 +117,24 @@ impl ProjectionContext {
     }
 }
 
-/// Projects a single Gaussian, returning `None` when culled.
+/// Projects a single Gaussian with its color, returning `None` when
+/// culled.
 ///
 /// Culling folds in the paper's stage ❶: Gaussians behind the near plane,
 /// beyond the far plane, or projecting entirely off-screen are discarded.
 pub fn project_gaussian(cam: &Camera, id: u32, g: &Gaussian) -> Option<ProjectedGaussian> {
-    project_in(&ProjectionContext::new(cam), id, g)
+    let mut p = project_in(&ProjectionContext::new(cam), id, &g.geometry())?;
+    p.color = g.sh.eval(cam.view_direction(g.mean));
+    Some(p)
 }
 
-/// [`project_gaussian`] against a frame's precomputed camera constants
-/// (hot path: one context serves every Gaussian of a frame).
+/// The projection kernel: one splat's geometry against a frame's
+/// precomputed camera constants (one context serves every splat of a
+/// frame). Color is left at zero for the [`color_pass`].
 pub(crate) fn project_in(
     ctx: &ProjectionContext,
     id: u32,
-    g: &Gaussian,
+    g: &SplatGeometry,
 ) -> Option<ProjectedGaussian> {
     let t = ctx.view.transform_point(g.mean);
     if !in_frustum(ctx, t, g.bounding_radius()) {
@@ -171,26 +182,28 @@ pub(crate) fn project_in(
         return None;
     }
 
-    let color = g.sh.eval(ctx.cam.view_direction(g.mean));
-
     Some(ProjectedGaussian {
         id,
         mean2d,
         depth: t.z,
         conic,
         radius,
-        color,
+        color: Vec3::ZERO,
         opacity: g.opacity,
     })
 }
 
-/// Projects every Gaussian of any [`CloudStorage`] backend, skipping
-/// culled ones. Packed records are decoded on the fly.
+/// The geometry pass over any [`CloudStorage`] backend: projects every
+/// splat's geometry, skipping culled ones, and leaves color unset.
+/// Packed records are decoded on the fly; no SH is read.
 ///
 /// Output order matches storage order (IDs ascending), which downstream
 /// stages rely on for deterministic binning. A plain `&GaussianCloud`
 /// coerces.
-pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
+pub fn project_storage_geometry(
+    cam: &Camera,
+    storage: &dyn CloudStorage,
+) -> Vec<ProjectedGaussian> {
     let ctx = ProjectionContext::new(cam);
     let mut out = Vec::new();
     storage.visit(&mut |id, g| {
@@ -198,6 +211,45 @@ pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<Projecte
             out.push(p);
         }
     });
+    out
+}
+
+/// The color pass: sets each projected splat's color to its SH evaluated
+/// toward the camera, `sh.eval(cam.view_direction(mean))`, read per ID
+/// through [`CloudStorage::color`].
+///
+/// IDs at or above `storage.len()` are LOD proxies of `proxies` (pipeline
+/// ID `source_len + index`), whose color is view-independent.
+///
+/// # Panics
+///
+/// Panics on an ID outside the storage when `proxies` is `None`, or
+/// outside the proxy table otherwise.
+pub fn color_pass(
+    cam: &Camera,
+    storage: &dyn CloudStorage,
+    proxies: Option<&ClusteredCloud>,
+    projected: &mut [ProjectedGaussian],
+) {
+    let members = storage.len();
+    for p in projected {
+        let id = neo_math::num::usize_from_u32(p.id);
+        p.color = match (id.checked_sub(members), proxies) {
+            (Some(k), Some(index)) => index.proxy_color(k),
+            _ => storage.color(p.id, cam),
+        };
+    }
+}
+
+/// Projects every splat of any [`CloudStorage`] backend with its color:
+/// the geometry pass, then the color pass.
+///
+/// Output order matches storage order (IDs ascending), which downstream
+/// stages rely on for deterministic binning. A plain `&GaussianCloud`
+/// coerces.
+pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
+    let mut out = project_storage_geometry(cam, storage);
+    color_pass(cam, storage, None, &mut out);
     out
 }
 
@@ -338,7 +390,7 @@ mod tests {
         .build();
         let aos: Vec<_> = cloud
             .iter()
-            .filter_map(|(id, g)| project_gaussian(&cam, id, g))
+            .filter_map(|(id, g)| project_gaussian(&cam, id, &g))
             .collect();
         assert_eq!(project_storage(&cam, &cloud), aos);
         // The compact backend is lossy but must cull/project plausibly,

@@ -5,7 +5,8 @@
 //! Morton-ordered spatial clusters, each carrying conservative bounds
 //! (member-mean AABB plus the largest member 3σ radius), and a coarse
 //! LOD proxy — up to eight merged representative splats per cluster,
-//! one per occupied bounds octant.
+//! one per occupied bounds octant. A proxy is degree-0: it is stored as
+//! a [`SplatGeometry`] plus its view-independent color.
 //!
 //! # Determinism
 //!
@@ -32,6 +33,7 @@
 //! IDs keep the members' original relative order, so every per-cluster
 //! accumulation runs in the same order as before.
 
+use crate::gaussian::SplatGeometry;
 use crate::storage::CloudStorage;
 use crate::Gaussian;
 use neo_math::num::usize_from_u32;
@@ -128,7 +130,10 @@ impl Cluster {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusteredCloud {
     clusters: Vec<Cluster>,
-    proxies: Vec<Gaussian>,
+    proxies: Vec<SplatGeometry>,
+    /// Each proxy's color: the DC term of its merged SH, which no view
+    /// direction changes.
+    proxy_colors: Vec<Vec3>,
     source_len: u32,
     /// New ID → original ID, set by [`ClusteredCloud::renumber`].
     source_ids: Option<Vec<u32>>,
@@ -139,7 +144,8 @@ impl ClusteredCloud {
     ///
     /// Deterministic: see the module docs. Costs two streaming passes
     /// over the storage plus a linear-time radix sort of `(cell, id)`
-    /// keys.
+    /// keys. The first pass reads geometry only; the second decodes each
+    /// splat, for the DC term its proxy accumulates.
     pub fn build(storage: &dyn CloudStorage, params: ClusterParams) -> Self {
         Self::build_with(storage, params, radix_sort_keyed)
     }
@@ -215,23 +221,26 @@ impl ClusteredCloud {
         }
 
         // Pass 2: accumulate per-cluster octant statistics in ascending
-        // splat-ID order (visit order), which fixes the f32 summation
-        // order independently of cluster shape.
+        // splat-ID order, which fixes the f32 summation order
+        // independently of cluster shape.
         let mut accs: Vec<[OctantAcc; OCTANTS]> =
             vec![[OctantAcc::default(); OCTANTS]; clusters.len()];
-        storage.visit(&mut |id, g| {
-            let c = usize_from_u32(cluster_of[usize_from_u32(id)]);
+        for (id, &c) in (0u32..).zip(&cluster_of) {
+            let Some(g) = storage.get(id) else { break };
+            let c = usize_from_u32(c);
             let o = octant_of(clusters[c].bounds.center(), g.mean);
-            accs[c][o].accumulate(g);
-        });
+            accs[c][o].accumulate(&g);
+        }
 
         // Finalize proxies in (cluster, octant) order.
-        let mut proxies: Vec<Gaussian> = Vec::new();
+        let mut proxies: Vec<SplatGeometry> = Vec::new();
+        let mut proxy_colors: Vec<Vec3> = Vec::new();
         for (cluster, acc) in clusters.iter_mut().zip(&accs) {
             let start = u32::try_from(proxies.len()).unwrap_or(u32::MAX);
             for oct in acc {
-                if let Some(p) = oct.finalize() {
+                if let Some((p, color)) = oct.finalize() {
                     proxies.push(p);
+                    proxy_colors.push(color);
                 }
             }
             cluster.proxy_start = start;
@@ -243,6 +252,7 @@ impl ClusteredCloud {
         Self {
             clusters,
             proxies,
+            proxy_colors,
             source_len,
             source_ids: None,
         }
@@ -252,6 +262,7 @@ impl ClusteredCloud {
         Self {
             clusters: Vec::new(),
             proxies: Vec::new(),
+            proxy_colors: Vec::new(),
             source_len: 0,
             source_ids: None,
         }
@@ -301,11 +312,22 @@ impl ClusteredCloud {
         self.clusters.len()
     }
 
-    /// All proxy splats, flat, in (cluster, octant) order. A proxy's
-    /// **pipeline ID** is `source_len() + index` into this slice, so
-    /// proxy IDs never collide with member IDs.
-    pub fn proxies(&self) -> &[Gaussian] {
+    /// All proxy splats' geometry, flat, in (cluster, octant) order. A
+    /// proxy's **pipeline ID** is `source_len() + index` into this slice,
+    /// so proxy IDs never collide with member IDs.
+    pub fn proxies(&self) -> &[SplatGeometry] {
         &self.proxies
+    }
+
+    /// Color of proxy `index` (into [`ClusteredCloud::proxies`]). Proxies
+    /// are SH degree 0, so it is the same from every direction: the bits
+    /// `sh.eval(dir)` gives for any `dir`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn proxy_color(&self, index: usize) -> Vec3 {
+        self.proxy_colors[index]
     }
 
     /// Number of proxy splats across all clusters.
@@ -313,8 +335,8 @@ impl ClusteredCloud {
         self.proxies.len()
     }
 
-    /// Proxy splats of cluster `c`.
-    pub fn cluster_proxies(&self, c: usize) -> &[Gaussian] {
+    /// Geometry of cluster `c`'s proxy splats.
+    pub fn cluster_proxies(&self, c: usize) -> &[SplatGeometry] {
         let (start, len) = self.clusters[c].proxy_range();
         let start = usize_from_u32(start);
         &self.proxies[start..start + usize_from_u32(len)]
@@ -493,8 +515,9 @@ impl OctantAcc {
         self.max_radius = self.max_radius.max(g.bounding_radius());
     }
 
-    /// Merged representative splat, or `None` for an empty octant.
-    fn finalize(&self) -> Option<Gaussian> {
+    /// Merged representative splat and its color, or `None` for an
+    /// empty octant.
+    fn finalize(&self) -> Option<(SplatGeometry, Vec3)> {
         if self.count == 0 || self.weight <= 0.0 {
             return None;
         }
@@ -510,13 +533,17 @@ impl OctantAcc {
         sh.coeffs[0][0] = self.dc_sum.x / self.weight;
         sh.coeffs[1][0] = self.dc_sum.y / self.weight;
         sh.coeffs[2][0] = self.dc_sum.z / self.weight;
-        Some(Gaussian {
-            mean,
-            scale: Vec3::splat((cover / 3.0).max(1e-4)),
-            rotation: Quat::IDENTITY,
-            opacity: (1.0 - self.transparency).clamp(0.01, 0.9999),
-            sh,
-        })
+        // Degree 0 reads no direction: any one gives the frame's bits.
+        let color = sh.eval(Vec3::Z);
+        Some((
+            SplatGeometry {
+                mean,
+                scale: Vec3::splat((cover / 3.0).max(1e-4)),
+                rotation: Quat::IDENTITY,
+                opacity: (1.0 - self.transparency).clamp(0.01, 0.9999),
+            },
+            color,
+        ))
     }
 }
 

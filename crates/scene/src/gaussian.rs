@@ -1,7 +1,51 @@
-//! A single anisotropic 3D Gaussian primitive.
+//! A single anisotropic 3D Gaussian primitive, and its geometry record.
 
 use neo_math::sh::ShCoefficients;
 use neo_math::{Mat3, Quat, Vec3};
+
+/// The geometry of one splat: everything projection reads, and nothing
+/// it does not (color lives apart, in the splat's SH coefficients).
+///
+/// This is the hot per-splat record a [`GaussianCloud`](crate::GaussianCloud)
+/// stores contiguously and [`CloudStorage::visit_range`](crate::CloudStorage::visit_range)
+/// lends to the projection kernel: 44 bytes of `f32`, the first term of
+/// the AoS ledger charge `44 + 12·(d+1)²`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SplatGeometry {
+    /// Mean position `μ` in world space.
+    pub mean: Vec3,
+    /// Per-axis standard deviations (the diagonal of `S`).
+    pub scale: Vec3,
+    /// Orientation `R` as a unit quaternion.
+    pub rotation: Quat,
+    /// Base opacity `o ∈ [0, 1]`.
+    pub opacity: f32,
+}
+
+const _: () = assert!(std::mem::size_of::<SplatGeometry>() == 44);
+
+impl SplatGeometry {
+    /// The 3D covariance `Σ = R S Sᵀ Rᵀ`.
+    pub fn covariance(&self) -> Mat3 {
+        let r = self.rotation.to_mat3();
+        let s2 = Mat3::from_diagonal(self.scale * self.scale);
+        r * s2 * r.transpose()
+    }
+
+    /// Radius of the bounding sphere at 3σ, used for conservative culling.
+    pub fn bounding_radius(&self) -> f32 {
+        3.0 * self.scale.max_element()
+    }
+
+    /// True when all parameters are finite and opacity is in range — the
+    /// invariant the pipeline assumes.
+    pub fn is_valid(&self) -> bool {
+        self.mean.is_finite()
+            && self.scale.is_finite()
+            && self.scale.min_element() > 0.0
+            && (0.0..=1.0).contains(&self.opacity)
+    }
+}
 
 /// One anisotropic 3D Gaussian, as produced by 3DGS training.
 ///
@@ -9,6 +53,9 @@ use neo_math::{Mat3, Quat, Vec3};
 /// deviations (`scale`), an orientation quaternion, a scalar opacity
 /// `o ∈ [0, 1]`, and spherical-harmonics color coefficients (Eq. 1 of the
 /// paper: `α(x) = o · exp(-½ (x-μ)ᵀ Σ⁻¹ (x-μ))`).
+///
+/// `Gaussian` is the value type for construction and IO. Clouds do not
+/// store it: they keep its [`SplatGeometry`] and its SH apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gaussian {
     /// Mean position `μ` in world space.
@@ -43,25 +90,48 @@ impl Gaussian {
         }
     }
 
-    /// The 3D covariance `Σ = R S Sᵀ Rᵀ`.
+    /// Joins a geometry record and its SH coefficients.
+    pub fn from_parts(geometry: SplatGeometry, sh: ShCoefficients) -> Self {
+        let SplatGeometry {
+            mean,
+            scale,
+            rotation,
+            opacity,
+        } = geometry;
+        Self {
+            mean,
+            scale,
+            rotation,
+            opacity,
+            sh,
+        }
+    }
+
+    /// The Gaussian's geometry record (everything but its color).
+    pub fn geometry(&self) -> SplatGeometry {
+        SplatGeometry {
+            mean: self.mean,
+            scale: self.scale,
+            rotation: self.rotation,
+            opacity: self.opacity,
+        }
+    }
+
+    /// The 3D covariance `Σ = R S Sᵀ Rᵀ` ([`SplatGeometry::covariance`]).
     pub fn covariance(&self) -> Mat3 {
-        let r = self.rotation.to_mat3();
-        let s2 = Mat3::from_diagonal(self.scale * self.scale);
-        r * s2 * r.transpose()
+        self.geometry().covariance()
     }
 
-    /// Radius of the bounding sphere at 3σ, used for conservative culling.
+    /// Radius of the bounding sphere at 3σ
+    /// ([`SplatGeometry::bounding_radius`]).
     pub fn bounding_radius(&self) -> f32 {
-        3.0 * self.scale.max_element()
+        self.geometry().bounding_radius()
     }
 
-    /// True when all parameters are finite and opacity is in range — the
-    /// invariant the pipeline assumes.
+    /// True when all parameters are finite and opacity is in range
+    /// ([`SplatGeometry::is_valid`]).
     pub fn is_valid(&self) -> bool {
-        self.mean.is_finite()
-            && self.scale.is_finite()
-            && self.scale.min_element() > 0.0
-            && (0.0..=1.0).contains(&self.opacity)
+        self.geometry().is_valid()
     }
 }
 

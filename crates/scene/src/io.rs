@@ -427,7 +427,8 @@ fn decode_v1(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
     let (count, degree) = read_counts(&mut buf, |d| StorageFormat::AosF32.record_bytes(d))?;
     let n_coeffs = basis_count(degree);
 
-    let mut cloud = GaussianCloud::new();
+    // `read_counts` checked that the blob holds `count` records.
+    let mut cloud = GaussianCloud::with_capacity(count, degree);
     for index in 0..count {
         let mean = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
         let scale = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
@@ -572,21 +573,21 @@ mod tests {
         // Regression: encoding used to homogenize to the *first* record's
         // degree, silently truncating higher-degree coefficients.
         let mut cloud = synth_cloud(3, 0);
-        let mut hi = cloud.gaussians()[0].clone();
+        let mut hi = cloud.get(0).unwrap();
         hi.sh.degree = 2;
         hi.sh.coeffs[0][5] = 0.625; // exactly representable, survives f16 too
         hi.sh.coeffs[2][8] = -0.125;
         cloud.push(hi);
         let back = decode_cloud(&encode_cloud(&cloud)).unwrap();
         assert_eq!(back.len(), cloud.len());
-        let last = &back.gaussians()[3];
+        let last = back.get(3).unwrap();
         assert_eq!(last.sh.degree, 2);
         assert_eq!(last.sh.coeffs[0][5], 0.625);
         assert_eq!(last.sh.coeffs[2][8], -0.125);
         // Low-degree records are zero-padded, never truncated.
-        assert!(back.gaussians()[0].sh.coeffs[0][5] == 0.0);
+        assert!(back.get(0).unwrap().sh.coeffs[0][5] == 0.0);
         // The padded records compare equal on every stored coefficient.
-        for (orig, dec) in cloud.gaussians().iter().zip(back.gaussians()) {
+        for ((_, orig), (_, dec)) in cloud.iter().zip(back.iter()) {
             assert_eq!(orig.sh.coeffs, dec.sh.coeffs);
         }
     }
@@ -618,7 +619,7 @@ mod tests {
         });
         let bytes = encode_cloud(&cloud);
         let back = decode_cloud(&bytes).unwrap();
-        let q = back.gaussians()[0].rotation;
+        let q = back.get(0).unwrap().rotation;
         assert!((q.norm_squared() - 1.0).abs() < 1e-5);
         assert!((q.w - 1.0).abs() < 1e-5);
     }
@@ -651,8 +652,8 @@ mod tests {
             ..Default::default()
         });
         let back = decode_cloud(&encode_cloud(&cloud)).unwrap();
-        assert_eq!(back.gaussians()[0].opacity, 1.0);
-        assert!(back.gaussians()[0].is_valid());
+        assert_eq!(back.get(0).unwrap().opacity, 1.0);
+        assert!(back.get(0).unwrap().is_valid());
 
         let mut cloud = GaussianCloud::new();
         cloud.push(Gaussian {

@@ -44,6 +44,6 @@ mod trajectory;
 pub use camera::{Camera, Resolution};
 pub use cloud::GaussianCloud;
 pub use cluster::{Cluster, ClusterParams, ClusteredCloud};
-pub use gaussian::Gaussian;
+pub use gaussian::{Gaussian, SplatGeometry};
 pub use storage::{CloudStorage, CompactCloud, StorageFormat};
 pub use trajectory::{CameraPath, FrameSampler};

@@ -284,7 +284,7 @@ mod tests {
             for frame in [0usize, 30] {
                 let cam = sampler.frame(frame);
                 let visible = cloud
-                    .gaussians()
+                    .geometry()
                     .iter()
                     .filter(|g| {
                         cam.project(g.mean).is_some_and(|px| {

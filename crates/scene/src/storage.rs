@@ -4,33 +4,39 @@
 //! single stream is the per-frame read of every splat's feature record.
 //! This module lets the renderer choose how those records are stored:
 //!
-//! | Format                        | Record layout                         | Bytes/splat (deg d) |
-//! |-------------------------------|---------------------------------------|---------------------|
-//! | [`StorageFormat::AosF32`]     | interleaved f32 ([`GaussianCloud`])   | 44 + 12·(d+1)²      |
-//! | [`StorageFormat::Compact`]    | f16/packed planes ([`CompactCloud`])  | 17 + 6·(d+1)²       |
+//! | Format                        | Resident layout                              | Bytes/splat (deg d) |
+//! |-------------------------------|----------------------------------------------|---------------------|
+//! | [`StorageFormat::AosF32`]     | f32 geometry records + SH ([`GaussianCloud`]) | 44 + 12·(d+1)²      |
+//! | [`StorageFormat::Compact`]    | f16/packed planes ([`CompactCloud`])         | 17 + 6·(d+1)²       |
 //!
-//! `d` is the cloud's *maximum* SH degree: every backend charges each
-//! record at that homogenized degree, whichever splat comes first.
-//! `Compact` stores means, scales, and SH coefficients as
-//! IEEE f16, opacity as `u8`, and rotations as smallest-three packed
-//! quaternions (2-bit largest-component index + 3×10-bit components),
-//! cutting the record to well under half the f32 size at a measured
-//! PSNR cost (see `results/fig_formats.json`).
+//! `d` is the cloud's *maximum* SH degree: every backend stores and
+//! charges each record at that homogenized degree, whichever splat comes
+//! first. The AoS row is what a [`GaussianCloud`] holds in memory (a
+//! 44-byte [`SplatGeometry`] plus SH at the max-degree stride), so the
+//! ledger charge is the resident record. `Compact` stores means, scales,
+//! and SH coefficients as IEEE f16, opacity as `u8`, and rotations as
+//! smallest-three packed quaternions (2-bit largest-component index +
+//! 3×10-bit components), cutting the record to well under half the f32
+//! size at a measured PSNR cost (see `results/fig_formats.json`).
 //!
-//! All backends decode to the same [`Gaussian`] struct; the pipeline is
-//! format-agnostic and charges [`CloudStorage::record_bytes`] per splat
-//! read to the traffic ledger.
+//! The frame path reads the two halves of a record apart: projection
+//! visits geometry only ([`CloudStorage::visit_range`]), and SH is read
+//! per projected splat by the color pass ([`CloudStorage::color`]), which
+//! runs only on frames that draw an image. The pipeline charges
+//! [`CloudStorage::record_bytes`] per splat read to the traffic ledger.
 
-use crate::{Gaussian, GaussianCloud};
+use crate::gaussian::SplatGeometry;
+use crate::{Camera, Gaussian, GaussianCloud};
 use neo_math::f16::{f16_bits_to_f32, f32_to_f16_bits_saturating};
-use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
+use neo_math::sh::{basis_count, eval_rgb, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 
 /// Which backend a renderer (or a `NEOG` v2 blob) stores splats in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum StorageFormat {
-    /// Interleaved (array-of-structs) f32 records — the [`GaussianCloud`]
-    /// the rest of the crate produces. The baseline.
+    /// f32 records — the [`GaussianCloud`] the rest of the crate
+    /// produces: 44-byte geometry records plus SH at the max-degree
+    /// stride. The baseline.
     #[default]
     AosF32,
     /// Quantized planar storage: f16 means/scales/SH, u8 opacity,
@@ -75,8 +81,9 @@ impl StorageFormat {
     pub fn record_bytes(self, sh_degree: usize) -> usize {
         let n = basis_count(sh_degree);
         match self {
-            // mean 12 + scale 12 + rotation 16 + opacity 4 + SH 12n
-            StorageFormat::AosF32 => 44 + 12 * n,
+            // SplatGeometry 44 (mean 12 + scale 12 + rotation 16 +
+            // opacity 4) + SH 12n
+            StorageFormat::AosF32 => std::mem::size_of::<SplatGeometry>() + 12 * n,
             // mean 6 + scale 6 + rotation 4 + opacity 1 + SH 6n
             StorageFormat::Compact => 17 + 6 * n,
         }
@@ -85,8 +92,11 @@ impl StorageFormat {
 
 /// A read-only splat store the render pipeline can iterate.
 ///
-/// Implementations decode their records into [`Gaussian`]s on the fly;
-/// the pipeline stays format-agnostic and charges
+/// The frame path reads a record in two halves: geometry through
+/// [`visit_range`](CloudStorage::visit_range), color through
+/// [`color`](CloudStorage::color). [`get`](CloudStorage::get) and
+/// [`to_cloud`](CloudStorage::to_cloud) decode whole [`Gaussian`]s, for
+/// IO, tests and the cluster build. The pipeline charges
 /// [`record_bytes`](CloudStorage::record_bytes) per splat read.
 pub trait CloudStorage: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
@@ -101,7 +111,7 @@ pub trait CloudStorage: std::fmt::Debug + Send + Sync {
     }
 
     /// The SH degree every record is stored and charged at: the maximum
-    /// over the stored records.
+    /// over the stored records. O(1) on every backend.
     fn sh_degree(&self) -> usize;
 
     /// Bytes charged to the traffic ledger per splat read.
@@ -112,40 +122,51 @@ pub trait CloudStorage: std::fmt::Debug + Send + Sync {
     /// Decodes the splat with the given positional ID, if in range.
     fn get(&self, id: u32) -> Option<Gaussian>;
 
-    /// Visits every splat in ID order: [`visit_range`] over the whole
-    /// store.
+    /// Visits every splat's geometry in ID order: [`visit_range`] over
+    /// the whole store.
     ///
     /// [`visit_range`]: CloudStorage::visit_range
-    fn visit(&self, f: &mut dyn FnMut(u32, &Gaussian)) {
+    fn visit(&self, f: &mut dyn FnMut(u32, &SplatGeometry)) {
         self.visit_range(0, u32::MAX, f);
     }
 
-    /// Visits the splats with IDs in `start..end` (clamped to the store)
-    /// in ID order — the chunked access path cluster projection uses for
-    /// consecutive-ID runs. The `Gaussian` reference is only valid for
-    /// the duration of the callback (packed backends decode into a
-    /// scratch value).
+    /// Visits the geometry of the splats with IDs in `start..end`
+    /// (clamped to the store) in ID order — the projection kernel's
+    /// access path, which cluster projection calls per consecutive-ID
+    /// run. The reference is only valid for the duration of the callback
+    /// (packed backends decode into a scratch value); no SH is read.
     ///
-    /// Must yield exactly what [`get`] returns for each ID in the range,
-    /// bit-identically. The default decodes one record per ID via
-    /// [`get`]; the AoS cloud overrides it to lend its records in place.
+    /// Must yield exactly the geometry of what [`get`] returns for each
+    /// ID in the range, bit-identically.
     ///
     /// [`get`]: CloudStorage::get
-    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &Gaussian)) {
-        for id in start..end {
-            match self.get(id) {
-                Some(g) => f(id, &g),
-                None => break,
-            }
-        }
-    }
+    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &SplatGeometry));
+
+    /// View-dependent color of splat `id` seen from `cam`: its SH
+    /// evaluated toward `cam.view_direction(mean)`, bit-identical to
+    /// `g.sh.eval(cam.view_direction(g.mean))` on the [`get`] result.
+    /// This is the frame path's one SH read, made per projected splat
+    /// by the color pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range.
+    ///
+    /// [`get`]: CloudStorage::get
+    fn color(&self, id: u32, cam: &Camera) -> Vec3;
 
     /// Decodes the whole store back to an AoS cloud.
     fn to_cloud(&self) -> GaussianCloud {
-        let mut out = Vec::with_capacity(self.len());
-        self.visit(&mut |_, g| out.push(g.clone()));
-        GaussianCloud::from_gaussians(out)
+        (0u32..).map_while(|id| self.get(id)).collect()
     }
+}
+
+/// The in-range half-open index window `start..end` of a store of `len`
+/// records.
+fn clamp_range(len: usize, start: u32, end: u32) -> std::ops::Range<u32> {
+    let cap = u32::try_from(len).unwrap_or(u32::MAX);
+    let lo = start.min(cap);
+    lo..end.min(cap).max(lo)
 }
 
 impl CloudStorage for GaussianCloud {
@@ -157,25 +178,29 @@ impl CloudStorage for GaussianCloud {
         self.len()
     }
 
-    /// The max degree, as NEOG v1 and [`CompactCloud`] homogenize to: an
-    /// O(n) scan, so per-frame callers cache it.
     fn sh_degree(&self) -> usize {
         self.max_sh_degree()
     }
 
     fn get(&self, id: u32) -> Option<Gaussian> {
-        GaussianCloud::get(self, id).cloned()
+        GaussianCloud::get(self, id)
     }
 
-    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &Gaussian)) {
-        let cap = u32::try_from(self.len()).unwrap_or(u32::MAX);
-        let lo = start.min(cap);
-        let hi = end.min(cap).max(lo);
-        let slice = &self.gaussians()[neo_math::num::usize_from_u32(lo)..]
-            [..neo_math::num::usize_from_u32(hi - lo)];
-        for (id, g) in (lo..hi).zip(slice) {
+    /// Lends the geometry records in place.
+    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &SplatGeometry)) {
+        let ids = clamp_range(self.len(), start, end);
+        let slice = &self.geometry()[neo_math::num::usize_from_u32(ids.start)..]
+            [..neo_math::num::usize_from_u32(ids.end - ids.start)];
+        for (id, g) in ids.zip(slice) {
             f(id, g);
         }
+    }
+
+    fn color(&self, id: u32, cam: &Camera) -> Vec3 {
+        let j = neo_math::num::usize_from_u32(id);
+        let (sh, degree) = self.sh_at(j);
+        let dir = cam.view_direction(self.geometry()[j].mean);
+        eval_rgb(degree, sh, self.sh_bases(), dir)
     }
 
     fn to_cloud(&self) -> GaussianCloud {
@@ -279,16 +304,15 @@ fn quantize_scale(s: f32) -> u16 {
 
 /// Homogenized SH planes of a cloud: `3 · basis_count(degree)` planes of
 /// `len` coefficients each, channel-major then coefficient, zero-padded
-/// where a Gaussian's own degree is lower.
-fn sh_planes(cloud: &GaussianCloud, degree: usize) -> Vec<f32> {
-    let n = basis_count(degree).min(MAX_COEFFS);
+/// where a Gaussian's own degree is lower. The cloud already stores SH
+/// at its max degree's stride, so this is a transpose.
+fn sh_planes(cloud: &GaussianCloud) -> Vec<f32> {
+    let n = cloud.sh_bases();
     let len = cloud.len();
     let mut planes = vec![0.0f32; 3 * n * len];
-    for (j, g) in cloud.gaussians().iter().enumerate() {
-        for c in 0..3 {
-            for i in 0..n {
-                planes[(c * n + i) * len + j] = g.sh.coeffs[c][i];
-            }
+    for j in 0..len {
+        for (k, &coeff) in cloud.sh_at(j).0.iter().enumerate() {
+            planes[k * len + j] = coeff;
         }
     }
     planes
@@ -322,16 +346,15 @@ impl CompactCloud {
     /// scales that would underflow f16 are pinned at the smallest
     /// subnormal so `Gaussian::is_valid` survives the round-trip.
     pub fn from_cloud(cloud: &GaussianCloud) -> Self {
-        let degree = cloud.max_sh_degree();
-        let gs = cloud.gaussians();
-        let plane16 = |f: &dyn Fn(&Gaussian) -> f32| {
+        let gs = cloud.geometry();
+        let plane16 = |f: &dyn Fn(&SplatGeometry) -> f32| {
             gs.iter()
                 .map(|g| f32_to_f16_bits_saturating(f(g)))
                 .collect::<Vec<u16>>()
         };
         Self {
             len: gs.len(),
-            degree,
+            degree: cloud.max_sh_degree(),
             mean: [
                 plane16(&|g| g.mean.x),
                 plane16(&|g| g.mean.y),
@@ -344,27 +367,24 @@ impl CompactCloud {
             ],
             rot: gs.iter().map(|g| pack_quat(g.rotation)).collect(),
             opacity: gs.iter().map(|g| quantize_opacity(g.opacity)).collect(),
-            sh: sh_planes(cloud, degree)
+            sh: sh_planes(cloud)
                 .into_iter()
                 .map(f32_to_f16_bits_saturating)
                 .collect(),
         }
     }
 
-    fn decode(&self, j: usize) -> Gaussian {
-        let n = basis_count(self.degree).min(MAX_COEFFS);
-        let mut coeffs = [[0.0f32; MAX_COEFFS]; 3];
-        for (c, coeffs_c) in coeffs.iter_mut().enumerate() {
-            for (i, coeff) in coeffs_c.iter_mut().enumerate().take(n) {
-                *coeff = f16_bits_to_f32(self.sh[(c * n + i) * self.len + j]);
-            }
-        }
-        Gaussian {
-            mean: Vec3::new(
-                f16_bits_to_f32(self.mean[0][j]),
-                f16_bits_to_f32(self.mean[1][j]),
-                f16_bits_to_f32(self.mean[2][j]),
-            ),
+    fn decode_mean(&self, j: usize) -> Vec3 {
+        Vec3::new(
+            f16_bits_to_f32(self.mean[0][j]),
+            f16_bits_to_f32(self.mean[1][j]),
+            f16_bits_to_f32(self.mean[2][j]),
+        )
+    }
+
+    fn decode_geometry(&self, j: usize) -> SplatGeometry {
+        SplatGeometry {
+            mean: self.decode_mean(j),
             scale: Vec3::new(
                 f16_bits_to_f32(self.scale[0][j]),
                 f16_bits_to_f32(self.scale[1][j]),
@@ -372,11 +392,19 @@ impl CompactCloud {
             ),
             rotation: unpack_quat(self.rot[j]),
             opacity: dequantize_opacity(self.opacity[j]),
-            sh: ShCoefficients {
-                coeffs,
-                degree: self.degree,
-            },
         }
+    }
+
+    /// Splat `j`'s SH, channel-major at the homogenized degree's stride.
+    fn decode_sh(&self, j: usize) -> [[f32; MAX_COEFFS]; 3] {
+        let n = basis_count(self.degree).min(MAX_COEFFS);
+        let mut coeffs = [[0.0f32; MAX_COEFFS]; 3];
+        for (c, coeffs_c) in coeffs.iter_mut().enumerate() {
+            for (i, coeff) in coeffs_c.iter_mut().enumerate().take(n) {
+                *coeff = f16_bits_to_f32(self.sh[(c * n + i) * self.len + j]);
+            }
+        }
+        coeffs
     }
 }
 
@@ -395,7 +423,35 @@ impl CloudStorage for CompactCloud {
 
     fn get(&self, id: u32) -> Option<Gaussian> {
         let j = neo_math::num::usize_from_u32(id);
-        (j < self.len).then(|| self.decode(j))
+        (j < self.len).then(|| {
+            Gaussian::from_parts(
+                self.decode_geometry(j),
+                ShCoefficients {
+                    coeffs: self.decode_sh(j),
+                    degree: self.degree,
+                },
+            )
+        })
+    }
+
+    /// Decodes each record's geometry planes into a scratch value,
+    /// leaving the SH planes untouched.
+    fn visit_range(&self, start: u32, end: u32, f: &mut dyn FnMut(u32, &SplatGeometry)) {
+        for id in clamp_range(self.len, start, end) {
+            f(id, &self.decode_geometry(neo_math::num::usize_from_u32(id)));
+        }
+    }
+
+    fn color(&self, id: u32, cam: &Camera) -> Vec3 {
+        let j = neo_math::num::usize_from_u32(id);
+        assert!(j < self.len, "splat {id} out of range");
+        let dir = cam.view_direction(self.decode_mean(j));
+        eval_rgb(
+            self.degree,
+            self.decode_sh(j).as_flattened(),
+            MAX_COEFFS,
+            dir,
+        )
     }
 }
 
@@ -434,7 +490,7 @@ mod tests {
         assert_eq!(compact.format(), StorageFormat::Compact);
         let back = compact.to_cloud();
         assert_eq!(back.len(), cloud.len());
-        for (orig, dec) in cloud.gaussians().iter().zip(back.gaussians()) {
+        for ((_, orig), (_, dec)) in cloud.iter().zip(back.iter()) {
             assert!(dec.is_valid(), "decoded splat must stay valid");
             assert!((orig.mean - dec.mean).length() < 0.01 * orig.mean.length().max(1.0));
             assert!((orig.opacity - dec.opacity).abs() <= 0.5 / 255.0 + 1e-6);
@@ -500,7 +556,7 @@ mod tests {
     #[test]
     fn mixed_degree_cloud_homogenizes_to_max() {
         let mut cloud = test_cloud(0);
-        let mut hi = cloud.gaussians()[0].clone();
+        let mut hi = cloud.get(0).unwrap();
         hi.sh.degree = 3;
         hi.sh.coeffs[1][12] = 0.25;
         cloud.push(hi.clone());
@@ -518,12 +574,12 @@ mod tests {
             );
             let back = storage.to_cloud();
             // The high-degree coefficient survives.
-            let last = &back.gaussians()[cloud.len() - 1];
+            let last = back.get(back.len() as u32 - 1).unwrap();
             assert!((last.sh.coeffs[1][12] - 0.25).abs() < 1e-3, "{name}");
         }
         // The planes store every record at the homogenized degree.
         let back = compact.to_cloud();
-        assert!(back.gaussians().iter().all(|g| g.sh.degree == 3));
+        assert!(back.iter().all(|(_, g)| g.sh.degree == 3));
     }
 
     #[test]
@@ -534,7 +590,7 @@ mod tests {
         assert_eq!(dyn_store.record_bytes(), 44 + 12 * 4);
         let mut n = 0;
         dyn_store.visit(&mut |id, g| {
-            assert_eq!(g, &cloud.gaussians()[id as usize]);
+            assert_eq!(g, &cloud.geometry()[id as usize]);
             n += 1;
         });
         assert_eq!(n, cloud.len());
@@ -542,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_range_matches_get_on_every_backend() {
+    fn visit_range_lends_the_geometry_get_decodes_on_every_backend() {
         let cloud = test_cloud(2);
         let backends: [Box<dyn CloudStorage>; 2] = [
             Box::new(cloud.clone()),
@@ -562,11 +618,11 @@ mod tests {
                 (0, u32::MAX),
             ];
             for (start, end) in ranges {
-                let mut ranged: Vec<(u32, Gaussian)> = Vec::new();
-                storage.visit_range(start, end, &mut |id, g| ranged.push((id, g.clone())));
+                let mut ranged: Vec<(u32, SplatGeometry)> = Vec::new();
+                storage.visit_range(start, end, &mut |id, g| ranged.push((id, *g)));
                 // Out-of-range ends clamp to the store instead of panicking.
-                let expected: Vec<(u32, Gaussian)> = (start..end.min(len))
-                    .map(|id| (id, storage.get(id).unwrap()))
+                let expected: Vec<(u32, SplatGeometry)> = (start..end.min(len))
+                    .map(|id| (id, storage.get(id).unwrap().geometry()))
                     .collect();
                 assert_eq!(
                     ranged,

@@ -157,7 +157,7 @@ pub fn generate(params: &SynthParams) -> GaussianCloud {
         total_weight += w;
     }
 
-    let mut cloud = GaussianCloud::new();
+    let mut cloud = GaussianCloud::with_capacity(params.gaussian_count, params.sh_degree);
     for _ in 0..params.gaussian_count {
         let he = params.half_extent;
         let mean = if rng.gen::<f32>() < params.background_fraction {
@@ -321,7 +321,7 @@ impl CityParams {
         let n = self.blocks_per_axis();
         let pitch = self.pitch();
         let origin = -0.5 * (n as f32) * pitch + 0.5 * pitch;
-        let mut cloud = GaussianCloud::new();
+        let mut cloud = GaussianCloud::with_capacity(self.splat_count(), self.sh_degree);
         for bz in 0..n {
             for bx in 0..n {
                 let center = Vec3::new(origin + bx as f32 * pitch, 0.0, origin + bz as f32 * pitch);
@@ -497,7 +497,7 @@ mod tests {
         let diag = bounds.diagonal();
         // Average pairwise distance of a uniform box sample is ~0.66*diag/√3;
         // clustered samples sit well below that. Use a crude subsample.
-        let pts: Vec<_> = cloud.gaussians().iter().take(100).map(|g| g.mean).collect();
+        let pts: Vec<_> = cloud.geometry().iter().take(100).map(|g| g.mean).collect();
         let mut mean_d = 0.0;
         let mut n = 0;
         for i in 0..pts.len() {
@@ -558,7 +558,7 @@ mod tests {
         let sampler = crate::FrameSampler::new(p.trajectory(), 30.0, crate::Resolution::Hd);
         let cam = sampler.frame(0);
         let visible = cloud
-            .gaussians()
+            .geometry()
             .iter()
             .filter(|g| {
                 cam.project(g.mean).is_some_and(|px| {
@@ -584,7 +584,7 @@ mod tests {
         let cloud = p.build();
         let lane = 0.5 * p.street_width - 1.0;
         let intruders = cloud
-            .gaussians()
+            .geometry()
             .iter()
             .filter(|g| g.mean.x.abs() < lane && g.mean.y > 1.0)
             .count();

@@ -397,7 +397,7 @@ proptest! {
             let cluster = &index.clusters()[(tag >> 1) as usize];
             prop_assert!(cluster.members().contains(&p.id));
             prop_assert_eq!(Some(*p), neo_pipeline::project_gaussian(
-                &cam, p.id, &permuted.gaussians()[p.id as usize]));
+                &cam, p.id, &permuted.get(p.id).unwrap()));
         }
     }
 }

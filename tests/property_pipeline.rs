@@ -6,8 +6,9 @@
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Mat3, Mat4, Quat, Vec2, Vec3};
 use neo_pipeline::{
-    bin_to_tiles, project_gaussian, project_storage, rasterize_tile_with_scratch, subtile_bitmap,
-    Image, ProjectedGaussian, RasterScratch, RenderConfig, TileGrid,
+    bin_to_tiles, color_pass, project_gaussian, project_storage, project_storage_geometry,
+    rasterize_tile_with_scratch, subtile_bitmap, Image, ProjectedGaussian, RasterScratch,
+    RenderConfig, TileGrid,
 };
 use neo_scene::{Camera, Gaussian, GaussianCloud, Resolution};
 use proptest::prelude::*;
@@ -240,11 +241,13 @@ proptest! {
         prop_assert!((back.y - py).abs() < 0.01);
     }
 
-    /// Projection computes its camera constants once per frame. This pins
-    /// it, bit for bit, to a frozen copy of the per-splat formulation it
-    /// replaced, over random Gaussians × cameras: splats straddling the
-    /// near plane, fields of view at both ends of the valid `(0, π)`
-    /// range, and odd resolutions and clip planes.
+    /// Projection computes its camera constants once per frame, and runs
+    /// as a geometry pass plus a color pass over the split cloud. This
+    /// pins both, bit for bit, to a frozen copy of the fused per-splat
+    /// formulation they replaced, over random mixed-degree Gaussians ×
+    /// cameras: splats straddling the near plane, fields of view at both
+    /// ends of the valid `(0, π)` range, and odd resolutions and clip
+    /// planes.
     #[test]
     fn projection_matches_the_frozen_per_splat_formulation(
         cam in arb_projection_camera(),
@@ -261,13 +264,19 @@ proptest! {
         let view = cam.view_matrix();
         let frozen: Vec<ProjectedGaussian> = cloud
             .iter()
-            .filter_map(|(id, g)| frozen::project_gaussian_with_view(&cam, &view, id, g))
+            .filter_map(|(id, g)| frozen::project_gaussian_with_view(&cam, &view, id, &g))
             .collect();
         let hoisted = project_storage(&cam, &cloud);
         prop_assert_eq!(bits(&hoisted), bits(&frozen));
+        // The two passes the engine runs: geometry leaves color unset,
+        // and the color pass fills in the fused formulation's bits.
+        let mut split = project_storage_geometry(&cam, &cloud);
+        prop_assert!(split.iter().all(|p| p.color == Vec3::ZERO));
+        color_pass(&cam, &cloud, None, &mut split);
+        prop_assert_eq!(bits(&split), bits(&frozen));
         for (id, g) in cloud.iter() {
-            let one = project_gaussian(&cam, id, g);
-            let reference = frozen::project_gaussian_with_view(&cam, &view, id, g);
+            let one = project_gaussian(&cam, id, &g);
+            let reference = frozen::project_gaussian_with_view(&cam, &view, id, &g);
             prop_assert_eq!(
                 one.as_ref().map(splat_bits),
                 reference.as_ref().map(splat_bits)
@@ -369,13 +378,36 @@ fn arb_camera_space_gaussian() -> impl Strategy<Value = (Vec3, Gaussian)> {
 }
 
 /// A frozen copy of the per-splat projection as it stood before the
-/// camera constants were hoisted out of it: every splat re-derives the
-/// frustum tangents, the focal length and the pixel mapping from the
-/// [`Camera`]. Kept verbatim so any drift of the production path shows.
+/// camera constants were hoisted out of it and color split into its own
+/// pass: every splat re-derives the frustum tangents, the focal length
+/// and the pixel mapping from the [`Camera`], and its covariance, radius
+/// and SH color from the whole [`Gaussian`]. Kept verbatim so any drift
+/// of the production path shows.
 mod frozen {
     use super::*;
 
     const COV2D_DILATION: f32 = 0.3;
+
+    fn covariance(g: &Gaussian) -> Mat3 {
+        let r = g.rotation.to_mat3();
+        let s2 = Mat3::from_diagonal(g.scale * g.scale);
+        r * s2 * r.transpose()
+    }
+
+    fn sh_eval(sh: &ShCoefficients, dir: Vec3) -> Vec3 {
+        let mut basis = [0.0; MAX_COEFFS];
+        neo_math::sh::eval_basis(sh.degree, dir, &mut basis);
+        let n = basis_count(sh.degree);
+        let mut rgb = [0.0f32; 3];
+        for (c, out) in rgb.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (coeff, b) in sh.coeffs[c].iter().zip(&basis).take(n) {
+                acc += coeff * b;
+            }
+            *out = (acc + 0.5).clamp(0.0, 1.0);
+        }
+        Vec3::new(rgb[0], rgb[1], rgb[2])
+    }
 
     fn in_frustum(cam: &Camera, t: Vec3, radius: f32) -> bool {
         if t.z + radius < cam.near || t.z - radius > cam.far {
@@ -394,7 +426,7 @@ mod frozen {
         g: &Gaussian,
     ) -> Option<ProjectedGaussian> {
         let t = view.transform_point(g.mean);
-        if !in_frustum(cam, t, g.bounding_radius()) {
+        if !in_frustum(cam, t, 3.0 * g.scale.max_element()) {
             return None;
         }
 
@@ -409,7 +441,7 @@ mod frozen {
             Vec3::ZERO,
         );
         let w = view.to_mat3();
-        let cov_cam = w * g.covariance() * w.transpose();
+        let cov_cam = w * covariance(g) * w.transpose();
         let cov2d_full = j * cov_cam * j.transpose();
 
         let a = cov2d_full.get(0, 0) + COV2D_DILATION;
@@ -435,7 +467,7 @@ mod frozen {
             return None;
         }
 
-        let color = g.sh.eval(cam.view_direction(g.mean));
+        let color = sh_eval(&g.sh, cam.view_direction(g.mean));
 
         Some(ProjectedGaussian {
             id,

@@ -1,11 +1,17 @@
-//! Property-based tests on scene serialization, in-place reordering, and
-//! the image metrics, plus a mutation fuzzer over `NEOG` blobs.
+//! Property-based tests on scene serialization, the split cloud layout,
+//! in-place reordering, and the image metrics, plus a mutation fuzzer
+//! over `NEOG` blobs.
 
-use neo_math::sh::ShCoefficients;
+use neo_math::f16::{f16_bits_to_f32, f32_to_f16_bits_saturating};
+use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 use neo_pipeline::Image;
+use neo_scene::storage::{pack_quat, unpack_quat};
 use neo_scene::synth::SynthParams;
-use neo_scene::{io, Gaussian, GaussianCloud, StorageFormat};
+use neo_scene::{
+    io, Camera, CloudStorage, CompactCloud, Gaussian, GaussianCloud, Resolution, SplatGeometry,
+    StorageFormat,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -24,6 +30,70 @@ fn arb_gaussian() -> impl Strategy<Value = Gaussian> {
             opacity,
             sh: ShCoefficients::from_constant_color(Vec3::new(c.0, c.1, c.2)),
         })
+}
+
+/// A Gaussian of SH degree `degree` whose bases up to that degree are
+/// random and above it zero, as every constructor leaves them.
+fn arb_gaussian_of_degree(degree: impl Strategy<Value = usize>) -> impl Strategy<Value = Gaussian> {
+    (
+        arb_gaussian(),
+        degree,
+        prop::collection::vec(-2.0f32..2.0, 3 * MAX_COEFFS),
+    )
+        .prop_map(|(mut g, degree, coeffs)| {
+            g.sh.degree = degree;
+            for (c, channel) in g.sh.coeffs.iter_mut().enumerate() {
+                let n = basis_count(degree);
+                channel[..n].copy_from_slice(&coeffs[c * MAX_COEFFS..][..n]);
+            }
+            g
+        })
+}
+
+/// A mixed-degree stream whose max degree rises mid-stream: splats of
+/// degree ≤ 1, then one of degree 2 or 3, then any degree.
+fn arb_mixed_stream() -> impl Strategy<Value = Vec<Gaussian>> {
+    (
+        prop::collection::vec(arb_gaussian_of_degree(0usize..=1), 0..12),
+        arb_gaussian_of_degree(2usize..=3),
+        prop::collection::vec(arb_gaussian_of_degree(0usize..=3), 0..12),
+    )
+        .prop_map(|(mut head, rise, tail)| {
+            head.push(rise);
+            head.extend(tail);
+            head
+        })
+}
+
+/// `g` as the compact backend stores it at SH degree `degree`: each
+/// field quantized on its own, SH zero-padded to `degree`.
+fn compact_reference(g: &Gaussian, degree: usize) -> Gaussian {
+    let f16 = |v: f32| f16_bits_to_f32(f32_to_f16_bits_saturating(v));
+    let f16v = |v: Vec3| Vec3::new(f16(v.x), f16(v.y), f16(v.z));
+    let mut sh = g.sh;
+    sh.degree = degree;
+    for channel in &mut sh.coeffs {
+        for coeff in channel.iter_mut() {
+            *coeff = f16(*coeff);
+        }
+    }
+    Gaussian {
+        mean: f16v(g.mean),
+        scale: f16v(g.scale),
+        rotation: unpack_quat(pack_quat(g.rotation)),
+        opacity: (g.opacity * 255.0).round() / 255.0,
+        sh,
+    }
+}
+
+fn probe_camera() -> Camera {
+    Camera::look_at(
+        Vec3::new(3.0, 20.0, -150.0),
+        Vec3::ZERO,
+        Vec3::Y,
+        1.0,
+        Resolution::Custom(64, 48),
+    )
 }
 
 fn arb_image(w: u32, h: u32) -> impl Strategy<Value = Image> {
@@ -172,7 +242,7 @@ proptest! {
         let mut invalid = Vec::new();
         storage.visit(&mut |id, g| {
             if !g.is_valid() {
-                invalid.push((id, g.clone()));
+                invalid.push((id, *g));
             }
         });
         prop_assert!(invalid.is_empty(), "decoded invalid splats: {invalid:?}");
@@ -192,10 +262,11 @@ proptest! {
 
     /// The in-place cycle walk equals the out-of-place gather for random
     /// orders (sorting the IDs by random keys), including the identity,
-    /// long cycles and fixed points those produce.
+    /// long cycles and fixed points those produce, on mixed-degree
+    /// clouds whose geometry and SH arrays both move.
     #[test]
     fn in_place_permutation_matches_gather(
-        gaussians in prop::collection::vec(arb_gaussian(), 0..64),
+        gaussians in prop::collection::vec(arb_gaussian_of_degree(0usize..=3), 0..64),
         keys in prop::collection::vec(0u32..8, 64),
     ) {
         let cloud = GaussianCloud::from_gaussians(gaussians);
@@ -203,11 +274,87 @@ proptest! {
         order.sort_by_key(|&i| keys[i as usize]);
         let gathered: GaussianCloud = order
             .iter()
-            .map(|&i| cloud.gaussians()[i as usize].clone())
+            .map(|&i| cloud.get(i).unwrap())
             .collect();
         let mut permuted = cloud.clone();
         permuted.permute(&order);
         prop_assert_eq!(permuted, gathered);
+    }
+
+    /// The split cloud gives back exactly what was pushed, its own SH
+    /// degree included, while the max degree (and so the SH stride and
+    /// the ledger's record size) rises mid-stream.
+    #[test]
+    fn split_cloud_returns_every_pushed_gaussian(gaussians in arb_mixed_stream()) {
+        let cloud = GaussianCloud::from_gaussians(gaussians.clone());
+        prop_assert_eq!(cloud.len(), gaussians.len());
+        for (id, g) in (0u32..).zip(&gaussians) {
+            prop_assert_eq!(cloud.get(id), Some(g.clone()));
+        }
+        prop_assert!(cloud.get(gaussians.len() as u32).is_none());
+        let max = gaussians.iter().map(|g| g.sh.degree).max().unwrap();
+        prop_assert_eq!(cloud.max_sh_degree(), max);
+        prop_assert_eq!(
+            CloudStorage::record_bytes(&cloud),
+            std::mem::size_of::<SplatGeometry>() + 12 * basis_count(max)
+        );
+        prop_assert_eq!(std::mem::size_of::<SplatGeometry>(), 44);
+        // Equality means the same Gaussians in the same order, however
+        // the arrays were reserved.
+        let mut reserved = GaussianCloud::with_capacity(gaussians.len(), 1);
+        reserved.extend(gaussians.iter().cloned());
+        prop_assert_eq!(&cloud, &reserved);
+    }
+
+    /// NEOG v1 and the compact backend round-trip a mixed-degree cloud as
+    /// they always have: v1 pads every record to the max degree without
+    /// loss, and compact holds each splat quantized field by field.
+    #[test]
+    fn mixed_degree_roundtrips_pad_to_the_max_degree(gaussians in arb_mixed_stream()) {
+        let cloud = GaussianCloud::from_gaussians(gaussians.clone());
+        let max = cloud.max_sh_degree();
+        let padded = |g: &Gaussian| {
+            let mut g = g.clone();
+            g.sh.degree = max;
+            g
+        };
+        let v1 = io::decode_cloud(&io::encode_cloud(&cloud)).expect("v1 decodes");
+        let compact = CompactCloud::from_cloud(&cloud);
+        for (id, g) in (0u32..).zip(&gaussians) {
+            prop_assert_eq!(v1.get(id), Some(padded(g)));
+            prop_assert_eq!(compact.get(id), Some(compact_reference(g, max)));
+        }
+        let blob = io::try_encode_cloud_as(&cloud, StorageFormat::Compact).expect("encodes");
+        let stored = io::decode_storage(&blob).expect("v2 decodes");
+        prop_assert_eq!(stored.as_storage().to_cloud(), compact.to_cloud());
+    }
+
+    /// Both backends lend, per ID, the geometry `get` decodes, and color
+    /// it as `get`'s SH evaluates toward the camera, bit for bit.
+    #[test]
+    fn geometry_and_color_match_get_on_every_backend(gaussians in arb_mixed_stream()) {
+        let cloud = GaussianCloud::from_gaussians(gaussians);
+        let compact = CompactCloud::from_cloud(&cloud);
+        let cam = probe_camera();
+        let backends: [&dyn CloudStorage; 2] = [&cloud, &compact];
+        for storage in backends {
+            let mut seen = 0u32;
+            storage.visit(&mut |id, geometry| {
+                assert_eq!(id, seen);
+                seen += 1;
+                let g = storage.get(id).unwrap();
+                assert_eq!(*geometry, g.geometry(), "{}", storage.format().name());
+                let color = storage.color(id, &cam);
+                let expected = g.sh.eval(cam.view_direction(g.mean));
+                assert_eq!(
+                    [color.x, color.y, color.z].map(f32::to_bits),
+                    [expected.x, expected.y, expected.z].map(f32::to_bits),
+                    "{} splat {id}",
+                    storage.format().name()
+                );
+            });
+            prop_assert_eq!(seen as usize, storage.len());
+        }
     }
 
     #[test]
