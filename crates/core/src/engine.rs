@@ -46,9 +46,9 @@ use crate::{
     TileLoad,
 };
 use neo_pipeline::{
-    bin_to_tiles, color_pass, project_clusters_geometry, project_storage_geometry, FrameStats,
-    Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid, TileRasterStats,
-    TrafficLedger,
+    bin_to_tiles, cluster_colors, color_pass, project_clusters_geometry, project_storage_geometry,
+    FrameStats, Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid,
+    TileRasterStats, TrafficLedger,
 };
 use neo_scene::{
     Camera, CloudStorage, ClusterParams, ClusteredCloud, CompactCloud, FrameSampler, GaussianCloud,
@@ -271,7 +271,12 @@ impl RenderSession {
         // Color is read by the rasterizer alone, so only frames with an
         // image read SH: one color pass over the projected splats.
         if config.render_image {
-            color_pass(cam, storage, lod.map(|(_, index)| index), &mut projected);
+            match lod {
+                Some((_, index)) => {
+                    color_pass(&mut projected, cluster_colors(cam, storage, index));
+                }
+                None => color_pass(&mut projected, |id| storage.color(id, cam)),
+            }
         }
         let assignments = bin_to_tiles(&grid, &projected);
 

@@ -60,7 +60,8 @@ pub use binning::{
 };
 pub use framebuffer::Image;
 pub use lod::{
-    cluster_visible, project_clusters, project_clusters_geometry, ClusterProjection, LodConfig,
+    cluster_colors, cluster_visible, project_clusters, project_clusters_geometry,
+    ClusterProjection, LodConfig,
 };
 pub use oracle::render_oracle;
 pub use pipeline::{rasterize_tile_with_scratch, RenderConfig, TileRasterStats};

@@ -14,7 +14,7 @@
 //! member geometry is read from storage with `visit_range` over its
 //! consecutive-ID runs; proxies run through the same projection kernel
 //! from the index's geometry table. No SH is read: color is the
-//! separate [`color_pass`], which
+//! separate [`color_pass`] over [`cluster_colors`], which
 //! [`project_clusters`] adds for callers that want colored output. The
 //! render engine renumbers its scene into cluster order at build time
 //! ([`ClusteredCloud::renumber`]), so there every cluster is a single run
@@ -40,7 +40,7 @@
 //! and downstream binning/sorting stay deterministic.
 
 use crate::projection::{color_pass, project_in, ProjectedGaussian, ProjectionContext};
-use neo_math::num::u64_from_usize;
+use neo_math::num::{u64_from_usize, usize_from_u32};
 use neo_math::{Aabb, Mat4, Vec3};
 use neo_scene::{Camera, CloudStorage, ClusteredCloud};
 
@@ -192,7 +192,7 @@ fn cluster_footprint_px(ctx: &ProjectionContext, lo: Vec3, hi: Vec3, max_radius:
 
 /// Projects `storage` through its cluster `index` with colors and
 /// cluster tags: [`project_clusters_geometry`] plus the tags, then the
-/// [`color_pass`].
+/// [`color_pass`] over [`cluster_colors`].
 pub fn project_clusters(
     cam: &Camera,
     storage: &dyn CloudStorage,
@@ -200,8 +200,27 @@ pub fn project_clusters(
     cfg: &LodConfig,
 ) -> ClusterProjection {
     let mut cp = cluster_pass(cam, storage, index, cfg, true);
-    color_pass(cam, storage, Some(index), &mut cp.projected);
+    color_pass(&mut cp.projected, cluster_colors(cam, storage, index));
     cp
+}
+
+/// The per-pipeline-ID color source of a cluster projection over
+/// `storage` and its `index`, for the [`color_pass`]. Member IDs read
+/// their SH toward the camera from `storage`; proxy IDs
+/// (`source_len() + proxy_index`) read the index's view-independent
+/// proxy color.
+///
+/// The source panics on an ID outside both ranges.
+pub fn cluster_colors<'a>(
+    cam: &'a Camera,
+    storage: &'a dyn CloudStorage,
+    index: &'a ClusteredCloud,
+) -> impl Fn(u32) -> Vec3 + 'a {
+    let proxy_base = index.source_len();
+    move |id| match id.checked_sub(proxy_base) {
+        Some(k) => index.proxy_color(usize_from_u32(k)),
+        None => storage.color(id, cam),
+    }
 }
 
 /// The geometry pass through a cluster index: culls whole clusters,

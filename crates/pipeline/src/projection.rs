@@ -15,7 +15,7 @@
 
 use crate::culling::in_frustum;
 use neo_math::{Mat3, Mat4, Vec2, Vec3};
-use neo_scene::{Camera, CloudStorage, ClusteredCloud, Gaussian, SplatGeometry};
+use neo_scene::{Camera, CloudStorage, Gaussian, SplatGeometry};
 
 /// Low-pass dilation added to the 2D covariance diagonal (antialiasing),
 /// matching the reference implementation's 0.3 px².
@@ -214,30 +214,16 @@ pub fn project_storage_geometry(
     out
 }
 
-/// The color pass: sets each projected splat's color to its SH evaluated
-/// toward the camera, `sh.eval(cam.view_direction(mean))`, read per ID
-/// through [`CloudStorage::color`].
+/// The color pass: sets each projected splat's color to `color(id)`.
 ///
-/// IDs at or above `storage.len()` are LOD proxies of `proxies` (pipeline
-/// ID `source_len + index`), whose color is view-independent.
-///
-/// # Panics
-///
-/// Panics on an ID outside the storage when `proxies` is `None`, or
-/// outside the proxy table otherwise.
-pub fn color_pass(
-    cam: &Camera,
-    storage: &dyn CloudStorage,
-    proxies: Option<&ClusteredCloud>,
-    projected: &mut [ProjectedGaussian],
-) {
-    let members = storage.len();
+/// For splats of a storage the source is
+/// `|id| storage.color(id, cam)`, which evaluates SH toward the camera
+/// with the fused formulation's expression, `sh.eval(cam.view_direction(mean))`.
+/// LOD frames use [`cluster_colors`](crate::lod::cluster_colors), which
+/// also knows the proxies.
+pub fn color_pass(projected: &mut [ProjectedGaussian], color: impl Fn(u32) -> Vec3) {
     for p in projected {
-        let id = neo_math::num::usize_from_u32(p.id);
-        p.color = match (id.checked_sub(members), proxies) {
-            (Some(k), Some(index)) => index.proxy_color(k),
-            _ => storage.color(p.id, cam),
-        };
+        p.color = color(p.id);
     }
 }
 
@@ -249,7 +235,7 @@ pub fn color_pass(
 /// coerces.
 pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
     let mut out = project_storage_geometry(cam, storage);
-    color_pass(cam, storage, None, &mut out);
+    color_pass(&mut out, |id| storage.color(id, cam));
     out
 }
 

@@ -730,12 +730,23 @@ mod tests {
         }
         assert_eq!(next, idx.source_len());
         // Rebuilding over the permuted cloud gives the relabeled index:
-        // clusters, bounds and proxies are unchanged bit for bit.
+        // clusters, bounds, proxy geometry and proxy colors are unchanged
+        // bit for bit.
         let mut permuted = cloud.clone();
         permuted.permute(&order);
         let rebuilt = ClusteredCloud::build(&permuted, ClusterParams::default());
         assert_eq!(rebuilt.clusters(), idx.clusters());
         assert_eq!(rebuilt.proxies(), idx.proxies());
+        let color_bits = |index: &ClusteredCloud| -> Vec<[u32; 3]> {
+            (0..index.proxy_count())
+                .map(|k| {
+                    let c = index.proxy_color(k);
+                    [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()]
+                })
+                .collect()
+        };
+        assert!(idx.proxy_count() > 0);
+        assert_eq!(color_bits(&rebuilt), color_bits(&idx));
         // A renumbered index is already in order.
         assert!(idx.clone().renumber().is_none());
         assert!(built.source_ids().is_none());

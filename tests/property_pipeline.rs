@@ -10,7 +10,7 @@ use neo_pipeline::{
     rasterize_tile_with_scratch, subtile_bitmap, Image, ProjectedGaussian, RasterScratch,
     RenderConfig, TileGrid,
 };
-use neo_scene::{Camera, Gaussian, GaussianCloud, Resolution};
+use neo_scene::{Camera, CloudStorage, Gaussian, GaussianCloud, Resolution};
 use proptest::prelude::*;
 
 fn arb_splat() -> impl Strategy<Value = ProjectedGaussian> {
@@ -272,7 +272,7 @@ proptest! {
         // and the color pass fills in the fused formulation's bits.
         let mut split = project_storage_geometry(&cam, &cloud);
         prop_assert!(split.iter().all(|p| p.color == Vec3::ZERO));
-        color_pass(&cam, &cloud, None, &mut split);
+        color_pass(&mut split, |id| cloud.color(id, &cam));
         prop_assert_eq!(bits(&split), bits(&frozen));
         for (id, g) in cloud.iter() {
             let one = project_gaussian(&cam, id, &g);
