@@ -2,10 +2,12 @@
 //! (with culling), binning and tile rasterization.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use neo_core::{LodConfig, RenderEngine, RendererConfig};
 use neo_pipeline::{
-    bin_to_tiles, project_storage, rasterize_tile_with_scratch, RasterScratch, RenderConfig,
-    TileGrid,
+    bin_to_tiles, project_clusters_geometry, project_storage, rasterize_tile_with_scratch,
+    RasterScratch, RenderConfig, TileGrid,
 };
+use neo_scene::synth::CityParams;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 
 fn bench_stages(c: &mut Criterion) {
@@ -16,6 +18,28 @@ fn bench_stages(c: &mut Criterion) {
 
     group.bench_function("project_storage_14k", |b| {
         b.iter(|| project_storage(black_box(&cam), black_box(&cloud)))
+    });
+
+    // City ×4 through its cluster index, as an LOD engine renumbers and
+    // projects it on an image-off frame: the projection kernel as city's
+    // geometry pass runs it.
+    let city = CityParams::default().scaled(4.0);
+    let lod = LodConfig {
+        cluster_size: 128,
+        proxy_footprint_px: 96.0,
+    };
+    let engine = RenderEngine::builder()
+        .scene(city.build())
+        .config(RendererConfig::default().without_image().with_lod(lod))
+        .build()
+        .expect("city LOD configuration is valid");
+    let index = engine.lod_index().expect("LOD engines keep their index");
+    let city_cam =
+        FrameSampler::new(city.trajectory(), 30.0, Resolution::Custom(640, 360)).frame(0);
+    group.bench_function("project_clusters_geometry", |b| {
+        b.iter(|| {
+            project_clusters_geometry(black_box(&city_cam), engine.storage().as_ref(), index, &lod)
+        })
     });
 
     let projected = project_storage(&cam, &cloud);

@@ -5,8 +5,8 @@ use crate::{Mat3, Vec3};
 /// Unit quaternion `w + xi + yj + zk`.
 ///
 /// Gaussian orientations in 3DGS checkpoints are stored as quaternions; the
-/// feature-extraction stage converts them to rotation matrices when building
-/// the 3D covariance `Σ = R S Sᵀ Rᵀ`.
+/// feature-extraction stage converts them to the rotation `R` of the 3D
+/// covariance `Σ = R S Sᵀ Rᵀ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.

@@ -5,6 +5,10 @@
 //! splatting): the 3D covariance is transformed into camera space, the
 //! perspective projection is linearized with its Jacobian, and the
 //! resulting 2D covariance yields a conic and a 3σ bounding radius.
+//! The kernel factors that product instead of forming it: with
+//! `Σ = M·Mᵀ` for `M = R·S`, the 2D covariance `J·W·Σ·Wᵀ·Jᵀ` is `U·Uᵀ`
+//! for the 2×3 `U = (J·W)·M`, so neither `Σ` nor any 3×3 product of it
+//! is built.
 //!
 //! Feature extraction runs as two passes. The geometry pass streams each
 //! splat's [`SplatGeometry`] through the one projection kernel and leaves
@@ -14,7 +18,7 @@
 //! output is what a single fused pass produced, bit for bit.
 
 use crate::culling::in_frustum;
-use neo_math::{Mat3, Mat4, Vec2, Vec3};
+use neo_math::{Mat3, Mat4, Quat, Vec2, Vec3};
 use neo_scene::{Camera, CloudStorage, Gaussian, SplatGeometry};
 
 /// Low-pass dilation added to the 2D covariance diagonal (antialiasing),
@@ -67,17 +71,17 @@ impl ProjectedGaussian {
 /// Camera constants of one frame, computed once before any per-splat
 /// work — the set-up step of the reference forward pass.
 ///
-/// Holds the view matrix and its rotation block, the half-FOV tangents
-/// the frustum tests use, the focal length and the image centre. Each is
-/// computed by the same expression, in the same operand order, as the
-/// [`Camera`] accessor it stands in for, so projecting through a context
-/// is bit-identical to calling those accessors for every splat.
+/// Holds the view matrix and the rows of its rotation block, the half-FOV
+/// tangents the frustum tests use, the focal length and the image centre.
+/// Each is computed by the same expression, in the same operand order, as
+/// the [`Camera`] accessor it stands in for, so projecting through a
+/// context is bit-identical to calling those accessors for every splat.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProjectionContext {
     pub(crate) cam: Camera,
     pub(crate) view: Mat4,
-    /// `view.to_mat3()` and its transpose.
-    rotation: Mat3,
+    /// `view.to_mat3()` transposed: its columns are the rows of the view
+    /// rotation `W`.
     rotation_t: Mat3,
     /// `tan(fov_x / 2)` and `tan(fov_y / 2)`.
     pub(crate) tan_half_fov: Vec2,
@@ -90,14 +94,12 @@ pub(crate) struct ProjectionContext {
 impl ProjectionContext {
     pub(crate) fn new(cam: &Camera) -> Self {
         let view = cam.view_matrix();
-        let rotation = view.to_mat3();
         let width = cam.width as f32;
         let height = cam.height as f32;
         Self {
             cam: *cam,
             view,
-            rotation,
-            rotation_t: rotation.transpose(),
+            rotation_t: view.to_mat3().transpose(),
             tan_half_fov: Vec2::new((cam.fov_x() * 0.5).tan(), (cam.fov_y * 0.5).tan()),
             focal: cam.focal(),
             center: Vec2::new(width * 0.5, height * 0.5),
@@ -131,6 +133,10 @@ pub fn project_gaussian(cam: &Camera, id: u32, g: &Gaussian) -> Option<Projected
 /// The projection kernel: one splat's geometry against a frame's
 /// precomputed camera constants (one context serves every splat of a
 /// frame). Color is left at zero for the [`color_pass`].
+///
+/// Always inlined: called per splat from the projection loops, where an
+/// out-of-line call made city's geometry pass ~20% slower.
+#[inline(always)]
 pub(crate) fn project_in(
     ctx: &ProjectionContext,
     id: u32,
@@ -144,21 +150,21 @@ pub(crate) fn project_in(
     let focal = ctx.focal;
     let mean2d = ctx.camera_to_pixel(t)?;
 
-    // Jacobian of the perspective projection at t (2×3, embedded in 3×3
-    // with a zero third row).
+    // The Jacobian J of the perspective projection at t has four nonzero
+    // entries, so each row of T = J·W mixes two rows of W.
     let inv_z = 1.0 / t.z;
     let inv_z2 = inv_z * inv_z;
-    let j = Mat3::from_rows(
-        Vec3::new(focal.x * inv_z, 0.0, -focal.x * t.x * inv_z2),
-        Vec3::new(0.0, focal.y * inv_z, -focal.y * t.y * inv_z2),
-        Vec3::ZERO,
-    );
-    let cov_cam = ctx.rotation * g.covariance() * ctx.rotation_t;
-    let cov2d_full = j * cov_cam * j.transpose();
+    let w = ctx.rotation_t;
+    let t0 = w.x_axis * (focal.x * inv_z) + w.z_axis * (-focal.x * t.x * inv_z2);
+    let t1 = w.y_axis * (focal.y * inv_z) + w.z_axis * (-focal.y * t.y * inv_z2);
+    // The 2D covariance T·Σ·Tᵀ is U·Uᵀ for U = T·M (2×3), Σ = M·Mᵀ.
+    let m = rotation_scale(g.rotation, g.scale);
+    let u0 = Vec3::new(t0.dot(m.x_axis), t0.dot(m.y_axis), t0.dot(m.z_axis));
+    let u1 = Vec3::new(t1.dot(m.x_axis), t1.dot(m.y_axis), t1.dot(m.z_axis));
 
-    let a = cov2d_full.get(0, 0) + COV2D_DILATION;
-    let b = cov2d_full.get(0, 1);
-    let c = cov2d_full.get(1, 1) + COV2D_DILATION;
+    let a = u0.dot(u0) + COV2D_DILATION;
+    let b = u0.dot(u1);
+    let c = u1.dot(u1) + COV2D_DILATION;
 
     let det = a * c - b * b;
     if det <= 0.0 || !det.is_finite() {
@@ -167,9 +173,12 @@ pub(crate) fn project_in(
     let inv_det = 1.0 / det;
     let conic = (c * inv_det, -b * inv_det, a * inv_det);
 
-    // 3σ radius from the larger eigenvalue of the 2D covariance.
+    // 3σ radius from the larger eigenvalue of the 2D covariance. The
+    // square root is below `mid` whenever `det > 0`, so the `min` changes
+    // no finite result; it acts only when `mid²` overflows (a needle-thin
+    // splat ~1e10 px long), and gives the limit `λmax = 2·mid`, not ∞.
     let mid = 0.5 * (a + c);
-    let lambda_max = mid + (mid * mid - det).max(0.01).sqrt();
+    let lambda_max = mid + (mid * mid - det).max(0.01).sqrt().min(mid);
     let radius = (3.0 * lambda_max.sqrt()).ceil();
 
     // Entirely off-screen splats are dropped here; per-tile overlap is
@@ -191,6 +200,38 @@ pub(crate) fn project_in(
         color: Vec3::ZERO,
         opacity: g.opacity,
     })
+}
+
+/// `M = R·S`: the splat's rotation with each column scaled by that axis's
+/// standard deviation, so that its covariance is `Σ = M·Mᵀ`.
+///
+/// `R` is built from the raw quaternion with one `2/|q|²` scale: no
+/// `sqrt` and one divide, where normalising first costs a `sqrt` and
+/// four. When `|q|²` is zero, subnormal or not finite, `R` is
+/// [`Quat::to_mat3`]'s instead; so a zero or non-finite quaternion is
+/// the identity, as under [`Quat::normalized`].
+#[inline]
+fn rotation_scale(q: Quat, scale: Vec3) -> Mat3 {
+    let n2 = q.norm_squared();
+    // Off the normal range the scale is inexact or undefined; normalising
+    // and scaling by exactly 2 is then `Quat::to_mat3` bit for bit.
+    // Selecting the quaternion, not the matrix, keeps `R` in registers.
+    let (q, n2) = if n2.is_normal() {
+        (q, n2)
+    } else {
+        (q.normalized(), 1.0)
+    };
+    let s = 2.0 / n2;
+    let (w, x, y, z) = (q.w, q.x, q.y, q.z);
+    let (xs, ys, zs) = (x * s, y * s, z * s);
+    let (xx, yy, zz) = (x * xs, y * ys, z * zs);
+    let (xy, xz, yz) = (x * ys, x * zs, y * zs);
+    let (wx, wy, wz) = (w * xs, w * ys, w * zs);
+    Mat3::from_cols(
+        Vec3::new(1.0 - (yy + zz), xy + wz, xz - wy) * scale.x,
+        Vec3::new(xy - wz, 1.0 - (xx + zz), yz + wx) * scale.y,
+        Vec3::new(xz + wy, yz - wx, 1.0 - (xx + yy)) * scale.z,
+    )
 }
 
 /// The geometry pass over any [`CloudStorage`] backend: projects every
@@ -262,7 +303,6 @@ mod tests {
                 cam.fov_y = fov_y;
                 let ctx = ProjectionContext::new(&cam);
                 assert_eq!(ctx.view, cam.view_matrix());
-                assert_eq!(ctx.rotation, cam.view_matrix().to_mat3());
                 assert_eq!(ctx.rotation_t, cam.view_matrix().to_mat3().transpose());
                 let tan_x = (cam.fov_x() * 0.5).tan();
                 let tan_y = (cam.fov_y * 0.5).tan();
@@ -272,6 +312,46 @@ mod tests {
                 assert_eq!(ctx.focal.y.to_bits(), cam.focal().y.to_bits());
                 let t = Vec3::new(0.37, -1.25, 3.5);
                 assert_eq!(ctx.camera_to_pixel(t), cam.camera_to_pixel(t));
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_scale_is_to_mat3_at_the_norm_edges() {
+        let scale = Vec3::new(0.5, 2.0, 3.0);
+        let scaled =
+            |r: Mat3| Mat3::from_cols(r.x_axis * scale.x, r.y_axis * scale.y, r.z_axis * scale.z);
+        // |q|² zero, subnormal, underflowing, overflowing, non-finite:
+        // bit for bit `to_mat3`, which is the identity unless the
+        // quaternion normalises.
+        for q in [
+            Quat::new(0.0, 0.0, 0.0, 0.0),
+            Quat::new(7e-21, 5e-21, -4e-21, 2e-21),
+            Quat::new(1e-30, 2e-30, 0.0, 0.0),
+            Quat::new(1e20, -3e20, 2e20, 0.0),
+            Quat::new(f32::NAN, 0.1, 0.2, 0.3),
+            Quat::new(1.0, f32::INFINITY, 0.0, 0.0),
+        ] {
+            assert_eq!(rotation_scale(q, scale), scaled(q.to_mat3()), "{q:?}");
+        }
+        assert_eq!(
+            rotation_scale(Quat::new(0.0, 0.0, 0.0, 0.0), scale),
+            scaled(Mat3::IDENTITY)
+        );
+        // In range, any norm: `to_mat3` to within a few ulps.
+        for q in [
+            Quat::IDENTITY,
+            Quat::new(0.8, 0.1, -0.5, 0.3),
+            Quat::new(8e3, 1e3, -5e3, 3e3),
+            Quat::new(8e-4, 1e-4, -5e-4, 3e-4),
+        ] {
+            let (fast, slow) = (rotation_scale(q, scale), scaled(q.to_mat3()));
+            for (a, b) in [
+                (fast.x_axis, slow.x_axis),
+                (fast.y_axis, slow.y_axis),
+                (fast.z_axis, slow.z_axis),
+            ] {
+                assert!((a - b).abs().max_element() < 3e-6, "{q:?}");
             }
         }
     }

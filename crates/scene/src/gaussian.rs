@@ -26,6 +26,9 @@ const _: () = assert!(std::mem::size_of::<SplatGeometry>() == 44);
 
 impl SplatGeometry {
     /// The 3D covariance `Σ = R S Sᵀ Rᵀ`.
+    ///
+    /// The frame path no longer calls this: projection factors `Σ` as
+    /// `(R·S)(R·S)ᵀ` and never forms it.
     pub fn covariance(&self) -> Mat3 {
         let r = self.rotation.to_mat3();
         let s2 = Mat3::from_diagonal(self.scale * self.scale);

@@ -97,10 +97,10 @@ fn building_image_bits_are_pinned() {
     assert_eq!(
         render(ScenePreset::Building),
         Golden {
-            image_fnv1a: 0xe657_0819_0156_f40a,
-            blend_ops: 56_470_479,
+            image_fnv1a: 0x1d59_2a62_4b88_8c83,
+            blend_ops: 56_470_472,
             saturated_pixels: 120_852,
-            pixel_visits: 70_844_319,
+            pixel_visits: 70_844_316,
         }
     );
 }
@@ -110,10 +110,10 @@ fn family_image_bits_are_pinned() {
     assert_eq!(
         render(ScenePreset::Family),
         Golden {
-            image_fnv1a: 0x9b66_da3e_3256_0c68,
-            blend_ops: 112_466_794,
+            image_fnv1a: 0x503c_0c1d_be60_0c92,
+            blend_ops: 112_466_781,
             saturated_pixels: 814_956,
-            pixel_visits: 133_927_995,
+            pixel_visits: 133_927_980,
         }
     );
 }
@@ -123,10 +123,10 @@ fn horse_image_bits_are_pinned() {
     assert_eq!(
         render(ScenePreset::Horse),
         Golden {
-            image_fnv1a: 0x28f7_f3fd_92e1_85a1,
-            blend_ops: 111_918_289,
+            image_fnv1a: 0x8cc6_b3f1_f4c5_847a,
+            blend_ops: 111_918_283,
             saturated_pixels: 733_071,
-            pixel_visits: 130_853_757,
+            pixel_visits: 130_853_745,
         }
     );
 }

@@ -382,16 +382,35 @@ fn arb_camera_space_gaussian() -> impl Strategy<Value = (Vec3, Gaussian)> {
 /// pass: every splat re-derives the frustum tangents, the focal length
 /// and the pixel mapping from the [`Camera`], and its covariance, radius
 /// and SH color from the whole [`Gaussian`]. Kept verbatim so any drift
-/// of the production path shows.
+/// of the production path shows; only its covariance block was
+/// re-frozen, to the factored `(J·W)·(R·S)` form that replaced the
+/// `Σ = R·S²·Rᵀ` triple products (which moved conic bits by ulps).
 mod frozen {
     use super::*;
 
     const COV2D_DILATION: f32 = 0.3;
 
-    fn covariance(g: &Gaussian) -> Mat3 {
-        let r = g.rotation.to_mat3();
-        let s2 = Mat3::from_diagonal(g.scale * g.scale);
-        r * s2 * r.transpose()
+    /// `M = R·S`, with `R` from one `2/|q|²` scale (re-frozen when the
+    /// kernel stopped forming `Σ`).
+    fn rotation_scale(g: &Gaussian) -> Mat3 {
+        let q = g.rotation;
+        let n2 = q.norm_squared();
+        let (q, n2) = if n2.is_normal() {
+            (q, n2)
+        } else {
+            (q.normalized(), 1.0)
+        };
+        let s = 2.0 / n2;
+        let (w, x, y, z) = (q.w, q.x, q.y, q.z);
+        let (xs, ys, zs) = (x * s, y * s, z * s);
+        let (xx, yy, zz) = (x * xs, y * ys, z * zs);
+        let (xy, xz, yz) = (x * ys, x * zs, y * zs);
+        let (wx, wy, wz) = (w * xs, w * ys, w * zs);
+        Mat3::from_cols(
+            Vec3::new(1.0 - (yy + zz), xy + wz, xz - wy) * g.scale.x,
+            Vec3::new(xy - wz, 1.0 - (xx + zz), yz + wx) * g.scale.y,
+            Vec3::new(xz + wy, yz - wx, 1.0 - (xx + yy)) * g.scale.z,
+        )
     }
 
     fn sh_eval(sh: &ShCoefficients, dir: Vec3) -> Vec3 {
@@ -433,20 +452,20 @@ mod frozen {
         let focal = cam.focal();
         let mean2d = cam.camera_to_pixel(t)?;
 
+        // 2D covariance U·Uᵀ for U = (J·W)·(R·S); the rows of W are
+        // the columns of its transpose.
         let inv_z = 1.0 / t.z;
         let inv_z2 = inv_z * inv_z;
-        let j = Mat3::from_rows(
-            Vec3::new(focal.x * inv_z, 0.0, -focal.x * t.x * inv_z2),
-            Vec3::new(0.0, focal.y * inv_z, -focal.y * t.y * inv_z2),
-            Vec3::ZERO,
-        );
-        let w = view.to_mat3();
-        let cov_cam = w * covariance(g) * w.transpose();
-        let cov2d_full = j * cov_cam * j.transpose();
+        let w = view.to_mat3().transpose();
+        let t0 = w.x_axis * (focal.x * inv_z) + w.z_axis * (-focal.x * t.x * inv_z2);
+        let t1 = w.y_axis * (focal.y * inv_z) + w.z_axis * (-focal.y * t.y * inv_z2);
+        let m = rotation_scale(g);
+        let u0 = Vec3::new(t0.dot(m.x_axis), t0.dot(m.y_axis), t0.dot(m.z_axis));
+        let u1 = Vec3::new(t1.dot(m.x_axis), t1.dot(m.y_axis), t1.dot(m.z_axis));
 
-        let a = cov2d_full.get(0, 0) + COV2D_DILATION;
-        let b = cov2d_full.get(0, 1);
-        let c = cov2d_full.get(1, 1) + COV2D_DILATION;
+        let a = u0.dot(u0) + COV2D_DILATION;
+        let b = u0.dot(u1);
+        let c = u1.dot(u1) + COV2D_DILATION;
 
         let det = a * c - b * b;
         if det <= 0.0 || !det.is_finite() {
