@@ -38,7 +38,7 @@ fn bench_stages(c: &mut Criterion) {
         FrameSampler::new(city.trajectory(), 30.0, Resolution::Custom(640, 360)).frame(0);
     group.bench_function("project_clusters_geometry", |b| {
         b.iter(|| {
-            project_clusters_geometry(black_box(&city_cam), engine.storage().as_ref(), index, &lod)
+            project_clusters_geometry(black_box(&city_cam), engine.scene().geometry(), index, &lod)
         })
     });
 

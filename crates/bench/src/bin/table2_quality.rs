@@ -7,16 +7,14 @@
 //! reuse-and-update renderer. The paper's point — Neo's deltas are
 //! imperceptible (≤0.1 dB PSNR, ≤0.001 LPIPS) — is checked on the deltas.
 //!
-//! The Neo column is additionally rendered once per storage backend, so
-//! the table reports each format's *actual* feature record size (from
-//! [`StorageFormat::record_bytes`], not a hard-coded f32 AoS figure) and
-//! the per-frame feature-extraction traffic the traffic ledger charged
-//! with it — quality and bandwidth of the quantized format side by side.
+//! Each row also reports the feature record size the traffic ledger
+//! charges per splat read (`GaussianCloud::record_bytes`) and the
+//! per-frame feature-extraction traffic it charged.
 //!
 //! Run: `cargo run --release -p neo-bench --bin table2_quality`
 
 use neo_bench::{ground_truth, ExperimentRecord, TextTable};
-use neo_core::{RenderEngine, RendererConfig, StorageFormat, StrategyKind};
+use neo_core::{RenderEngine, RendererConfig, StrategyKind};
 use neo_metrics::{lpips_proxy, psnr};
 use neo_pipeline::Stage;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
@@ -33,24 +31,15 @@ struct Row {
     feature_kb_per_frame: f64,
 }
 
-fn measure(
-    scene: ScenePreset,
-    kind: StrategyKind,
-    format: StorageFormat,
-    ground_truth: &[neo_pipeline::Image],
-) -> Row {
+fn measure(scene: ScenePreset, kind: StrategyKind, ground_truth: &[neo_pipeline::Image]) -> Row {
     let sampler = FrameSampler::new(scene.trajectory(), 30.0, Resolution::Custom(256, 144));
     let engine = RenderEngine::builder()
         .scene(scene.build_scaled(0.004))
-        .config(
-            RendererConfig::default()
-                .with_tile_size(32)
-                .with_storage(format),
-        )
+        .config(RendererConfig::default().with_tile_size(32))
         .strategy(kind)
         .build()
         .expect("table configuration is valid");
-    let record_bytes = engine.storage().record_bytes();
+    let record_bytes = engine.scene().record_bytes();
     let mut session = engine.session();
     let (mut p, mut l, mut kb) = (0.0, 0.0, 0.0);
     let mut counted = 0.0;
@@ -82,7 +71,6 @@ fn main() {
     let mut table = TextTable::new([
         "Scene",
         "Renderer",
-        "Storage",
         "rec B",
         "feat KB/f",
         "PSNR↑",
@@ -92,65 +80,51 @@ fn main() {
     ]);
     let mut record = ExperimentRecord::new(
         "table2",
-        "PSNR/LPIPS-proxy and per-format feature traffic of original 3DGS and Neo per scene",
+        "PSNR/LPIPS-proxy and feature traffic of original 3DGS and Neo per scene",
     );
 
     for scene in ScenePreset::TANKS_AND_TEMPLES {
         let sampler = FrameSampler::new(scene.trajectory(), 30.0, res);
         let ground_truth = ground_truth(&scene.build_scaled(0.004), &sampler, FRAMES);
 
-        let base = measure(
-            scene,
-            StrategyKind::FullResort,
-            StorageFormat::AosF32,
-            &ground_truth,
-        );
-        let variants = [
-            ("Neo", StorageFormat::AosF32),
-            ("Neo", StorageFormat::Compact),
+        let base = measure(scene, StrategyKind::FullResort, &ground_truth);
+        let neo = measure(scene, StrategyKind::ReuseUpdate, &ground_truth);
+        let deltas = [
+            (String::new(), String::new()),
+            (
+                format!("{:+.2}", neo.psnr_db - base.psnr_db),
+                format!("{:+.4}", neo.lpips - base.lpips),
+            ),
         ];
-        table.row([
-            scene.name().to_string(),
-            "3DGS".to_string(),
-            "aos-f32".to_string(),
-            base.record_bytes.to_string(),
-            format!("{:.0}", base.feature_kb_per_frame),
-            format!("{:.2}", base.psnr_db),
-            format!("{:.4}", base.lpips),
-            String::new(),
-            String::new(),
-        ]);
-        let mut series = vec![base.psnr_db, base.lpips];
-        for (name, format) in variants {
-            let row = measure(scene, StrategyKind::ReuseUpdate, format, &ground_truth);
+        for ((name, row), (d_psnr, d_lpips)) in
+            [("3DGS", &base), ("Neo", &neo)].into_iter().zip(deltas)
+        {
             table.row([
                 scene.name().to_string(),
                 name.to_string(),
-                format.name().to_string(),
                 row.record_bytes.to_string(),
                 format!("{:.0}", row.feature_kb_per_frame),
                 format!("{:.2}", row.psnr_db),
                 format!("{:.4}", row.lpips),
-                format!("{:+.2}", row.psnr_db - base.psnr_db),
-                format!("{:+.4}", row.lpips - base.lpips),
-            ]);
-            series.extend([
-                row.psnr_db,
-                row.lpips,
-                row.record_bytes as f64,
-                row.feature_kb_per_frame,
+                d_psnr,
+                d_lpips,
             ]);
         }
+        let series = vec![
+            base.psnr_db,
+            base.lpips,
+            neo.psnr_db,
+            neo.lpips,
+            neo.record_bytes as f64,
+            neo.feature_kb_per_frame,
+        ];
         record.push_series(scene.name(), series);
     }
     println!("{}", table.render());
     println!(
         "Paper reference: per-scene deltas ≤0.1 dB PSNR and ≤0.001 LPIPS —\n\
          reuse-and-update sorting is visually lossless. (LPIPS column uses the\n\
-         documented LPIPS proxy; compare deltas, not absolute values. Record\n\
-         bytes and feature traffic come from the configured storage backend:\n\
-         the compact format trades a bounded quality delta for ~2.6x smaller\n\
-         records.)"
+         documented LPIPS proxy; compare deltas, not absolute values.)"
     );
     if let Ok(p) = record.save() {
         println!("saved {}", p.display());

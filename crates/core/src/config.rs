@@ -3,7 +3,6 @@
 use crate::{NeoError, NeoResult};
 use neo_math::Vec3;
 use neo_pipeline::LodConfig;
-use neo_scene::StorageFormat;
 use neo_sort::dps::DpsConfig;
 use neo_sort::strategies::SorterConfig;
 use neo_sort::warm::WarmStartConfig;
@@ -108,13 +107,6 @@ pub struct RendererConfig {
     /// benchmark's replay (`perfbench/`) reads this field to refuse
     /// cached engines, so it must stay a public field.
     pub temporal_cache: Option<WarmStartConfig>,
-    /// Splat storage backend (default [`StorageFormat::AosF32`]): how the
-    /// engine lays out the scene's feature records, and therefore how
-    /// many bytes the traffic ledger charges per splat read: `AosF32`
-    /// keeps the f32 records; `Compact` quantizes (f16/u8/packed
-    /// quaternions) for less than half the record size.
-    /// See [`RendererConfig::with_storage`].
-    pub storage: StorageFormat,
     /// Cluster-index LOD path (default `None` = the flat projection
     /// walk, byte-identical to the pre-index renderer — pinned by
     /// `tests/lod_parity.rs`). When set, the engine builds a
@@ -136,7 +128,6 @@ impl Default for RendererConfig {
             deferred_depth_update: true,
             parallelism: Parallelism::Serial,
             temporal_cache: None,
-            storage: StorageFormat::AosF32,
             lod: None,
         }
     }
@@ -271,24 +262,6 @@ impl RendererConfig {
         self
     }
 
-    /// Selects the splat storage backend the engine builds the scene
-    /// into. The default [`StorageFormat::AosF32`] renders from the
-    /// scene's own f32 records. [`StorageFormat::Compact`]
-    /// quantizes to f16 means/scales/SH, u8 opacity, and packed
-    /// quaternions, cutting per-splat record bytes by more than half at a
-    /// small PSNR cost (measured by the `fig_formats` bench).
-    ///
-    /// ```
-    /// use neo_core::{RendererConfig, StorageFormat};
-    /// let cfg = RendererConfig::default().with_storage(StorageFormat::Compact);
-    /// assert_eq!(cfg.storage, StorageFormat::Compact);
-    /// ```
-    #[must_use]
-    pub fn with_storage(mut self, storage: StorageFormat) -> Self {
-        self.storage = storage;
-        self
-    }
-
     /// Enables the cluster-index LOD path: the engine builds a
     /// [`neo_scene::ClusteredCloud`] over the scene at build time
     /// (deterministic Morton clustering, `config.cluster_size` splats
@@ -415,17 +388,6 @@ mod tests {
         assert!(!cfg.raster_fast_path);
         assert!(cfg.validate().is_ok(), "legacy loop is a valid config");
         assert!(cfg.with_raster_fast_path(true).raster_fast_path);
-    }
-
-    #[test]
-    fn storage_defaults_to_aos_and_chains() {
-        let cfg = RendererConfig::default();
-        assert_eq!(cfg.storage, StorageFormat::AosF32);
-        for format in StorageFormat::ALL {
-            let cfg = RendererConfig::default().with_storage(format);
-            assert_eq!(cfg.storage, format);
-            assert!(cfg.validate().is_ok(), "all storage formats are valid");
-        }
     }
 
     #[test]

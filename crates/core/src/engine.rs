@@ -50,10 +50,7 @@ use neo_pipeline::{
     FrameStats, Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid,
     TileRasterStats, TrafficLedger,
 };
-use neo_scene::{
-    Camera, CloudStorage, ClusterParams, ClusteredCloud, CompactCloud, FrameSampler, GaussianCloud,
-    StorageFormat,
-};
+use neo_scene::{Camera, ClusterParams, ClusteredCloud, FrameSampler, GaussianCloud};
 use neo_sort::strategies::{SorterConfig, StrategyKind};
 use neo_sort::warm::{WarmStartConfig, WarmStartSorter};
 use neo_sort::{SortCost, SortingStrategy};
@@ -250,12 +247,12 @@ impl RenderSession {
     fn render_validated(&mut self, cam: &Camera, plan: &ShardPlan) -> FrameResult {
         let grid = self.ensure_grid(cam);
         let config = &self.config;
-        let storage = self.storage.as_ref();
+        let scene = self.scene.as_ref();
         let lod_index = self.lod_index.as_deref();
 
         // Projection's geometry pass: through the cluster index when the
         // LOD path is on (whole-cluster culling, proxy substitution, member
-        // streaming), the flat storage walk otherwise — the latter
+        // streaming), the flat geometry walk otherwise — the latter
         // byte-exactly preserves the pre-index renderer, which
         // `tests/lod_parity.rs` pins. Both bin the same way: a tile's
         // sorter tracks its own population, so LOD frames need no
@@ -263,31 +260,33 @@ impl RenderSession {
         let lod = config.lod.as_ref().zip(lod_index);
         let (mut projected, clusters) = match lod {
             Some((lod_cfg, index)) => {
-                let mut cp = project_clusters_geometry(cam, storage, index, lod_cfg);
+                let mut cp = project_clusters_geometry(cam, scene.geometry(), index, lod_cfg);
                 (std::mem::take(&mut cp.projected), Some(cp))
             }
-            None => (project_storage_geometry(cam, storage), None),
+            None => (project_storage_geometry(cam, scene.geometry()), None),
         };
         // Color is read by the rasterizer alone, so only frames with an
         // image read SH: one color pass over the projected splats.
         if config.render_image {
+            #[cfg(test)]
+            tests::COLOR_PASSES.with(|n| n.set(n.get() + 1));
             match lod {
                 Some((_, index)) => {
-                    color_pass(&mut projected, cluster_colors(cam, storage, index));
+                    color_pass(&mut projected, cluster_colors(cam, scene, index));
                 }
-                None => color_pass(&mut projected, |id| storage.color(id, cam)),
+                None => color_pass(&mut projected, |id| scene.color(id, cam)),
             }
         }
         let assignments = bin_to_tiles(&grid, &projected);
 
         // ID → projected-splat lookup for the rasterizer's gather, so only
         // frames with an image need it. Proxy splats live in the ID range
-        // above the storage (`source_len + proxy_index`). The table
+        // above the scene's (`source_len + proxy_index`). The table
         // persists in the session with every slot absent between frames:
         // only this frame's IDs are set here, and the same walk clears
         // them once the tiles are rendered.
         if config.render_image {
-            let id_space = storage.len() + lod.map_or(0, |(_, index)| index.proxy_count());
+            let id_space = scene.len() + lod.map_or(0, |(_, index)| index.proxy_count());
             if self.by_id.len() < id_space {
                 self.by_id.resize(id_space, ABSENT);
             }
@@ -312,19 +311,17 @@ impl RenderSession {
         };
 
         let mut stats = FrameStats {
-            input: storage.len(),
+            input: scene.len(),
             projected: projected.len(),
             duplicates: assignments.total_assignments(),
             occupied_tiles: occupied.len(),
             ..Default::default()
         };
-        // Charge the *actual* per-record size of the configured storage
-        // backend: compact records are less than half the f32 size, and the
-        // ledger is how that saving reaches the DRAM traffic model. On the
-        // LOD path only the records actually decoded (surviving members +
-        // proxies) are charged — that is the traffic the index exists to
-        // cut; the flat walk touches every record, exactly as before.
-        let feature_bytes = neo_math::num::u64_from_usize(storage.record_bytes());
+        // Charge the resident record per splat read. On the LOD path only
+        // the records actually read (surviving members + proxies) are
+        // charged — that is the traffic the index exists to cut; the flat
+        // walk touches every record.
+        let feature_bytes = neo_math::num::u64_from_usize(scene.record_bytes());
         let records_read = match &clusters {
             Some(cp) => {
                 stats.clusters_total = cp.clusters_total;
@@ -333,7 +330,7 @@ impl RenderSession {
                 stats.lod_splats_saved = cp.splats_saved;
                 cp.splats_visited
             }
-            None => neo_math::num::u64_from_usize(storage.len()),
+            None => neo_math::num::u64_from_usize(scene.len()),
         };
         stats
             .traffic
@@ -624,7 +621,7 @@ impl RenderEngineBuilder {
     ///   below 2) or the strategy kind is invalid (zero periodic
     ///   interval).
     pub fn build(self) -> NeoResult<RenderEngine> {
-        let scene = self.scene.ok_or(NeoError::EmptyCloud)?;
+        let mut scene = self.scene.ok_or(NeoError::EmptyCloud)?;
         if scene.is_empty() {
             return Err(NeoError::EmptyCloud);
         }
@@ -643,47 +640,26 @@ impl RenderEngineBuilder {
             Some(warm) => factory.warmed(warm),
             None => factory,
         };
-        // Build the configured storage backend once, at engine
-        // construction; sessions share it behind the Arc. The AoS format
-        // reuses the scene allocation directly.
-        let format = self.config.storage;
-        let encode = |scene: &Arc<GaussianCloud>| -> Arc<dyn CloudStorage> {
-            match format {
-                StorageFormat::AosF32 => scene.clone(),
-                StorageFormat::Compact => Arc::new(CompactCloud::from_cloud(scene)),
-            }
-        };
-        let mut scene = scene;
-        let mut storage = encode(&scene);
-        // The cluster index is built over the *configured* storage (not
-        // the f32 scene): clustering is a function of the decoded
-        // records, so the index sees exactly the splats projection will
-        // stream — including any compact-format quantization.
         let mut lod_index = None;
         if let Some(lod) = &self.config.lod {
             let mut index = ClusteredCloud::build(
-                storage.as_ref(),
+                &scene,
                 ClusterParams {
                     target_cluster_size: lod.cluster_size,
                 },
             );
             // Renumber the scene into the index's cluster order, so each
-            // cluster streams from storage as one ID range. Dropping the
-            // storage first releases the AoS format's second reference:
-            // the permutation then runs in place when the builder holds
-            // the only one, and on a private copy of a shared scene
-            // otherwise. The compact encoding is per record, so the
-            // re-encoded storage decodes to the records the index saw.
+            // cluster is one ID range of the geometry. The permutation
+            // runs in place when the builder holds the only reference to
+            // the scene, and on a private copy of a shared scene
+            // otherwise.
             if let Some(order) = index.renumber() {
-                drop(storage);
                 Arc::make_mut(&mut scene).permute(order);
-                storage = encode(&scene);
             }
             lod_index = Some(Arc::new(index));
         }
         Ok(RenderEngine {
             scene,
-            storage,
             lod_index,
             config: self.config,
             factory,
@@ -701,7 +677,6 @@ impl RenderEngineBuilder {
 #[derive(Debug)]
 pub struct RenderEngine {
     scene: Arc<GaussianCloud>,
-    storage: Arc<dyn CloudStorage>,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -736,7 +711,6 @@ impl RenderEngine {
         RenderSession {
             id,
             scene: Arc::clone(&self.scene),
-            storage: Arc::clone(&self.storage),
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
             factory: self.factory.clone(),
@@ -762,21 +736,21 @@ impl RenderEngine {
         &self.scene
     }
 
-    /// The storage backend the engine renders from ([`RendererConfig::storage`]).
+    /// The scene again: the same `Arc` as [`RenderEngine::scene`].
     ///
-    /// For [`StorageFormat::AosF32`] this is the scene `Arc` itself; for
-    /// the compact format it is a re-encoded copy built at
-    /// [`RenderEngineBuilder::build`] time. Either way it is in the same
-    /// order as [`RenderEngine::scene`], cluster order on LOD engines.
-    pub fn storage(&self) -> &Arc<dyn CloudStorage> {
-        &self.storage
+    /// The repository benchmark (`perfbench/`) pins this name: it passes
+    /// `engine.storage().as_ref()` where it takes a
+    /// [`neo_scene::CloudStorage`] trait object. It goes with the
+    /// benchmark's next change; call [`RenderEngine::scene`] instead.
+    pub fn storage(&self) -> &Arc<GaussianCloud> {
+        &self.scene
     }
 
     /// The cluster index built at construction when
     /// [`RendererConfig::with_lod`] is set; `None` on the flat path.
     ///
     /// The index is renumbered together with the scene: its member IDs
-    /// are the IDs of [`RenderEngine::storage`], each cluster one
+    /// are the IDs of [`RenderEngine::scene`], each cluster one
     /// contiguous range, and [`ClusteredCloud::source_ids`] maps them
     /// back to the builder's original order.
     pub fn lod_index(&self) -> Option<&Arc<ClusteredCloud>> {
@@ -807,7 +781,6 @@ impl RenderEngine {
 pub struct RenderSession {
     id: SessionId,
     scene: Arc<GaussianCloud>,
-    storage: Arc<dyn CloudStorage>,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
     factory: StrategyFactory,
@@ -935,12 +908,6 @@ impl RenderSession {
         &self.scene
     }
 
-    /// The storage backend this session reads splats from — see
-    /// [`RenderEngine::storage`].
-    pub fn storage(&self) -> &Arc<dyn CloudStorage> {
-        &self.storage
-    }
-
     /// The session's configuration.
     pub fn config(&self) -> &RendererConfig {
         &self.config
@@ -988,6 +955,12 @@ mod tests {
     use super::*;
     use neo_math::Vec3;
     use neo_scene::{presets::ScenePreset, Resolution};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Color passes run by frames rendered on this thread.
+        pub(super) static COLOR_PASSES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn small_engine() -> RenderEngine {
         RenderEngine::builder()
@@ -1245,39 +1218,8 @@ mod tests {
         }
     }
 
-    /// A storage that lends its inner store's geometry and panics on any
-    /// read of SH, whole records included.
-    #[derive(Debug)]
-    struct GeometryOnly(Arc<dyn CloudStorage>);
-
-    impl CloudStorage for GeometryOnly {
-        fn format(&self) -> StorageFormat {
-            self.0.format()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn sh_degree(&self) -> usize {
-            self.0.sh_degree()
-        }
-        fn get(&self, id: u32) -> Option<neo_scene::Gaussian> {
-            panic!("decoded whole splat {id}");
-        }
-        fn visit_range(
-            &self,
-            start: u32,
-            end: u32,
-            f: &mut dyn FnMut(u32, &neo_scene::SplatGeometry),
-        ) {
-            self.0.visit_range(start, end, f);
-        }
-        fn color(&self, id: u32, _cam: &Camera) -> Vec3 {
-            panic!("read the SH of splat {id}");
-        }
-    }
-
     #[test]
-    fn image_off_frames_never_read_sh() {
+    fn image_off_frames_never_run_the_color_pass() {
         use neo_pipeline::LodConfig;
         let scene = Arc::new(
             neo_scene::synth::CityParams {
@@ -1297,32 +1239,33 @@ mod tests {
             proxy_footprint_px: 48.0,
             ..LodConfig::default()
         };
+        let passes = || COLOR_PASSES.with(Cell::get);
         for lod in [None, Some(lod)] {
-            let mut config = RendererConfig::default().with_tile_size(32).without_image();
-            if let Some(lod) = lod {
-                config = config.with_lod(lod);
+            for image in [false, true] {
+                let mut config = RendererConfig::default().with_tile_size(32);
+                if !image {
+                    config = config.without_image();
+                }
+                if let Some(lod) = lod {
+                    config = config.with_lod(lod);
+                }
+                let engine = RenderEngine::builder()
+                    .scene(Arc::clone(&scene))
+                    .config(config)
+                    .build()
+                    .unwrap();
+                let mut session = engine.session();
+                let before = passes();
+                let mut proxied = 0;
+                for i in 0..8 {
+                    let frame = session.render_frame(&sampler.frame(i * 4)).unwrap();
+                    proxied += frame.stats.clusters_lod;
+                }
+                // One color pass per frame with an image, none without.
+                let expected = if image { 8 } else { 0 };
+                assert_eq!(passes() - before, expected, "lod {lod:?}, image {image}");
+                assert_eq!(proxied > 0, lod.is_some(), "proxies must be exercised");
             }
-            let plain = RenderEngine::builder()
-                .scene(Arc::clone(&scene))
-                .config(config)
-                .build()
-                .unwrap();
-            let guarded = RenderEngine {
-                scene: Arc::clone(&plain.scene),
-                storage: Arc::new(GeometryOnly(Arc::clone(&plain.storage))),
-                lod_index: plain.lod_index.clone(),
-                config: plain.config.clone(),
-                factory: plain.factory.clone(),
-            };
-            let (mut a, mut b) = (plain.session(), guarded.session());
-            let mut proxied = 0;
-            for i in 0..8 {
-                let cam = sampler.frame(i * 4);
-                let expected = a.render_frame(&cam).unwrap();
-                assert_eq!(b.render_frame(&cam).unwrap(), expected, "frame {i}");
-                proxied += expected.stats.clusters_lod;
-            }
-            assert_eq!(proxied > 0, lod.is_some(), "proxies must be exercised");
         }
     }
 
@@ -1334,21 +1277,17 @@ mod tests {
             ..neo_scene::synth::CityParams::default().scaled(2.0)
         }
         .build();
-        let build = |scene: Arc<GaussianCloud>, storage: StorageFormat| {
+        let build = |scene: Arc<GaussianCloud>| {
             RenderEngine::builder()
                 .scene(scene)
-                .config(
-                    RendererConfig::default()
-                        .with_storage(storage)
-                        .with_lod(LodConfig::default()),
-                )
+                .config(RendererConfig::default().with_lod(LodConfig::default()))
                 .build()
                 .unwrap()
         };
         // A scene shared with the caller is left as it was: the engine
         // renumbers a private copy.
         let shared = Arc::new(original.clone());
-        let engine = build(Arc::clone(&shared), StorageFormat::AosF32);
+        let engine = build(Arc::clone(&shared));
         assert_eq!(*shared, original);
         assert!(!Arc::ptr_eq(engine.scene(), &shared));
         let index = engine.lod_index().unwrap();
@@ -1364,22 +1303,12 @@ mod tests {
             assert_eq!(c.members().last(), Some(&(next + c.len() as u32 - 1)));
             next += c.len() as u32;
         }
-        // An owned scene is renumbered in place into the same order, and
-        // the compact format follows the renumbered scene.
-        for format in StorageFormat::ALL {
-            let scene = Arc::new(original.clone());
-            let allocation = Arc::as_ptr(&scene);
-            let owned = build(scene, format);
-            assert_eq!(Arc::as_ptr(owned.scene()), allocation, "{format:?}");
-            assert_eq!(owned.scene(), engine.scene(), "{format:?}");
-            let reference = match format {
-                StorageFormat::AosF32 => engine.scene().to_cloud(),
-                StorageFormat::Compact => {
-                    neo_scene::CompactCloud::from_cloud(engine.scene()).to_cloud()
-                }
-            };
-            assert_eq!(owned.storage().to_cloud(), reference, "{format:?}");
-        }
+        // An owned scene is renumbered in place into the same order.
+        let scene = Arc::new(original.clone());
+        let allocation = Arc::as_ptr(&scene);
+        let owned = build(scene);
+        assert_eq!(Arc::as_ptr(owned.scene()), allocation);
+        assert_eq!(owned.scene(), engine.scene());
         // The flat path keeps the scene allocation and order untouched.
         let flat = RenderEngine::builder()
             .scene(Arc::clone(&shared))
@@ -1504,41 +1433,9 @@ mod tests {
     }
 
     #[test]
-    fn aos_storage_is_the_scene_arc_itself() {
+    fn storage_is_the_scene_arc_itself() {
         let engine = small_engine();
-        assert_eq!(engine.storage().format(), StorageFormat::AosF32);
-        assert_eq!(engine.storage().len(), engine.scene().len());
-        let session = engine.session();
-        assert_eq!(session.storage().format(), StorageFormat::AosF32);
-    }
-
-    #[test]
-    fn compact_storage_charges_smaller_feature_reads() {
-        let scene = Arc::new(ScenePreset::Family.build_scaled(0.002));
-        let cam = small_sampler().frame(0);
-        let render = |format: StorageFormat| {
-            RenderEngine::builder()
-                .scene(Arc::clone(&scene))
-                .config(
-                    RendererConfig::default()
-                        .with_tile_size(32)
-                        .with_storage(format),
-                )
-                .build()
-                .unwrap()
-                .session()
-                .render_frame(&cam)
-                .unwrap()
-        };
-        let aos = render(StorageFormat::AosF32);
-        let compact = render(StorageFormat::Compact);
-        let stage = Stage::FeatureExtraction;
-        let aos_read = aos.stats.traffic.reads(stage);
-        let compact_read = compact.stats.traffic.reads(stage);
-        assert!(
-            compact_read * 2 <= aos_read,
-            "compact feature reads {compact_read} not ≥2× below {aos_read}"
-        );
+        assert!(Arc::ptr_eq(engine.storage(), engine.scene()));
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl FrameResult {
     /// byte-identical across thread counts and shard plans — which is
     /// what lets a virtual clock built on it replay identically at any
     /// [`crate::Parallelism`]. The value does depend on functional
-    /// configuration (storage format, raster fast path, strategy), since
+    /// configuration (SH degree, LOD, raster fast path, strategy), since
     /// those change the work actually performed.
     #[must_use]
     pub fn work_units(&self) -> u64 {

@@ -80,7 +80,7 @@ pub use engine::{FrameStream, RenderEngine, RenderEngineBuilder, RenderSession};
 pub use error::{NeoError, NeoResult};
 pub use frame::{FrameResult, SessionId, TemporalCacheStats, TileLoad};
 pub use neo_pipeline::LodConfig;
-pub use neo_scene::{CloudStorage, ClusterParams, ClusteredCloud, StorageFormat};
+pub use neo_scene::{ClusterParams, ClusteredCloud};
 pub use neo_sort::strategies::StrategyKind;
 pub use neo_sort::warm::WarmStartConfig;
 pub use neo_sort::SortingStrategy;

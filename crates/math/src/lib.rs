@@ -28,7 +28,6 @@
 )]
 
 mod aabb;
-pub mod f16;
 mod mat;
 pub mod num;
 mod quat;

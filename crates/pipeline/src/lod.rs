@@ -11,14 +11,14 @@
 //!
 //! [`project_clusters_geometry`] is a streaming kernel. The camera
 //! constants are computed once per frame, and each visible cluster's
-//! member geometry is read from storage with `visit_range` over its
-//! consecutive-ID runs; proxies run through the same projection kernel
-//! from the index's geometry table. No SH is read: color is the
+//! member geometry is read as a subslice of the cloud's geometry, one
+//! per consecutive-ID run; proxies run through the same projection
+//! kernel from the index's geometry table. No SH is read: color is the
 //! separate [`color_pass`] over [`cluster_colors`], which
 //! [`project_clusters`] adds for callers that want colored output. The
 //! render engine renumbers its scene into cluster order at build time
 //! ([`ClusteredCloud::renumber`]), so there every cluster is a single run
-//! and the frame reads the storage front to back, in ascending ID order.
+//! and the frame reads the geometry front to back, in ascending ID order.
 //! Members and proxies are collected separately and the proxies appended
 //! last, which leaves a renumbered index's output already ascending by
 //! pipeline ID; the final ordering step is then one linear check. An
@@ -32,7 +32,7 @@
 //! (`proxy_footprint_px == 0`), the output of [`project_clusters`] is
 //! therefore byte-identical to
 //! [`project_storage`](crate::projection::project_storage) over the same
-//! storage — same splats, same arithmetic, same ascending-ID order. The
+//! cloud — same splats, same arithmetic, same ascending-ID order. The
 //! `lod_parity` suite pins this, for raw and renumbered indexes.
 //!
 //! Proxy splats are addressed by **pipeline IDs**
@@ -42,7 +42,7 @@
 use crate::projection::{color_pass, project_in, ProjectedGaussian, ProjectionContext};
 use neo_math::num::{u64_from_usize, usize_from_u32};
 use neo_math::{Aabb, Mat4, Vec3};
-use neo_scene::{Camera, CloudStorage, ClusteredCloud};
+use neo_scene::{Camera, CloudStorage, ClusteredCloud, GaussianCloud, SplatGeometry};
 
 /// Configuration of the cluster-index LOD path.
 ///
@@ -111,7 +111,7 @@ pub struct ClusterProjection {
     /// members of culled clusters plus the member-minus-proxy surplus of
     /// proxied clusters.
     pub splats_saved: u64,
-    /// Records actually decoded from storage or the proxy table — the
+    /// Records actually read from the cloud or the proxy table — the
     /// feature-extraction traffic unit (multiply by record bytes).
     pub splats_visited: u64,
 }
@@ -190,64 +190,72 @@ fn cluster_footprint_px(ctx: &ProjectionContext, lo: Vec3, hi: Vec3, max_radius:
     ctx.focal.y * (2.0 * r) / z
 }
 
-/// Projects `storage` through its cluster `index` with colors and
-/// cluster tags: [`project_clusters_geometry`] plus the tags, then the
-/// [`color_pass`] over [`cluster_colors`].
+/// Projects a cloud through its cluster `index` with colors and cluster
+/// tags: [`project_clusters_geometry`] plus the tags, then the
+/// [`color_pass`] over [`cluster_colors`]. A plain `&GaussianCloud`
+/// coerces; the [`CloudStorage`] parameter stays for the repository
+/// benchmark's replay, which names it.
 pub fn project_clusters(
     cam: &Camera,
     storage: &dyn CloudStorage,
     index: &ClusteredCloud,
     cfg: &LodConfig,
 ) -> ClusterProjection {
-    let mut cp = cluster_pass(cam, storage, index, cfg, true);
-    color_pass(&mut cp.projected, cluster_colors(cam, storage, index));
+    let cloud = storage.cloud();
+    let mut cp = cluster_pass(cam, cloud.geometry(), index, cfg, true);
+    color_pass(&mut cp.projected, cluster_colors(cam, cloud, index));
     cp
 }
 
 /// The per-pipeline-ID color source of a cluster projection over
-/// `storage` and its `index`, for the [`color_pass`]. Member IDs read
-/// their SH toward the camera from `storage`; proxy IDs
+/// `cloud` and its `index`, for the [`color_pass`]. Member IDs read
+/// their SH toward the camera from `cloud`; proxy IDs
 /// (`source_len() + proxy_index`) read the index's view-independent
 /// proxy color.
 ///
 /// The source panics on an ID outside both ranges.
 pub fn cluster_colors<'a>(
     cam: &'a Camera,
-    storage: &'a dyn CloudStorage,
+    cloud: &'a GaussianCloud,
     index: &'a ClusteredCloud,
 ) -> impl Fn(u32) -> Vec3 + 'a {
     let proxy_base = index.source_len();
     move |id| match id.checked_sub(proxy_base) {
         Some(k) => index.proxy_color(usize_from_u32(k)),
-        None => storage.color(id, cam),
+        None => cloud.color(id, cam),
     }
 }
 
 /// The geometry pass through a cluster index: culls whole clusters,
-/// substitutes proxies for sub-threshold clusters, and streams surviving
-/// members' geometry from storage in consecutive-ID runs. Color is left
+/// substitutes proxies for sub-threshold clusters, and projects
+/// surviving members from `geometry` (a cloud's
+/// [`GaussianCloud::geometry`]) in consecutive-ID runs. Color is left
 /// unset and [`ClusterProjection::tags`] empty.
 ///
-/// `index` must have been built over `storage` (same length, same
-/// contents), or renumbered together with it. The output is sorted
-/// ascending by pipeline ID. For a renumbered index every visible
-/// cluster is one `visit_range` call and the output comes out ascending,
-/// so ordering it costs one linear pass; otherwise the runs interleave
-/// and the output is sorted.
+/// `index` must have been built over the cloud `geometry` belongs to,
+/// or renumbered together with it. The output is sorted ascending by
+/// pipeline ID. For a renumbered index every visible cluster is one
+/// subslice and the output comes out ascending, so ordering it costs
+/// one linear pass; otherwise the runs interleave and the output is
+/// sorted.
+///
+/// # Panics
+///
+/// Panics when a member ID of `index` lies outside `geometry`.
 pub fn project_clusters_geometry(
     cam: &Camera,
-    storage: &dyn CloudStorage,
+    geometry: &[SplatGeometry],
     index: &ClusteredCloud,
     cfg: &LodConfig,
 ) -> ClusterProjection {
-    cluster_pass(cam, storage, index, cfg, false)
+    cluster_pass(cam, geometry, index, cfg, false)
 }
 
 /// [`project_clusters_geometry`], recording each splat's cluster tag when
 /// `tagged`.
 fn cluster_pass(
     cam: &Camera,
-    storage: &dyn CloudStorage,
+    geometry: &[SplatGeometry],
     index: &ClusteredCloud,
     cfg: &LodConfig,
     tagged: bool,
@@ -294,15 +302,16 @@ fn cluster_pass(
             }
         } else {
             for (start, end) in consecutive_runs(cluster.members()) {
-                storage.visit_range(start, end, &mut |id, g| {
-                    splats_visited += 1;
+                let run = &geometry[usize_from_u32(start)..usize_from_u32(end)];
+                splats_visited += u64_from_usize(run.len());
+                for (id, g) in (start..).zip(run) {
                     if let Some(p) = project_in(&ctx, id, g) {
                         projected.push(p);
                         if tagged {
                             tags.push(tag_base);
                         }
                     }
-                });
+                }
             }
         }
     }
@@ -345,7 +354,7 @@ fn sort_by_id(projected: &mut Vec<ProjectedGaussian>, tags: &mut Vec<u32>) {
 }
 
 /// Maximal runs of consecutive member IDs, as `(start, end)` half-open
-/// ranges for `visit_range` streaming. A renumbered cluster is one run.
+/// ranges of the cloud's geometry. A renumbered cluster is one run.
 fn consecutive_runs(members: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
     let mut rest = members;
     std::iter::from_fn(move || {
@@ -366,7 +375,7 @@ mod tests {
     use crate::culling::in_frustum;
     use crate::projection::project_storage;
     use neo_scene::synth::CityParams;
-    use neo_scene::{ClusterParams, CompactCloud, Resolution};
+    use neo_scene::{ClusterParams, Resolution};
 
     fn city() -> neo_scene::GaussianCloud {
         CityParams {
@@ -403,18 +412,6 @@ mod tests {
         assert_eq!(clustered.projected, flat);
         assert!(clustered.clusters_culled > 0, "street cam should cull");
         assert_eq!(clusters_tag_proxy_count(&clustered), 0);
-    }
-
-    #[test]
-    fn cull_parity_on_compact_backend() {
-        // Compact streams clusters through the trait's default
-        // `visit_range`, one decoded record per ID.
-        let compact = CompactCloud::from_cloud(&city());
-        let idx = ClusteredCloud::build(&compact, ClusterParams::default());
-        let cam = street_cam(40.0);
-        let clustered = project_clusters(&cam, &compact, &idx, &cull_only());
-        assert_eq!(clustered.projected, project_storage(&cam, &compact));
-        assert!(clustered.clusters_culled > 0, "street cam should cull");
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! for the 2×3 `U = (J·W)·M`, so neither `Σ` nor any 3×3 product of it
 //! is built.
 //!
-//! Feature extraction runs as two passes. The geometry pass streams each
-//! splat's [`SplatGeometry`] through the one projection kernel and leaves
-//! color unset; no SH is read. The color pass ([`color_pass`]) then
-//! evaluates SH for the splats that survived, per ID, and only frames
-//! that draw an image run it. [`project_storage`] runs both, so its
-//! output is what a single fused pass produced, bit for bit.
+//! Feature extraction runs as two passes. The geometry pass streams a
+//! slice of [`SplatGeometry`] through the one projection kernel and
+//! leaves color unset; it is given no SH to read. The color pass
+//! ([`color_pass`]) then evaluates SH for the splats that survived, per
+//! ID, and only frames that draw an image run it. [`project_storage`]
+//! runs both, so its output is what a single fused pass produced, bit
+//! for bit.
 
 use crate::culling::in_frustum;
 use neo_math::{Mat3, Mat4, Quat, Vec2, Vec3};
@@ -234,49 +235,47 @@ fn rotation_scale(q: Quat, scale: Vec3) -> Mat3 {
     )
 }
 
-/// The geometry pass over any [`CloudStorage`] backend: projects every
-/// splat's geometry, skipping culled ones, and leaves color unset.
-/// Packed records are decoded on the fly; no SH is read.
+/// The geometry pass: projects every splat of `geometry` (a cloud's
+/// [`GaussianCloud::geometry`](neo_scene::GaussianCloud::geometry)),
+/// splat `k` under ID `k`, skipping culled ones, and leaves color unset.
 ///
-/// Output order matches storage order (IDs ascending), which downstream
-/// stages rely on for deterministic binning. A plain `&GaussianCloud`
-/// coerces.
+/// Output order matches the slice (IDs ascending), which downstream
+/// stages rely on for deterministic binning.
 pub fn project_storage_geometry(
     cam: &Camera,
-    storage: &dyn CloudStorage,
+    geometry: &[SplatGeometry],
 ) -> Vec<ProjectedGaussian> {
     let ctx = ProjectionContext::new(cam);
-    let mut out = Vec::new();
-    storage.visit(&mut |id, g| {
-        if let Some(p) = project_in(&ctx, id, g) {
-            out.push(p);
-        }
-    });
-    out
+    (0u32..)
+        .zip(geometry)
+        .filter_map(|(id, g)| project_in(&ctx, id, g))
+        .collect()
 }
 
 /// The color pass: sets each projected splat's color to `color(id)`.
 ///
-/// For splats of a storage the source is
-/// `|id| storage.color(id, cam)`, which evaluates SH toward the camera
-/// with the fused formulation's expression, `sh.eval(cam.view_direction(mean))`.
-/// LOD frames use [`cluster_colors`](crate::lod::cluster_colors), which
-/// also knows the proxies.
+/// For splats of a cloud the source is `|id| cloud.color(id, cam)`,
+/// which evaluates SH toward the camera with the fused formulation's
+/// expression, `sh.eval(cam.view_direction(mean))`. LOD frames use
+/// [`cluster_colors`](crate::lod::cluster_colors), which also knows the
+/// proxies.
 pub fn color_pass(projected: &mut [ProjectedGaussian], color: impl Fn(u32) -> Vec3) {
     for p in projected {
         p.color = color(p.id);
     }
 }
 
-/// Projects every splat of any [`CloudStorage`] backend with its color:
-/// the geometry pass, then the color pass.
+/// Projects every splat of a cloud with its color: the geometry pass,
+/// then the color pass.
 ///
-/// Output order matches storage order (IDs ascending), which downstream
+/// Output order matches the cloud's (IDs ascending), which downstream
 /// stages rely on for deterministic binning. A plain `&GaussianCloud`
-/// coerces.
+/// coerces; the [`CloudStorage`] parameter stays for the repository
+/// benchmark's replay, which names it.
 pub fn project_storage(cam: &Camera, storage: &dyn CloudStorage) -> Vec<ProjectedGaussian> {
-    let mut out = project_storage_geometry(cam, storage);
-    color_pass(&mut out, |id| storage.color(id, cam));
+    let cloud = storage.cloud();
+    let mut out = project_storage_geometry(cam, cloud.geometry());
+    color_pass(&mut out, |id| cloud.color(id, cam));
     out
 }
 
@@ -459,12 +458,5 @@ mod tests {
             .filter_map(|(id, g)| project_gaussian(&cam, id, &g))
             .collect();
         assert_eq!(project_storage(&cam, &cloud), aos);
-        // The compact backend is lossy but must cull/project plausibly,
-        // exactly as its decoded records do.
-        let compact = neo_scene::CompactCloud::from_cloud(&cloud);
-        let pc = project_storage(&cam, &compact);
-        assert_eq!(pc, project_storage(&cam, &compact.to_cloud()));
-        let visible = aos.len() as f32;
-        assert!((pc.len() as f32 - visible).abs() <= visible * 0.02 + 2.0);
     }
 }

@@ -5,16 +5,15 @@
 //! for the splats an image draws, so the cloud keeps the two apart: one
 //! 44-byte [`SplatGeometry`] per splat, contiguous, and the SH
 //! coefficients in a second array at the cloud's max-degree stride of
-//! `3·(d+1)²` floats per splat. That is the AoS record
-//! [`StorageFormat::record_bytes`](crate::StorageFormat::record_bytes)
-//! charges, `44 + 12·(d+1)²` bytes, plus one byte for each splat's own
-//! SH degree.
+//! `3·(d+1)²` floats per splat. That is the record
+//! [`GaussianCloud::record_bytes`] charges, `44 + 12·(d+1)²` bytes, plus
+//! one byte for each splat's own SH degree.
 
 use crate::gaussian::SplatGeometry;
-use crate::Gaussian;
+use crate::{Camera, Gaussian};
 use neo_math::num::usize_from_u32;
-use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS, MAX_DEGREE};
-use neo_math::Aabb;
+use neo_math::sh::{basis_count, eval_rgb, ShCoefficients, MAX_COEFFS, MAX_DEGREE};
+use neo_math::{Aabb, Vec3};
 
 /// An ordered collection of [`Gaussian`]s; Gaussian IDs used throughout the
 /// pipeline are indices into this collection.
@@ -77,6 +76,31 @@ impl GaussianCloud {
         &self.geometry
     }
 
+    /// Bytes of one splat's resident record, `44 + 12·(d+1)²` at the
+    /// cloud's max SH degree `d`: its [`SplatGeometry`] plus SH at the
+    /// max-degree stride. The traffic ledger charges this per splat read.
+    pub fn record_bytes(&self) -> usize {
+        std::mem::size_of::<SplatGeometry>() + 12 * self.sh_bases()
+    }
+
+    /// View-dependent color of splat `id` seen from `cam`: its SH
+    /// evaluated toward `cam.view_direction(mean)`, bit-identical to
+    /// `g.sh.eval(cam.view_direction(g.mean))` on the [`get`] result.
+    /// This is the frame path's one SH read, made per projected splat
+    /// by the color pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range.
+    ///
+    /// [`get`]: GaussianCloud::get
+    pub fn color(&self, id: u32, cam: &Camera) -> Vec3 {
+        let j = usize_from_u32(id);
+        let (sh, degree) = self.sh_at(j);
+        let dir = cam.view_direction(self.geometry[j].mean);
+        eval_rgb(degree, sh, self.sh_bases(), dir)
+    }
+
     /// Bases per channel of every splat's stored SH: `(d+1)²` at the
     /// cloud's max degree `d`.
     pub(crate) fn sh_bases(&self) -> usize {
@@ -91,6 +115,13 @@ impl GaussianCloud {
             &self.sh[j * stride..][..stride],
             usize::from(self.degrees[j]),
         )
+    }
+
+    /// The DC (degree-0) term of splat `j`'s SH, one per channel.
+    pub(crate) fn dc(&self, j: usize) -> Vec3 {
+        let n = self.sh_bases();
+        let (sh, _) = self.sh_at(j);
+        Vec3::new(sh[0], sh[n], sh[2 * n])
     }
 
     /// Gaussian by ID, if in range.
@@ -183,7 +214,7 @@ impl GaussianCloud {
         self.geometry.iter().fold(Aabb::EMPTY, |acc, g| {
             acc.union(Aabb::from_center_half_extent(
                 g.mean,
-                neo_math::Vec3::splat(g.bounding_radius()),
+                Vec3::splat(g.bounding_radius()),
             ))
         })
     }
@@ -191,9 +222,9 @@ impl GaussianCloud {
     /// Highest SH degree used by any Gaussian (0 for an empty cloud).
     ///
     /// Tracked as Gaussians are pushed, so it costs nothing to ask. SH is
-    /// stored at this degree's stride, serialization and the compact
-    /// backend homogenize mixed clouds to it (zero-padding the missing
-    /// coefficients), and the traffic ledger charges every record at it.
+    /// stored at this degree's stride, serialization homogenizes mixed
+    /// clouds to it (zero-padding the missing coefficients), and the
+    /// traffic ledger charges every record at it.
     pub fn max_sh_degree(&self) -> usize {
         self.max_degree
     }
@@ -265,6 +296,34 @@ impl GaussianCloud {
     }
 }
 
+/// The splat store as the repository benchmark's replay names it:
+/// `&dyn CloudStorage` in its signatures, `len()` on it, and the colored
+/// `project_storage`/`project_clusters` wrappers that take it.
+/// [`GaussianCloud`] is its one implementor. It stays only for that
+/// replay and goes with the benchmark's next change; everything else
+/// takes `&GaussianCloud` or its [`geometry`](GaussianCloud::geometry)
+/// slice.
+pub trait CloudStorage {
+    /// The cloud behind the trait object.
+    fn cloud(&self) -> &GaussianCloud;
+
+    /// Number of splats stored.
+    fn len(&self) -> usize {
+        self.cloud().len()
+    }
+
+    /// True when no splats are stored.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl CloudStorage for GaussianCloud {
+    fn cloud(&self) -> &GaussianCloud {
+        self
+    }
+}
+
 impl FromIterator<Gaussian> for GaussianCloud {
     fn from_iter<T: IntoIterator<Item = Gaussian>>(iter: T) -> Self {
         let mut cloud = Self::new();
@@ -288,7 +347,6 @@ impl Extend<Gaussian> for GaussianCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_math::Vec3;
 
     fn probe(x: f32) -> Gaussian {
         Gaussian::isotropic(Vec3::new(x, 0.0, 0.0), 0.1, 0.5, Vec3::ONE)

@@ -1,7 +1,7 @@
 //! Deterministic spatial clustering of splat clouds.
 //!
 //! [`ClusteredCloud`] is the scene-side half of the hierarchical-LOD
-//! pipeline: it groups the splats of any [`CloudStorage`] backend into
+//! pipeline: it groups the splats of a [`GaussianCloud`] into
 //! Morton-ordered spatial clusters, each carrying conservative bounds
 //! (member-mean AABB plus the largest member 3σ radius), and a coarse
 //! LOD proxy — up to eight merged representative splats per cluster,
@@ -10,7 +10,7 @@
 //!
 //! # Determinism
 //!
-//! Clustering is a pure function of the storage contents and
+//! Clustering is a pure function of the cloud's contents and
 //! [`ClusterParams`]: the grid resolution is derived from the splat
 //! count by integer search, cell keys come from f32 arithmetic on the
 //! (fixed) member means, clusters are emitted in ascending Morton-key
@@ -20,22 +20,21 @@
 //!
 //! # Renumbering
 //!
-//! A freshly built index stores the storage IDs of its members, so a
+//! A freshly built index stores the cloud IDs of its members, so a
 //! cluster's members are scattered across the cloud. The render engine
 //! renumbers the scene once, at build time, into the index's member
 //! order: [`ClusteredCloud::renumber`] relabels every cluster to one
 //! contiguous, ascending ID range (clusters in Morton order) and hands
-//! back the permutation the storage must undergo
-//! ([`GaussianCloud::permute`](crate::GaussianCloud::permute)).
-//! Afterwards each cluster streams from storage as a single range, and
+//! back the permutation the cloud must undergo
+//! ([`GaussianCloud::permute`]). Afterwards each cluster is a single
+//! range of the cloud's geometry, and
 //! [`ClusteredCloud::source_ids`] maps the new IDs back to the original
 //! ones. Relabeling changes no bound or proxy: within a cluster the new
 //! IDs keep the members' original relative order, so every per-cluster
 //! accumulation runs in the same order as before.
 
 use crate::gaussian::SplatGeometry;
-use crate::storage::CloudStorage;
-use crate::Gaussian;
+use crate::GaussianCloud;
 use neo_math::num::usize_from_u32;
 use neo_math::sh::ShCoefficients;
 use neo_math::{Aabb, Quat, Vec3};
@@ -140,27 +139,28 @@ pub struct ClusteredCloud {
 }
 
 impl ClusteredCloud {
-    /// Builds a cluster index over `storage`.
+    /// Builds a cluster index over `cloud`.
     ///
     /// Deterministic: see the module docs. Costs two streaming passes
-    /// over the storage plus a linear-time radix sort of `(cell, id)`
-    /// keys. The first pass reads geometry only; the second decodes each
-    /// splat, for the DC term its proxy accumulates.
-    pub fn build(storage: &dyn CloudStorage, params: ClusterParams) -> Self {
-        Self::build_with(storage, params, radix_sort_keyed)
+    /// over the cloud plus a linear-time radix sort of `(cell, id)`
+    /// keys. The first pass reads geometry only; the second reads
+    /// geometry and each splat's DC SH term, which its proxy accumulates.
+    pub fn build(cloud: &GaussianCloud, params: ClusterParams) -> Self {
+        Self::build_with(cloud, params, radix_sort_keyed)
     }
 
     /// [`ClusteredCloud::build`] with the `(cell, id)` key sort supplied
     /// by the caller (the tests swap in a comparison sort).
     fn build_with(
-        storage: &dyn CloudStorage,
+        cloud: &GaussianCloud,
         params: ClusterParams,
         sort_keyed: fn(Vec<u64>) -> Vec<u64>,
     ) -> Self {
         let params = params.sanitized();
-        let n = storage.len();
+        let geometry = cloud.geometry();
+        let n = geometry.len();
         let Ok(source_len) = u32::try_from(n) else {
-            // Storage IDs are u32 everywhere in the pipeline; a cloud
+            // Splat IDs are u32 everywhere in the pipeline; a cloud
             // this large cannot have been constructed.
             return Self::empty();
         };
@@ -172,11 +172,11 @@ impl ClusteredCloud {
         let mut means: Vec<Vec3> = Vec::with_capacity(n);
         let mut radii: Vec<f32> = Vec::with_capacity(n);
         let mut world = Aabb::EMPTY;
-        storage.visit(&mut |_, g| {
+        for g in geometry {
             means.push(g.mean);
             radii.push(g.bounding_radius());
             world = world.union_point(g.mean);
-        });
+        }
 
         let cells = cells_per_axis(n, params.target_cluster_size);
         let grid = CellGrid::new(world, cells);
@@ -225,11 +225,10 @@ impl ClusteredCloud {
         // independently of cluster shape.
         let mut accs: Vec<[OctantAcc; OCTANTS]> =
             vec![[OctantAcc::default(); OCTANTS]; clusters.len()];
-        for (id, &c) in (0u32..).zip(&cluster_of) {
-            let Some(g) = storage.get(id) else { break };
+        for (j, (g, &c)) in geometry.iter().zip(&cluster_of).enumerate() {
             let c = usize_from_u32(c);
             let o = octant_of(clusters[c].bounds.center(), g.mean);
-            accs[c][o].accumulate(&g);
+            accs[c][o].accumulate(g, cloud.dc(j));
         }
 
         // Finalize proxies in (cluster, octant) order.
@@ -271,7 +270,7 @@ impl ClusteredCloud {
     /// Relabels the members so that each cluster owns one contiguous,
     /// ascending ID range, clusters following each other in Morton order.
     ///
-    /// Returns the member order — new ID → source ID — that the storage
+    /// Returns the member order — new ID → source ID — that the cloud
     /// the index was built over must be permuted by to match, or `None`
     /// when that order is the identity (as it is for an already
     /// renumbered index) and nothing changed. Bounds and proxies
@@ -297,7 +296,7 @@ impl ClusteredCloud {
 
     /// The source ID of every member, indexed by its current ID, once
     /// [`ClusteredCloud::renumber`] has relabeled the index; `None` while
-    /// member IDs are still the IDs of the storage it was built over.
+    /// member IDs are still the IDs of the cloud it was built over.
     pub fn source_ids(&self) -> Option<&[u32]> {
         self.source_ids.as_deref()
     }
@@ -342,7 +341,7 @@ impl ClusteredCloud {
         &self.proxies[start..start + usize_from_u32(len)]
     }
 
-    /// Length of the source storage the index was built over.
+    /// Length of the source cloud the index was built over.
     pub fn source_len(&self) -> u32 {
         self.source_len
     }
@@ -504,12 +503,13 @@ impl Default for OctantAcc {
 }
 
 impl OctantAcc {
-    fn accumulate(&mut self, g: &Gaussian) {
+    /// Adds one member: its geometry and the DC term of its SH.
+    fn accumulate(&mut self, g: &SplatGeometry, dc: Vec3) {
         let w = g.opacity.max(1e-4);
         self.count += 1;
         self.weight += w;
         self.pos_sum += g.mean * w;
-        self.dc_sum += Vec3::new(g.sh.coeffs[0][0], g.sh.coeffs[1][0], g.sh.coeffs[2][0]) * w;
+        self.dc_sum += dc * w;
         self.transparency *= 1.0 - g.opacity.clamp(0.0, 1.0);
         self.mean_bounds = self.mean_bounds.union_point(g.mean);
         self.max_radius = self.max_radius.max(g.bounding_radius());
@@ -551,7 +551,6 @@ impl OctantAcc {
 mod tests {
     use super::*;
     use crate::synth::SynthParams;
-    use crate::CompactCloud;
 
     fn small_cloud() -> crate::GaussianCloud {
         SynthParams {
@@ -595,17 +594,11 @@ mod tests {
     }
 
     #[test]
-    fn build_is_deterministic_and_backend_invariant() {
+    fn build_is_deterministic() {
         let cloud = small_cloud();
         let a = ClusteredCloud::build(&cloud, ClusterParams::default());
         let b = ClusteredCloud::build(&cloud, ClusterParams::default());
         assert_eq!(a, b);
-        // The index is a function of decoded content: a compact backend
-        // indexes exactly like the AoS cloud it decodes to.
-        let compact = CompactCloud::from_cloud(&cloud);
-        let c = ClusteredCloud::build(&compact, ClusterParams::default());
-        let d = ClusteredCloud::build(&compact.to_cloud(), ClusterParams::default());
-        assert_eq!(c, d);
     }
 
     #[test]
@@ -666,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_storage_builds_empty_index() {
+    fn empty_cloud_builds_empty_index() {
         let cloud = crate::GaussianCloud::default();
         let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
         assert_eq!(idx.cluster_count(), 0);

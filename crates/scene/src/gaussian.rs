@@ -7,9 +7,10 @@ use neo_math::{Mat3, Quat, Vec3};
 /// it does not (color lives apart, in the splat's SH coefficients).
 ///
 /// This is the hot per-splat record a [`GaussianCloud`](crate::GaussianCloud)
-/// stores contiguously and [`CloudStorage::visit_range`](crate::CloudStorage::visit_range)
-/// lends to the projection kernel: 44 bytes of `f32`, the first term of
-/// the AoS ledger charge `44 + 12·(d+1)²`.
+/// stores contiguously and lends to the projection kernel as a slice
+/// ([`GaussianCloud::geometry`](crate::GaussianCloud::geometry)): 44
+/// bytes of `f32`, the first term of the ledger charge
+/// [`GaussianCloud::record_bytes`](crate::GaussianCloud::record_bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplatGeometry {
     /// Mean position `μ` in world space.

@@ -1,55 +1,37 @@
-//! Compact binary (de)serialization of Gaussian clouds.
-//!
-//! Two wire versions share the `NEOG` magic:
+//! Binary (de)serialization of Gaussian clouds, `NEOG` v1:
 //!
 //! ```text
-//! v1 (AoS f32):
-//!   magic   [u8; 4] = "NEOG"
-//!   version u32     = 1
-//!   count   u32
-//!   degree  u8        (SH degree, 0..=3, homogenized to the cloud max)
-//!   records count × { mean f32×3, scale f32×3, rot f32×4, opacity f32,
-//!                     sh f32×(3·basis_count(degree)) }
-//!
-//! v2 (planar):
-//!   magic   [u8; 4] = "NEOG"
-//!   version u32     = 2
-//!   format  u8        (2 = compact; see `StorageFormat::tag`)
-//!   count   u32
-//!   degree  u8
-//!   planes  …         (see below)
+//! magic   [u8; 4] = "NEOG"
+//! version u32     = 1
+//! count   u32
+//! degree  u8        (SH degree, 0..=3, homogenized to the cloud max)
+//! records count × { mean f32×3, scale f32×3, rot f32×4, opacity f32,
+//!                   sh f32×(3·basis_count(degree)) }
 //! ```
 //!
-//! v2 `compact` planes (each `count` long): mean x/y/z and scale x/y/z
-//! as f16 (u16), rotation as smallest-three packed u32, opacity as u8,
-//! then `3·basis_count(degree)` SH planes as f16, channel-major. Compact
-//! payloads store quantized bits verbatim, so compact clouds round-trip
-//! losslessly. Any other format byte is rejected as
-//! `DecodeCloudError::BadFormat`.
+//! Any other version is rejected as
+//! `DecodeCloudError::UnsupportedVersion`, the retired planar v2 among
+//! them.
 //!
 //! Decoding sanitizes records: a non-finite mean, a non-finite or
 //! non-positive scale, a rotation that is non-finite or near-zero, or a
 //! non-finite opacity is rejected; finite off-unit rotations are
 //! renormalized and finite out-of-range opacities clamped to `[0, 1]`,
 //! so every decoded cloud upholds the `Gaussian::is_valid` invariant the
-//! pipeline assumes (compact rotations/opacities are valid by
-//! construction; its f16 means and scales are checked like f32 ones).
+//! pipeline assumes.
 
-use crate::storage::{CloudStorage, CompactCloud, StorageFormat};
 use crate::{Gaussian, GaussianCloud};
 use bytes::{Buf, BufMut};
-use neo_math::f16::f16_bits_to_f32;
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"NEOG";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 1;
 /// Highest SH degree the one-byte header field (and the renderer) accepts.
 const MAX_SH_DEGREE: u8 = 3;
-/// Header size of v1 (v2 adds one format byte).
-const V1_HEADER: usize = 13;
+/// Header size: magic, version, count and degree.
+const HEADER: usize = 13;
 
 /// Rotations whose squared norm deviates from 1 by more than this are
 /// renormalized on decode; within it the stored bits pass through
@@ -94,10 +76,8 @@ impl std::error::Error for EncodeCloudError {}
 pub enum DecodeCloudError {
     /// The buffer does not start with the `NEOG` magic.
     BadMagic,
-    /// The format version is not supported.
+    /// The format version is not 1.
     UnsupportedVersion(u32),
-    /// The v2 storage-format tag is unknown.
-    BadFormat(u8),
     /// The SH degree field is out of range.
     BadDegree(u8),
     /// The buffer ended before all records were read.
@@ -122,7 +102,6 @@ impl fmt::Display for DecodeCloudError {
             DecodeCloudError::UnsupportedVersion(v) => {
                 write!(f, "unsupported NEOG version {v}")
             }
-            DecodeCloudError::BadFormat(t) => write!(f, "unknown NEOG v2 format tag {t}"),
             DecodeCloudError::BadDegree(d) => write!(f, "invalid SH degree {d}"),
             DecodeCloudError::Truncated => write!(f, "unexpected end of buffer"),
             DecodeCloudError::TrailingBytes(n) => {
@@ -139,62 +118,23 @@ impl fmt::Display for DecodeCloudError {
 
 impl std::error::Error for DecodeCloudError {}
 
-/// A decoded `NEOG` blob, still in its stored backend.
-///
-/// [`decode_storage`] returns this so packed payloads are usable without
-/// an intermediate f32 expansion; [`StoredCloud::into_cloud`] converts to
-/// AoS when a plain [`GaussianCloud`] is wanted.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StoredCloud {
-    /// v1 payload (interleaved f32).
-    Aos(GaussianCloud),
-    /// v2 quantized payload, boxed: its planes dwarf the AoS variant.
-    Compact(Box<CompactCloud>),
+/// Bytes of one wire record at SH degree `degree`: eleven geometry
+/// floats plus `3·basis_count(degree)` SH floats.
+fn wire_record_bytes(degree: usize) -> usize {
+    4 * (3 + 3 + 4 + 1 + 3 * basis_count(degree))
 }
 
-impl StoredCloud {
-    /// The backend this blob was stored in.
-    pub fn format(&self) -> StorageFormat {
-        self.as_storage().format()
-    }
-
-    /// Borrows the payload as the pipeline-facing storage trait.
-    pub fn as_storage(&self) -> &dyn CloudStorage {
-        match self {
-            StoredCloud::Aos(c) => c,
-            StoredCloud::Compact(c) => c.as_ref(),
-        }
-    }
-
-    /// Decodes to an AoS cloud (cheap move for v1 payloads).
-    pub fn into_cloud(self) -> GaussianCloud {
-        match self {
-            StoredCloud::Aos(c) => c,
-            StoredCloud::Compact(c) => c.to_cloud(),
-        }
-    }
-}
-
-/// Writes the common header, failing when `count` does not fit the u32
-/// count field (a wrapped count would decode "successfully" as the wrong
-/// cloud). `format` is `None` for v1, which has no format byte.
-fn write_header(
-    out: &mut Vec<u8>,
-    version: u32,
-    format: Option<StorageFormat>,
-    count: usize,
-    degree: usize,
-) -> Result<(), EncodeCloudError> {
+/// Writes the header, failing when `count` does not fit the u32 count
+/// field (a wrapped count would decode "successfully" as the wrong
+/// cloud) or `degree` does not fit the degree byte.
+fn write_header(out: &mut Vec<u8>, count: usize, degree: usize) -> Result<(), EncodeCloudError> {
     let count32 = u32::try_from(count).map_err(|_| EncodeCloudError::TooManyGaussians(count))?;
     let degree8 = u8::try_from(degree).map_err(|_| EncodeCloudError::UnsupportedDegree(degree))?;
     if degree8 > MAX_SH_DEGREE {
         return Err(EncodeCloudError::UnsupportedDegree(degree));
     }
     out.put_slice(MAGIC);
-    out.put_u32_le(version);
-    if let Some(f) = format {
-        out.put_u8(f.tag());
-    }
+    out.put_u32_le(VERSION);
     out.put_u32_le(count32);
     out.put_u8(degree8);
     Ok(())
@@ -241,9 +181,8 @@ pub fn encode_cloud(cloud: &GaussianCloud) -> Vec<u8> {
 pub fn try_encode_cloud(cloud: &GaussianCloud) -> Result<Vec<u8>, EncodeCloudError> {
     let degree = cloud.max_sh_degree();
     let n_coeffs = basis_count(degree);
-    let record = (3 + 3 + 4 + 1 + 3 * n_coeffs) * 4;
-    let mut out = Vec::with_capacity(V1_HEADER + cloud.len() * record);
-    write_header(&mut out, VERSION_V1, None, cloud.len(), degree)?;
+    let mut out = Vec::with_capacity(HEADER + cloud.len() * wire_record_bytes(degree));
+    write_header(&mut out, cloud.len(), degree)?;
 
     for (_, g) in cloud.iter() {
         for v in [
@@ -264,77 +203,10 @@ pub fn try_encode_cloud(cloud: &GaussianCloud) -> Result<Vec<u8>, EncodeCloudErr
     Ok(out)
 }
 
-/// Serializes a cloud in the chosen storage format: v1 for
-/// [`StorageFormat::AosF32`], v2 planes for [`StorageFormat::Compact`].
-/// Quantization happens here (via [`CompactCloud::from_cloud`]).
-///
-/// # Errors
-///
-/// Returns [`EncodeCloudError::TooManyGaussians`] when the count does not
-/// fit the u32 header field.
-pub fn try_encode_cloud_as(
-    cloud: &GaussianCloud,
-    format: StorageFormat,
-) -> Result<Vec<u8>, EncodeCloudError> {
-    match format {
-        StorageFormat::AosF32 => try_encode_cloud(cloud),
-        StorageFormat::Compact => encode_storage(&StoredCloud::Compact(Box::new(
-            CompactCloud::from_cloud(cloud),
-        ))),
-    }
-}
-
-/// Serializes an already-materialized storage backend without
-/// re-quantizing: compact payloads are written bit-for-bit from the
-/// stored planes.
-///
-/// # Errors
-///
-/// Returns [`EncodeCloudError::TooManyGaussians`] when the count does not
-/// fit the u32 header field.
-pub fn encode_storage(stored: &StoredCloud) -> Result<Vec<u8>, EncodeCloudError> {
-    match stored {
-        StoredCloud::Aos(cloud) => try_encode_cloud(cloud),
-        StoredCloud::Compact(c) => {
-            let mut out = Vec::with_capacity(
-                V1_HEADER + 1 + c.len * StorageFormat::Compact.record_bytes(c.degree),
-            );
-            write_header(
-                &mut out,
-                VERSION_V2,
-                Some(StorageFormat::Compact),
-                c.len,
-                c.degree,
-            )?;
-            for plane in c.mean.iter().chain(&c.scale) {
-                for &v in plane {
-                    out.put_u16_le(v);
-                }
-            }
-            for &v in &c.rot {
-                out.put_u32_le(v);
-            }
-            out.put_slice(&c.opacity);
-            for &v in &c.sh {
-                out.put_u16_le(v);
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Rejects a record whose mean is non-finite or whose scale is
-/// non-finite or non-positive; no repair could make it a splat.
-fn check_geometry(index: usize, mean: Vec3, scale: Vec3) -> Result<(), DecodeCloudError> {
-    if mean.is_finite() && scale.is_finite() && scale.min_element() > 0.0 {
-        Ok(())
-    } else {
-        Err(DecodeCloudError::InvalidRecord(index))
-    }
-}
-
-/// Validates one decoded f32 record and repairs its rotation and
-/// opacity.
+/// Validates one decoded record and repairs its rotation and opacity.
+/// A non-finite mean, a non-finite or non-positive scale, a degenerate
+/// rotation or a non-finite opacity is rejected: no repair could make
+/// it a splat.
 fn sanitize_record(
     index: usize,
     mean: Vec3,
@@ -342,9 +214,14 @@ fn sanitize_record(
     rotation: Quat,
     opacity: f32,
 ) -> Result<(Quat, f32), DecodeCloudError> {
-    check_geometry(index, mean, scale)?;
     let n2 = rotation.norm_squared();
-    if !n2.is_finite() || n2 < QUAT_MIN_NORM_SQ || !opacity.is_finite() {
+    if !mean.is_finite()
+        || !scale.is_finite()
+        || scale.min_element() <= 0.0
+        || !n2.is_finite()
+        || n2 < QUAT_MIN_NORM_SQ
+        || !opacity.is_finite()
+    {
         return Err(DecodeCloudError::InvalidRecord(index));
     }
     let rotation = if (n2 - 1.0).abs() > QUAT_NORM_TOL {
@@ -355,29 +232,17 @@ fn sanitize_record(
     Ok((rotation, opacity.clamp(0.0, 1.0)))
 }
 
-/// Deserializes a cloud previously produced by any of the encoders,
-/// expanding packed payloads to AoS f32. Use [`decode_storage`] to keep
-/// the stored backend.
+/// Deserializes a cloud previously produced by [`encode_cloud`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeCloudError`] when the header is malformed, the
-/// buffer length does not match the declared record count (including
-/// counts whose byte size overflows `usize`), bytes remain after the
-/// last record, or a record fails sanitization
-/// ([`DecodeCloudError::InvalidRecord`]).
-pub fn decode_cloud(buf: &[u8]) -> Result<GaussianCloud, DecodeCloudError> {
-    decode_storage(buf).map(StoredCloud::into_cloud)
-}
-
-/// Deserializes a `NEOG` blob into its stored backend without format
-/// conversion.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_cloud`].
-pub fn decode_storage(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
-    if buf.remaining() < V1_HEADER {
+/// Returns a [`DecodeCloudError`] when the header is malformed (a
+/// version other than 1 included), the buffer length does not match the
+/// declared record count (including counts whose byte size overflows
+/// `usize`), bytes remain after the last record, or a record fails
+/// sanitization ([`DecodeCloudError::InvalidRecord`]).
+pub fn decode_cloud(mut buf: &[u8]) -> Result<GaussianCloud, DecodeCloudError> {
+    if buf.remaining() < HEADER {
         return Err(DecodeCloudError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -386,45 +251,10 @@ pub fn decode_storage(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
         return Err(DecodeCloudError::BadMagic);
     }
     let version = buf.get_u32_le();
-    match version {
-        VERSION_V1 => decode_v1(buf),
-        VERSION_V2 => decode_v2(buf),
-        other => Err(DecodeCloudError::UnsupportedVersion(other)),
+    if version != VERSION {
+        return Err(DecodeCloudError::UnsupportedVersion(version));
     }
-}
-
-/// Reads the `count`/`degree` trailer of a header and bounds-checks the
-/// payload size `count * record_bytes` against the remaining buffer.
-fn read_counts(
-    buf: &mut &[u8],
-    record_bytes_for: impl Fn(usize) -> usize,
-) -> Result<(usize, usize), DecodeCloudError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeCloudError::Truncated);
-    }
-    let count = neo_math::num::usize_from_u32(buf.get_u32_le());
-    let degree = buf.get_u8();
-    if degree > MAX_SH_DEGREE {
-        return Err(DecodeCloudError::BadDegree(degree));
-    }
-    let degree = usize::from(degree);
-    // `count * record` can wrap on 32-bit `usize` (count comes straight
-    // from the wire), which would make a truncated buffer look big
-    // enough; a wrapped size also certainly exceeds any real buffer.
-    let needed = count
-        .checked_mul(record_bytes_for(degree))
-        .ok_or(DecodeCloudError::Truncated)?;
-    if buf.remaining() < needed {
-        return Err(DecodeCloudError::Truncated);
-    }
-    if buf.remaining() > needed {
-        return Err(DecodeCloudError::TrailingBytes(buf.remaining() - needed));
-    }
-    Ok((count, degree))
-}
-
-fn decode_v1(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
-    let (count, degree) = read_counts(&mut buf, |d| StorageFormat::AosF32.record_bytes(d))?;
+    let (count, degree) = read_counts(&mut buf)?;
     let n_coeffs = basis_count(degree);
 
     // `read_counts` checked that the blob holds `count` records.
@@ -454,56 +284,31 @@ fn decode_v1(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
             sh: ShCoefficients { coeffs, degree },
         });
     }
-    Ok(StoredCloud::Aos(cloud))
+    Ok(cloud)
 }
 
-fn read_u16_plane(buf: &mut &[u8], count: usize) -> Vec<u16> {
-    (0..count).map(|_| buf.get_u16_le()).collect()
-}
-
-fn decode_v2(mut buf: &[u8]) -> Result<StoredCloud, DecodeCloudError> {
-    if buf.remaining() < 1 {
+/// Reads the `count`/`degree` trailer of the header and bounds-checks
+/// the payload size `count * record` against the remaining buffer.
+fn read_counts(buf: &mut &[u8]) -> Result<(usize, usize), DecodeCloudError> {
+    let count = neo_math::num::usize_from_u32(buf.get_u32_le());
+    let degree = buf.get_u8();
+    if degree > MAX_SH_DEGREE {
+        return Err(DecodeCloudError::BadDegree(degree));
+    }
+    let degree = usize::from(degree);
+    // `count * record` can wrap on 32-bit `usize` (count comes straight
+    // from the wire), which would make a truncated buffer look big
+    // enough; a wrapped size also certainly exceeds any real buffer.
+    let needed = count
+        .checked_mul(wire_record_bytes(degree))
+        .ok_or(DecodeCloudError::Truncated)?;
+    if buf.remaining() < needed {
         return Err(DecodeCloudError::Truncated);
     }
-    let tag = buf.get_u8();
-    let format = StorageFormat::from_tag(tag).ok_or(DecodeCloudError::BadFormat(tag))?;
-    match format {
-        // v2 never carries AoS payloads; that's what v1 is.
-        StorageFormat::AosF32 => Err(DecodeCloudError::BadFormat(tag)),
-        StorageFormat::Compact => {
-            let (count, degree) =
-                read_counts(&mut buf, |d| StorageFormat::Compact.record_bytes(d))?;
-            let n = basis_count(degree);
-            let mut p = || read_u16_plane(&mut buf, count);
-            let mean = [p(), p(), p()];
-            let scale = [p(), p(), p()];
-            let rot: Vec<u32> = (0..count).map(|_| buf.get_u32_le()).collect();
-            let mut opacity = vec![0u8; count];
-            buf.copy_to_slice(&mut opacity);
-            let sh = read_u16_plane(&mut buf, count * 3 * n);
-            // Any u32 unpacks to a unit quaternion and a u8 opacity is
-            // always in range, so only the f16 geometry needs a check.
-            for index in 0..count {
-                let at = |plane: &[Vec<u16>; 3]| {
-                    Vec3::new(
-                        f16_bits_to_f32(plane[0][index]),
-                        f16_bits_to_f32(plane[1][index]),
-                        f16_bits_to_f32(plane[2][index]),
-                    )
-                };
-                check_geometry(index, at(&mean), at(&scale))?;
-            }
-            Ok(StoredCloud::Compact(Box::new(CompactCloud {
-                len: count,
-                degree,
-                mean,
-                scale,
-                rot,
-                opacity,
-                sh,
-            })))
-        }
+    if buf.remaining() > needed {
+        return Err(DecodeCloudError::TrailingBytes(buf.remaining() - needed));
     }
+    Ok((count, degree))
 }
 
 #[cfg(test)]
@@ -536,35 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_formats() {
+    fn roundtrip_every_degree() {
         for degree in 0..=3 {
             let cloud = synth_cloud(40, degree);
-            for format in StorageFormat::ALL {
-                let bytes = try_encode_cloud_as(&cloud, format).unwrap();
-                let stored = decode_storage(&bytes).unwrap();
-                assert_eq!(stored.format(), format, "degree {degree}");
-                assert_eq!(stored.as_storage().len(), cloud.len());
-                assert_eq!(stored.as_storage().sh_degree(), degree);
-                match format {
-                    StorageFormat::AosF32 => assert_eq!(stored.clone().into_cloud(), cloud),
-                    StorageFormat::Compact => {
-                        // Lossy vs the f32 source, but lossless as stored.
-                        let direct = CompactCloud::from_cloud(&cloud);
-                        assert_eq!(stored, StoredCloud::Compact(Box::new(direct)));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn encode_storage_preserves_compact_bits() {
-        let cloud = synth_cloud(25, 2);
-        let compact = CompactCloud::from_cloud(&cloud);
-        let bytes = encode_storage(&StoredCloud::Compact(Box::new(compact.clone()))).unwrap();
-        match decode_storage(&bytes).unwrap() {
-            StoredCloud::Compact(back) => assert_eq!(*back, compact),
-            other => panic!("wrong backend {other:?}"),
+            let bytes = try_encode_cloud(&cloud).unwrap();
+            assert_eq!(bytes.len(), HEADER + 40 * wire_record_bytes(degree));
+            assert_eq!(decode_cloud(&bytes).unwrap(), cloud, "degree {degree}");
         }
     }
 
@@ -575,7 +357,7 @@ mod tests {
         let mut cloud = synth_cloud(3, 0);
         let mut hi = cloud.get(0).unwrap();
         hi.sh.degree = 2;
-        hi.sh.coeffs[0][5] = 0.625; // exactly representable, survives f16 too
+        hi.sh.coeffs[0][5] = 0.625;
         hi.sh.coeffs[2][8] = -0.125;
         cloud.push(hi);
         let back = decode_cloud(&encode_cloud(&cloud)).unwrap();
@@ -597,14 +379,14 @@ mod tests {
         let mut out = Vec::new();
         let too_many = u32::MAX as usize + 1;
         assert_eq!(
-            write_header(&mut out, VERSION_V1, None, too_many, 0),
+            write_header(&mut out, too_many, 0),
             Err(EncodeCloudError::TooManyGaussians(too_many))
         );
         // Nothing is written when the count check fails.
         assert!(out.is_empty());
         let mut ok = Vec::new();
-        write_header(&mut ok, VERSION_V1, None, 7, 2).unwrap();
-        assert_eq!(ok.len(), V1_HEADER);
+        write_header(&mut ok, 7, 2).unwrap();
+        assert_eq!(ok.len(), HEADER);
         assert_eq!(&ok[..4], MAGIC);
         assert_eq!(u32::from_le_bytes(ok[8..12].try_into().unwrap()), 7);
         assert_eq!(ok[12], 2); // degree byte is last
@@ -676,27 +458,21 @@ mod tests {
     #[test]
     fn truncated_buffer_rejected() {
         let cloud = synth_cloud(10, 1);
-        for format in StorageFormat::ALL {
-            let bytes = try_encode_cloud_as(&cloud, format).unwrap();
-            let cut = &bytes[..bytes.len() - 5];
-            assert_eq!(decode_cloud(cut), Err(DecodeCloudError::Truncated));
-            assert_eq!(decode_cloud(&bytes[..4]), Err(DecodeCloudError::Truncated));
-        }
+        let bytes = encode_cloud(&cloud);
+        let cut = &bytes[..bytes.len() - 5];
+        assert_eq!(decode_cloud(cut), Err(DecodeCloudError::Truncated));
+        assert_eq!(decode_cloud(&bytes[..4]), Err(DecodeCloudError::Truncated));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
         let cloud = synth_cloud(3, 1);
-        for format in StorageFormat::ALL {
-            let mut bytes = try_encode_cloud_as(&cloud, format).unwrap();
-            bytes.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
-            assert_eq!(
-                decode_cloud(&bytes),
-                Err(DecodeCloudError::TrailingBytes(3)),
-                "{}",
-                format.name()
-            );
-        }
+        let mut bytes = encode_cloud(&cloud);
+        bytes.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
+        assert_eq!(
+            decode_cloud(&bytes),
+            Err(DecodeCloudError::TrailingBytes(3))
+        );
     }
 
     #[test]
@@ -706,7 +482,7 @@ mod tests {
         // multiply used to wrap and accept the short buffer.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.push(0); // degree
         bytes.extend_from_slice(&[0u8; 64]); // far fewer than declared
@@ -715,19 +491,15 @@ mod tests {
 
     #[test]
     fn bad_version_and_format_rejected() {
-        let mut bytes = encode_cloud(&GaussianCloud::new());
-        bytes[4] = 9;
-        assert!(matches!(
-            decode_cloud(&bytes),
-            Err(DecodeCloudError::UnsupportedVersion(9))
-        ));
-
-        let cloud = synth_cloud(2, 0);
-        let mut v2 = try_encode_cloud_as(&cloud, StorageFormat::Compact).unwrap();
-        // 0 is the AoS tag, which is v1-only; 1 is unassigned.
-        for tag in [7, 0, 1] {
-            v2[8] = tag; // format tag
-            assert_eq!(decode_cloud(&v2), Err(DecodeCloudError::BadFormat(tag)));
+        // 2 was the retired planar format: its blobs are rejected by
+        // version, like any other version but 1.
+        let mut bytes = encode_cloud(&synth_cloud(2, 0));
+        for version in [9u32, 2, 0] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_cloud(&bytes),
+                Err(DecodeCloudError::UnsupportedVersion(version))
+            );
         }
     }
 

@@ -37,13 +37,11 @@ pub mod cluster;
 mod gaussian;
 pub mod io;
 pub mod presets;
-pub mod storage;
 pub mod synth;
 mod trajectory;
 
 pub use camera::{Camera, Resolution};
-pub use cloud::GaussianCloud;
+pub use cloud::{CloudStorage, GaussianCloud};
 pub use cluster::{Cluster, ClusterParams, ClusteredCloud};
 pub use gaussian::{Gaussian, SplatGeometry};
-pub use storage::{CloudStorage, CompactCloud, StorageFormat};
 pub use trajectory::{CameraPath, FrameSampler};

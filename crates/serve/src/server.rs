@@ -6,7 +6,7 @@
 //! rejection), repeatedly asks the configured [`Scheduler`] which ready
 //! frames to render next, renders them *functionally* through ordinary
 //! [`neo_core::RenderSession`]s (so the existing intra-frame shard
-//! worker pool, storage backends, and temporal caches all apply), and
+//! worker pool, LOD index, and temporal caches all apply), and
 //! advances time:
 //!
 //! * **virtual mode** ([`ServeDriver::run_virtual`]) — time advances

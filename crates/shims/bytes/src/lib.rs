@@ -21,13 +21,6 @@ pub trait Buf {
         b[0]
     }
 
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
     /// Reads a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0u8; 4];
@@ -76,11 +69,6 @@ pub trait BufMut {
         self.put_slice(&[v]);
     }
 
-    /// Appends a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
@@ -116,7 +104,6 @@ mod tests {
     fn roundtrip_all_widths() {
         let mut out: Vec<u8> = Vec::new();
         out.put_u8(7);
-        out.put_u16_le(0xABCD);
         out.put_u32_le(0xDEADBEEF);
         out.put_u64_le(42);
         out.put_f32_le(1.5);
@@ -124,9 +111,8 @@ mod tests {
         out.put_slice(b"xy");
 
         let mut buf: &[u8] = &out;
-        assert_eq!(buf.remaining(), 1 + 2 + 4 + 8 + 4 + 8 + 2);
+        assert_eq!(buf.remaining(), 1 + 4 + 8 + 4 + 8 + 2);
         assert_eq!(buf.get_u8(), 7);
-        assert_eq!(buf.get_u16_le(), 0xABCD);
         assert_eq!(buf.get_u32_le(), 0xDEADBEEF);
         assert_eq!(buf.get_u64_le(), 42);
         assert_eq!(buf.get_f32_le(), 1.5);

@@ -1,7 +1,7 @@
 //! Workload capture: run the functional pipeline on reduced scenes and
 //! extrapolate the counts to full scene size.
 
-use neo_core::{LodConfig, RenderEngine, RendererConfig, StorageFormat};
+use neo_core::{LodConfig, RenderEngine, RendererConfig};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use neo_sim::WorkloadFrame;
 
@@ -21,9 +21,6 @@ pub struct CaptureConfig {
     pub scale: f64,
     /// Camera-speed multiplier (Figure 17b).
     pub speed: f32,
-    /// Splat storage backend; sets the per-record feature-fetch bytes the
-    /// simulator charges ([`WorkloadFrame::feature_bytes`]).
-    pub storage: StorageFormat,
     /// Cluster-index LOD configuration. `None` (the default) captures
     /// the flat pipeline; `Some` enables cluster culling and proxy
     /// substitution, so projected/duplicate counts reflect the index.
@@ -38,7 +35,6 @@ impl Default for CaptureConfig {
             frames: 60,
             scale: 0.01,
             speed: 1.0,
-            storage: StorageFormat::AosF32,
             lod: None,
         }
     }
@@ -59,9 +55,7 @@ pub fn capture_workload(cfg: &CaptureConfig) -> Vec<WorkloadFrame> {
     assert!(cfg.scale > 0.0, "capture scale must be positive");
     assert!(cfg.frames > 0, "frame count must be positive");
 
-    let mut renderer_config = RendererConfig::default()
-        .without_image()
-        .with_storage(cfg.storage);
+    let mut renderer_config = RendererConfig::default().without_image();
     if let Some(lod) = cfg.lod {
         renderer_config = renderer_config.with_lod(lod);
     }
@@ -71,9 +65,9 @@ pub fn capture_workload(cfg: &CaptureConfig) -> Vec<WorkloadFrame> {
         .build()
         .expect("default capture config is valid and preset scenes are non-empty");
     let cloud = std::sync::Arc::clone(engine.scene());
-    // Actual per-record size of the configured backend (not the f32 AoS
-    // size) — this is what the engine's ledger charged per splat read.
-    let feature_bytes = engine.storage().record_bytes() as u64;
+    // The resident record the engine's ledger charged per splat read,
+    // which the simulator charges per feature fetch.
+    let feature_bytes = cloud.record_bytes() as u64;
     let sampler =
         FrameSampler::new(cfg.scene.trajectory(), 30.0, cfg.resolution).with_speed(cfg.speed);
     let mut session = engine.session();
@@ -141,7 +135,6 @@ mod tests {
             frames: 4,
             scale: 0.002,
             speed: 1.0,
-            storage: StorageFormat::AosF32,
             lod: None,
         }
     }
@@ -186,21 +179,6 @@ mod tests {
         assert!(
             fast_churn > slow_churn,
             "8× camera speed must increase churn: {fast_churn} vs {slow_churn}"
-        );
-    }
-
-    #[test]
-    fn compact_storage_shrinks_feature_bytes() {
-        let aos = capture_workload(&quick_cfg());
-        let compact = capture_workload(&CaptureConfig {
-            storage: StorageFormat::Compact,
-            ..quick_cfg()
-        });
-        assert!(
-            compact[0].feature_bytes * 2 <= aos[0].feature_bytes,
-            "compact records {} not ≥2× below AoS {}",
-            compact[0].feature_bytes,
-            aos[0].feature_bytes
         );
     }
 

@@ -41,7 +41,7 @@ fn main() -> Result<(), NeoError> {
     println!("sorting strategy: {}", engine.strategy_name());
     let cloud = std::sync::Arc::clone(engine.scene());
     // Bytes per feature record, at the cloud's max SH degree.
-    let feature_bytes = engine.storage().record_bytes() as u64;
+    let feature_bytes = cloud.record_bytes() as u64;
     let sampler = FrameSampler::new(scene.trajectory(), 30.0, Resolution::Qhd);
     let mut session = engine.session();
     let device = NeoDevice::paper_default();

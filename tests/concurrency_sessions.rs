@@ -80,9 +80,8 @@ fn concurrent_sessions_share_one_scene_allocation() {
     let engine = build_engine(StrategyKind::ReuseUpdate);
     let base = Arc::strong_count(engine.scene());
     let sessions: Vec<_> = (0..SESSIONS).map(|_| engine.session()).collect();
-    // With the default AoS storage format each session holds two handles
-    // to the same allocation: the scene and the storage view of it.
-    assert_eq!(Arc::strong_count(engine.scene()), base + 2 * SESSIONS);
+    // Each session holds one handle to the same allocation: the scene.
+    assert_eq!(Arc::strong_count(engine.scene()), base + SESSIONS);
     for s in &sessions {
         assert_eq!(Arc::as_ptr(s.scene()), Arc::as_ptr(engine.scene()));
     }

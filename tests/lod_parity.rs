@@ -28,8 +28,7 @@
 //!    traffic, while clusters flip between proxy and member rendering.
 
 use neo_core::{
-    FrameResult, LodConfig, RenderEngine, RendererConfig, ShardPlan, StorageFormat, StrategyKind,
-    WarmStartConfig,
+    FrameResult, LodConfig, RenderEngine, RendererConfig, ShardPlan, StrategyKind, WarmStartConfig,
 };
 use neo_math::num::u64_from_usize;
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
@@ -274,9 +273,9 @@ fn lod_stats_account_for_every_splat() {
     );
     for f in &frames {
         // Visited + saved covers the whole cloud: every member is either
-        // decoded for projection or skipped by a cull/proxy decision.
-        let visited = f.stats.traffic.reads(Stage::FeatureExtraction)
-            / u64_from_usize(StorageFormat::AosF32.record_bytes(cloud.max_sh_degree()));
+        // read for projection or skipped by a cull/proxy decision.
+        let visited =
+            f.stats.traffic.reads(Stage::FeatureExtraction) / u64_from_usize(cloud.record_bytes());
         assert_eq!(
             visited + f.stats.lod_splats_saved,
             u64_from_usize(cloud.len()),

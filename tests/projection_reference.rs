@@ -406,7 +406,7 @@ fn preset_frames_match_the_f64_reference() {
         let sampler = FrameSampler::new(preset.trajectory(), 30.0, Resolution::Custom(640, 360));
         for frame in [0, 25, 50] {
             let cam = sampler.frame(frame);
-            let projected = project_storage_geometry(&cam, &cloud);
+            let projected = project_storage_geometry(&cam, cloud.geometry());
             let mut kept = projected.iter().peekable();
             for (id, g) in cloud.iter() {
                 let p = kept.next_if(|p| p.id == id);
@@ -465,7 +465,7 @@ fn random_gaussians_match_the_f64_reference() {
                 splat(to_world * local + cam.position, scale, rotation)
             })
             .collect();
-        let projected = project_storage_geometry(&cam, &cloud);
+        let projected = project_storage_geometry(&cam, cloud.geometry());
         let mut kept = projected.iter().peekable();
         for (id, g) in cloud.iter() {
             let p = kept.next_if(|p| p.id == id);

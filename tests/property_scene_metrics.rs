@@ -2,16 +2,11 @@
 //! in-place reordering, and the image metrics, plus a mutation fuzzer
 //! over `NEOG` blobs.
 
-use neo_math::f16::{f16_bits_to_f32, f32_to_f16_bits_saturating};
 use neo_math::sh::{basis_count, ShCoefficients, MAX_COEFFS};
 use neo_math::{Quat, Vec3};
 use neo_pipeline::Image;
-use neo_scene::storage::{pack_quat, unpack_quat};
 use neo_scene::synth::SynthParams;
-use neo_scene::{
-    io, Camera, CloudStorage, CompactCloud, Gaussian, GaussianCloud, Resolution, SplatGeometry,
-    StorageFormat,
-};
+use neo_scene::{io, Camera, Gaussian, GaussianCloud, Resolution, SplatGeometry};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -65,25 +60,13 @@ fn arb_mixed_stream() -> impl Strategy<Value = Vec<Gaussian>> {
         })
 }
 
-/// `g` as the compact backend stores it at SH degree `degree`: each
-/// field quantized on its own, SH zero-padded to `degree`.
-fn compact_reference(g: &Gaussian, degree: usize) -> Gaussian {
-    let f16 = |v: f32| f16_bits_to_f32(f32_to_f16_bits_saturating(v));
-    let f16v = |v: Vec3| Vec3::new(f16(v.x), f16(v.y), f16(v.z));
-    let mut sh = g.sh;
-    sh.degree = degree;
-    for channel in &mut sh.coeffs {
-        for coeff in channel.iter_mut() {
-            *coeff = f16(*coeff);
-        }
-    }
-    Gaussian {
-        mean: f16v(g.mean),
-        scale: f16v(g.scale),
-        rotation: unpack_quat(pack_quat(g.rotation)),
-        opacity: (g.opacity * 255.0).round() / 255.0,
-        sh,
-    }
+/// Every stored value of a Gaussian as raw bits (so `-0.0` is not
+/// `0.0`), with its SH degree.
+fn gaussian_bits(g: &Gaussian) -> (Vec<u32>, usize) {
+    let (m, s, q) = (g.mean, g.scale, g.rotation);
+    let geometry = [m.x, m.y, m.z, s.x, s.y, s.z, q.w, q.x, q.y, q.z, g.opacity];
+    let values = geometry.iter().chain(g.sh.coeffs.as_flattened());
+    (values.map(|v| v.to_bits()).collect(), g.sh.degree)
 }
 
 fn probe_camera() -> Camera {
@@ -107,54 +90,55 @@ fn arb_image(w: u32, h: u32) -> impl Strategy<Value = Image> {
 }
 
 /// Seed corpus of the `NEOG` fuzzer: a small synthetic cloud at SH
-/// degrees 0–3, encoded as v1 AoS and as v2 compact. Mutating
-/// well-formed blobs reaches the decoder's record paths far more often
-/// than uniform noise would.
-fn neog_seeds() -> &'static [(StorageFormat, Vec<u8>)] {
-    static SEEDS: OnceLock<Vec<(StorageFormat, Vec<u8>)>> = OnceLock::new();
+/// degrees 0–3 encoded as v1, plus the degree-1 blob under a version-2
+/// header. Mutating well-formed blobs reaches the decoder's record
+/// paths far more often than uniform noise would.
+fn neog_seeds() -> &'static [Vec<u8>] {
+    static SEEDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     SEEDS.get_or_init(|| {
-        let mut seeds = Vec::new();
-        for sh_degree in 0..=3 {
-            let cloud = SynthParams {
-                gaussian_count: 6,
-                cluster_count: 2,
-                sh_degree,
-                ..SynthParams::default()
-            }
-            .build();
-            for format in StorageFormat::ALL {
-                let blob = io::try_encode_cloud_as(&cloud, format).expect("seed encodes");
-                seeds.push((format, blob));
-            }
-        }
+        let mut seeds: Vec<Vec<u8>> = (0..=3)
+            .map(|sh_degree| {
+                let cloud = SynthParams {
+                    gaussian_count: 6,
+                    cluster_count: 2,
+                    sh_degree,
+                    ..SynthParams::default()
+                }
+                .build();
+                io::encode_cloud(&cloud)
+            })
+            .collect();
+        let mut v2 = seeds[1].clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        seeds.push(v2);
         seeds
     })
 }
 
 /// Header bytes before the first record: magic, version, count and
-/// degree, plus v2's format byte.
-fn neog_header(format: StorageFormat) -> usize {
-    match format {
-        StorageFormat::AosF32 => 13,
-        StorageFormat::Compact => 14,
-    }
+/// degree.
+const NEOG_HEADER: usize = 13;
+
+/// Bytes of one v1 record at SH degree `degree`.
+fn neog_record(degree: usize) -> usize {
+    4 * (11 + 3 * basis_count(degree))
 }
 
 /// Bytes favored by the insertion mutation: zero, all-ones, sign and
-/// exponent bytes that make f32/f16 NaNs, infinities and negatives, and
+/// exponent bytes that make f32 NaNs, infinities and negatives, and
 /// the magic.
 const BYTE_SOUP: &[u8] = &[
     0x00, 0xFF, 0x7F, 0x80, 0x7C, 0xFC, 0x7E, 0xC0, 0x3F, 0x01, b'N', b'E', b'O', b'G',
 ];
 
-/// Applies one mutation op to a blob whose header layout is `format`'s.
-fn mutate_neog(blob: &mut Vec<u8>, format: StorageFormat, kind: u8, a: u32, b: u32) {
+/// Applies one mutation op to a blob.
+fn mutate_neog(blob: &mut Vec<u8>, kind: u8, a: u32, b: u32) {
     if blob.is_empty() {
         blob.extend_from_slice(b"NEOG");
     }
     let pos = a as usize % blob.len();
     let span = (b as usize % 64).min(blob.len() - pos);
-    let count_at = neog_header(format) - 5;
+    let count_at = NEOG_HEADER - 5;
     match kind {
         // Delete a span.
         0 => {
@@ -200,12 +184,12 @@ fn mutate_neog(blob: &mut Vec<u8>, format: StorageFormat, kind: u8, a: u32, b: u
 /// Rewrites the count field to the number of whole records the blob
 /// holds and drops the partial one, so the length check passes and the
 /// mutated records themselves get decoded.
-fn fit_neog_count(blob: &mut Vec<u8>, format: StorageFormat) {
-    let header = neog_header(format);
+fn fit_neog_count(blob: &mut Vec<u8>) {
+    let header = NEOG_HEADER;
     if blob.len() < header {
         return;
     }
-    let record = format.record_bytes(usize::from(blob[header - 1].min(3)));
+    let record = neog_record(usize::from(blob[header - 1].min(3)));
     let count = (blob.len() - header) / record;
     blob.truncate(header + count * record);
     let count = u32::try_from(count).expect("a small blob's count fits u32");
@@ -215,36 +199,34 @@ fn fit_neog_count(blob: &mut Vec<u8>, format: StorageFormat) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `decode_storage` never panics on a mutated blob, and whatever it
+    /// `decode_cloud` never panics on a mutated blob, and whatever it
     /// accepts is exactly the size its header declares and decodes only
     /// to splats that uphold `Gaussian::is_valid`.
     #[test]
     fn mutated_neog_blobs_decode_to_valid_clouds_or_errors(
-        // One seed per SH degree 0–3 and storage format.
-        seed in 0usize..8,
+        // One v1 seed per SH degree 0–3, then the version-2 header.
+        seed in 0usize..5,
         ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..8),
         fit in any::<bool>(),
     ) {
-        let (format, seed_blob) = &neog_seeds()[seed];
-        let mut blob = seed_blob.clone();
+        let mut blob = neog_seeds()[seed].clone();
         for (kind, a, b) in ops {
-            mutate_neog(&mut blob, *format, kind, a, b);
+            mutate_neog(&mut blob, kind, a, b);
         }
         if fit {
-            fit_neog_count(&mut blob, *format);
+            fit_neog_count(&mut blob);
         }
-        let Ok(stored) = io::decode_storage(&blob) else {
+        let Ok(cloud) = io::decode_cloud(&blob) else {
             return Ok(());
         };
-        let storage = stored.as_storage();
-        let header = neog_header(stored.format());
-        prop_assert_eq!(header + storage.len() * storage.record_bytes(), blob.len());
-        let mut invalid = Vec::new();
-        storage.visit(&mut |id, g| {
-            if !g.is_valid() {
-                invalid.push((id, *g));
-            }
-        });
+        let degree = usize::from(blob[NEOG_HEADER - 1]);
+        prop_assert_eq!(NEOG_HEADER + cloud.len() * neog_record(degree), blob.len());
+        let invalid: Vec<(usize, &SplatGeometry)> = cloud
+            .geometry()
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_valid())
+            .collect();
         prop_assert!(invalid.is_empty(), "decoded invalid splats: {invalid:?}");
     }
 }
@@ -295,7 +277,7 @@ proptest! {
         let max = gaussians.iter().map(|g| g.sh.degree).max().unwrap();
         prop_assert_eq!(cloud.max_sh_degree(), max);
         prop_assert_eq!(
-            CloudStorage::record_bytes(&cloud),
+            cloud.record_bytes(),
             std::mem::size_of::<SplatGeometry>() + 12 * basis_count(max)
         );
         prop_assert_eq!(std::mem::size_of::<SplatGeometry>(), 44);
@@ -306,9 +288,8 @@ proptest! {
         prop_assert_eq!(&cloud, &reserved);
     }
 
-    /// NEOG v1 and the compact backend round-trip a mixed-degree cloud as
-    /// they always have: v1 pads every record to the max degree without
-    /// loss, and compact holds each splat quantized field by field.
+    /// NEOG v1 round-trips a mixed-degree cloud as it always has,
+    /// padding every record to the max degree without loss, bit for bit.
     #[test]
     fn mixed_degree_roundtrips_pad_to_the_max_degree(gaussians in arb_mixed_stream()) {
         let cloud = GaussianCloud::from_gaussians(gaussians.clone());
@@ -319,41 +300,29 @@ proptest! {
             g
         };
         let v1 = io::decode_cloud(&io::encode_cloud(&cloud)).expect("v1 decodes");
-        let compact = CompactCloud::from_cloud(&cloud);
         for (id, g) in (0u32..).zip(&gaussians) {
-            prop_assert_eq!(v1.get(id), Some(padded(g)));
-            prop_assert_eq!(compact.get(id), Some(compact_reference(g, max)));
+            prop_assert_eq!(v1.get(id).as_ref().map(gaussian_bits), Some(gaussian_bits(&padded(g))));
         }
-        let blob = io::try_encode_cloud_as(&cloud, StorageFormat::Compact).expect("encodes");
-        let stored = io::decode_storage(&blob).expect("v2 decodes");
-        prop_assert_eq!(stored.as_storage().to_cloud(), compact.to_cloud());
     }
 
-    /// Both backends lend, per ID, the geometry `get` decodes, and color
-    /// it as `get`'s SH evaluates toward the camera, bit for bit.
+    /// The one splat store lends, per ID, the geometry `get` joins, and
+    /// colors it as `get`'s SH evaluates toward the camera, bit for bit.
     #[test]
     fn geometry_and_color_match_get_on_every_backend(gaussians in arb_mixed_stream()) {
         let cloud = GaussianCloud::from_gaussians(gaussians);
-        let compact = CompactCloud::from_cloud(&cloud);
         let cam = probe_camera();
-        let backends: [&dyn CloudStorage; 2] = [&cloud, &compact];
-        for storage in backends {
-            let mut seen = 0u32;
-            storage.visit(&mut |id, geometry| {
-                assert_eq!(id, seen);
-                seen += 1;
-                let g = storage.get(id).unwrap();
-                assert_eq!(*geometry, g.geometry(), "{}", storage.format().name());
-                let color = storage.color(id, &cam);
-                let expected = g.sh.eval(cam.view_direction(g.mean));
-                assert_eq!(
-                    [color.x, color.y, color.z].map(f32::to_bits),
-                    [expected.x, expected.y, expected.z].map(f32::to_bits),
-                    "{} splat {id}",
-                    storage.format().name()
-                );
-            });
-            prop_assert_eq!(seen as usize, storage.len());
+        prop_assert_eq!(cloud.geometry().len(), cloud.len());
+        for (id, geometry) in (0u32..).zip(cloud.geometry()) {
+            let g = cloud.get(id).unwrap();
+            prop_assert_eq!(*geometry, g.geometry());
+            let color = cloud.color(id, &cam);
+            let expected = g.sh.eval(cam.view_direction(g.mean));
+            prop_assert_eq!(
+                [color.x, color.y, color.z].map(f32::to_bits),
+                [expected.x, expected.y, expected.z].map(f32::to_bits),
+                "splat {}",
+                id
+            );
         }
     }
 
