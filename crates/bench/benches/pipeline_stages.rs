@@ -4,8 +4,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use neo_core::{LodConfig, RenderEngine, RendererConfig};
 use neo_pipeline::{
-    bin_to_tiles, project_clusters_geometry, project_storage, rasterize_tile_with_scratch,
-    RasterScratch, RenderConfig, TileGrid,
+    bin_to_tiles, project_clusters_geometry, project_flat_geometry, project_storage,
+    rasterize_tile_with_scratch, RasterScratch, RenderConfig, TileGrid,
 };
 use neo_scene::synth::CityParams;
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
@@ -20,9 +20,15 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| project_storage(black_box(&cam), black_box(&cloud)))
     });
 
-    // City ×4 through its cluster index, as an LOD engine renumbers and
-    // projects it on an image-off frame: the projection kernel as city's
-    // geometry pass runs it.
+    // The flat geometry walk on the same frame: the one range `0..len`
+    // through the range kernel the cluster walk below shares.
+    group.bench_function("project_flat_geometry_14k", |b| {
+        b.iter(|| project_flat_geometry(black_box(&cam), black_box(cloud.geometry())))
+    });
+
+    // City ×4 through its cluster index, as an LOD engine puts it into
+    // cluster order and projects it on an image-off frame: the range
+    // kernel as city's geometry pass runs it.
     let city = CityParams::default().scaled(4.0);
     let lod = LodConfig {
         cluster_size: 128,

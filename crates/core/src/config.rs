@@ -107,11 +107,11 @@ pub struct RendererConfig {
     /// benchmark's replay (`perfbench/`) reads this field to refuse
     /// cached engines, so it must stay a public field.
     pub temporal_cache: Option<WarmStartConfig>,
-    /// Cluster-index LOD path (default `None` = the flat projection
-    /// walk, byte-identical to the pre-index renderer — pinned by
-    /// `tests/lod_parity.rs`). When set, the engine builds a
-    /// [`neo_scene::ClusteredCloud`] over the scene at build time and
-    /// each frame culls whole clusters and substitutes merged proxies for
+    /// Cluster-index LOD path (default `None` = the flat walk over the
+    /// whole cloud as one ID range). When set, the engine builds a
+    /// [`neo_scene::ClusteredCloud`] over the scene at build time, which
+    /// puts the scene into cluster order, and each frame culls whole
+    /// clusters and substitutes merged proxies for
     /// sub-threshold-footprint clusters. See [`RendererConfig::with_lod`].
     pub lod: Option<LodConfig>,
 }
@@ -275,7 +275,8 @@ impl RendererConfig {
     /// IDs, like any other change of a tile's population.
     ///
     /// Off by default. With `proxy_footprint_px == 0` the LOD path only
-    /// culls — output stays byte-identical to the flat walk; with a
+    /// culls — output stays byte-identical to the flat walk over the
+    /// cluster-ordered scene ([`crate::RenderEngine::scene`]); with a
     /// positive threshold distant clusters render from proxies, which
     /// changes pixels (that is the point) but remains deterministic
     /// across thread counts and shard plans.

@@ -46,7 +46,7 @@ use crate::{
     TileLoad,
 };
 use neo_pipeline::{
-    bin_to_tiles, cluster_colors, color_pass, project_clusters_geometry, project_storage_geometry,
+    bin_to_tiles, cluster_colors, color_pass, project_clusters_geometry, project_flat_geometry,
     FrameStats, Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid,
     TileRasterStats, TrafficLedger,
 };
@@ -250,43 +250,40 @@ impl RenderSession {
         let scene = self.scene.as_ref();
         let lod_index = self.lod_index.as_deref();
 
-        // Projection's geometry pass: through the cluster index when the
-        // LOD path is on (whole-cluster culling, proxy substitution, member
-        // streaming), the flat geometry walk otherwise — the latter
-        // byte-exactly preserves the pre-index renderer, which
-        // `tests/lod_parity.rs` pins. Both bin the same way: a tile's
-        // sorter tracks its own population, so LOD frames need no
-        // cluster-level signal downstream.
-        let lod = config.lod.as_ref().zip(lod_index);
-        let (mut projected, clusters) = match lod {
+        // Projection's geometry pass, the one LOD branch of the frame: the
+        // cluster walk culls whole clusters, substitutes proxies and
+        // streams each surviving cluster's ID range; without an index the
+        // flat walk streams the whole cloud as one range. Both return the
+        // same record and bin the same way: a tile's sorter tracks its
+        // own population, so LOD frames need no cluster-level signal
+        // downstream.
+        let mut walk = match config.lod.as_ref().zip(lod_index) {
             Some((lod_cfg, index)) => {
-                let mut cp = project_clusters_geometry(cam, scene.geometry(), index, lod_cfg);
-                (std::mem::take(&mut cp.projected), Some(cp))
+                project_clusters_geometry(cam, scene.geometry(), index, lod_cfg)
             }
-            None => (project_storage_geometry(cam, scene.geometry()), None),
+            None => project_flat_geometry(cam, scene.geometry()),
         };
         // Color is read by the rasterizer alone, so only frames with an
         // image read SH: one color pass over the projected splats.
         if config.render_image {
             #[cfg(test)]
             tests::COLOR_PASSES.with(|n| n.set(n.get() + 1));
-            match lod {
-                Some((_, index)) => {
-                    color_pass(&mut projected, cluster_colors(cam, scene, index));
-                }
-                None => color_pass(&mut projected, |id| scene.color(id, cam)),
-            }
+            color_pass(&mut walk.projected, cluster_colors(cam, scene, lod_index));
         }
+        let projected = walk.projected;
         let assignments = bin_to_tiles(&grid, &projected);
 
         // ID → projected-splat lookup for the rasterizer's gather, so only
-        // frames with an image need it. Proxy splats live in the ID range
-        // above the scene's (`source_len + proxy_index`). The table
+        // frames with an image need it. It spans this frame's IDs, whose
+        // largest is the last: both walks emit ascending IDs, proxies
+        // (`source_len + proxy_index`) after the members. The table
         // persists in the session with every slot absent between frames:
         // only this frame's IDs are set here, and the same walk clears
         // them once the tiles are rendered.
         if config.render_image {
-            let id_space = scene.len() + lod.map_or(0, |(_, index)| index.proxy_count());
+            let id_space = projected
+                .last()
+                .map_or(0, |p| neo_math::num::usize_from_u32(p.id) + 1);
             if self.by_id.len() < id_space {
                 self.by_id.resize(id_space, ABSENT);
             }
@@ -310,31 +307,25 @@ impl RenderSession {
             }
         };
 
+        // Charge the resident record per splat read: every record on the
+        // flat walk, only the surviving members and proxies on the
+        // cluster walk — the traffic the index exists to cut.
+        let feature_bytes = neo_math::num::u64_from_usize(scene.record_bytes());
         let mut stats = FrameStats {
             input: scene.len(),
             projected: projected.len(),
             duplicates: assignments.total_assignments(),
             occupied_tiles: occupied.len(),
+            clusters_total: walk.clusters_total,
+            clusters_culled: walk.clusters_culled,
+            clusters_lod: walk.clusters_proxied,
+            lod_splats_saved: walk.splats_saved,
             ..Default::default()
         };
-        // Charge the resident record per splat read. On the LOD path only
-        // the records actually read (surviving members + proxies) are
-        // charged — that is the traffic the index exists to cut; the flat
-        // walk touches every record.
-        let feature_bytes = neo_math::num::u64_from_usize(scene.record_bytes());
-        let records_read = match &clusters {
-            Some(cp) => {
-                stats.clusters_total = cp.clusters_total;
-                stats.clusters_culled = cp.clusters_culled;
-                stats.clusters_lod = cp.clusters_proxied;
-                stats.lod_splats_saved = cp.splats_saved;
-                cp.splats_visited
-            }
-            None => neo_math::num::u64_from_usize(scene.len()),
-        };
-        stats
-            .traffic
-            .read(Stage::FeatureExtraction, records_read * feature_bytes);
+        stats.traffic.read(
+            Stage::FeatureExtraction,
+            walk.splats_visited * feature_bytes,
+        );
 
         let raster_cfg = RenderConfig {
             tile_size: config.tile_size,
@@ -642,20 +633,16 @@ impl RenderEngineBuilder {
         };
         let mut lod_index = None;
         if let Some(lod) = &self.config.lod {
-            let mut index = ClusteredCloud::build(
-                &scene,
+            // The build puts the scene into cluster order, so each cluster
+            // is one ID range of the geometry: in place when the builder
+            // holds the only reference to the scene, on a private copy of
+            // a shared scene that has to move.
+            let index = ClusteredCloud::build(
+                &mut scene,
                 ClusterParams {
                     target_cluster_size: lod.cluster_size,
                 },
             );
-            // Renumber the scene into the index's cluster order, so each
-            // cluster is one ID range of the geometry. The permutation
-            // runs in place when the builder holds the only reference to
-            // the scene, and on a private copy of a shared scene
-            // otherwise.
-            if let Some(order) = index.renumber() {
-                Arc::make_mut(&mut scene).permute(order);
-            }
             lod_index = Some(Arc::new(index));
         }
         Ok(RenderEngine {
@@ -725,13 +712,14 @@ impl RenderEngine {
     /// The shared scene, in the order the pipeline's IDs index.
     ///
     /// On the flat path this is the scene the builder was given. With
-    /// [`RendererConfig::with_lod`] the builder renumbers it into cluster
-    /// order, so Gaussian `k` here is Gaussian `source_ids[k]` of the
-    /// original (see [`ClusteredCloud::source_ids`] on
-    /// [`RenderEngine::lod_index`]). The permutation runs in place when
-    /// the builder held the only reference to the scene; a scene `Arc`
-    /// still shared with the caller is left untouched and the engine
-    /// keeps a renumbered private copy.
+    /// [`RendererConfig::with_lod`] it is that scene in the cluster
+    /// order [`ClusteredCloud::build`] put it into: clusters in Morton
+    /// order, members in their original relative order. The permutation
+    /// runs in place when the builder held the only reference to the
+    /// scene. A shared scene `Arc` already in cluster order (such as
+    /// another LOD engine's `scene()` with the same cluster size) is kept
+    /// as it is, allocation and all; one out of order is left untouched
+    /// and the engine keeps a reordered private copy.
     pub fn scene(&self) -> &Arc<GaussianCloud> {
         &self.scene
     }
@@ -749,10 +737,9 @@ impl RenderEngine {
     /// The cluster index built at construction when
     /// [`RendererConfig::with_lod`] is set; `None` on the flat path.
     ///
-    /// The index is renumbered together with the scene: its member IDs
-    /// are the IDs of [`RenderEngine::scene`], each cluster one
-    /// contiguous range, and [`ClusteredCloud::source_ids`] maps them
-    /// back to the builder's original order.
+    /// Its member IDs are the IDs of [`RenderEngine::scene`], which the
+    /// build put into cluster order: each cluster is one contiguous
+    /// range ([`neo_scene::Cluster::ids`]).
     pub fn lod_index(&self) -> Option<&Arc<ClusteredCloud>> {
         self.lod_index.as_ref()
     }
@@ -1285,30 +1272,34 @@ mod tests {
                 .unwrap()
         };
         // A scene shared with the caller is left as it was: the engine
-        // renumbers a private copy.
+        // reorders a private copy.
         let shared = Arc::new(original.clone());
         let engine = build(Arc::clone(&shared));
         assert_eq!(*shared, original);
         assert!(!Arc::ptr_eq(engine.scene(), &shared));
-        let index = engine.lod_index().unwrap();
-        let source_ids = index.source_ids().expect("a city is not in cluster order");
-        assert_eq!(source_ids.len(), original.len());
-        for (k, &src) in source_ids.iter().enumerate() {
-            assert_eq!(engine.scene().get(k as u32), original.get(src));
-        }
-        // Each cluster is one contiguous ID range, in cluster order.
-        let mut next = 0u32;
-        for c in index.clusters() {
-            assert_eq!(c.members().first(), Some(&next));
-            assert_eq!(c.members().last(), Some(&(next + c.len() as u32 - 1)));
-            next += c.len() as u32;
-        }
-        // An owned scene is renumbered in place into the same order.
+        // The engine's scene and index are a standalone build's over the
+        // original cloud.
+        let mut standalone = Arc::new(original.clone());
+        let index = ClusteredCloud::build(
+            &mut standalone,
+            ClusterParams {
+                target_cluster_size: LodConfig::default().cluster_size,
+            },
+        );
+        assert_ne!(*standalone, original, "a city is not in cluster order");
+        assert_eq!(engine.scene(), &standalone);
+        assert_eq!(**engine.lod_index().unwrap(), index);
+        // An owned scene is reordered in place into the same order.
         let scene = Arc::new(original.clone());
         let allocation = Arc::as_ptr(&scene);
         let owned = build(scene);
         assert_eq!(Arc::as_ptr(owned.scene()), allocation);
         assert_eq!(owned.scene(), engine.scene());
+        // A shared scene already in cluster order keeps the caller's
+        // allocation.
+        let again = build(Arc::clone(engine.scene()));
+        assert!(Arc::ptr_eq(again.scene(), engine.scene()));
+        assert_eq!(again.lod_index(), engine.lod_index());
         // The flat path keeps the scene allocation and order untouched.
         let flat = RenderEngine::builder()
             .scene(Arc::clone(&shared))

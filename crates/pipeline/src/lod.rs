@@ -7,22 +7,21 @@
 //! by their precomputed merged proxies, and only the surviving clusters'
 //! members are projected.
 //!
-//! # Streaming
+//! # One range walk
 //!
-//! [`project_clusters_geometry`] is a streaming kernel. The camera
-//! constants are computed once per frame, and each visible cluster's
-//! member geometry is read as a subslice of the cloud's geometry, one
-//! per consecutive-ID run; proxies run through the same projection
-//! kernel from the index's geometry table. No SH is read: color is the
-//! separate [`color_pass`] over [`cluster_colors`], which
-//! [`project_clusters`] adds for callers that want colored output. The
-//! render engine renumbers its scene into cluster order at build time
-//! ([`ClusteredCloud::renumber`]), so there every cluster is a single run
-//! and the frame reads the geometry front to back, in ascending ID order.
-//! Members and proxies are collected separately and the proxies appended
-//! last, which leaves a renumbered index's output already ascending by
-//! pipeline ID; the final ordering step is then one linear check. An
-//! index that was never renumbered still works and is sorted.
+//! Both geometry walks stream ID ranges through one projection kernel,
+//! with the camera constants computed once per frame.
+//! [`project_flat_geometry`] walks the single range `0..len`;
+//! [`project_clusters_geometry`] walks each visible cluster's ID range of
+//! the cloud ([`Cluster::ids`](neo_scene::Cluster::ids): the index put
+//! the cloud into cluster order when it was built) and each proxied
+//! cluster's range of the index's proxy table. Both return a
+//! [`ClusterProjection`], the flat one with zero cluster counters. No SH
+//! is read: color is the separate [`color_pass`] over [`cluster_colors`],
+//! which [`project_clusters`] adds for callers that want colored output.
+//! Clusters follow each other in ID order and proxy IDs lie above every
+//! member ID, so members followed by proxies come out ascending by
+//! pipeline ID with no sort.
 //!
 //! # Determinism and parity
 //!
@@ -32,14 +31,16 @@
 //! (`proxy_footprint_px == 0`), the output of [`project_clusters`] is
 //! therefore byte-identical to
 //! [`project_storage`](crate::projection::project_storage) over the same
-//! cloud — same splats, same arithmetic, same ascending-ID order. The
-//! `lod_parity` suite pins this, for raw and renumbered indexes.
+//! cluster-ordered cloud — same splats, same arithmetic, same
+//! ascending-ID order. The `lod_parity` suite pins this.
 //!
 //! Proxy splats are addressed by **pipeline IDs**
 //! `source_len() + proxy_index`, so they never collide with member IDs
 //! and downstream binning/sorting stay deterministic.
 
-use crate::projection::{color_pass, project_in, ProjectedGaussian, ProjectionContext};
+use crate::projection::{
+    color_pass, project_range, project_storage_geometry, ProjectedGaussian, ProjectionContext,
+};
 use neo_math::num::{u64_from_usize, usize_from_u32};
 use neo_math::{Aabb, Mat4, Vec3};
 use neo_scene::{Camera, CloudStorage, ClusteredCloud, GaussianCloud, SplatGeometry};
@@ -47,8 +48,8 @@ use neo_scene::{Camera, CloudStorage, ClusteredCloud, GaussianCloud, SplatGeomet
 /// Configuration of the cluster-index LOD path.
 ///
 /// Attached to the renderer via `RendererConfig::with_lod`; absent
-/// (the default) the renderer keeps the flat projection walk and its
-/// byte-exact legacy output.
+/// (the default) the renderer walks the whole cloud as one range
+/// ([`project_flat_geometry`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LodConfig {
     /// Target member count per cluster handed to the index builder
@@ -88,8 +89,9 @@ impl LodConfig {
     }
 }
 
-/// Result of projecting a cloud through its cluster index.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of a geometry walk: through a cluster index, or flat (zero
+/// cluster counters, every splat visited).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterProjection {
     /// Projected splats, ascending by pipeline ID (member IDs first,
     /// proxy IDs — `source_len() + proxy_index` — after them).
@@ -203,13 +205,13 @@ pub fn project_clusters(
 ) -> ClusterProjection {
     let cloud = storage.cloud();
     let mut cp = cluster_pass(cam, cloud.geometry(), index, cfg, true);
-    color_pass(&mut cp.projected, cluster_colors(cam, cloud, index));
+    color_pass(&mut cp.projected, cluster_colors(cam, cloud, Some(index)));
     cp
 }
 
-/// The per-pipeline-ID color source of a cluster projection over
-/// `cloud` and its `index`, for the [`color_pass`]. Member IDs read
-/// their SH toward the camera from `cloud`; proxy IDs
+/// The per-pipeline-ID color source of a geometry walk over `cloud`,
+/// for the [`color_pass`]. Member IDs read their SH toward the camera
+/// from `cloud`; with a cluster `index`, proxy IDs
 /// (`source_len() + proxy_index`) read the index's view-independent
 /// proxy color.
 ///
@@ -217,31 +219,40 @@ pub fn project_clusters(
 pub fn cluster_colors<'a>(
     cam: &'a Camera,
     cloud: &'a GaussianCloud,
-    index: &'a ClusteredCloud,
+    index: Option<&'a ClusteredCloud>,
 ) -> impl Fn(u32) -> Vec3 + 'a {
-    let proxy_base = index.source_len();
-    move |id| match id.checked_sub(proxy_base) {
-        Some(k) => index.proxy_color(usize_from_u32(k)),
+    let proxy_base = index.map_or(0, ClusteredCloud::source_len);
+    move |id| match index.zip(id.checked_sub(proxy_base)) {
+        Some((index, k)) => index.proxy_color(usize_from_u32(k)),
         None => cloud.color(id, cam),
     }
 }
 
+/// The flat geometry pass as a [`ClusterProjection`]: the one range
+/// `0..len` of `geometry` (a cloud's [`GaussianCloud::geometry`]), every
+/// splat visited, no cluster counters. Its `projected` is
+/// [`project_storage_geometry`]'s.
+pub fn project_flat_geometry(cam: &Camera, geometry: &[SplatGeometry]) -> ClusterProjection {
+    ClusterProjection {
+        projected: project_storage_geometry(cam, geometry),
+        splats_visited: u64_from_usize(geometry.len()),
+        ..ClusterProjection::default()
+    }
+}
+
 /// The geometry pass through a cluster index: culls whole clusters,
-/// substitutes proxies for sub-threshold clusters, and projects
-/// surviving members from `geometry` (a cloud's
-/// [`GaussianCloud::geometry`]) in consecutive-ID runs. Color is left
-/// unset and [`ClusterProjection::tags`] empty.
+/// substitutes proxies for sub-threshold clusters, and projects each
+/// surviving cluster's ID range of `geometry` (a cloud's
+/// [`GaussianCloud::geometry`]). Color is left unset and
+/// [`ClusterProjection::tags`] empty.
 ///
 /// `index` must have been built over the cloud `geometry` belongs to,
-/// or renumbered together with it. The output is sorted ascending by
-/// pipeline ID. For a renumbered index every visible cluster is one
-/// subslice and the output comes out ascending, so ordering it costs
-/// one linear pass; otherwise the runs interleave and the output is
-/// sorted.
+/// which the build put into cluster order. The output is ascending by
+/// pipeline ID: members in cluster order, then proxies.
 ///
 /// # Panics
 ///
-/// Panics when a member ID of `index` lies outside `geometry`.
+/// Panics when a cluster's ID range lies outside `geometry`.
 pub fn project_clusters_geometry(
     cam: &Camera,
     geometry: &[SplatGeometry],
@@ -288,39 +299,27 @@ fn cluster_pass(
         if proxied {
             clusters_proxied += 1;
             splats_saved += u64_from_usize(cluster.len()) - u64::from(proxy_len);
-            for (k, p) in index.cluster_proxies(ci).iter().enumerate() {
-                splats_visited += 1;
-                let pid = proxy_base
-                    .saturating_add(proxy_start)
-                    .saturating_add(u32::try_from(k).unwrap_or(u32::MAX));
-                if let Some(pp) = project_in(&ctx, pid, p) {
-                    proxies.push(pp);
-                    if tagged {
-                        proxy_tags.push(tag_base | 1);
-                    }
-                }
+            splats_visited += u64::from(proxy_len);
+            let first_id = proxy_base.saturating_add(proxy_start);
+            project_range(&ctx, first_id, index.cluster_proxies(ci), &mut proxies);
+            if tagged {
+                proxy_tags.resize(proxies.len(), tag_base | 1);
             }
         } else {
-            for (start, end) in consecutive_runs(cluster.members()) {
-                let run = &geometry[usize_from_u32(start)..usize_from_u32(end)];
-                splats_visited += u64_from_usize(run.len());
-                for (id, g) in (start..).zip(run) {
-                    if let Some(p) = project_in(&ctx, id, g) {
-                        projected.push(p);
-                        if tagged {
-                            tags.push(tag_base);
-                        }
-                    }
-                }
+            let ids = cluster.ids();
+            splats_visited += u64_from_usize(cluster.len());
+            let run = &geometry[usize_from_u32(ids.start)..usize_from_u32(ids.end)];
+            project_range(&ctx, ids.start, run, &mut projected);
+            if tagged {
+                tags.resize(projected.len(), tag_base);
             }
         }
     }
 
-    // Proxy IDs lie above every member ID, so appending them keeps an
+    // Proxy IDs lie above every member ID, so appending them keeps the
     // ascending member list ascending.
     projected.append(&mut proxies);
     tags.append(&mut proxy_tags);
-    sort_by_id(&mut projected, &mut tags);
     ClusterProjection {
         projected,
         tags,
@@ -332,43 +331,6 @@ fn cluster_pass(
     }
 }
 
-/// Orders `projected` and its parallel `tags` (when not empty)
-/// ascending by pipeline ID.
-///
-/// Pipeline IDs are unique (members < `source_len` ≤ proxy IDs), so the
-/// ID alone is a total, deterministic order. Input that is already
-/// ascending — every frame of a renumbered index — costs one linear
-/// check; anything else is sorted, as `(splat, tag)` pairs when tagged.
-fn sort_by_id(projected: &mut Vec<ProjectedGaussian>, tags: &mut Vec<u32>) {
-    if projected.is_sorted_by_key(|p| p.id) {
-        return;
-    }
-    if tags.is_empty() {
-        projected.sort_unstable_by_key(|p| p.id);
-        return;
-    }
-    let mut items: Vec<(ProjectedGaussian, u32)> =
-        projected.drain(..).zip(tags.drain(..)).collect();
-    items.sort_unstable_by_key(|&(p, _)| p.id);
-    (*projected, *tags) = items.into_iter().unzip();
-}
-
-/// Maximal runs of consecutive member IDs, as `(start, end)` half-open
-/// ranges of the cloud's geometry. A renumbered cluster is one run.
-fn consecutive_runs(members: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
-    let mut rest = members;
-    std::iter::from_fn(move || {
-        let &start = rest.first()?;
-        let mut len = 1;
-        while len < rest.len() && rest[len] == rest[len - 1] + 1 {
-            len += 1;
-        }
-        let end = rest[len - 1] + 1;
-        rest = &rest[len..];
-        Some((start, end))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,13 +338,19 @@ mod tests {
     use crate::projection::project_storage;
     use neo_scene::synth::CityParams;
     use neo_scene::{ClusterParams, Resolution};
+    use std::sync::Arc;
 
-    fn city() -> neo_scene::GaussianCloud {
-        CityParams {
-            splats_per_block: 150,
-            ..CityParams::default().scaled(4.0)
-        }
-        .build()
+    /// A city in cluster order, with its default index.
+    fn city() -> (GaussianCloud, ClusteredCloud) {
+        let mut cloud = Arc::new(
+            CityParams {
+                splats_per_block: 150,
+                ..CityParams::default().scaled(4.0)
+            }
+            .build(),
+        );
+        let idx = ClusteredCloud::build(&mut cloud, ClusterParams::default());
+        (Arc::unwrap_or_clone(cloud), idx)
     }
 
     fn street_cam(cloud_extent: f32) -> Camera {
@@ -404,8 +372,7 @@ mod tests {
 
     #[test]
     fn cull_parity_with_flat_path() {
-        let cloud = city();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = city();
         let cam = street_cam(40.0);
         let flat = project_storage(&cam, &cloud);
         let clustered = project_clusters(&cam, &cloud, &idx, &cull_only());
@@ -416,8 +383,7 @@ mod tests {
 
     #[test]
     fn culled_cluster_members_all_fail_per_splat_test() {
-        let cloud = city();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = city();
         let cam = street_cam(40.0);
         let ctx = ProjectionContext::new(&cam);
         let mut culled = 0;
@@ -426,7 +392,7 @@ mod tests {
                 continue;
             }
             culled += 1;
-            for &id in c.members() {
+            for id in c.ids() {
                 let g = cloud.get(id).unwrap();
                 let t = ctx.view.transform_point(g.mean);
                 assert!(
@@ -440,8 +406,7 @@ mod tests {
 
     #[test]
     fn proxies_substitute_far_clusters_and_save_work() {
-        let cloud = city();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = city();
         let cam = street_cam(40.0);
         let cfg = LodConfig {
             proxy_footprint_px: 48.0,
@@ -459,7 +424,7 @@ mod tests {
             } else {
                 assert!(p.id < idx.source_len());
                 let c = &idx.clusters()[(tag >> 1) as usize];
-                assert!(c.members().binary_search(&p.id).is_ok());
+                assert!(c.ids().contains(&p.id));
             }
         }
         // Output stays sorted by pipeline ID.
@@ -470,8 +435,7 @@ mod tests {
 
     #[test]
     fn stats_are_consistent() {
-        let cloud = city();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = city();
         let cam = street_cam(40.0);
         let out = project_clusters(&cam, &cloud, &idx, &LodConfig::default());
         assert_eq!(out.clusters_total, u64_from_usize(idx.cluster_count()));
@@ -480,6 +444,22 @@ mod tests {
         // Visited + saved covers every member (proxied clusters also visit
         // their proxies, hence ≥).
         assert!(out.splats_visited + out.splats_saved >= u64_from_usize(cloud.len()));
+    }
+
+    #[test]
+    fn flat_walk_is_one_range_with_no_cluster_counters() {
+        let (cloud, _) = city();
+        let cam = street_cam(40.0);
+        let flat = project_flat_geometry(&cam, cloud.geometry());
+        assert_eq!(
+            flat,
+            ClusterProjection {
+                projected: project_storage_geometry(&cam, cloud.geometry()),
+                splats_visited: u64_from_usize(cloud.len()),
+                ..ClusterProjection::default()
+            }
+        );
+        assert!(!flat.projected.is_empty());
     }
 
     #[test]
@@ -503,26 +483,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn consecutive_runs_cover_members() {
-        let cloud = city();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
-        for c in idx.clusters() {
-            let expanded: Vec<u32> = consecutive_runs(c.members())
-                .flat_map(|(s, e)| s..e)
-                .collect();
-            assert_eq!(expanded, c.members());
-        }
-        // After renumbering, every cluster streams as one run.
-        let mut idx = idx;
-        idx.renumber().expect("a city is not in cluster order");
-        for c in idx.clusters() {
-            let runs: Vec<(u32, u32)> = consecutive_runs(c.members()).collect();
-            assert_eq!(runs.len(), 1);
-        }
-        assert_eq!(consecutive_runs(&[]).count(), 0);
     }
 
     fn clusters_tag_proxy_count(out: &ClusterProjection) -> usize {

@@ -238,6 +238,7 @@ fn rotation_scale(q: Quat, scale: Vec3) -> Mat3 {
 /// The geometry pass: projects every splat of `geometry` (a cloud's
 /// [`GaussianCloud::geometry`](neo_scene::GaussianCloud::geometry)),
 /// splat `k` under ID `k`, skipping culled ones, and leaves color unset.
+/// It is the range kernel run once over `0..len`.
 ///
 /// Output order matches the slice (IDs ascending), which downstream
 /// stages rely on for deterministic binning.
@@ -245,11 +246,25 @@ pub fn project_storage_geometry(
     cam: &Camera,
     geometry: &[SplatGeometry],
 ) -> Vec<ProjectedGaussian> {
-    let ctx = ProjectionContext::new(cam);
-    (0u32..)
-        .zip(geometry)
-        .filter_map(|(id, g)| project_in(&ctx, id, g))
-        .collect()
+    let mut out = Vec::new();
+    project_range(&ProjectionContext::new(cam), 0, geometry, &mut out);
+    out
+}
+
+/// The range kernel both geometry walks share: projects `run[k]` under
+/// ID `first_id + k`, appending the splats that survive culling to `out`
+/// in run order.
+pub(crate) fn project_range(
+    ctx: &ProjectionContext,
+    first_id: u32,
+    run: &[SplatGeometry],
+    out: &mut Vec<ProjectedGaussian>,
+) {
+    out.extend(
+        (first_id..)
+            .zip(run)
+            .filter_map(|(id, g)| project_in(ctx, id, g)),
+    );
 }
 
 /// The color pass: sets each projected splat's color to `color(id)`.

@@ -14,30 +14,32 @@
 //! [`ClusterParams`]: the grid resolution is derived from the splat
 //! count by integer search, cell keys come from f32 arithmetic on the
 //! (fixed) member means, clusters are emitted in ascending Morton-key
-//! order, member lists are ascending by splat ID, and every proxy
-//! accumulation runs in ascending-member order. Building the same cloud
-//! twice — or on different machines — yields byte-identical indexes.
+//! order, members keep their ascending cloud-ID order within a cluster,
+//! and every proxy accumulation runs in that member order. Building the
+//! same cloud twice — or on different machines — yields byte-identical
+//! indexes and byte-identical cluster-ordered clouds.
 //!
-//! # Renumbering
+//! # Cluster order
 //!
-//! A freshly built index stores the cloud IDs of its members, so a
-//! cluster's members are scattered across the cloud. The render engine
-//! renumbers the scene once, at build time, into the index's member
-//! order: [`ClusteredCloud::renumber`] relabels every cluster to one
-//! contiguous, ascending ID range (clusters in Morton order) and hands
-//! back the permutation the cloud must undergo
-//! ([`GaussianCloud::permute`]). Afterwards each cluster is a single
-//! range of the cloud's geometry, and
-//! [`ClusteredCloud::source_ids`] maps the new IDs back to the original
-//! ones. Relabeling changes no bound or proxy: within a cluster the new
-//! IDs keep the members' original relative order, so every per-cluster
-//! accumulation runs in the same order as before.
+//! [`ClusteredCloud::build`] puts the cloud it indexes into cluster
+//! order: clusters follow each other in Morton order, and within a
+//! cluster the members keep their original relative order. Each cluster
+//! is then one contiguous ID range of the cloud ([`Cluster::ids`]), so a
+//! frame reads a visible cluster as one subslice of the geometry. The
+//! permutation ([`GaussianCloud::permute`]) runs in place and only when
+//! the order changes: a cloud that is already in cluster order (the
+//! output of an earlier build with the same parameters) is left alone,
+//! and a shared one is copied only when it has to move. Bounds and
+//! proxies are the same as over the original order, bit for bit, since
+//! each accumulation still runs in the members' original order.
 
 use crate::gaussian::SplatGeometry;
 use crate::GaussianCloud;
 use neo_math::num::usize_from_u32;
 use neo_math::sh::ShCoefficients;
 use neo_math::{Aabb, Quat, Vec3};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Upper bound on grid cells per axis (keeps Morton keys in 24 bits and
 /// the empty-cell scan bounded).
@@ -72,12 +74,13 @@ impl ClusterParams {
     }
 }
 
-/// One spatial cluster: a set of member splat IDs with conservative
-/// world-space bounds and a slice of proxy splats in the parent
-/// [`ClusteredCloud`].
+/// One spatial cluster: a contiguous range of member splat IDs with
+/// conservative world-space bounds and a slice of proxy splats in the
+/// parent [`ClusteredCloud`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
-    members: Vec<u32>,
+    start: u32,
+    len: u32,
     bounds: Aabb,
     max_radius: f32,
     proxy_start: u32,
@@ -85,19 +88,20 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Member splat IDs, ascending.
-    pub fn members(&self) -> &[u32] {
-        &self.members
+    /// Member splat IDs: one contiguous range of the cloud the index
+    /// put into cluster order.
+    pub fn ids(&self) -> Range<u32> {
+        self.start..self.start + self.len
     }
 
     /// Number of member splats.
     pub fn len(&self) -> usize {
-        self.members.len()
+        usize_from_u32(self.len)
     }
 
     /// True when the cluster has no members.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
     }
 
     /// AABB of the member **means** (world space). Combined with
@@ -120,8 +124,9 @@ impl Cluster {
     }
 }
 
-/// A cluster index over a splat cloud: Morton-ordered spatial clusters
-/// with per-cluster bounds and merged LOD proxy splats.
+/// A cluster index over a splat cloud: Morton-ordered spatial clusters,
+/// each one ID range of the cloud, with per-cluster bounds and merged LOD
+/// proxy splats.
 ///
 /// Built once per scene (or on scene upload) by [`ClusteredCloud::build`];
 /// the renderer consults it every frame for whole-cluster frustum
@@ -134,31 +139,34 @@ pub struct ClusteredCloud {
     /// direction changes.
     proxy_colors: Vec<Vec3>,
     source_len: u32,
-    /// New ID → original ID, set by [`ClusteredCloud::renumber`].
-    source_ids: Option<Vec<u32>>,
 }
 
 impl ClusteredCloud {
-    /// Builds a cluster index over `cloud`.
+    /// Builds a cluster index over `cloud` and puts `cloud` into the
+    /// index's cluster order (see the module docs).
+    ///
+    /// The cloud is permuted in place, through [`Arc::make_mut`], and only
+    /// when its order changes: a cloud already in cluster order keeps its
+    /// allocation even while shared, and a shared cloud out of order is
+    /// copied once while other holders keep the original.
     ///
     /// Deterministic: see the module docs. Costs two streaming passes
     /// over the cloud plus a linear-time radix sort of `(cell, id)`
     /// keys. The first pass reads geometry only; the second reads
     /// geometry and each splat's DC SH term, which its proxy accumulates.
-    pub fn build(cloud: &GaussianCloud, params: ClusterParams) -> Self {
+    pub fn build(cloud: &mut Arc<GaussianCloud>, params: ClusterParams) -> Self {
         Self::build_with(cloud, params, radix_sort_keyed)
     }
 
     /// [`ClusteredCloud::build`] with the `(cell, id)` key sort supplied
     /// by the caller (the tests swap in a comparison sort).
     fn build_with(
-        cloud: &GaussianCloud,
+        cloud: &mut Arc<GaussianCloud>,
         params: ClusterParams,
         sort_keyed: fn(Vec<u64>) -> Vec<u64>,
     ) -> Self {
         let params = params.sanitized();
-        let geometry = cloud.geometry();
-        let n = geometry.len();
+        let n = cloud.len();
         let Ok(source_len) = u32::try_from(n) else {
             // Splat IDs are u32 everywhere in the pipeline; a cloud
             // this large cannot have been constructed.
@@ -172,7 +180,7 @@ impl ClusteredCloud {
         let mut means: Vec<Vec3> = Vec::with_capacity(n);
         let mut radii: Vec<f32> = Vec::with_capacity(n);
         let mut world = Aabb::EMPTY;
-        for g in geometry {
+        for g in cloud.geometry() {
             means.push(g.mean);
             radii.push(g.bounding_radius());
             world = world.union_point(g.mean);
@@ -183,60 +191,65 @@ impl ClusteredCloud {
 
         // Key every splat by the Morton code of its grid cell, packed
         // above its ID, then sort: equal keys group into clusters, and the
-        // (key, id) order makes member lists ascending by construction.
+        // (key, id) order keeps each cluster's members in ascending ID
+        // order. The sorted IDs are the cluster order.
         let keyed = sort_keyed(
             (0u32..source_len)
                 .map(|id| (grid.morton_key(means[usize_from_u32(id)]) << 32) | u64::from(id))
                 .collect(),
         );
+        let order: Vec<u32> = keyed.iter().map(|&word| low_u32(word)).collect();
 
-        // Group into clusters and record each splat's cluster index for
-        // the proxy-accumulation pass.
+        // Group into clusters: runs of equal keys, each the range of
+        // positions it will occupy in cluster order.
         let mut clusters: Vec<Cluster> = Vec::new();
-        let mut cluster_of: Vec<u32> = vec![0; n];
         let mut i = 0usize;
         while i < keyed.len() {
             let key = keyed[i] >> 32;
-            let mut members = Vec::new();
+            let start = i;
             let mut bounds = Aabb::EMPTY;
             let mut max_radius = 0.0f32;
             while i < keyed.len() && keyed[i] >> 32 == key {
-                let id = low_u32(keyed[i]);
-                members.push(id);
-                bounds = bounds.union_point(means[usize_from_u32(id)]);
-                max_radius = max_radius.max(radii[usize_from_u32(id)]);
+                let id = usize_from_u32(order[i]);
+                bounds = bounds.union_point(means[id]);
+                max_radius = max_radius.max(radii[id]);
                 i += 1;
             }
-            let cluster_idx = u32::try_from(clusters.len()).unwrap_or(u32::MAX);
-            for &id in &members {
-                cluster_of[usize_from_u32(id)] = cluster_idx;
-            }
             clusters.push(Cluster {
-                members,
+                start: u32::try_from(start).unwrap_or(u32::MAX),
+                len: u32::try_from(i - start).unwrap_or(u32::MAX),
                 bounds,
                 max_radius,
                 proxy_start: 0,
                 proxy_len: 0,
             });
         }
+        // Free the build's scratch before the permutation, which may copy
+        // the cloud.
+        drop((keyed, means, radii));
 
-        // Pass 2: accumulate per-cluster octant statistics in ascending
-        // splat-ID order, which fixes the f32 summation order
-        // independently of cluster shape.
-        let mut accs: Vec<[OctantAcc; OCTANTS]> =
-            vec![[OctantAcc::default(); OCTANTS]; clusters.len()];
-        for (j, (g, &c)) in geometry.iter().zip(&cluster_of).enumerate() {
-            let c = usize_from_u32(c);
-            let o = octant_of(clusters[c].bounds.center(), g.mean);
-            accs[c][o].accumulate(g, cloud.dc(j));
+        if !order.iter().zip(0u32..).all(|(&id, k)| id == k) {
+            Arc::make_mut(cloud).permute(&order);
         }
 
-        // Finalize proxies in (cluster, octant) order.
+        // Pass 2: accumulate each cluster's octant statistics over its
+        // range, in member order — the members' original ascending-ID
+        // order — which fixes the f32 summation order independently of
+        // cluster shape.
+        let geometry = cloud.geometry();
         let mut proxies: Vec<SplatGeometry> = Vec::new();
         let mut proxy_colors: Vec<Vec3> = Vec::new();
-        for (cluster, acc) in clusters.iter_mut().zip(&accs) {
+        for cluster in &mut clusters {
+            let center = cluster.bounds.center();
+            let mut acc = [OctantAcc::default(); OCTANTS];
+            for j in cluster.ids() {
+                let j = usize_from_u32(j);
+                let g = &geometry[j];
+                acc[octant_of(center, g.mean)].accumulate(g, cloud.dc(j));
+            }
+            // Finalize proxies in (cluster, octant) order.
             let start = u32::try_from(proxies.len()).unwrap_or(u32::MAX);
-            for oct in acc {
+            for oct in &acc {
                 if let Some((p, color)) = oct.finalize() {
                     proxies.push(p);
                     proxy_colors.push(color);
@@ -253,7 +266,6 @@ impl ClusteredCloud {
             proxies,
             proxy_colors,
             source_len,
-            source_ids: None,
         }
     }
 
@@ -263,45 +275,11 @@ impl ClusteredCloud {
             proxies: Vec::new(),
             proxy_colors: Vec::new(),
             source_len: 0,
-            source_ids: None,
         }
     }
 
-    /// Relabels the members so that each cluster owns one contiguous,
-    /// ascending ID range, clusters following each other in Morton order.
-    ///
-    /// Returns the member order — new ID → source ID — that the cloud
-    /// the index was built over must be permuted by to match, or `None`
-    /// when that order is the identity (as it is for an already
-    /// renumbered index) and nothing changed. Bounds and proxies
-    /// stay as they are (see the module docs); the order is kept as
-    /// [`ClusteredCloud::source_ids`].
-    pub fn renumber(&mut self) -> Option<&[u32]> {
-        let mut order = Vec::with_capacity(usize_from_u32(self.source_len));
-        for cluster in &self.clusters {
-            order.extend_from_slice(&cluster.members);
-        }
-        if order.iter().zip(0u32..).all(|(&id, k)| id == k) {
-            return None;
-        }
-        let mut next = 0u32;
-        for cluster in &mut self.clusters {
-            for id in &mut cluster.members {
-                *id = next;
-                next += 1;
-            }
-        }
-        Some(self.source_ids.insert(order).as_slice())
-    }
-
-    /// The source ID of every member, indexed by its current ID, once
-    /// [`ClusteredCloud::renumber`] has relabeled the index; `None` while
-    /// member IDs are still the IDs of the cloud it was built over.
-    pub fn source_ids(&self) -> Option<&[u32]> {
-        self.source_ids.as_deref()
-    }
-
-    /// The clusters, in ascending Morton-key order.
+    /// The clusters, in ascending Morton-key order; their ID ranges
+    /// start at 0, abut, and end at [`ClusteredCloud::source_len`].
     pub fn clusters(&self) -> &[Cluster] {
         &self.clusters
     }
@@ -344,12 +322,6 @@ impl ClusteredCloud {
     /// Length of the source cloud the index was built over.
     pub fn source_len(&self) -> u32 {
         self.source_len
-    }
-
-    /// Total members across clusters (equals `source_len()` by
-    /// construction; exposed for invariants in tests).
-    pub fn total_members(&self) -> usize {
-        self.clusters.iter().map(Cluster::len).sum()
     }
 }
 
@@ -551,6 +523,7 @@ impl OctantAcc {
 mod tests {
     use super::*;
     use crate::synth::SynthParams;
+    use std::collections::BTreeMap;
 
     fn small_cloud() -> crate::GaussianCloud {
         SynthParams {
@@ -560,32 +533,71 @@ mod tests {
         .build()
     }
 
+    /// Builds the default index over a copy of `cloud`, returning the
+    /// cloud in cluster order with it.
+    fn ordered(cloud: &GaussianCloud) -> (Arc<GaussianCloud>, ClusteredCloud) {
+        let mut ordered = Arc::new(cloud.clone());
+        let index = ClusteredCloud::build(&mut ordered, ClusterParams::default());
+        (ordered, index)
+    }
+
+    /// The ID in `original` of every splat of `ordered`, matched by the
+    /// bits of its mean (unique in the synthetic clouds used here).
+    fn original_ids(original: &GaussianCloud, ordered: &GaussianCloud) -> Vec<u32> {
+        let bits = |m: Vec3| [m.x.to_bits(), m.y.to_bits(), m.z.to_bits()];
+        let by_mean: BTreeMap<[u32; 3], u32> = (0u32..)
+            .zip(original.geometry())
+            .map(|(id, g)| (bits(g.mean), id))
+            .collect();
+        assert_eq!(by_mean.len(), original.len(), "means must be unique");
+        ordered
+            .geometry()
+            .iter()
+            .map(|g| by_mean[&bits(g.mean)])
+            .collect()
+    }
+
     #[test]
-    fn clustering_partitions_ids_exactly() {
+    fn clusters_are_abutting_ranges_of_the_cluster_ordered_cloud() {
         let cloud = small_cloud();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
-        assert_eq!(idx.total_members(), cloud.len());
-        let mut seen = vec![false; cloud.len()];
+        let (ordered, idx) = ordered(&cloud);
+        assert!(idx.cluster_count() > 1, "3k splats should split");
+        let mut next = 0u32;
         for c in idx.clusters() {
             assert!(!c.is_empty());
-            for w in c.members().windows(2) {
-                assert!(w[0] < w[1], "member ids must be strictly ascending");
-            }
-            for &id in c.members() {
-                assert!(!seen[id as usize], "id {id} in two clusters");
-                seen[id as usize] = true;
+            assert_eq!(c.ids().start, next, "ranges must abut");
+            assert_eq!(c.ids().len(), c.len());
+            next = c.ids().end;
+        }
+        assert_eq!(next, idx.source_len());
+        assert_eq!(idx.source_len() as usize, cloud.len());
+        // The ordered cloud is a permutation of the original that keeps
+        // the members of each cluster in their original relative order.
+        let sources = original_ids(&cloud, &ordered);
+        let mut sorted = sources.clone();
+        sorted.sort_unstable();
+        assert!(
+            sorted.into_iter().eq(0..idx.source_len()),
+            "not a permutation"
+        );
+        for c in idx.clusters() {
+            let members = &sources[c.ids().start as usize..c.ids().end as usize];
+            assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "member order changed"
+            );
+            for (k, &src) in c.ids().zip(members) {
+                assert_eq!(ordered.get(k), cloud.get(src));
             }
         }
-        assert!(seen.iter().all(|&s| s));
-        assert!(idx.cluster_count() > 1, "3k splats should split");
+        assert_ne!(*ordered, cloud, "3k splats are not in cluster order");
     }
 
     #[test]
     fn bounds_cover_members_conservatively() {
-        let cloud = small_cloud();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = ordered(&small_cloud());
         for c in idx.clusters() {
-            for &id in c.members() {
+            for id in c.ids() {
                 let g = cloud.get(id).unwrap();
                 assert!(c.bounds().contains(g.mean));
                 assert!(g.bounding_radius() <= c.max_radius() + 1e-6);
@@ -596,18 +608,16 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         let cloud = small_cloud();
-        let a = ClusteredCloud::build(&cloud, ClusterParams::default());
-        let b = ClusteredCloud::build(&cloud, ClusterParams::default());
-        assert_eq!(a, b);
+        assert_eq!(ordered(&cloud), ordered(&cloud));
     }
 
     #[test]
     fn proxies_are_valid_and_bounded() {
         let cloud = small_cloud();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (_, idx) = ordered(&cloud);
         assert!(idx.proxy_count() > 0);
         let mut total = 0usize;
-        for (ci, c) in idx.clusters().iter().enumerate() {
+        for ci in 0..idx.cluster_count() {
             let proxies = idx.cluster_proxies(ci);
             assert!(proxies.len() <= 8);
             assert!(!proxies.is_empty(), "non-empty cluster has a proxy");
@@ -615,7 +625,6 @@ mod tests {
             for p in proxies {
                 assert!(p.is_valid(), "proxy must be a valid gaussian");
             }
-            let _ = c;
         }
         assert_eq!(total, idx.proxy_count());
         // Proxies compress: far fewer proxies than members.
@@ -624,13 +633,12 @@ mod tests {
 
     #[test]
     fn proxy_covers_member_extents() {
-        let cloud = small_cloud();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (cloud, idx) = ordered(&small_cloud());
         // Every member's 3σ sphere lies inside some proxy's 3σ sphere of
         // its cluster (the octant it was accumulated into).
         for (ci, c) in idx.clusters().iter().enumerate() {
             let proxies = idx.cluster_proxies(ci);
-            for &id in c.members() {
+            for id in c.ids() {
                 let g = cloud.get(id).unwrap();
                 let covered = proxies.iter().any(|p| {
                     g.mean.distance(p.mean) + g.bounding_radius() <= p.bounding_radius() + 1e-3
@@ -643,25 +651,20 @@ mod tests {
     #[test]
     fn target_cluster_size_scales_resolution() {
         let cloud = small_cloud();
-        let coarse = ClusteredCloud::build(
-            &cloud,
-            ClusterParams {
-                target_cluster_size: 2_000,
-            },
-        );
-        let fine = ClusteredCloud::build(
-            &cloud,
-            ClusterParams {
-                target_cluster_size: 32,
-            },
-        );
-        assert!(fine.cluster_count() > coarse.cluster_count());
+        let build = |target_cluster_size| {
+            ClusteredCloud::build(
+                &mut Arc::new(cloud.clone()),
+                ClusterParams {
+                    target_cluster_size,
+                },
+            )
+        };
+        assert!(build(32).cluster_count() > build(2_000).cluster_count());
     }
 
     #[test]
     fn empty_cloud_builds_empty_index() {
-        let cloud = crate::GaussianCloud::default();
-        let idx = ClusteredCloud::build(&cloud, ClusterParams::default());
+        let (_, idx) = ordered(&crate::GaussianCloud::default());
         assert_eq!(idx.cluster_count(), 0);
         assert_eq!(idx.proxy_count(), 0);
         assert_eq!(idx.source_len(), 0);
@@ -692,42 +695,29 @@ mod tests {
                 let params = ClusterParams {
                     target_cluster_size,
                 };
+                let mut radix = Arc::new(cloud.clone());
+                let mut comparison = Arc::new(cloud.clone());
                 assert_eq!(
-                    ClusteredCloud::build(cloud, params),
-                    ClusteredCloud::build_with(cloud, params, comparison_sort),
+                    ClusteredCloud::build(&mut radix, params),
+                    ClusteredCloud::build_with(&mut comparison, params, comparison_sort),
                     "{} splats, target {target_cluster_size}",
                     cloud.len()
                 );
+                assert_eq!(radix, comparison);
             }
         }
     }
 
     #[test]
-    fn renumbering_makes_clusters_contiguous_and_keeps_bounds_and_proxies() {
+    fn building_over_the_cluster_ordered_cloud_changes_nothing() {
         let cloud = small_cloud();
-        let built = ClusteredCloud::build(&cloud, ClusterParams::default());
-        let mut idx = built.clone();
-        let order = idx
-            .renumber()
-            .expect("3k splats are not in cluster order")
-            .to_vec();
-        assert_eq!(idx.source_ids(), Some(order.as_slice()));
-        let mut next = 0u32;
-        for (c, before) in idx.clusters().iter().zip(built.clusters()) {
-            let len = c.len() as u32;
-            assert_eq!(c.members(), (next..next + len).collect::<Vec<_>>());
-            // New ID k stands for source ID order[k].
-            let sources: Vec<u32> = c.members().iter().map(|&k| order[k as usize]).collect();
-            assert_eq!(sources, before.members());
-            next += len;
-        }
-        assert_eq!(next, idx.source_len());
-        // Rebuilding over the permuted cloud gives the relabeled index:
-        // clusters, bounds, proxy geometry and proxy colors are unchanged
-        // bit for bit.
-        let mut permuted = cloud.clone();
-        permuted.permute(&order);
-        let rebuilt = ClusteredCloud::build(&permuted, ClusterParams::default());
+        let (ordered, idx) = ordered(&cloud);
+        // The ordered cloud is already in cluster order: a second build
+        // keeps even a shared allocation, and gives the same clusters,
+        // bounds, proxy geometry and proxy colors bit for bit.
+        let mut again = Arc::clone(&ordered);
+        let rebuilt = ClusteredCloud::build(&mut again, ClusterParams::default());
+        assert!(Arc::ptr_eq(&again, &ordered));
         assert_eq!(rebuilt.clusters(), idx.clusters());
         assert_eq!(rebuilt.proxies(), idx.proxies());
         let color_bits = |index: &ClusteredCloud| -> Vec<[u32; 3]> {
@@ -740,9 +730,14 @@ mod tests {
         };
         assert!(idx.proxy_count() > 0);
         assert_eq!(color_bits(&rebuilt), color_bits(&idx));
-        // A renumbered index is already in order.
-        assert!(idx.clone().renumber().is_none());
-        assert!(built.source_ids().is_none());
+        // A shared cloud out of order is copied; its other holders keep
+        // the original.
+        let shared = Arc::new(cloud.clone());
+        let mut moved = Arc::clone(&shared);
+        ClusteredCloud::build(&mut moved, ClusterParams::default());
+        assert!(!Arc::ptr_eq(&moved, &shared));
+        assert_eq!(*shared, cloud);
+        assert_eq!(moved, ordered);
     }
 
     #[test]

@@ -2,22 +2,22 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. **Cull parity** (property): with proxy substitution disabled,
-//!    [`neo_pipeline::project_clusters`] produces byte-identical output
-//!    to the flat [`neo_pipeline::project_storage`] path for arbitrary
-//!    clouds and cameras — cluster culling may only skip splats the
-//!    per-splat frustum test would reject anyway.
-//!    After renumbering into cluster order, the cull-only cluster path
-//!    equals the flat path over the permuted cloud and streams its output
-//!    strictly ID-ascending; with proxies on, members come first,
-//!    ascending, then proxies above `source_len`.
+//! 1. **Cull parity** (property): building a cluster index puts the
+//!    cloud into cluster order; over that cloud, with proxy
+//!    substitution disabled, [`neo_pipeline::project_clusters`] produces
+//!    byte-identical output to the flat [`neo_pipeline::project_storage`]
+//!    path for arbitrary clouds and cameras — cluster culling may only
+//!    skip splats the per-splat frustum test would reject anyway — and
+//!    streams it strictly ID-ascending; with proxies on, members come
+//!    first, ascending and each inside its cluster's ID range, then
+//!    proxies above `source_len`.
 //! 2. **LOD-off identity**: a [`RendererConfig`] without `with_lod` and
 //!    one with a cull-only `LodConfig` agree on every statistic except
 //!    the index's own bookkeeping (cluster counters and the
 //!    feature-extraction traffic the cull saves), across all five
-//!    sorting strategies and thread counts. A LOD engine renumbers its
-//!    scene into cluster order, so the whole `FrameResult` matches a flat
-//!    engine over that renumbered scene. Against the original order the
+//!    sorting strategies and thread counts. A LOD engine puts its scene
+//!    into cluster order, so the whole `FrameResult` matches a flat
+//!    engine over that reordered scene. Against the original order the
 //!    images and every count match too, except the sorting network's
 //!    `compares`/`moves`: tiles sorted from scratch see their entries in
 //!    a different ID order.
@@ -337,20 +337,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Cull parity as a property: for arbitrary clouds, cameras, and
-    /// cluster sizes, the cull-only cluster path is byte-identical to
-    /// flat per-splat projection.
+    /// cluster sizes, the cull-only cluster path over the cloud the index
+    /// put into cluster order is byte-identical to flat per-splat
+    /// projection.
     #[test]
     fn cluster_cull_parity_over_random_clouds_and_cameras(
         gaussians in prop::collection::vec(arb_gaussian(), 1..96),
         cam in arb_camera(),
         cluster_size in 1u32..64,
     ) {
-        let cloud = GaussianCloud::from_gaussians(gaussians);
-        let index = ClusteredCloud::build(&cloud, ClusterParams {
+        let mut cloud = Arc::new(GaussianCloud::from_gaussians(gaussians));
+        let index = ClusteredCloud::build(&mut cloud, ClusterParams {
             target_cluster_size: cluster_size,
         });
-        let flat = project_storage(&cam, &cloud);
-        let clustered = project_clusters(&cam, &cloud, &index, &cull_only());
+        let flat = project_storage(&cam, cloud.as_ref());
+        let clustered = project_clusters(&cam, cloud.as_ref(), &index, &cull_only());
         prop_assert_eq!(&flat, &clustered.projected,
             "cull-only cluster projection diverged from the flat path");
         prop_assert_eq!(clustered.clusters_proxied, 0);
@@ -360,10 +361,11 @@ proptest! {
         );
     }
 
-    /// Renumbering as a property: over the cloud permuted into cluster
-    /// order, the cull-only cluster path equals the flat path and comes
-    /// out strictly ID-ascending without reordering; with proxies on,
-    /// ascending members come first, then proxies above `source_len`.
+    /// Cluster order as a property: over the cloud the index put into
+    /// cluster order, the cull-only cluster path equals the flat path and
+    /// comes out strictly ID-ascending without reordering; with proxies
+    /// on, ascending members come first, each inside its cluster's ID
+    /// range, then proxies above `source_len`.
     #[test]
     fn renumbered_cluster_path_streams_in_id_order(
         gaussians in prop::collection::vec(arb_gaussian(), 1..96),
@@ -371,32 +373,27 @@ proptest! {
         cluster_size in 1u32..64,
         proxy_footprint_px in 1.0f32..400.0,
     ) {
-        let cloud = GaussianCloud::from_gaussians(gaussians);
-        let mut index = ClusteredCloud::build(&cloud, ClusterParams {
+        let mut cloud = Arc::new(GaussianCloud::from_gaussians(gaussians));
+        let index = ClusteredCloud::build(&mut cloud, ClusterParams {
             target_cluster_size: cluster_size,
         });
-        let mut permuted = cloud.clone();
-        if let Some(order) = index.renumber() {
-            permuted.permute(order);
-        }
-        let clustered = project_clusters(&cam, &permuted, &index, &cull_only());
-        prop_assert_eq!(&clustered.projected, &project_storage(&cam, &permuted));
+        let clustered = project_clusters(&cam, cloud.as_ref(), &index, &cull_only());
+        prop_assert_eq!(&clustered.projected, &project_storage(&cam, cloud.as_ref()));
         prop_assert!(clustered.projected.windows(2).all(|w| w[0].id < w[1].id));
 
         let lod = LodConfig { cluster_size, proxy_footprint_px };
-        let out = project_clusters(&cam, &permuted, &index, &lod);
+        let out = project_clusters(&cam, cloud.as_ref(), &index, &lod);
         let members = out.tags.iter().take_while(|&&t| t & 1 == 0).count();
         prop_assert!(out.tags[members..].iter().all(|&t| t & 1 == 1),
             "members and proxies interleave");
-        prop_assert!(out.projected[..members].windows(2).all(|w| w[0].id < w[1].id));
-        prop_assert!(out.projected[members..].windows(2).all(|w| w[0].id < w[1].id));
+        prop_assert!(out.projected.windows(2).all(|w| w[0].id < w[1].id));
         prop_assert!(out.projected[members..].iter().all(|p| p.id >= index.source_len()));
         // Members are exactly the flat projections of unproxied clusters.
         for (p, &tag) in out.projected[..members].iter().zip(&out.tags) {
             let cluster = &index.clusters()[(tag >> 1) as usize];
-            prop_assert!(cluster.members().contains(&p.id));
+            prop_assert!(cluster.ids().contains(&p.id));
             prop_assert_eq!(Some(*p), neo_pipeline::project_gaussian(
-                &cam, p.id, &permuted.get(p.id).unwrap()));
+                &cam, p.id, &cloud.get(p.id).unwrap()));
         }
     }
 }
