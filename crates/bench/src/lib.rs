@@ -1,17 +1,17 @@
 //! Shared harness utilities for the figure/table reproduction binaries.
 //!
-//! Every binary under `src/bin/` regenerates one figure or table from the
-//! paper (see `DESIGN.md` for the index). This crate provides the common
-//! pieces: aligned text tables, JSON result records, and the
-//! device-evaluation helpers the binaries share.
+//! Each binary under `src/bin/` regenerates one figure or table from the
+//! paper, except `paper_figures`, which regenerates every figure that
+//! reads the captured Tanks & Temples workloads from one capture per
+//! scene × resolution. This crate provides the common pieces: aligned
+//! text tables, JSON result records, ground-truth images and a parallel
+//! map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use neo_pipeline::{project_storage, render_oracle, Image};
-use neo_scene::{presets::ScenePreset, FrameSampler, GaussianCloud, Resolution};
-use neo_sim::devices::Device;
-use serde::Serialize;
+use neo_scene::{FrameSampler, GaussianCloud};
 use std::path::PathBuf;
 
 /// A text table with aligned columns for terminal output.
@@ -90,16 +90,6 @@ pub struct ExperimentRecord {
     pub series: Vec<(String, Vec<f64>)>,
 }
 
-impl Serialize for ExperimentRecord {
-    fn write_json(&self, out: &mut String) {
-        let mut ser = serde::StructSer::new(out);
-        ser.field("id", &self.id)
-            .field("description", &self.description)
-            .field("series", &self.series);
-        ser.end();
-    }
-}
-
 impl ExperimentRecord {
     /// Creates a record.
     pub fn new(id: &str, description: &str) -> Self {
@@ -130,24 +120,80 @@ impl ExperimentRecord {
             .unwrap_or_else(|| PathBuf::from("results"));
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.id));
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(self).expect("serializable"),
-        )?;
+        std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
+
+    /// The record as JSON, two-space indented with one value per line.
+    /// Non-finite values are written as `null`, which JSON has in place
+    /// of NaN and infinities.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n  \"id\": ");
+        push_json_string(&mut out, &self.id);
+        out.push_str(",\n  \"description\": ");
+        push_json_string(&mut out, &self.description);
+        out.push_str(",\n  \"series\": ");
+        push_json_array(&mut out, 1, &self.series, |out, (label, values)| {
+            out.push_str("[\n      ");
+            push_json_string(out, label);
+            out.push_str(",\n      ");
+            push_json_array(out, 3, values, |out, v| {
+                out.push_str(&if v.is_finite() {
+                    v.to_string()
+                } else {
+                    "null".into()
+                });
+            });
+            out.push_str("\n    ]");
+        });
+        out.push_str("\n}");
+        out
+    }
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array nested `depth` levels deep: one item
+/// per line, indented two spaces per level, or `[]` when empty.
+fn push_json_array<T>(
+    out: &mut String,
+    depth: usize,
+    items: &[T],
+    mut push_item: impl FnMut(&mut String, &T),
+) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    let indent = "  ".repeat(depth + 1);
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "[\n" } else { ",\n" });
+        out.push_str(&indent);
+        push_item(out, item);
+    }
+    out.push('\n');
+    out.push_str(&indent[2..]);
+    out.push(']');
 }
 
 /// Formats bytes as gigabytes with one decimal.
 pub fn gb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1e9)
-}
-
-/// Mean FPS of `device` over a 60-frame captured workload for
-/// `scene` × `resolution` (shared by Figures 3, 15, 16, 17).
-pub fn device_fps(device: &dyn Device, scene: ScenePreset, resolution: Resolution) -> f64 {
-    let frames = neo_workloads::experiments::scene_workload(scene, resolution);
-    device.mean_fps(&frames)
 }
 
 /// Ground-truth images of the first `frames` frames of `sampler`:
@@ -167,7 +213,7 @@ pub fn ground_truth(cloud: &GaussianCloud, sampler: &FrameSampler, frames: usize
 
 /// Maps `f` over `items` on up to `available_parallelism` scoped threads,
 /// preserving order. Workload captures per scene are independent, so the
-/// multi-scene harnesses (Figures 15, 16, ...) fan out across cores.
+/// multi-scene harnesses (`paper_figures`, ...) fan out across cores.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -231,10 +277,20 @@ mod tests {
 
     #[test]
     fn record_serializes() {
-        let mut r = ExperimentRecord::new("test_fig", "demo");
-        r.push_series("fps", vec![1.0, 2.0]);
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("test_fig"));
+        let mut r = ExperimentRecord::new("test_fig", "a \"quoted\"\tdemo\\\n\u{1}é");
+        r.push_series(
+            "fps",
+            vec![1.0, 2.5, f64::NAN, -0.125, 1e-7, f64::INFINITY, 12345678.9],
+        );
+        r.push_series("empty", vec![]);
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"id\": \"test_fig\",\n  \"description\": \"a \\\"quoted\\\"\\tdemo\\\\\\n\\u0001é\",\n  \"series\": [\n    [\n      \"fps\",\n      [\n        1,\n        2.5,\n        null,\n        -0.125,\n        0.0000001,\n        null,\n        12345678.9\n      ]\n    ],\n    [\n      \"empty\",\n      []\n    ]\n  ]\n}"
+        );
+        assert_eq!(
+            ExperimentRecord::new("e", "").to_json(),
+            "{\n  \"id\": \"e\",\n  \"description\": \"\",\n  \"series\": []\n}"
+        );
     }
 
     #[test]

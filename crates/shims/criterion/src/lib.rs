@@ -4,7 +4,9 @@
 //! benchmark groups, `iter` / `iter_batched`, `BenchmarkId`, `BatchSize`,
 //! `black_box`, and the `criterion_group!` / `criterion_main!` macros —
 //! with a plain warm-up + timed-samples loop instead of criterion's
-//! statistical machinery. Reported numbers are mean ns/iteration.
+//! statistical machinery. Each benchmark reports the mean ns/iteration
+//! over all timed iterations, and the median and minimum of the
+//! per-sample ns/iteration, which a noisy host moves less than the mean.
 
 use std::time::{Duration, Instant};
 
@@ -48,6 +50,8 @@ pub struct Bencher {
     samples: usize,
     /// Mean time per iteration of the last run, filled by `iter*`.
     result: Option<Duration>,
+    /// Nanoseconds per iteration of each timed sample of the last run.
+    sample_ns: Vec<f64>,
 }
 
 impl Bencher {
@@ -63,13 +67,17 @@ impl Bencher {
 
         let mut total = Duration::ZERO;
         let mut iters = 0usize;
+        self.sample_ns.clear();
         for _ in 0..self.samples {
             let start = Instant::now();
             for _ in 0..iters_per_sample {
                 black_box(routine());
             }
-            total += start.elapsed();
+            let elapsed = start.elapsed();
+            total += elapsed;
             iters += iters_per_sample;
+            self.sample_ns
+                .push(elapsed.as_nanos() as f64 / iters_per_sample as f64);
         }
         self.result = Some(total / iters.max(1) as u32);
     }
@@ -83,12 +91,15 @@ impl Bencher {
     {
         let mut total = Duration::ZERO;
         let mut iters = 0usize;
+        self.sample_ns.clear();
         for _ in 0..self.samples {
             let input = setup();
             let start = Instant::now();
             black_box(routine(input));
-            total += start.elapsed();
+            let elapsed = start.elapsed();
+            total += elapsed;
             iters += 1;
+            self.sample_ns.push(elapsed.as_nanos() as f64);
         }
         self.result = Some(total / iters.max(1) as u32);
     }
@@ -144,12 +155,32 @@ fn run_one<F: FnMut(&mut Bencher)>(samples: usize, label: &str, mut f: F) {
     let mut b = Bencher {
         samples,
         result: None,
+        sample_ns: Vec::new(),
     };
     f(&mut b);
     match b.result {
-        Some(mean) => println!("{label:<50} {:>12.1} ns/iter", mean.as_nanos() as f64),
+        Some(mean) => {
+            let (median, min) = median_and_min(&mut b.sample_ns);
+            println!(
+                "{label:<50} {:>12.1} ns/iter  (median {median:.1}, min {min:.1})",
+                mean.as_nanos() as f64
+            );
+        }
         None => println!("{label:<50} (no measurement)"),
     }
+}
+
+/// Median and minimum of the non-empty `samples`, sorted in place. An
+/// even count takes the mean of the two middle samples.
+fn median_and_min(samples: &mut [f64]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    let median = if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    };
+    (median, samples[0])
 }
 
 /// A named collection of related benchmarks.
@@ -282,6 +313,26 @@ mod tests {
         assert_eq!(c.sample_size, 9);
         let fresh = c.benchmark_group("h");
         assert_eq!(fresh.samples(), 9);
+    }
+
+    #[test]
+    fn median_and_min_of_samples() {
+        assert_eq!(median_and_min(&mut [3.0, 1.0, 2.0]), (2.0, 1.0));
+        assert_eq!(median_and_min(&mut [4.0, 1.0, 3.0, 2.0]), (2.5, 1.0));
+    }
+
+    #[test]
+    fn iter_records_one_timing_per_sample() {
+        let mut b = Bencher {
+            samples: 5,
+            result: None,
+            sample_ns: Vec::new(),
+        };
+        b.iter(|| (0..100u64).sum::<u64>());
+        assert_eq!(b.sample_ns.len(), 5);
+        b.iter_batched(|| 7u64, |x| x * 2, BatchSize::SmallInput);
+        assert_eq!(b.sample_ns.len(), 5);
+        assert!(b.sample_ns.iter().all(|&ns| ns >= 0.0));
     }
 
     #[test]

@@ -160,6 +160,16 @@ mod tests {
     }
 
     #[test]
+    fn shorter_capture_is_a_prefix_of_a_longer_one() {
+        let short = capture_workload(&quick_cfg());
+        let long = capture_workload(&CaptureConfig {
+            frames: 2 * quick_cfg().frames,
+            ..quick_cfg()
+        });
+        assert_eq!(short.as_slice(), &long[..short.len()]);
+    }
+
+    #[test]
     fn steady_state_mean_excludes_first_frame() {
         let frames = capture_workload(&quick_cfg());
         let mean = steady_state_mean(&frames);

@@ -1,7 +1,7 @@
 //! Canonical experiment parameters shared by the figure binaries, so
 //! every harness renders the same workloads the paper describes.
 
-use crate::capture::{capture_workload, steady_state_mean, CaptureConfig};
+use crate::capture::{capture_workload, CaptureConfig};
 use neo_scene::{presets::ScenePreset, Resolution};
 use neo_sim::WorkloadFrame;
 
@@ -40,13 +40,6 @@ pub fn scene_workload_with(
         speed,
         ..Default::default()
     })
-}
-
-/// Steady-state mean workload for a scene × resolution — the single-frame
-/// summary device models are evaluated on when per-frame detail is not
-/// needed.
-pub fn scene_mean(scene: ScenePreset, resolution: Resolution) -> WorkloadFrame {
-    steady_state_mean(&scene_workload(scene, resolution))
 }
 
 #[cfg(test)]

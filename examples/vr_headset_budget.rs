@@ -115,7 +115,7 @@ fn main() {
     println!(
         "\nNeo turns a slideshow into a playable frame rate by removing the\n\
          sorting bottleneck (on the paper's densest scene; lighter scenes reach\n\
-         45–90 Hz) — try `cargo run -p neo-bench --bin fig15_end_to_end`.\n\
+         45–90 Hz) — try `cargo run -p neo-bench --bin paper_figures`.\n\
          Multi-session scheduling lives in `neo-serve`; see\n\
          `cargo run -p neo-bench --bin fig_serve`."
     );
