@@ -13,6 +13,7 @@
 use neo_pipeline::{project_storage, render_oracle, Image};
 use neo_scene::{FrameSampler, GaussianCloud};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A text table with aligned columns for terminal output.
 #[derive(Debug, Clone, Default)]
@@ -214,6 +215,9 @@ pub fn ground_truth(cloud: &GaussianCloud, sampler: &FrameSampler, frames: usize
 /// Maps `f` over `items` on up to `available_parallelism` scoped threads,
 /// preserving order. Workload captures per scene are independent, so the
 /// multi-scene harnesses (`paper_figures`, ...) fan out across cores.
+///
+/// Threads take the next unclaimed item from a shared index, one at a
+/// time, so a few costly items do not pile up on one thread.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -227,17 +231,27 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len());
+    let next = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(threads);
     std::thread::scope(|s| {
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            s.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("par_map worker panicked") {
+                out[i] = Some(r);
+            }
         }
     });
     out.into_iter().map(|r| r.expect("slot filled")).collect()
@@ -299,5 +313,15 @@ mod tests {
         let out = par_map(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
         assert!(par_map::<u64, u64, _>(&[], |&x| x).is_empty());
+        // Uneven cost: the first items are the slow ones, so whichever
+        // thread takes them finishes last; results still come back in
+        // input order.
+        let uneven = par_map(&items, |&x| {
+            if x < 4 {
+                std::thread::sleep(std::time::Duration::from_millis(20 - 5 * x));
+            }
+            x + 1
+        });
+        assert_eq!(uneven, items.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 }

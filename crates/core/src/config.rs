@@ -5,7 +5,6 @@ use neo_math::Vec3;
 use neo_pipeline::LodConfig;
 use neo_sort::dps::DpsConfig;
 use neo_sort::strategies::SorterConfig;
-use neo_sort::warm::WarmStartConfig;
 use std::sync::OnceLock;
 
 /// How a session's tiles are spread over worker threads *within* a frame.
@@ -99,14 +98,12 @@ pub struct RendererConfig {
     /// Intra-frame tile parallelism (default [`Parallelism::Serial`]).
     /// Output is byte-identical at any setting.
     pub parallelism: Parallelism,
-    /// Warm-start temporal sorting cache (default `None`): when set,
-    /// every per-tile strategy is wrapped in a
-    /// [`neo_sort::WarmStartSorter`] that carries the previous frame's
-    /// order across frames and repairs it instead of re-sorting. See
-    /// [`RendererConfig::with_temporal_cache`]. The repository
-    /// benchmark's replay (`perfbench/`) reads this field to refuse
-    /// cached engines, so it must stay a public field.
-    pub temporal_cache: Option<WarmStartConfig>,
+    /// Always `None`: [`std::convert::Infallible`] has no value, so
+    /// there is nothing to set. The repository benchmark's replay
+    /// (`perfbench/`) calls `temporal_cache.is_none()`, so the field
+    /// stays a public field until the benchmark's next change, which
+    /// deletes it.
+    pub temporal_cache: Option<std::convert::Infallible>,
     /// Cluster-index LOD path (default `None` = the flat walk over the
     /// whole cloud as one ID range). When set, the engine builds a
     /// [`neo_scene::ClusteredCloud`] over the scene at build time, which
@@ -215,53 +212,6 @@ impl RendererConfig {
         self
     }
 
-    /// Enables warm-start temporal sorting: each tile's strategy is
-    /// wrapped in a [`neo_sort::WarmStartSorter`] that keeps the previous
-    /// frame's depth order in the session and repairs it — departed IDs
-    /// dropped, newcomers merge-inserted, retained IDs fixed up with a
-    /// bounded insertion pass — instead of re-sorting from scratch,
-    /// falling back to a cold inner sort when inter-frame retention drops
-    /// below `config.retention_threshold`.
-    ///
-    /// The cache is per-tile session state, so it shards with the
-    /// intra-frame worker pool and survives re-planning; hit-rate and
-    /// repair cost surface per frame in
-    /// [`crate::FrameResult::temporal`]. Over *exact* inner strategies
-    /// (full-resort, hierarchical) images stay byte-identical to cold
-    /// sorting while sorting traffic drops to a single pass on warm
-    /// frames.
-    ///
-    /// This example is the README's warm-start quickstart, kept honest by
-    /// `cargo test --doc`:
-    ///
-    /// ```
-    /// use neo_core::{RenderEngine, RendererConfig, StrategyKind, WarmStartConfig};
-    /// use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
-    ///
-    /// let engine = RenderEngine::builder()
-    ///     .scene(ScenePreset::Family.build_scaled(0.002))
-    ///     .strategy(StrategyKind::FullResort) // exact sort, warm-started
-    ///     .config(
-    ///         RendererConfig::default()
-    ///             .with_tile_size(32)
-    ///             .with_temporal_cache(WarmStartConfig::default()),
-    ///     )
-    ///     .build()?;
-    /// let sampler = FrameSampler::new(
-    ///     ScenePreset::Family.trajectory(), 30.0, Resolution::Custom(160, 96));
-    /// let mut session = engine.session();
-    /// let cold = session.render_frame(&sampler.frame(0))?; // primes the cache
-    /// let warm = session.render_frame(&sampler.frame(1))?;
-    /// assert!(warm.temporal.hit_rate() > 0.5, "most tiles served warm");
-    /// assert!(warm.sort_cost.bytes_total() < cold.sort_cost.bytes_total() / 2);
-    /// # Ok::<(), neo_core::NeoError>(())
-    /// ```
-    #[must_use]
-    pub fn with_temporal_cache(mut self, config: WarmStartConfig) -> Self {
-        self.temporal_cache = Some(config);
-        self
-    }
-
     /// Enables the cluster-index LOD path: the engine builds a
     /// [`neo_scene::ClusteredCloud`] over the scene at build time
     /// (deterministic Morton clustering, `config.cluster_size` splats
@@ -269,10 +219,9 @@ impl RendererConfig {
     /// conservative frustum test, renders clusters whose screen
     /// footprint falls below `config.proxy_footprint_px` from their
     /// merged proxy splats. The frame is then binned and sorted exactly
-    /// like a flat one; a warm-start cache
-    /// ([`RendererConfig::with_temporal_cache`]) sees a cluster that
-    /// flips between proxy and member rendering as departed and arrived
-    /// IDs, like any other change of a tile's population.
+    /// like a flat one; a tile's sorter sees a cluster that flips between
+    /// proxy and member rendering as departed and arrived IDs, like any
+    /// other change of the tile's population.
     ///
     /// Off by default. With `proxy_footprint_px == 0` the LOD path only
     /// culls — output stays byte-identical to the flat walk over the
@@ -308,9 +257,6 @@ impl RendererConfig {
             return Err(NeoError::invalid_config("tile size must be positive"));
         }
         self.dps.validate().map_err(NeoError::invalid_config)?;
-        if let Some(warm) = &self.temporal_cache {
-            warm.validate().map_err(NeoError::invalid_config)?;
-        }
         if let Some(lod) = &self.lod {
             lod.validate().map_err(NeoError::invalid_config)?;
         }
@@ -368,17 +314,6 @@ mod tests {
         let cfg = RendererConfig::default().with_chunk_size(1);
         assert!(matches!(cfg.validate(), Err(NeoError::InvalidConfig(_))));
         assert!(RendererConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn temporal_cache_defaults_off_and_validates() {
-        let cfg = RendererConfig::default();
-        assert!(cfg.temporal_cache.is_none());
-        let cfg = cfg.with_temporal_cache(WarmStartConfig::default());
-        assert!(cfg.validate().is_ok());
-        let bad =
-            cfg.with_temporal_cache(WarmStartConfig::default().with_retention_threshold(-0.5));
-        assert!(matches!(bad.validate(), Err(NeoError::InvalidConfig(_))));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`RenderEngine`] owns an immutable scene behind an
 //! [`Arc<GaussianCloud>`] plus a validated configuration and a sorting
-//! strategy factory. It is cheap to share (`&RenderEngine` is all a
+//! strategy. It is cheap to share (`&RenderEngine` is all a
 //! thread needs) and never mutates after [`RenderEngineBuilder::build`].
 //!
 //! Each [`RenderEngine::session`] call mints an independent
@@ -41,10 +41,7 @@
 //! assert!(frames.iter().all(|f| f.is_ok()));
 //! ```
 
-use crate::{
-    FrameResult, NeoError, NeoResult, RendererConfig, SessionId, ShardPlan, TemporalCacheStats,
-    TileLoad,
-};
+use crate::{FrameResult, NeoError, NeoResult, RendererConfig, SessionId, ShardPlan, TileLoad};
 use neo_pipeline::{
     bin_to_tiles, cluster_colors, color_pass, project_clusters_geometry, project_flat_geometry,
     FrameStats, Image, ProjectedGaussian, RenderConfig, ShardScratch, Stage, TileGrid,
@@ -52,60 +49,8 @@ use neo_pipeline::{
 };
 use neo_scene::{Camera, ClusterParams, ClusteredCloud, FrameSampler, GaussianCloud};
 use neo_sort::strategies::{SorterConfig, StrategyKind};
-use neo_sort::warm::{WarmStartConfig, WarmStartSorter};
 use neo_sort::{SortCost, SortingStrategy};
 use std::sync::Arc;
-
-/// Shared, clonable constructor of per-tile [`SortingStrategy`] objects.
-///
-/// Every tile of every session gets its own strategy instance; the
-/// factory is the one piece of strategy knowledge the engine keeps.
-#[derive(Clone)]
-struct StrategyFactory {
-    name: Arc<str>,
-    make: Arc<dyn Fn() -> Box<dyn SortingStrategy> + Send + Sync>,
-}
-
-impl StrategyFactory {
-    fn new(
-        name: impl Into<Arc<str>>,
-        make: impl Fn() -> Box<dyn SortingStrategy> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            make: Arc::new(make),
-        }
-    }
-
-    fn from_kind(kind: StrategyKind, config: SorterConfig) -> Self {
-        Self::new(kind.name(), move || kind.build(config))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn create(&self) -> Box<dyn SortingStrategy> {
-        (self.make)()
-    }
-
-    /// Wraps this factory so every created strategy carries a warm-start
-    /// temporal cache ([`WarmStartSorter`]) with the given configuration.
-    fn warmed(self, config: WarmStartConfig) -> Self {
-        let name = format!("warm-start({})", self.name);
-        Self::new(name, move || {
-            Box::new(WarmStartSorter::new(self.create(), config))
-        })
-    }
-}
-
-impl std::fmt::Debug for StrategyFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StrategyFactory")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
 
 /// One tile's sorting strategy plus its tile-local frame counter.
 ///
@@ -147,7 +92,6 @@ struct ShardOutput {
     saturated_pixels: u64,
     pixel_visits: u64,
     tile_loads: Vec<TileLoad>,
-    temporal: TemporalCacheStats,
 }
 
 /// Renders one shard's tiles: advances each tile's sorting strategy and
@@ -196,15 +140,6 @@ fn run_shard(
             incoming: u32::try_from(order.incoming).unwrap_or(u32::MAX),
             outgoing: u32::try_from(order.outgoing).unwrap_or(u32::MAX),
         });
-        if let Some(reuse) = order.reuse {
-            if reuse.warm {
-                out.temporal.warm_tiles += 1;
-                out.temporal.reused_entries += neo_math::num::u64_from_usize(reuse.reused);
-                out.temporal.repair_moves += reuse.repair_moves;
-            } else {
-                out.temporal.cold_tiles += 1;
-            }
-        }
 
         // Rasterization fetches features for every entry in the blend
         // order (stale entries included — they are fetched, found
@@ -342,14 +277,12 @@ impl RenderSession {
             feature_bytes,
         };
 
-        // Strategy creation happens here, on the calling thread, in tile
-        // order — never lazily inside a worker. User factories may be impure
-        // (e.g. handing out a different seed per creation), so a racy
-        // creation order would make the tile→strategy assignment depend on
-        // scheduling and break the byte-identical contract.
+        // Every occupied tile's strategy is created here, before sharding:
+        // the workers below receive disjoint `split_at_mut` windows of
+        // `sorters` and expect each of their tiles' slots to be filled.
         for &(tile_index, _) in &occupied {
             self.sorters[tile_index].get_or_insert_with(|| TileStrategy {
-                strategy: self.factory.create(),
+                strategy: self.kind.build(self.sorter_config),
                 next_frame: 0,
             });
         }
@@ -453,7 +386,6 @@ impl RenderSession {
         let mut incoming_total = 0usize;
         let mut outgoing_total = 0usize;
         let mut tile_loads = Vec::with_capacity(stats.occupied_tiles);
-        let mut temporal = TemporalCacheStats::default();
         for out in outputs {
             stats.traffic += out.traffic;
             sort_cost += out.sort_cost;
@@ -463,7 +395,6 @@ impl RenderSession {
             stats.saturated_pixels += out.saturated_pixels;
             stats.pixel_visits += out.pixel_visits;
             tile_loads.extend(out.tile_loads);
-            temporal += out.temporal;
         }
 
         stats.traffic.write(
@@ -484,7 +415,6 @@ impl RenderSession {
             incoming: incoming_total,
             outgoing: outgoing_total,
             tile_loads,
-            temporal,
         }
     }
 
@@ -548,13 +478,7 @@ fn validate_camera(cam: &Camera) -> NeoResult<()> {
 pub struct RenderEngineBuilder {
     scene: Option<Arc<GaussianCloud>>,
     config: RendererConfig,
-    strategy: StrategySpec,
-}
-
-#[derive(Debug)]
-enum StrategySpec {
-    Kind(StrategyKind),
-    Custom(StrategyFactory),
+    strategy: StrategyKind,
 }
 
 impl Default for RenderEngineBuilder {
@@ -562,7 +486,7 @@ impl Default for RenderEngineBuilder {
         Self {
             scene: None,
             config: RendererConfig::default(),
-            strategy: StrategySpec::Kind(StrategyKind::ReuseUpdate),
+            strategy: StrategyKind::ReuseUpdate,
         }
     }
 }
@@ -581,23 +505,10 @@ impl RenderEngineBuilder {
         self
     }
 
-    /// Selects one of the built-in sorting strategies. Defaults to
+    /// Selects the sorting strategy each occupied tile runs. Defaults to
     /// [`StrategyKind::ReuseUpdate`] (the paper's algorithm).
     pub fn strategy(mut self, kind: StrategyKind) -> Self {
-        self.strategy = StrategySpec::Kind(kind);
-        self
-    }
-
-    /// Registers a user-defined sorting strategy: `make` is called once
-    /// per occupied tile per session to mint an independent
-    /// [`SortingStrategy`] state machine. This is the open extension
-    /// point — the factory may live in any crate.
-    pub fn strategy_factory(
-        mut self,
-        name: impl Into<Arc<str>>,
-        make: impl Fn() -> Box<dyn SortingStrategy> + Send + Sync + 'static,
-    ) -> Self {
-        self.strategy = StrategySpec::Custom(StrategyFactory::new(name, make));
+        self.strategy = kind;
         self
     }
 
@@ -617,20 +528,7 @@ impl RenderEngineBuilder {
             return Err(NeoError::EmptyCloud);
         }
         self.config.validate()?;
-        let factory = match self.strategy {
-            StrategySpec::Kind(kind) => {
-                kind.validate().map_err(NeoError::invalid_config)?;
-                StrategyFactory::from_kind(kind, self.config.sorter_config())
-            }
-            StrategySpec::Custom(factory) => factory,
-        };
-        // The temporal cache composes over *any* strategy — built-in or
-        // user-defined — by wrapping the factory, so each tile gets its
-        // own WarmStartSorter around its own inner instance.
-        let factory = match self.config.temporal_cache {
-            Some(warm) => factory.warmed(warm),
-            None => factory,
-        };
+        self.strategy.validate().map_err(NeoError::invalid_config)?;
         let mut lod_index = None;
         if let Some(lod) = &self.config.lod {
             // The build puts the scene into cluster order, so each cluster
@@ -648,8 +546,9 @@ impl RenderEngineBuilder {
         Ok(RenderEngine {
             scene,
             lod_index,
+            sorter_config: self.config.sorter_config(),
             config: self.config,
-            factory,
+            kind: self.strategy,
         })
     }
 }
@@ -657,7 +556,7 @@ impl RenderEngineBuilder {
 /// The validated, immutable rendering front door.
 ///
 /// An engine owns the scene (shared behind an [`Arc`]), the validated
-/// [`RendererConfig`], and the sorting-strategy factory. All mutable
+/// [`RendererConfig`], and the sorting strategy. All mutable
 /// state lives in the [`RenderSession`]s it mints, so one engine can
 /// serve any number of concurrent sessions — see the module docs for a
 /// `std::thread::scope` example.
@@ -666,7 +565,8 @@ pub struct RenderEngine {
     scene: Arc<GaussianCloud>,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
-    factory: StrategyFactory,
+    kind: StrategyKind,
+    sorter_config: SorterConfig,
 }
 
 impl RenderEngine {
@@ -700,7 +600,8 @@ impl RenderEngine {
             scene: Arc::clone(&self.scene),
             lod_index: self.lod_index.clone(),
             config: self.config.clone(),
-            factory: self.factory.clone(),
+            kind: self.kind,
+            sorter_config: self.sorter_config,
             grid: None,
             sorters: Vec::new(),
             scratch: Vec::new(),
@@ -751,7 +652,7 @@ impl RenderEngine {
 
     /// The sorting strategy's diagnostic name.
     pub fn strategy_name(&self) -> &str {
-        self.factory.name()
+        self.kind.name()
     }
 }
 
@@ -770,7 +671,8 @@ pub struct RenderSession {
     scene: Arc<GaussianCloud>,
     lod_index: Option<Arc<ClusteredCloud>>,
     config: RendererConfig,
-    factory: StrategyFactory,
+    kind: StrategyKind,
+    sorter_config: SorterConfig,
     grid: Option<TileGrid>,
     /// One strategy per tile of `grid`, created when the tile is first
     /// occupied.
@@ -902,7 +804,7 @@ impl RenderSession {
 
     /// The sorting strategy's diagnostic name.
     pub fn strategy_name(&self) -> &str {
-        self.factory.name()
+        self.kind.name()
     }
 }
 
@@ -1110,43 +1012,6 @@ mod tests {
         assert_eq!(session.frames_rendered(), 4);
         // Reuse kicks in after the first frame of the stream.
         assert!(frames[1].incoming < frames[0].incoming);
-    }
-
-    #[test]
-    fn custom_strategy_factory_runs() {
-        // A do-nothing strategy defined against the public trait only.
-        #[derive(Debug)]
-        struct Passthrough;
-        impl SortingStrategy for Passthrough {
-            fn name(&self) -> &str {
-                "passthrough"
-            }
-            fn begin_frame(&mut self, _frame: u64) {}
-            fn order(&mut self, current: &[(u32, f32)]) -> neo_sort::strategies::FrameOrder {
-                neo_sort::strategies::FrameOrder {
-                    order: current
-                        .iter()
-                        .map(|&(id, d)| neo_sort::TableEntry::new(id, d))
-                        .collect(),
-                    cost: SortCost::new(),
-                    incoming: 0,
-                    outgoing: 0,
-                    reuse: None,
-                }
-            }
-        }
-
-        let engine = RenderEngine::builder()
-            .scene(ScenePreset::Family.build_scaled(0.002))
-            .config(RendererConfig::default().with_tile_size(32))
-            .strategy_factory("passthrough", || Box::new(Passthrough))
-            .build()
-            .unwrap();
-        assert_eq!(engine.strategy_name(), "passthrough");
-        let mut session = engine.session();
-        let fr = session.render_frame(&small_sampler().frame(0)).unwrap();
-        assert_eq!(fr.sort_cost.bytes_total(), 0, "passthrough is free");
-        assert!(fr.image.is_some());
     }
 
     #[test]
@@ -1359,67 +1224,6 @@ mod tests {
                 b.render_frame(&cam).unwrap(),
                 "threaded config diverged on frame {i}"
             );
-        }
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the factory's creation counter is shared across threads on purpose: \
-                  the test proves strategies are created in tile order anyway"
-    )]
-    fn impure_strategy_factories_are_seeded_in_tile_order() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-
-        // A factory that hands out a different behavior per creation:
-        // even seeds sort ascending, odd seeds descending. If strategies
-        // were created lazily on worker threads, the tile→seed assignment
-        // would depend on scheduling and sharded output would diverge.
-        #[derive(Debug)]
-        struct Seeded(u32);
-        impl SortingStrategy for Seeded {
-            fn name(&self) -> &str {
-                "seeded"
-            }
-            fn begin_frame(&mut self, _frame: u64) {}
-            fn order(&mut self, current: &[(u32, f32)]) -> neo_sort::strategies::FrameOrder {
-                let mut order: Vec<neo_sort::TableEntry> = current
-                    .iter()
-                    .map(|&(id, d)| neo_sort::TableEntry::new(id, d))
-                    .collect();
-                order.sort_by(|a, b| a.depth.total_cmp(&b.depth));
-                if self.0 % 2 == 1 {
-                    order.reverse();
-                }
-                neo_sort::strategies::FrameOrder {
-                    order,
-                    cost: SortCost::new(),
-                    incoming: 0,
-                    outgoing: 0,
-                    reuse: None,
-                }
-            }
-        }
-
-        let make_engine = || {
-            let counter = AtomicU32::new(0);
-            RenderEngine::builder()
-                .scene(ScenePreset::Family.build_scaled(0.002))
-                .config(RendererConfig::default().with_tile_size(16))
-                .strategy_factory("seeded", move || {
-                    Box::new(Seeded(counter.fetch_add(1, Ordering::SeqCst)))
-                })
-                .build()
-                .unwrap()
-        };
-        let cam = small_sampler().frame(0);
-        let serial = make_engine().session().render_frame(&cam).unwrap();
-        for round in 0..3 {
-            let sharded = make_engine()
-                .session()
-                .render_frame_with_plan(&cam, &ShardPlan::balanced(7))
-                .unwrap();
-            assert_eq!(serial, sharded, "seed assignment raced (round {round})");
         }
     }
 

@@ -30,65 +30,6 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// Aggregate warm-start temporal-cache statistics for one frame.
-///
-/// Populated only when the session's strategies carry a temporal cache
-/// (see [`crate::RendererConfig::with_temporal_cache`]); all-zero
-/// otherwise. Every field is an order-independent integer sum over
-/// tiles, so the values are byte-identical across thread counts and shard
-/// plans like the rest of the frame result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemporalCacheStats {
-    /// Tiles served from the warm cache (repair path) this frame.
-    pub warm_tiles: u64,
-    /// Cache-carrying tiles that fell back to a cold inner sort this
-    /// frame (first touch, low retention, or repair-budget abort).
-    pub cold_tiles: u64,
-    /// Cached entries reused across all warm tiles this frame.
-    pub reused_entries: u64,
-    /// Element moves spent repairing retained orders this frame.
-    pub repair_moves: u64,
-}
-
-impl TemporalCacheStats {
-    /// Tiles whose strategy carries a temporal cache (warm + cold).
-    #[must_use]
-    pub fn cached_tiles(&self) -> u64 {
-        self.warm_tiles + self.cold_tiles
-    }
-
-    /// Fraction of cache-carrying tiles served warm this frame (0.0 when
-    /// no tile carries a cache).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cached_tiles();
-        if total == 0 {
-            0.0
-        } else {
-            self.warm_tiles as f64 / total as f64
-        }
-    }
-
-    /// Mean repair moves per warm tile (the per-frame repair cost).
-    #[must_use]
-    pub fn repair_cost_per_warm_tile(&self) -> f64 {
-        if self.warm_tiles == 0 {
-            0.0
-        } else {
-            self.repair_moves as f64 / self.warm_tiles as f64
-        }
-    }
-}
-
-impl std::ops::AddAssign for TemporalCacheStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.warm_tiles += rhs.warm_tiles;
-        self.cold_tiles += rhs.cold_tiles;
-        self.reused_entries += rhs.reused_entries;
-        self.repair_moves += rhs.repair_moves;
-    }
-}
-
 /// Per-tile load snapshot, the workload record the performance model
 /// consumes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,9 +59,6 @@ pub struct FrameResult {
     pub outgoing: usize,
     /// Per-tile loads for occupied tiles.
     pub tile_loads: Vec<TileLoad>,
-    /// Warm-start temporal-cache hit-rate/repair statistics (all-zero
-    /// when no strategy carries a temporal cache).
-    pub temporal: TemporalCacheStats,
 }
 
 impl FrameResult {
@@ -189,32 +127,8 @@ mod tests {
                     outgoing: 2,
                 },
             ],
-            temporal: TemporalCacheStats::default(),
         };
         assert_eq!(fr.mean_table_len(), 20.0);
         assert_eq!(fr.total_table_entries(), 40);
-        assert_eq!(fr.temporal.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn temporal_stats_rates() {
-        let t = TemporalCacheStats {
-            warm_tiles: 3,
-            cold_tiles: 1,
-            reused_entries: 300,
-            repair_moves: 12,
-        };
-        assert_eq!(t.cached_tiles(), 4);
-        assert!((t.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((t.repair_cost_per_warm_tile() - 4.0).abs() < 1e-12);
-        let mut sum = TemporalCacheStats::default();
-        sum += t;
-        sum += t;
-        assert_eq!(sum.warm_tiles, 6);
-        assert_eq!(sum.repair_moves, 24);
-        assert_eq!(
-            TemporalCacheStats::default().repair_cost_per_warm_tile(),
-            0.0
-        );
     }
 }

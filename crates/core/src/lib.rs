@@ -19,10 +19,8 @@
 //! Any other [`StrategyKind`] gives a baseline renderer over the same
 //! functional pipeline: per-frame full sorting ("original 3DGS"),
 //! GSCore-style hierarchical sorting, periodic sorting, or background
-//! sorting — the comparison set of Figure 19. Beyond the built-ins, any
-//! [`neo_sort::SortingStrategy`] implementation — including one defined
-//! outside this workspace — plugs in through
-//! [`RenderEngineBuilder::strategy_factory`].
+//! sorting — the comparison set of Figure 19. Each occupied tile of a
+//! session gets its own strategy, built by [`StrategyKind::build`].
 //!
 //! Frames can additionally be rendered tile-parallel *within* a frame:
 //! [`RendererConfig::with_threads`] (or [`Parallelism`]) shards the
@@ -30,14 +28,6 @@
 //! deterministic shard merge guarantees output byte-identical to serial
 //! rendering at any thread count — see [`ShardPlan`] and
 //! `ARCHITECTURE.md` for the contract.
-//!
-//! Any strategy can additionally be **warm-started** across frames:
-//! [`RendererConfig::with_temporal_cache`] wraps each tile's strategy in
-//! a [`neo_sort::WarmStartSorter`] that keeps the previous frame's depth
-//! order in the session and repairs it (departed IDs dropped, newcomers
-//! merge-inserted, retained IDs fixed with a bounded insertion pass)
-//! instead of re-sorting, with per-frame hit-rate/repair statistics in
-//! [`FrameResult::temporal`] — see [`WarmStartConfig`].
 //!
 //! # Examples
 //!
@@ -78,10 +68,9 @@ mod shard;
 pub use config::{Parallelism, RendererConfig};
 pub use engine::{FrameStream, RenderEngine, RenderEngineBuilder, RenderSession};
 pub use error::{NeoError, NeoResult};
-pub use frame::{FrameResult, SessionId, TemporalCacheStats, TileLoad};
+pub use frame::{FrameResult, SessionId, TileLoad};
 pub use neo_pipeline::LodConfig;
 pub use neo_scene::{ClusterParams, ClusteredCloud};
 pub use neo_sort::strategies::StrategyKind;
-pub use neo_sort::warm::WarmStartConfig;
 pub use neo_sort::SortingStrategy;
 pub use shard::ShardPlan;

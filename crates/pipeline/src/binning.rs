@@ -9,7 +9,7 @@ use crate::projection::ProjectedGaussian;
 use crate::tiles::TileGrid;
 
 /// Membership diff between one tile's populations in consecutive frames
-/// — the measurement the warm-start temporal sorting cache acts on.
+/// — the retention of Figure 6, which reuse-and-update sorting exploits.
 ///
 /// Counts are over *unique* Gaussian IDs (binning never assigns a splat
 /// to the same tile twice, so for binned populations the counts equal

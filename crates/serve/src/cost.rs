@@ -102,7 +102,6 @@ mod tests {
             incoming: 0,
             outgoing: 0,
             tile_loads: Vec::new(),
-            temporal: Default::default(),
         }
     }
 

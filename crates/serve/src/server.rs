@@ -6,8 +6,7 @@
 //! rejection), repeatedly asks the configured [`Scheduler`] which ready
 //! frames to render next, renders them *functionally* through ordinary
 //! [`neo_core::RenderSession`]s (so the existing intra-frame shard
-//! worker pool, LOD index, and temporal caches all apply), and
-//! advances time:
+//! worker pool and LOD index apply), and advances time:
 //!
 //! * **virtual mode** ([`ServeDriver::run_virtual`]) — time advances
 //!   only by what a [`CostModel`] says each frame cost. No wall-clock
@@ -24,7 +23,7 @@ use crate::{
     AdmissionConfig, AdmissionStats, CostModel, ScheduleTrace, Scheduler, ServeError, ServeResult,
     SessionSpec, SessionView, TraceEvent,
 };
-use neo_core::{RenderEngine, RenderSession, SessionId, TemporalCacheStats};
+use neo_core::{RenderEngine, RenderSession, SessionId};
 use neo_scene::{CameraPath, FrameSampler, Resolution};
 use std::collections::VecDeque;
 
@@ -89,11 +88,6 @@ pub struct SessionReport {
     /// Scheduler tick at which each frame was served (for fairness/gap
     /// analysis).
     pub serve_ticks: Vec<u64>,
-    /// Warm-start temporal-cache statistics accumulated over *this
-    /// session's* frames only. Sessions never bleed cache statistics
-    /// into one another even when they share a scene `Arc` — the cache
-    /// itself is per-session state.
-    pub temporal: TemporalCacheStats,
     /// Total deterministic work units across the session's frames.
     pub work_units: u64,
 }
@@ -328,7 +322,6 @@ impl<'e> ServeDriver<'e> {
                 misses: 0,
                 latencies_us: Vec::with_capacity(neo_math::num::usize_from_u32(spec.frames)),
                 serve_ticks: Vec::with_capacity(neo_math::num::usize_from_u32(spec.frames)),
-                temporal: TemporalCacheStats::default(),
                 work_units: 0,
             },
             spec,
@@ -464,7 +457,6 @@ impl<'e> ServeDriver<'e> {
                     Pace::Virtual(model) => model.frame_cost_us(&view, &fr),
                     Pace::Real(_) => pace.now(now_us).saturating_sub(render_started),
                 };
-                a.report.temporal += fr.temporal;
                 a.report.work_units += fr.work_units();
                 batch_cost = batch_cost.max(cost_us);
                 served.push(Served {

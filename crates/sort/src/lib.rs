@@ -9,20 +9,15 @@
 //! * **Dynamic Partial Sorting** ([`dps`]) — Algorithm 1: chunk-local
 //!   sorting with boundaries interleaved by half a chunk on alternating
 //!   frames, so entries can migrate across chunk boundaries over time.
-//! * **Per-tile sorting strategies** ([`strategies`]) — the open
-//!   [`SortingStrategy`] trait plus five built-in implementors:
-//!   sort-from-scratch, GSCore-style hierarchical sorting, periodic
-//!   sorting, background sorting, and Neo's reuse-and-update sorting,
-//!   each with faithful cost accounting (compares, element moves, DRAM
-//!   bytes). User-defined strategies implement the same trait and run
-//!   through `neo-core`'s `RenderEngine` unchanged.
+//! * **Per-tile sorting strategies** ([`strategies`]) — five
+//!   implementors of the [`SortingStrategy`] trait, named by
+//!   [`StrategyKind`]: sort-from-scratch, GSCore-style hierarchical
+//!   sorting, periodic sorting, background sorting, and Neo's
+//!   reuse-and-update sorting, each with faithful cost accounting
+//!   (compares, element moves, DRAM bytes).
 //! * **Temporal statistics** ([`stats`]) — order differences and their
 //!   percentiles (Figure 7); retention (Figure 6) is
 //!   `neo_pipeline::diff_tile_population`.
-//! * **Warm-start temporal sorting** ([`warm`]) — a cache wrapper over
-//!   any strategy that carries the previous frame's order across frames
-//!   and repairs it instead of re-sorting, exploiting exactly the
-//!   coherence those statistics measure.
 //!
 //! # Examples
 //!
@@ -57,7 +52,6 @@ pub mod merge;
 pub mod radix;
 pub mod stats;
 pub mod strategies;
-pub mod warm;
 
 mod cost;
 mod table;
@@ -65,4 +59,3 @@ mod table;
 pub use cost::SortCost;
 pub use strategies::{SortingStrategy, StrategyKind};
 pub use table::{GaussianTable, TableEntry, ENTRY_BYTES};
-pub use warm::{WarmStartConfig, WarmStartSorter};

@@ -6,11 +6,9 @@
 //! rasterizer should blend in — which may be stale or approximate,
 //! depending on the strategy — together with a faithful [`SortCost`].
 //!
-//! The open [`SortingStrategy`] trait is the extension point: the five
-//! built-in strategies below implement it, and out-of-crate code can
-//! implement it too and run through `neo-core`'s `RenderEngine` without
-//! touching this crate. [`StrategyKind`] survives as a closed convenience
-//! constructor over the built-ins.
+//! The five strategies below implement the [`SortingStrategy`] trait,
+//! and [`StrategyKind`] names them: `neo-core`'s `RenderEngine` builds
+//! one per occupied tile with [`StrategyKind::build`].
 //!
 //! | Strategy | Order quality | Traffic profile |
 //! |---|---|---|
@@ -38,8 +36,7 @@ pub const RADIX_PASSES: u32 = crate::radix::RADIX64_PASSES;
 /// bucketing pass plus one fine per-bucket pass.
 pub const HIERARCHICAL_PASSES: u32 = 2;
 
-/// A per-tile sorting strategy: the open extension point of the sorting
-/// subsystem.
+/// A per-tile sorting strategy.
 ///
 /// A strategy is a state machine owning whatever per-tile state it needs
 /// (persisted tables, pending queues). Each frame the driver calls
@@ -47,10 +44,9 @@ pub const HIERARCHICAL_PASSES: u32 = 2;
 /// [`SortingStrategy::order`] with the tile's true `(id, depth)` entries;
 /// the strategy returns the blend order plus the traffic it cost.
 ///
-/// The trait is object-safe: `neo-core`'s `RenderEngine` drives boxed
-/// strategies created by a per-tile factory, so implementations outside
-/// this crate plug in without any enum edits. Implementors must be
-/// [`Send`] for two reasons: render sessions move across threads, and
+/// The trait is object-safe: `neo-core`'s `RenderEngine` drives the
+/// boxed strategies [`StrategyKind::build`] returns, one per occupied
+/// tile. Implementors must be [`Send`] for two reasons: render sessions move across threads, and
 /// `neo-core`'s intra-frame worker pool partitions the per-tile strategy
 /// slots into contiguous shards and hands each shard to a different
 /// scoped worker. A strategy never observes any tile but its own, so any
@@ -89,20 +85,15 @@ pub trait SortingStrategy: std::fmt::Debug + Send {
 
     /// A no-op that no strategy overrides and no library code calls.
     ///
-    /// Every strategy tracks its tile's population itself (the warm-start
-    /// cache goes cold when retention drops), so the renderer never
-    /// signals a population change. The method stays only because the
-    /// repository benchmark (`perfbench/`) still calls it; it goes with
-    /// the benchmark's next change.
+    /// Every strategy tracks its tile's population itself, so the
+    /// renderer never signals a population change. The method stays only
+    /// because the repository benchmark (`perfbench/`) still calls it; it
+    /// goes with the benchmark's next change.
     fn invalidate_cache(&mut self) {}
 }
 
-/// Which built-in sorting strategy to build.
-///
-/// This enum is a *convenience constructor* over the open
-/// [`SortingStrategy`] trait — see [`StrategyKind::build`]. New
-/// strategies do not need a variant here; they implement the trait
-/// directly.
+/// Which sorting strategy a tile runs: the five strategies of the
+/// comparison set, each built by [`StrategyKind::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Sort from scratch every frame with a GPU-style radix sort.
@@ -134,8 +125,8 @@ impl StrategyKind {
         }
     }
 
-    /// Builds a boxed [`SortingStrategy`] for this kind — the convenience
-    /// constructor over the open trait.
+    /// Builds a boxed [`SortingStrategy`] for this kind, with its own
+    /// per-tile state.
     ///
     /// # Panics
     ///
@@ -166,7 +157,7 @@ impl StrategyKind {
     }
 }
 
-/// Options for the built-in strategies ([`StrategyKind::build`]).
+/// Options for the strategies [`StrategyKind::build`] makes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SorterConfig {
     /// Dynamic Partial Sorting parameters (ReuseUpdate only).
@@ -186,25 +177,6 @@ impl Default for SorterConfig {
     }
 }
 
-/// Per-tile temporal-reuse diagnostics a cache-carrying strategy (see
-/// [`crate::warm::WarmStartSorter`]) attaches to its [`FrameOrder`].
-///
-/// Strategies without a temporal cache leave [`FrameOrder::reuse`] as
-/// `None`; the renderer aggregates the `Some` values into the per-frame
-/// hit-rate/repair-cost statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileReuse {
-    /// True when this frame was served from the warm cache (repair path);
-    /// false when the tile fell back to a cold inner sort.
-    pub warm: bool,
-    /// Fraction of the cached entries still present this frame.
-    pub retention: f64,
-    /// Cached entries reused (retained in place) this frame.
-    pub reused: usize,
-    /// Element moves spent repairing the retained order this frame.
-    pub repair_moves: u64,
-}
-
 /// Output of one frame of sorting for one tile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameOrder {
@@ -219,8 +191,6 @@ pub struct FrameOrder {
     /// Table entries flagged outgoing this frame: their valid bit was
     /// cleared and the next frame's merge drops them (ReuseUpdate only).
     pub outgoing: usize,
-    /// Temporal-cache diagnostics (`None` for cache-less strategies).
-    pub reuse: Option<TileReuse>,
 }
 
 /// Exact sort of the current entries with the GPU-style LSD radix sort
@@ -254,7 +224,6 @@ impl SortingStrategy for FullResortStrategy {
             cost,
             incoming: 0,
             outgoing: 0,
-            reuse: None,
         }
     }
 }
@@ -289,7 +258,6 @@ impl SortingStrategy for HierarchicalStrategy {
             cost,
             incoming: 0,
             outgoing: 0,
-            reuse: None,
         }
     }
 }
@@ -362,7 +330,6 @@ impl SortingStrategy for PeriodicStrategy {
                 cost,
                 incoming: 0,
                 outgoing: 0,
-                reuse: None,
             }
         } else {
             // Reuse the stale table: no sorting work, no updates. New
@@ -373,7 +340,6 @@ impl SortingStrategy for PeriodicStrategy {
                 cost: SortCost::new(),
                 incoming: 0,
                 outgoing: 0,
-                reuse: None,
             }
         }
     }
@@ -432,7 +398,6 @@ impl SortingStrategy for BackgroundStrategy {
             cost,
             incoming: 0,
             outgoing: 0,
-            reuse: None,
         }
     }
 }
@@ -509,8 +474,7 @@ fn by_id_last_wins(current: &[(u32, f32)]) -> Vec<(u32, f32)> {
 }
 
 /// A tile's `(id, depth)` input prepared for membership queries against
-/// a sorted ID list: the hash-map-free lookup [`ReuseUpdateStrategy`] and
-/// [`crate::warm::WarmStartSorter`] share.
+/// a sorted ID list: [`ReuseUpdateStrategy`]'s hash-map-free lookup.
 ///
 /// Its ID-ascending view is the input itself when that is strictly
 /// ascending by ID, as binning emits it, and a `by_id_last_wins` copy
@@ -658,7 +622,6 @@ impl SortingStrategy for ReuseUpdateStrategy {
             cost,
             incoming,
             outgoing,
-            reuse: None,
         }
     }
 

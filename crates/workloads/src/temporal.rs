@@ -72,9 +72,8 @@ pub fn measure_temporal(
 
     let mut retention_samples = Vec::new();
     let mut order_diff_samples = Vec::new();
-    // Per tile: the raw (id, depth) population (for the membership diff —
-    // the same measurement the warm-start cache acts on) and the true
-    // depth order (for rank displacements).
+    // Per tile: the raw (id, depth) population (for the membership diff)
+    // and the true depth order (for rank displacements).
     type FrameTiles = (Vec<Vec<(u32, f32)>>, Vec<Vec<u32>>);
     let mut prev: Option<FrameTiles> = None;
     let mut pop_sum = 0.0f64;

@@ -1,18 +1,16 @@
-//! Large-scene flythrough: warm-start temporal sorting over a Mill 19
-//! style aerial scene — per-frame churn (incoming/outgoing Gaussians)
-//! and temporal-cache hit rate as the camera sweeps, the stress scenario
-//! of Figure 17(a).
+//! Large-scene flythrough: reuse-and-update sorting over a Mill 19
+//! style aerial scene — per-frame churn (incoming/outgoing Gaussians),
+//! the share of table entries that arrive new, and the sorting traffic
+//! as the camera sweeps, the stress scenario of Figure 17(a).
 //!
-//! The sorter here is an *exact* full re-sort wrapped in the warm-start
-//! temporal cache: frames whose tiles retain enough of the previous
-//! population are repaired in a single pass instead of re-sorted, so the
-//! blend orders stay exact while the sorting traffic collapses.
+//! Each tile's table is carried across frames: newcomers are
+//! chunk-sorted and merged in, departures dropped, and the inherited
+//! order repaired by one Dynamic Partial Sorting pass, so the sorting
+//! traffic stays near one pass over the table.
 //!
 //! Run: `cargo run --release --example large_scene_flythrough`
 
-use neo_core::{
-    NeoError, Parallelism, RenderEngine, RendererConfig, StrategyKind, WarmStartConfig,
-};
+use neo_core::{NeoError, Parallelism, RenderEngine, RendererConfig, StrategyKind};
 use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
 use neo_sim::devices::{Device, NeoDevice};
 use neo_sim::WorkloadFrame;
@@ -23,12 +21,11 @@ fn main() -> Result<(), NeoError> {
     let scale = 0.002;
     // Large frames are where the intra-frame worker pool pays off: shard
     // each frame's tiles across every available core. Output is
-    // byte-identical to serial rendering at any thread count — and the
-    // warm-start cache, being per-tile session state, shards with it.
+    // byte-identical to serial rendering at any thread count, and each
+    // tile's table, being per-tile session state, shards with it.
     let config = RendererConfig::default()
         .without_image()
-        .with_parallelism(Parallelism::Auto)
-        .with_temporal_cache(WarmStartConfig::default());
+        .with_parallelism(Parallelism::Auto);
     println!(
         "intra-frame parallelism: {} worker thread(s)",
         config.effective_threads()
@@ -36,7 +33,7 @@ fn main() -> Result<(), NeoError> {
     let engine = RenderEngine::builder()
         .scene(scene.build_scaled(scale))
         .config(config)
-        .strategy(StrategyKind::FullResort) // exact sorting, warm-started
+        .strategy(StrategyKind::ReuseUpdate)
         .build()?;
     println!("sorting strategy: {}", engine.strategy_name());
     let cloud = std::sync::Arc::clone(engine.scene());
@@ -53,8 +50,12 @@ fn main() -> Result<(), NeoError> {
         cloud.len() / 1000,
         cloud.len() as f64 * inv / 1e6
     );
-    println!("frame | table entries | incoming | outgoing | cache hit | est. FPS (Neo hw)");
-    println!("------+---------------+----------+----------+-----------+------------------");
+    println!(
+        "frame | table entries | incoming | outgoing | incoming share | sort KB | est. FPS (Neo hw)"
+    );
+    println!(
+        "------+---------------+----------+----------+----------------+---------+------------------"
+    );
     for i in 0..24 {
         let cam = sampler.frame(i);
         let fr = session.render_frame(&cam)?;
@@ -72,18 +73,25 @@ fn main() -> Result<(), NeoError> {
             feature_bytes,
         };
         let fps = device.simulate_frame(&w).fps();
+        let entries = fr.total_table_entries();
+        let share = if entries == 0 {
+            0.0
+        } else {
+            fr.incoming as f64 / entries as f64
+        };
         println!(
-            "  {i:>3} | {:>13} | {:>8} | {:>8} | {:>8.0}% | {fps:>8.1}",
+            "  {i:>3} | {:>13} | {:>8} | {:>8} | {:>13.1}% | {:>7} | {fps:>8.1}",
             w.table_entries,
             w.incoming,
             w.outgoing,
-            fr.temporal.hit_rate() * 100.0
+            share * 100.0,
+            fr.sort_cost.bytes_total() / 1024
         );
     }
     println!(
         "\nEven with millions of Gaussians, per-frame churn stays a small fraction\n\
-         of the table, so after the first frame nearly every tile is served from\n\
-         the warm-start cache: exact blend orders at single-pass sorting cost."
+         of the table, so after the first frame each tile's sort is one pass over\n\
+         its inherited table plus the few newcomers."
     );
     Ok(())
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`neo_core`] — the `RenderEngine`/`RenderSession` front door over the
 //!   reuse-and-update renderer (the paper's contribution)
-//! * [`neo_sort`] — Dynamic Partial Sorting + the open `SortingStrategy`
-//!   trait and its five built-in implementors
+//! * [`neo_sort`] — Dynamic Partial Sorting and the five per-tile
+//!   sorting strategies behind `SortingStrategy`
 //! * [`neo_pipeline`] — the functional 3DGS pipeline
 //! * [`neo_scene`] — benchmark scenes, cameras, trajectories
 //! * [`neo_sim`] — device performance models and the area/power tables
@@ -30,8 +30,7 @@ pub use neo_workloads;
 pub mod prelude {
     pub use neo_core::{
         FrameResult, FrameStream, NeoError, NeoResult, Parallelism, RenderEngine, RenderSession,
-        RendererConfig, ShardPlan, SortingStrategy, StrategyKind, TemporalCacheStats,
-        WarmStartConfig,
+        RendererConfig, ShardPlan, SortingStrategy, StrategyKind,
     };
     pub use neo_metrics::{lpips_proxy, psnr, ssim};
     pub use neo_pipeline::{render_oracle, Image, RenderConfig, Stage};

@@ -134,6 +134,39 @@ fn workload_statistics_mode_is_thread_invariant() {
     }
 }
 
+#[test]
+fn replanning_every_frame_matches_serial() {
+    // A session whose shard plan changes every frame must render what a
+    // serial session renders: plans are pure scheduling, and each tile's
+    // sorter state (tables, refresh phase, lagged orders) carries across
+    // frames whatever thread ran the tile last.
+    let plans = [
+        ShardPlan::balanced(4),
+        ShardPlan::explicit(vec![5, 11, 23]),
+        ShardPlan::balanced(7),
+        ShardPlan::explicit(vec![1, 1, 2, 59]),
+    ];
+    for kind in [
+        StrategyKind::ReuseUpdate,
+        StrategyKind::Periodic(3),
+        StrategyKind::Background(2),
+    ] {
+        let serial = render_with_plan(kind, &ShardPlan::serial());
+        let engine = engine(kind, RendererConfig::default().with_tile_size(16));
+        let sampler = sampler();
+        let mut session = engine.session();
+        for (i, plan) in plans.iter().cycle().take(FRAMES).enumerate() {
+            let replanned = session
+                .render_frame_with_plan(&sampler.frame(i), plan)
+                .expect("trajectory camera is valid");
+            assert_eq!(
+                serial[i], replanned,
+                "{kind:?} diverged on frame {i} under a changed plan"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

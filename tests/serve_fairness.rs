@@ -6,26 +6,17 @@
 //! * **Admission accounting** — rejection statistics balance exactly:
 //!   `offered == admitted + rejected`, and the rejected-id list matches
 //!   the counter.
-//! * **Temporal-cache isolation** — per-session warm-start statistics
-//!   accumulate per session: a session interleaved with hundreds of
-//!   ticks of other sessions' work reports byte-identical
-//!   `TemporalCacheStats` to the same frame sequence rendered solo, even
-//!   though all sessions share one scene `Arc`.
 
-use neo_core::{RenderEngine, RendererConfig, SessionId, TemporalCacheStats, WarmStartConfig};
-use neo_scene::{presets::ScenePreset, FrameSampler, Resolution};
+use neo_core::{RenderEngine, RendererConfig, SessionId};
+use neo_scene::presets::ScenePreset;
 use neo_serve::{
     AdmissionConfig, FixedCost, FrameBudget, RoundRobin, ServeConfig, ServeDriver, SessionSpec,
 };
 
-fn engine(warm: bool) -> RenderEngine {
-    let mut config = RendererConfig::default().with_tile_size(16).without_image();
-    if warm {
-        config = config.with_temporal_cache(WarmStartConfig::default());
-    }
+fn engine() -> RenderEngine {
     RenderEngine::builder()
         .scene(ScenePreset::Family.build_scaled(0.002))
-        .config(config)
+        .config(RendererConfig::default().with_tile_size(16).without_image())
         .build()
         .expect("test configuration is valid")
 }
@@ -51,7 +42,7 @@ fn skewed_demand_starves_no_session() {
     // sessions; all are permanently backlogged.
     let mut specs = vec![spec(0, 40)];
     specs.extend((1..8).map(|i| spec(i, 4)));
-    let eng = engine(false);
+    let eng = engine();
     let driver = ServeDriver::new(
         &eng,
         ScenePreset::Family.trajectory(),
@@ -91,7 +82,7 @@ fn skewed_demand_starves_no_session() {
 #[test]
 fn rejection_statistics_balance_exactly() {
     let specs: Vec<SessionSpec> = (0..12).map(|i| spec(i, 2)).collect();
-    let eng = engine(false);
+    let eng = engine();
     let driver = ServeDriver::new(
         &eng,
         ScenePreset::Family.trajectory(),
@@ -120,69 +111,4 @@ fn rejection_statistics_balance_exactly() {
     assert_eq!(report.sessions.len() as u64, report.admission.admitted);
     assert!(report.admission.peak_active <= 2);
     assert!(report.admission.peak_queue <= 3);
-}
-
-#[test]
-fn temporal_cache_stats_stay_per_session() {
-    // Serve three sessions with warm-start caching on one engine (shared
-    // scene Arc). Each session's reported TemporalCacheStats must equal
-    // the stats of the identical frame sequence rendered solo — cache
-    // state and statistics never bleed across sessions.
-    let eng = engine(true);
-    let specs: Vec<SessionSpec> = (0..3).map(|i| spec(i, 6)).collect();
-    let driver = ServeDriver::new(
-        &eng,
-        ScenePreset::Family.trajectory(),
-        ServeConfig::default(),
-    )
-    .expect("valid config");
-    let report = driver
-        .run_virtual(&specs, &mut RoundRobin::new(), &FixedCost(2_000))
-        .expect("serve run completes");
-    assert_eq!(report.sessions.len(), 3);
-
-    for s in &report.sessions {
-        // Warm starts must actually have happened, or the isolation
-        // comparison below would be vacuous.
-        assert!(
-            s.temporal.warm_tiles > 0,
-            "session {} never warm-started",
-            s.id
-        );
-
-        // Replay the same camera sequence on a fresh solo session of the
-        // same engine and accumulate its per-frame stats.
-        let original = specs
-            .iter()
-            .find(|spec| spec.id == s.id)
-            .expect("report covers offered specs");
-        let sampler = FrameSampler::new(
-            ScenePreset::Family.trajectory(),
-            30.0,
-            Resolution::Custom(original.width, original.height),
-        )
-        .with_speed(original.speed);
-        let mut solo = eng.session_with_id(original.id);
-        let mut expected = TemporalCacheStats::default();
-        for k in 0..original.frames {
-            let cam = sampler.frame((original.start_frame + k) as usize);
-            expected += solo.render_frame(&cam).expect("valid camera").temporal;
-        }
-        assert_eq!(
-            s.temporal, expected,
-            "session {} temporal stats diverged from its solo replay",
-            s.id
-        );
-    }
-
-    // The sessions start at different trajectory offsets, so their stats
-    // are genuinely distinct — the equality above is not comparing three
-    // copies of the same numbers.
-    assert!(
-        report
-            .sessions
-            .windows(2)
-            .any(|w| w[0].temporal != w[1].temporal),
-        "distinct sessions unexpectedly produced identical temporal stats"
-    );
 }
