@@ -1,12 +1,13 @@
 //! Multi-session serving figure: 300 sessions offered to one engine
-//! under three schedulers (round-robin, EDF, compat-batching), reporting
-//! sessions × throughput × p99 latency, plus the determinism shape
-//! checks the serving layer promises — virtual-clock schedule traces
-//! byte-identical across repeat runs and across engine thread counts.
+//! under two schedulers (round-robin, EDF), reporting sessions ×
+//! throughput × p99 latency, plus the determinism shape checks the
+//! serving layer promises — virtual-clock schedule traces byte-identical
+//! across repeat runs and across engine thread counts.
 //!
 //! Virtual-clock runs give the reproducible scheduler comparison; one
 //! real-clock round-robin run at the end reports measured throughput on
-//! this host (nonreproducible by nature, excluded from shape checks).
+//! this host, with each frame's latency split into queue wait and render
+//! time (nonreproducible by nature, excluded from shape checks).
 //!
 //! Run: `cargo run --release -p neo-bench --bin fig_serve`
 
@@ -14,8 +15,8 @@ use neo_bench::{ExperimentRecord, TextTable};
 use neo_core::{RenderEngine, RendererConfig};
 use neo_scene::presets::ScenePreset;
 use neo_serve::{
-    AdmissionConfig, BatchCoalesce, DeadlineEdf, RoundRobin, Scheduler, ServeConfig, ServeDriver,
-    ServeReport, WorkUnitsCost, WorkloadSpec,
+    AdmissionConfig, DeadlineEdf, RoundRobin, Scheduler, ServeConfig, ServeDriver, ServeReport,
+    WorkUnitsCost, WorkloadSpec,
 };
 /// Offered sessions; admission caps active at 220, queues 40, and
 /// rejects the rest, so the figure exercises every admission outcome
@@ -45,8 +46,6 @@ fn serve_config() -> ServeConfig {
             max_active: MAX_ACTIVE,
             queue_bound: QUEUE_BOUND,
         },
-        max_batch: 8,
-        batch_overhead_us: 20,
         ..ServeConfig::default()
     }
 }
@@ -74,6 +73,14 @@ fn run_virtual(eng: &RenderEngine, scheduler: &mut dyn Scheduler) -> ServeReport
         .expect("serve run completes")
 }
 
+/// Nearest-rank percentile `p` of per-frame microsecond samples, in ms.
+fn percentile_ms(samples_us: impl Iterator<Item = u64>, p: f64) -> f64 {
+    let samples: Vec<usize> = samples_us
+        .map(|us| usize::try_from(us).unwrap_or(usize::MAX))
+        .collect();
+    neo_sort::stats::percentile(&samples, p) as f64 / 1e3
+}
+
 fn main() {
     println!(
         "fig_serve: {OFFERED} sessions offered (max_active {MAX_ACTIVE}, queue {QUEUE_BOUND}), \
@@ -84,7 +91,6 @@ fn main() {
     let eng = engine(1);
     let rr = run_virtual(&eng, &mut RoundRobin::new());
     let edf = run_virtual(&eng, &mut DeadlineEdf::new());
-    let batch = run_virtual(&eng, &mut BatchCoalesce::new(8));
 
     let mut table = TextTable::new([
         "scheduler",
@@ -96,7 +102,7 @@ fn main() {
         "p99 ms",
         "misses",
     ]);
-    let runs = [&rr, &edf, &batch];
+    let runs = [&rr, &edf];
     for r in runs {
         table.row([
             r.scheduler.clone(),
@@ -143,28 +149,15 @@ fn main() {
     let rr_threads = run_virtual(&engine(4), &mut RoundRobin::new());
     let threads_identical = rr_threads.trace.canonical_bytes() == rr.trace.canonical_bytes();
 
-    // 4: batching really coalesces — it serves strictly more frames than
-    // it spends scheduler ticks (single-pick schedulers are pinned at one
-    // frame per tick, so ticks == frames for them).
-    let batching_wins = batch.ticks < batch.frames_served();
-
     println!(
-        "shape check: repeat-run trace identity: {} | 1-vs-4-thread trace identity: {} | \
-         batching coalesces: {} ({} ticks for {} frames)",
+        "shape check: repeat-run trace identity: {} | 1-vs-4-thread trace identity: {}",
         if repeat_identical { "PASS" } else { "FAIL" },
         if threads_identical { "PASS" } else { "FAIL" },
-        if batching_wins { "PASS" } else { "FAIL" },
-        batch.ticks,
-        batch.frames_served(),
     );
     assert!(repeat_identical, "virtual-clock trace changed across runs");
     assert!(
         threads_identical,
         "virtual-clock trace changed with engine thread count"
-    );
-    assert!(
-        batching_wins,
-        "batch coalescing never batched more than one frame per tick"
     );
 
     // Real-clock measurement on this host (reporting only — wall-clock
@@ -176,18 +169,39 @@ fn main() {
     let real = driver
         .run_real_clock(&specs, &mut RoundRobin::new())
         .expect("real-clock run completes");
+    // Latency = queue wait (release to render start) + render time.
+    let events = &real.trace.events;
+    let wait = |p| {
+        percentile_ms(
+            events
+                .iter()
+                .map(|e| e.start_us.saturating_sub(e.release_us)),
+            p,
+        )
+    };
+    let render = |p| percentile_ms(events.iter().map(|e| e.cost_us), p);
+    let modeled = |p| percentile_ms(rr.trace.events.iter().map(|e| e.cost_us), p);
     println!(
-        "\nreal clock (4 threads, round-robin): {} frames in {:.1} ms wall, {:.0} fps, p99 {:.2} ms",
+        "\nreal clock (4 threads, round-robin): {} frames in {:.1} ms wall, {:.0} fps, p99 {:.2} ms\n  \
+         queue wait p50/p99 {:.2}/{:.2} ms | render p50/p99 {:.2}/{:.2} ms \
+         (virtual cost p50/p99 {:.2}/{:.2} ms)",
         real.frames_served(),
         real.makespan_us as f64 / 1e3,
         real.aggregate_fps(),
         real.p99_latency_us() as f64 / 1e3,
+        wait(50.0),
+        wait(99.0),
+        render(50.0),
+        render(99.0),
+        modeled(50.0),
+        modeled(99.0),
     );
 
     let mut record = ExperimentRecord::new(
         "fig_serve",
-        "Multi-session serving: 300 offered sessions under round-robin, EDF, and compat-batching \
-         schedulers on the virtual clock, plus a real-clock throughput measurement",
+        "Multi-session serving: 300 offered sessions under round-robin and EDF schedulers on the \
+         virtual clock, plus a real-clock throughput measurement with its queue-wait and render \
+         tails",
     );
     record.push_series("sessions_offered", vec![f64::from(OFFERED); runs.len()]);
     record.push_series(
@@ -218,6 +232,8 @@ fn main() {
         "real_clock_p99_ms",
         vec![real.p99_latency_us() as f64 / 1e3],
     );
+    record.push_series("real_clock_wait_p99_ms", vec![wait(99.0)]);
+    record.push_series("real_clock_render_p99_ms", vec![render(99.0)]);
     match record.save() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not persist results: {e}"),

@@ -14,10 +14,9 @@
 //!   active set plus a bounded wait queue; arrivals beyond both are
 //!   rejected and counted.
 //! * **Scheduling** ([`Scheduler`]) — a deterministic policy picks which
-//!   released frames render next. Built-ins: [`RoundRobin`] (cyclic
-//!   fairness), [`DeadlineEdf`] (earliest-deadline-first), and
-//!   [`BatchCoalesce`] (deadline-ordered batching of sessions that share
-//!   tile-grid geometry, so one shard plan serves the batch).
+//!   released frame renders next, one frame per tick. Built-ins:
+//!   [`RoundRobin`] (cyclic fairness) and [`DeadlineEdf`]
+//!   (earliest-deadline-first).
 //! * **The driver** ([`ServeDriver`]) — runs the loop in either of two
 //!   paces that share every line of scheduler code:
 //!   [`ServeDriver::run_virtual`] advances time only by an injected
@@ -32,8 +31,8 @@
 //! pure function of `(workload spec, seed, scheduler)`. The chain is
 //! short: workload generation is seeded ChaCha; cost models are pure
 //! functions of shard-invariant [`neo_core::FrameResult`]s; schedulers
-//! are deterministic policy objects that only ever observe virtual time
-//! and an id-sorted ready set. No wall clock, RNG, or map iteration
+//! are deterministic policy objects that only ever observe an id-sorted
+//! ready set. No wall clock, RNG, or map iteration
 //! order touches the path, so `tests/serve_scheduler.rs` can assert
 //! byte-equal traces across repeat runs *and* across
 //! `Parallelism::Serial` vs `Parallelism::Threads(4)` engines.
@@ -88,7 +87,7 @@ pub use admission::{AdmissionConfig, AdmissionStats};
 pub use budget::FrameBudget;
 pub use cost::{CostModel, FixedCost, WorkUnitsCost};
 pub use error::{ServeError, ServeResult};
-pub use scheduler::{BatchCoalesce, DeadlineEdf, RoundRobin, Scheduler, SessionView};
+pub use scheduler::{DeadlineEdf, RoundRobin, Scheduler, SessionView};
 pub use server::{ServeConfig, ServeDriver, ServeReport, SessionReport};
 pub use trace::{ScheduleTrace, TraceEvent};
 pub use workload::{SessionSpec, WorkloadSpec};

@@ -1,19 +1,18 @@
-//! The scheduler trait and the three built-in policies.
+//! The scheduler trait and the two built-in policies.
 //!
-//! A scheduler is a deterministic policy object: given the current
-//! virtual time and the *ready set* (sessions whose next frame has been
-//! released), it picks which frames the pool renders next. Policies
-//! never see wall-clock time, thread ids, or iteration order beyond the
-//! ready set itself, which arrives sorted by session id — so a policy's
-//! decision sequence is a pure function of the workload it observes.
+//! A scheduler is a deterministic policy object: given the *ready set*
+//! (sessions whose next frame has been released), it picks which
+//! session's frame renders next. Policies never see wall-clock time,
+//! thread ids, or iteration order beyond the ready set itself, which
+//! arrives sorted by session id — so a policy's decision sequence is a
+//! pure function of the workload it observes.
 //!
-//! The driver sanitizes every pick (deduplicates, drops ids outside the
-//! ready set, caps at [`crate::ServeConfig::max_batch`], falls back to
-//! the first ready session if a policy returns nothing usable), so a
-//! buggy external policy degrades to round-robin-ish progress instead of
-//! wedging or crashing the serve loop. Non-idling is therefore a
-//! *driver* guarantee, not a policy obligation — which is what makes the
-//! EDF-dominance property of `tests/serve_scheduler.rs` well-posed.
+//! The driver serves the pick if that session is ready and otherwise the
+//! first ready session, so a buggy external policy degrades to
+//! lowest-id-first progress instead of wedging or crashing the serve
+//! loop. Non-idling is therefore a *driver* guarantee, not a policy
+//! obligation — which is what makes the EDF-dominance property of
+//! `tests/serve_scheduler.rs` well-posed.
 
 use neo_core::SessionId;
 
@@ -22,32 +21,24 @@ use neo_core::SessionId;
 pub struct SessionView {
     /// Session identity.
     pub id: SessionId,
-    /// Index of the frame awaiting service (0-based within the session).
-    pub frame: u32,
-    /// Release time of that frame, virtual microseconds.
-    pub release_us: u64,
-    /// Absolute deadline of that frame, virtual microseconds.
+    /// Absolute deadline of the session's pending frame, virtual
+    /// microseconds.
     pub deadline_us: u64,
-    /// Batching compatibility key ([`crate::SessionSpec::compat_key`]).
-    pub compat_key: u64,
-    /// Frames remaining after this one.
-    pub frames_left: u32,
 }
 
 /// A frame-scheduling policy.
 ///
-/// Implementations must be deterministic: equal `(now_us, ready)` inputs
-/// and equal internal state must produce equal picks. The ready set is
-/// sorted by session id and non-empty.
+/// Implementations must be deterministic: equal `ready` inputs and equal
+/// internal state must produce equal picks. The ready set is sorted by
+/// session id and non-empty.
 pub trait Scheduler: Send {
     /// Diagnostic name for traces, tables, and figures.
     fn name(&self) -> &str;
 
-    /// Picks the sessions whose pending frames render next, in batch
-    /// order. Returning more than the driver's batch cap, duplicate ids,
-    /// or ids not in `ready` is tolerated (the driver sanitizes); an
-    /// empty pick falls back to the first ready session.
-    fn pick(&mut self, now_us: u64, ready: &[SessionView]) -> Vec<SessionId>;
+    /// Picks the session whose pending frame renders next. An id not in
+    /// `ready` is tolerated: the driver serves the first ready session
+    /// instead.
+    fn pick(&mut self, ready: &[SessionView]) -> SessionId;
 }
 
 /// Cyclic fair scheduling: serve the lowest session id strictly greater
@@ -72,18 +63,14 @@ impl Scheduler for RoundRobin {
         "round-robin"
     }
 
-    fn pick(&mut self, _now_us: u64, ready: &[SessionView]) -> Vec<SessionId> {
-        let next = match self.last {
-            Some(last) => ready.iter().find(|v| v.id > last).or_else(|| ready.first()),
-            None => ready.first(),
-        };
-        match next {
-            Some(v) => {
-                self.last = Some(v.id);
-                vec![v.id]
-            }
-            None => Vec::new(),
-        }
+    fn pick(&mut self, ready: &[SessionView]) -> SessionId {
+        let next = self
+            .last
+            .and_then(|last| ready.iter().find(|v| v.id > last))
+            .or_else(|| ready.first())
+            .map_or(SessionId(0), |v| v.id);
+        self.last = Some(next);
+        next
     }
 }
 
@@ -109,59 +96,11 @@ impl Scheduler for DeadlineEdf {
         "deadline-edf"
     }
 
-    fn pick(&mut self, _now_us: u64, ready: &[SessionView]) -> Vec<SessionId> {
+    fn pick(&mut self, ready: &[SessionView]) -> SessionId {
         ready
             .iter()
             .min_by_key(|v| (v.deadline_us, v.id))
-            .map(|v| vec![v.id])
-            .unwrap_or_default()
-    }
-}
-
-/// Deadline-ordered batching of compatible sessions: among the ready
-/// set, pick the compatibility group ([`SessionView::compat_key`])
-/// containing the most urgent frame, then serve up to `max_batch` of
-/// that group's frames in deadline order as one batch. Sessions in a
-/// batch share tile-grid geometry, so one shard plan serves them all and
-/// the pool is charged the *maximum* member cost instead of the sum.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchCoalesce {
-    max_batch: usize,
-}
-
-impl BatchCoalesce {
-    /// Coalesce up to `max_batch` compatible sessions per pick (clamped
-    /// up to 1).
-    #[must_use]
-    pub fn new(max_batch: usize) -> Self {
-        Self {
-            max_batch: max_batch.max(1),
-        }
-    }
-}
-
-impl Scheduler for BatchCoalesce {
-    fn name(&self) -> &str {
-        "batch-coalesce"
-    }
-
-    fn pick(&mut self, _now_us: u64, ready: &[SessionView]) -> Vec<SessionId> {
-        // The most urgent frame anchors the batch; its compat group fills
-        // it. Deterministic: urgency ties break by id, and members are
-        // ordered by (deadline, id).
-        let Some(anchor) = ready.iter().min_by_key(|v| (v.deadline_us, v.id)) else {
-            return Vec::new();
-        };
-        let mut members: Vec<&SessionView> = ready
-            .iter()
-            .filter(|v| v.compat_key == anchor.compat_key)
-            .collect();
-        members.sort_by_key(|v| (v.deadline_us, v.id));
-        members
-            .into_iter()
-            .take(self.max_batch)
-            .map(|v| v.id)
-            .collect()
+            .map_or(SessionId(0), |v| v.id)
     }
 }
 
@@ -169,69 +108,36 @@ impl Scheduler for BatchCoalesce {
 mod tests {
     use super::*;
 
-    fn view(id: u32, deadline: u64, compat: u64) -> SessionView {
+    fn view(id: u32, deadline: u64) -> SessionView {
         SessionView {
             id: SessionId(id),
-            frame: 0,
-            release_us: 0,
             deadline_us: deadline,
-            compat_key: compat,
-            frames_left: 1,
         }
     }
 
     #[test]
     fn round_robin_cycles_in_id_order() {
-        let ready: Vec<SessionView> = (0..3).map(|i| view(i, 100, 0)).collect();
+        let ready: Vec<SessionView> = (0..3).map(|i| view(i, 100)).collect();
         let mut rr = RoundRobin::new();
-        let picks: Vec<u32> = (0..7).map(|_| rr.pick(0, &ready)[0].0).collect();
+        let picks: Vec<u32> = (0..7).map(|_| rr.pick(&ready).0).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn round_robin_skips_unready_sessions() {
         let mut rr = RoundRobin::new();
-        assert_eq!(
-            rr.pick(0, &[view(0, 9, 0), view(2, 9, 0)]),
-            vec![SessionId(0)]
-        );
+        assert_eq!(rr.pick(&[view(0, 9), view(2, 9)]), SessionId(0));
         // Session 1 becomes ready; cursor is at 0, so 1 is next.
-        let all: Vec<SessionView> = (0..3).map(|i| view(i, 9, 0)).collect();
-        assert_eq!(rr.pick(0, &all), vec![SessionId(1)]);
+        let all: Vec<SessionView> = (0..3).map(|i| view(i, 9)).collect();
+        assert_eq!(rr.pick(&all), SessionId(1));
         // Only session 0 ready: wrap around.
-        assert_eq!(rr.pick(0, &[view(0, 9, 0)]), vec![SessionId(0)]);
+        assert_eq!(rr.pick(&[view(0, 9)]), SessionId(0));
     }
 
     #[test]
     fn edf_picks_earliest_deadline_with_id_tiebreak() {
         let mut edf = DeadlineEdf::new();
-        let ready = [view(0, 50, 0), view(1, 20, 0), view(2, 20, 0)];
-        assert_eq!(edf.pick(0, &ready), vec![SessionId(1)]);
-        assert!(edf.pick(0, &[]).is_empty());
-    }
-
-    #[test]
-    fn batch_coalesce_groups_by_compat_key() {
-        let mut b = BatchCoalesce::new(4);
-        let ready = [
-            view(0, 90, 7),
-            view(1, 10, 3), // most urgent: anchors the batch
-            view(2, 50, 3),
-            view(3, 40, 7),
-            view(4, 30, 3),
-        ];
-        // Group 3 in deadline order: 1 (10), 4 (30), 2 (50).
-        let picks = b.pick(0, &ready);
-        assert_eq!(picks, vec![SessionId(1), SessionId(4), SessionId(2)]);
-    }
-
-    #[test]
-    fn batch_coalesce_respects_max_batch() {
-        let mut b = BatchCoalesce::new(2);
-        let ready: Vec<SessionView> = (0..5).map(|i| view(i, u64::from(i) + 1, 0)).collect();
-        assert_eq!(b.pick(0, &ready).len(), 2);
-        // Zero clamps to one.
-        let mut one = BatchCoalesce::new(0);
-        assert_eq!(one.pick(0, &ready).len(), 1);
+        let ready = [view(0, 50), view(1, 20), view(2, 20)];
+        assert_eq!(edf.pick(&ready), SessionId(1));
     }
 }

@@ -4,7 +4,7 @@
 //! One loop, two time sources. The driver admits offered sessions into a
 //! bounded active set (overflow into a bounded wait queue, then
 //! rejection), repeatedly asks the configured [`Scheduler`] which ready
-//! frames to render next, renders them *functionally* through ordinary
+//! frame to render next, renders it *functionally* through ordinary
 //! [`neo_core::RenderSession`]s (so the existing intra-frame shard
 //! worker pool and LOD index apply), and advances time:
 //!
@@ -27,17 +27,11 @@ use neo_core::{RenderEngine, RenderSession, SessionId};
 use neo_scene::{CameraPath, FrameSampler, Resolution};
 use std::collections::VecDeque;
 
-/// Driver-level configuration: capacities, batching, and safety bounds.
+/// Driver-level configuration: capacities and safety bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Active-set and wait-queue capacities.
     pub admission: AdmissionConfig,
-    /// Hard cap on frames served per scheduler tick (scheduler picks
-    /// beyond it are truncated).
-    pub max_batch: usize,
-    /// Virtual microseconds of dispatch overhead charged per batch, on
-    /// top of the maximum member cost.
-    pub batch_overhead_us: u64,
     /// Safety bound on scheduler ticks; exceeding it aborts the run with
     /// [`ServeError::TickLimit`] instead of looping forever.
     pub max_ticks: u64,
@@ -47,22 +41,15 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             admission: AdmissionConfig::default(),
-            max_batch: 8,
-            batch_overhead_us: 20,
             max_ticks: 1 << 22,
         }
     }
 }
 
 impl ServeConfig {
-    /// Rejects zero batch capacity or a zero tick bound.
+    /// Rejects invalid admission capacities or a zero tick bound.
     pub fn validate(&self) -> ServeResult<()> {
         self.admission.validate()?;
-        if self.max_batch == 0 {
-            return Err(ServeError::invalid_spec(
-                "max_batch must allow at least one frame per tick",
-            ));
-        }
         if self.max_ticks == 0 {
             return Err(ServeError::invalid_spec("max_ticks must be positive"));
         }
@@ -81,15 +68,9 @@ pub struct SessionReport {
     pub frames_completed: u32,
     /// Frames the spec requested.
     pub frames_requested: u32,
-    /// Deadline misses among completed frames.
-    pub misses: u32,
-    /// Completion latency of each frame, release → finish (virtual µs).
-    pub latencies_us: Vec<u64>,
     /// Scheduler tick at which each frame was served (for fairness/gap
     /// analysis).
     pub serve_ticks: Vec<u64>,
-    /// Total deterministic work units across the session's frames.
-    pub work_units: u64,
 }
 
 impl SessionReport {
@@ -119,9 +100,9 @@ pub struct ServeReport {
     pub sessions: Vec<SessionReport>,
     /// Ids of rejected sessions, in arrival order.
     pub rejected: Vec<SessionId>,
-    /// Scheduler ticks executed.
+    /// Scheduler ticks executed, one per served frame.
     pub ticks: u64,
-    /// Time at which the last batch finished (virtual µs; wall-clock µs
+    /// Time at which the last frame finished (virtual µs; wall-clock µs
     /// in real mode).
     pub makespan_us: u64,
 }
@@ -203,8 +184,7 @@ struct Active {
     sampler: FrameSampler,
     /// Release time of the next frame (virtual µs).
     next_release_us: u64,
-    /// Next frame index within the session.
-    frame: u32,
+    /// `report.frames_completed` is the next frame's index.
     report: SessionReport,
 }
 
@@ -212,11 +192,7 @@ impl Active {
     fn view(&self) -> SessionView {
         SessionView {
             id: self.spec.id,
-            frame: self.frame,
-            release_us: self.next_release_us,
             deadline_us: self.next_release_us + self.spec.budget.deadline_us,
-            compat_key: self.spec.compat_key(),
-            frames_left: self.spec.frames - self.frame,
         }
     }
 }
@@ -313,16 +289,12 @@ impl<'e> ServeDriver<'e> {
             session: self.engine.session_with_id(spec.id),
             sampler,
             next_release_us: now_us,
-            frame: 0,
             report: SessionReport {
                 id: spec.id,
                 activated_us: now_us,
                 frames_completed: 0,
                 frames_requested: spec.frames,
-                misses: 0,
-                latencies_us: Vec::with_capacity(neo_math::num::usize_from_u32(spec.frames)),
                 serve_ticks: Vec::with_capacity(neo_math::num::usize_from_u32(spec.frames)),
-                work_units: 0,
             },
             spec,
         }
@@ -360,7 +332,6 @@ impl<'e> ServeDriver<'e> {
 
         let mut now_us: u64 = 0;
         let mut tick: u64 = 0;
-        let mut seq: u64 = 0;
         let mut makespan_us: u64 = 0;
 
         loop {
@@ -387,13 +358,13 @@ impl<'e> ServeDriver<'e> {
                 stats.peak_active = stats.peak_active.max(active.len());
             }
 
-            // Ready set, in session-id order.
-            let mut ready: Vec<SessionView> = active
-                .iter()
-                .filter(|a| a.next_release_us <= now_us)
-                .map(Active::view)
+            // Ready set, in session-id order, with each view's slot in
+            // `active`.
+            let mut ready_slots: Vec<usize> = (0..active.len())
+                .filter(|&i| active[i].next_release_us <= now_us)
                 .collect();
-            ready.sort_by_key(|v| v.id);
+            ready_slots.sort_by_key(|&i| active[i].spec.id);
+            let ready: Vec<SessionView> = ready_slots.iter().map(|&i| active[i].view()).collect();
 
             if ready.is_empty() {
                 // Idle: fast-forward to the next event, or finish.
@@ -415,105 +386,58 @@ impl<'e> ServeDriver<'e> {
                 });
             }
 
-            // Sanitize the scheduler's pick: dedupe, restrict to the
-            // ready set, cap the batch; fall back to the first ready
-            // session so the loop is non-idling whatever the policy does.
-            let raw = scheduler.pick(now_us, &ready);
-            let mut picks: Vec<SessionId> =
-                Vec::with_capacity(raw.len().min(self.config.max_batch));
-            for id in raw {
-                if picks.len() >= self.config.max_batch {
-                    break;
+            // Serve the scheduler's pick if it is ready, else the first
+            // ready session, so the loop is non-idling whatever the policy
+            // does.
+            let pick = scheduler.pick(&ready);
+            let idx = ready
+                .iter()
+                .position(|v| v.id == pick)
+                .map_or(ready_slots[0], |k| ready_slots[k]);
+            let a = &mut active[idx];
+            let frame = a.report.frames_completed;
+            let release_us = a.next_release_us;
+            let deadline_us = a.view().deadline_us;
+            let cam = a.sampler.frame(
+                neo_math::num::usize_from_u32(a.spec.start_frame)
+                    + neo_math::num::usize_from_u32(frame),
+            );
+            let render_started = pace.now(now_us);
+            let fr = a.session.render_frame(&cam)?;
+            let (cost_us, finish_us) = match &pace {
+                Pace::Virtual(model) => {
+                    let cost_us = model.frame_cost_us(&fr);
+                    (cost_us, now_us + cost_us)
                 }
-                if ready.iter().any(|v| v.id == id) && !picks.contains(&id) {
-                    picks.push(id);
+                Pace::Real(_) => {
+                    let finish_us = pace.now(now_us);
+                    (finish_us.saturating_sub(render_started), finish_us)
                 }
-            }
-            if picks.is_empty() {
-                picks.push(ready[0].id);
-            }
-
-            // Render the batch's frames functionally; collect costs.
-            struct Served {
-                id: SessionId,
-                frame: u32,
-                release_us: u64,
-                deadline_us: u64,
-                cost_us: u64,
-            }
-            let mut served: Vec<Served> = Vec::with_capacity(picks.len());
-            let mut batch_cost: u64 = 0;
-            for id in &picks {
-                let Some(a) = active.iter_mut().find(|a| a.spec.id == *id) else {
-                    continue;
-                };
-                let view = a.view();
-                let cam_index = neo_math::num::usize_from_u32(a.spec.start_frame)
-                    + neo_math::num::usize_from_u32(a.frame);
-                let cam = a.sampler.frame(cam_index);
-                let render_started = pace.now(now_us);
-                let fr = a.session.render_frame(&cam)?;
-                let cost_us = match &pace {
-                    Pace::Virtual(model) => model.frame_cost_us(&view, &fr),
-                    Pace::Real(_) => pace.now(now_us).saturating_sub(render_started),
-                };
-                a.report.work_units += fr.work_units();
-                batch_cost = batch_cost.max(cost_us);
-                served.push(Served {
-                    id: *id,
-                    frame: a.frame,
-                    release_us: view.release_us,
-                    deadline_us: view.deadline_us,
-                    cost_us,
-                });
-            }
-
-            let finish_us = match &pace {
-                Pace::Virtual(_) => now_us + batch_cost + self.config.batch_overhead_us,
-                Pace::Real(_) => pace.now(now_us),
             };
-            makespan_us = makespan_us.max(finish_us);
-
-            // Record events and advance the served sessions.
-            for s in &served {
-                let missed = finish_us > s.deadline_us;
-                trace.events.push(TraceEvent {
-                    seq,
-                    tick,
-                    session: s.id,
-                    frame: s.frame,
-                    release_us: s.release_us,
-                    start_us: now_us,
-                    finish_us,
-                    deadline_us: s.deadline_us,
-                    cost_us: s.cost_us,
-                    missed,
-                });
-                seq += 1;
-                let Some(idx) = active.iter().position(|a| a.spec.id == s.id) else {
-                    continue;
-                };
-                {
-                    let a = &mut active[idx];
-                    a.report.latencies_us.push(finish_us - s.release_us);
-                    a.report.serve_ticks.push(tick);
-                    a.report.frames_completed += 1;
-                    if missed {
-                        a.report.misses += 1;
-                    }
-                    a.frame += 1;
-                    a.next_release_us += a.spec.budget.period_us;
-                }
-                if active[idx].frame >= active[idx].spec.frames {
-                    // Session complete: retire it and backfill the slot
-                    // from the wait queue at the batch finish time.
-                    let done = active.swap_remove(idx);
-                    finished.push(done.report);
-                    if let Some(next) = queue.pop_front() {
-                        let start = finish_us.max(next.arrival_us);
-                        active.push(self.activate(next, start));
-                        stats.peak_active = stats.peak_active.max(active.len());
-                    }
+            makespan_us = finish_us;
+            trace.events.push(TraceEvent {
+                seq: tick - 1,
+                session: a.spec.id,
+                frame,
+                release_us,
+                start_us: now_us,
+                finish_us,
+                deadline_us,
+                cost_us,
+                missed: finish_us > deadline_us,
+            });
+            a.report.serve_ticks.push(tick);
+            a.report.frames_completed += 1;
+            a.next_release_us += a.spec.budget.period_us;
+            if a.report.frames_completed >= a.spec.frames {
+                // Session complete: retire it and backfill the slot from
+                // the wait queue at the frame's finish time.
+                let done = active.swap_remove(idx);
+                finished.push(done.report);
+                if let Some(next) = queue.pop_front() {
+                    let start = finish_us.max(next.arrival_us);
+                    active.push(self.activate(next, start));
+                    stats.peak_active = stats.peak_active.max(active.len());
                 }
             }
 
@@ -599,6 +523,27 @@ mod tests {
     }
 
     #[test]
+    fn every_virtual_tick_serves_one_frame() {
+        let engine = small_engine();
+        let d = driver(&engine, ServeConfig::default());
+        let specs = tiny_specs(4);
+        let cost = WorkUnitsCost::default();
+        let policies: [&mut dyn Scheduler; 2] = [&mut RoundRobin::new(), &mut DeadlineEdf::new()];
+        for policy in policies {
+            let r = d.run_virtual(&specs, policy, &cost).expect("run");
+            assert_eq!(r.ticks, r.frames_served(), "{}", r.scheduler);
+            for e in &r.trace.events {
+                assert_eq!(
+                    e.finish_us,
+                    e.start_us + e.cost_us,
+                    "{}: {e:?}",
+                    r.scheduler
+                );
+            }
+        }
+    }
+
+    #[test]
     fn rejection_occurs_beyond_capacity() {
         let engine = small_engine();
         let d = driver(
@@ -661,13 +606,7 @@ mod tests {
     #[test]
     fn fixed_cost_meets_or_misses_deadlines_exactly() {
         let engine = small_engine();
-        let d = driver(
-            &engine,
-            ServeConfig {
-                batch_overhead_us: 0,
-                ..ServeConfig::default()
-            },
-        );
+        let d = driver(&engine, ServeConfig::default());
         let make = |cost_us: u64| {
             let specs = vec![SessionSpec {
                 id: SessionId(0),
@@ -691,12 +630,6 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(ServeConfig::default().validate().is_ok());
-        assert!(ServeConfig {
-            max_batch: 0,
-            ..ServeConfig::default()
-        }
-        .validate()
-        .is_err());
         assert!(ServeConfig {
             max_ticks: 0,
             ..ServeConfig::default()

@@ -6,24 +6,24 @@ use neo_core::SessionId;
 /// One served frame, as recorded by the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Monotonic event number across the whole run.
+    /// Monotonic event number across the whole run; the scheduler tick
+    /// that served the frame is `seq + 1`.
     pub seq: u64,
-    /// Scheduler tick (batch number) that served this frame.
-    pub tick: u64,
     /// Which session.
     pub session: SessionId,
     /// Frame index within the session.
     pub frame: u32,
     /// Release time of the frame (virtual µs).
     pub release_us: u64,
-    /// When the batch containing the frame started (virtual µs).
+    /// When the frame's render started (virtual µs).
     pub start_us: u64,
-    /// When the batch finished — the frame's completion time (virtual µs).
+    /// When the frame's render finished (virtual µs).
     pub finish_us: u64,
     /// The frame's absolute deadline (virtual µs).
     pub deadline_us: u64,
-    /// The frame's own modeled cost (the batch is charged the member
-    /// maximum plus overhead, so `finish_us - start_us >= cost_us`).
+    /// The frame's cost: modeled on the virtual clock, where
+    /// `finish_us == start_us + cost_us`; the measured render time on the
+    /// real clock, where `finish_us` also counts the loop's own work.
     pub cost_us: u64,
     /// Whether the frame finished after its deadline.
     pub missed: bool,
@@ -77,9 +77,8 @@ impl ScheduleTrace {
         let mut out = String::with_capacity(self.events.len() * 64);
         for e in &self.events {
             out.push_str(&format!(
-                "{} {} {} {} {} {} {} {} {} {}\n",
+                "{} {} {} {} {} {} {} {} {}\n",
                 e.seq,
-                e.tick,
                 e.session.0,
                 e.frame,
                 e.release_us,
@@ -101,7 +100,6 @@ mod tests {
     fn event(seq: u64, missed: bool) -> TraceEvent {
         TraceEvent {
             seq,
-            tick: seq,
             session: SessionId(7),
             frame: 0,
             release_us: 100,

@@ -35,14 +35,6 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// Batching compatibility key: sessions with equal keys render the
-    /// same tile-grid geometry, so one shard plan serves the whole batch.
-    /// Currently the resolution pair packed into a `u64`.
-    #[must_use]
-    pub fn compat_key(&self) -> u64 {
-        (u64::from(self.width) << 32) | u64::from(self.height)
-    }
-
     /// Rejects degenerate sessions (no frames, zero resolution, bad
     /// budget, non-finite speed).
     pub fn validate(&self) -> ServeResult<()> {
@@ -233,16 +225,5 @@ mod tests {
         }
         .generate()
         .is_err());
-    }
-
-    #[test]
-    fn compat_key_is_resolution() {
-        let spec = WorkloadSpec::default().generate().unwrap();
-        for s in &spec {
-            assert_eq!(
-                s.compat_key(),
-                (u64::from(s.width) << 32) | u64::from(s.height)
-            );
-        }
     }
 }

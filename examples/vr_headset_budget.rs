@@ -60,10 +60,7 @@ fn main() {
     let driver = ServeDriver::new(
         &engine,
         ScenePreset::Playground.trajectory(),
-        ServeConfig {
-            batch_overhead_us: 0,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     )
     .expect("valid serve config");
 

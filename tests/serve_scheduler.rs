@@ -1,6 +1,7 @@
 //! Property suite for the `neo-serve` scheduling layer.
 //!
-//! Three contracts, property-tested over seeded random workloads:
+//! Three contracts, property-tested over seeded random workloads, and
+//! the driver's fallback for picks outside the ready set:
 //!
 //! 1. **Trace determinism** — the virtual-clock schedule trace is a pure
 //!    function of `(workload spec, seed, scheduler)`: byte-identical
@@ -14,11 +15,11 @@
 //!    the active set never exceeds its capacity, for any workload and
 //!    any (valid) admission configuration.
 
-use neo_core::{RenderEngine, RendererConfig};
+use neo_core::{RenderEngine, RendererConfig, SessionId};
 use neo_scene::presets::ScenePreset;
 use neo_serve::{
-    AdmissionConfig, BatchCoalesce, DeadlineEdf, RoundRobin, Scheduler, ServeConfig, ServeDriver,
-    ServeReport, WorkUnitsCost, WorkloadSpec,
+    AdmissionConfig, DeadlineEdf, RoundRobin, Scheduler, ServeConfig, ServeDriver, ServeReport,
+    SessionView, WorkUnitsCost, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -76,10 +77,9 @@ proptest! {
         let cost = WorkUnitsCost::default();
         let serial = engine(1);
         let threaded = engine(4);
-        let make: [fn() -> Box<dyn Scheduler>; 3] = [
+        let make: [fn() -> Box<dyn Scheduler>; 2] = [
             || Box::new(RoundRobin::new()),
             || Box::new(DeadlineEdf::new()),
-            || Box::new(BatchCoalesce::new(4)),
         ];
         for mk in make {
             let a = run(&serial, &spec, mk().as_mut(), config, &cost);
@@ -115,10 +115,7 @@ proptest! {
         let slack_pct = [100u32, 200, 400, 800][slack_index];
         let units_per_us = [512u64, 4096, 32_768][units_index];
         let spec = workload(sessions, seed, slack_pct);
-        let config = ServeConfig {
-            batch_overhead_us: 0,
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let cost = WorkUnitsCost { units_per_us, fixed_us: 50 };
         let eng = engine(1);
         let rr = run(&eng, &spec, &mut RoundRobin::new(), config, &cost);
@@ -166,5 +163,63 @@ proptest! {
         for s in &r.sessions {
             prop_assert_eq!(s.frames_completed, s.frames_requested);
         }
+    }
+}
+
+/// A policy that picks outside the ready set on every other tick and the
+/// highest-id ready session otherwise, recording the session it expects
+/// each tick to serve.
+#[derive(Default)]
+struct Wayward {
+    expected: Vec<SessionId>,
+    /// Fallback ticks with more than one session ready.
+    contested_fallbacks: usize,
+}
+
+impl Scheduler for Wayward {
+    fn name(&self) -> &str {
+        "wayward"
+    }
+
+    fn pick(&mut self, ready: &[SessionView]) -> SessionId {
+        if self.expected.len().is_multiple_of(2) {
+            self.expected.push(ready[0].id);
+            self.contested_fallbacks += usize::from(ready.len() > 1);
+            SessionId(u32::MAX)
+        } else {
+            let last = ready[ready.len() - 1].id;
+            self.expected.push(last);
+            last
+        }
+    }
+}
+
+/// The driver serves an out-of-set pick's tick to the lowest-id ready
+/// session and honours every valid pick, so every session still gets
+/// every frame.
+#[test]
+fn picks_outside_the_ready_set_fall_back_to_the_lowest_ready_id() {
+    // Simultaneous arrivals: the first ticks see every session ready.
+    let spec = WorkloadSpec {
+        arrival_spread_us: 0,
+        ..workload(5, 11, 200)
+    };
+    let mut policy = Wayward::default();
+    let r = run(
+        &engine(1),
+        &spec,
+        &mut policy,
+        ServeConfig::default(),
+        &WorkUnitsCost::default(),
+    );
+    let served: Vec<SessionId> = r.trace.events.iter().map(|e| e.session).collect();
+    assert_eq!(served, policy.expected);
+    assert!(
+        policy.contested_fallbacks > 0,
+        "no fallback tick had a choice to make"
+    );
+    assert_eq!(r.sessions.len(), 5);
+    for s in &r.sessions {
+        assert_eq!(s.frames_completed, s.frames_requested);
     }
 }
